@@ -18,16 +18,15 @@ from .errors import (
 from .giep import (
     GiepInstance,
     ImaginaryClassification,
+    PairSystem,
     ReconstructionResult,
-    classify_imaginary,
-    closed_form_b,
     delta,
     head_components,
+    pair_systems,
     positivity_witness,
     reconstruct_a,
     reconstruct_b,
     solve,
-    solve_pair_system,
     trace_identity_residuals,
 )
 from .mfunctions import (
@@ -53,7 +52,6 @@ from .oracle import (
 from .pencil import HermitianTridiagonal, Pencil, RealPolynomial, SymmetricTridiagonal
 from .recurrence import (
     KappaSequence,
-    convergent,
     eval_p,
     eval_q,
     in_spectrum,
@@ -64,6 +62,7 @@ from .recurrence import (
     poly_q,
     right_components,
     right_components_with_derivative,
+    spectrum_margin,
 )
 
 __version__ = "0.1.0"

@@ -54,17 +54,16 @@ def _cmd_direct(args) -> int:
     if args.at is not None:
         z = _parse_point(args.at)
         P, Q = pq_sweep(pencil, n + 1, z)
+        table = mfunctions.m_table(pencil, z)
         out["z"] = [z.real, z.imag]
         if args.all:
             out["P"] = [[v.real, v.imag] for v in P]
             out["Q"] = [[v.real, v.imag] for v in Q]
-            out["m"] = [[0.0, 0.0]] + [[(Q[j] / P[j]).real, (Q[j] / P[j]).imag]
-                                       for j in range(1, n + 2)]
+            out["m"] = [[v.real, v.imag] for v in table.values]
         else:
             out["P"] = [P[n + 1].real, P[n + 1].imag]
             out["Q"] = [Q[n + 1].real, Q[n + 1].imag]
-        s_val = Q[n + 1] / P[n + 1]
-        out["S"] = [s_val.real, s_val.imag]
+        out["S"] = [table.top.real, table.top.imag]
         pr = right_components(pencil, z)
         pl = left_components(pencil, z)
         out["right_components"] = [[v.real, v.imag] for v in pr]

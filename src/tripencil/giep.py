@@ -11,16 +11,16 @@ system, one equation per eigenvalue:
     p_j^L p_{j+1}^R b_j - p_{j+1}^L p_j^R conj(b_j)
         = lam d_j (p_j^L p_{j+1}^R - p_{j+1}^L p_j^R)
 
-(and the mu-counterpart in the s-components).  The primary path solves this
-system directly for each j; the closed-form expression for b_j through the
-system determinant Delta_j is kept as an independent cross-check.  Delta_j
-vanishes exactly when the pole ratio b_j/d_j is real, so a singular system is
-reported rather than solved.
+(and the mu-counterpart in the s-components).  PairSystem holds this system
+and its determinant Delta_j for one index; the primary path solves it
+directly, and the closed-form expression for b_j through Delta_j is kept as
+an independent cross-check.  Delta_j vanishes exactly when the pole ratio
+b_j/d_j is real, so a singular system is reported rather than solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,19 +34,14 @@ from .errors import (
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
 from .recurrence import (
-    eval_p,
     in_spectrum,
     left_components,
+    pq_sweep,
     right_components,
     right_components_with_derivative,
 )
-
-# Detection floor for a singular 2x2 system.  Tail data computed from
-# eigenvalues carrying ~1e-14 relative error smears an exact zero of Delta_j
-# up to ~1e-11 of the monomial scale, so the guard sits at 1e-10.
-DELTA_RTOL = 1e-10
-HERMITIAN_RTOL = 1e-8
-COMPONENT_RTOL = 1e-12
+from .tolerances import (COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL,
+                         WITNESS_IMAG_RTOL)
 
 
 @dataclass(frozen=True)
@@ -158,51 +153,103 @@ def delta_scale(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1) -> float:
     )
 
 
-def closed_form_b(d_j: float, lam: float, mu: float,
-                  p_pair: tuple[complex, complex], s_pair: tuple[complex, complex]) -> tuple[complex, complex]:
-    """Closed-form (b_j, conj(b_j)) through the system determinant.
+@dataclass(frozen=True)
+class PairSystem:
+    """The 2x2 system for the unknown pair (b_j, conj(b_j)) at one index j.
 
-    Independent of the linear-solve path; used as a cross-check.
+    p_pair = (p_j, p_{j+1}) at lam and s_pair = (s_j, s_{j+1}) at mu are
+    right component values; the left values are their conjugates.  terms
+    (pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1), det (Delta_j) and
+    scale (the magnitude of its largest monomial) are computed once at
+    construction; solve, closed_form and classify read them.
     """
-    pr_j, pr_j1 = complex(p_pair[0]), complex(p_pair[1])
-    sr_j, sr_j1 = complex(s_pair[0]), complex(s_pair[1])
-    pl_j, pl_j1 = pr_j.conjugate(), pr_j1.conjugate()
-    sl_j, sl_j1 = sr_j.conjugate(), sr_j1.conjugate()
-    wp = pl_j * pr_j1 - pl_j1 * pr_j
-    ws = sl_j * sr_j1 - sl_j1 * sr_j
-    det = delta(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1)
-    b = (lam + mu) * d_j + (d_j / det) * (mu * sl_j1 * sr_j * wp - lam * pl_j1 * pr_j * ws)
-    b_conj = (lam + mu) * d_j + (d_j / det) * (mu * sl_j * sr_j1 * wp - lam * pl_j * pr_j1 * ws)
-    return b, b_conj
+
+    j: int
+    d_j: float
+    lam: float
+    mu: float
+    p_pair: tuple[complex, complex]
+    s_pair: tuple[complex, complex]
+    terms: tuple[complex, ...] = field(init=False, repr=False)
+    det: complex = field(init=False)
+    scale: float = field(init=False)
+
+    def __post_init__(self):
+        pr_j, pr_j1 = complex(self.p_pair[0]), complex(self.p_pair[1])
+        sr_j, sr_j1 = complex(self.s_pair[0]), complex(self.s_pair[1])
+        terms = (pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
+                 sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "det", delta(*terms))
+        object.__setattr__(self, "scale", delta_scale(*terms))
+
+    def _check_regular(self) -> None:
+        # against scale alone: rescaling either tail scales det and scale alike
+        if abs(self.det) <= DELTA_RTOL * self.scale:
+            raise SingularDeltaError(self.j)
+
+    def solve(self) -> tuple[complex, complex]:
+        """Solve for (u, v): u is the recovered b_j, v the independently solved conjugate.
+
+        Raises SingularDeltaError when Delta_j is negligible against its
+        scale, HermitianInconsistentError when v is not conj(u).
+        """
+        self._check_regular()
+        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
+        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
+        a11 = pl_j * pr_j1
+        a12 = -pl_j1 * pr_j
+        r1 = lam * d_j * (pl_j * pr_j1 - pl_j1 * pr_j)
+        a21 = sl_j * sr_j1
+        a22 = -sl_j1 * sr_j
+        r2 = mu * d_j * (sl_j * sr_j1 - sl_j1 * sr_j)
+        u = (r1 * a22 - r2 * a12) / det
+        v = (a11 * r2 - a21 * r1) / det
+        if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
+            raise HermitianInconsistentError(self.j)
+        return u, v
+
+    def closed_form(self) -> tuple[complex, complex]:
+        """Closed-form (b_j, conj(b_j)) through Delta_j; a cross-check on solve()."""
+        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
+        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
+        wp = pl_j * pr_j1 - pl_j1 * pr_j
+        ws = sl_j * sr_j1 - sl_j1 * sr_j
+        b = (lam + mu) * d_j + (d_j / det) * (mu * sl_j1 * sr_j * wp - lam * pl_j1 * pr_j * ws)
+        b_conj = (lam + mu) * d_j + (d_j / det) * (mu * sl_j * sr_j1 * wp - lam * pl_j * pr_j1 * ws)
+        return b, b_conj
+
+    def classify(self) -> ImaginaryClassification:
+        """Split b_j into x_j + i*y_j and test the eigenvalue-ratio condition.
+
+        The flag is the cross-multiplied relative comparison of lam/mu
+        against the determinant ratio that forces x_j = 0.
+        """
+        self._check_regular()
+        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
+        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
+        wp = pl_j * pr_j1 - pl_j1 * pr_j
+        ws = sl_j * sr_j1 - sl_j1 * sr_j
+        vp = pl_j * pr_j1 + pl_j1 * pr_j
+        vs = sl_j * sr_j1 + sl_j1 * sr_j
+        x = d_j * (mu * vp * ws - lam * vs * wp) / (2.0 * det)
+        y = (lam - mu) * d_j * wp * ws / (2j * det)
+        lhs = lam * vs * wp
+        rhs = mu * vp * ws
+        ratio_ok = abs(lhs - rhs) <= RATIO_RTOL * (abs(lhs) + abs(rhs))
+        return ImaginaryClassification(self.j, x.real, y.real, bool(ratio_ok))
 
 
-def solve_pair_system(j: int, d_j: float, lam: float, mu: float,
-                      p_pair: tuple[complex, complex],
-                      s_pair: tuple[complex, complex]) -> tuple[complex, complex, complex]:
-    """Solve one 2x2 system for the unknown pair (b_j, conj(b_j)).
-
-    p_pair = (p_j, p_{j+1}) at lam, s_pair = (s_j, s_{j+1}) at mu; left
-    values are conjugates of the given right values.  Returns (u, v, Delta_j)
-    where u is the recovered b_j and v the independently solved conjugate
-    unknown.
-    """
-    pr_j, pr_j1 = complex(p_pair[0]), complex(p_pair[1])
-    sr_j, sr_j1 = complex(s_pair[0]), complex(s_pair[1])
-    pl_j, pl_j1 = pr_j.conjugate(), pr_j1.conjugate()
-    sl_j, sl_j1 = sr_j.conjugate(), sr_j1.conjugate()
-    det = delta(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1)
-    scale = delta_scale(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1)
-    if abs(det) <= DELTA_RTOL * (scale + 1.0):
-        raise SingularDeltaError(j)
-    a11 = pl_j * pr_j1
-    a12 = -pl_j1 * pr_j
-    r1 = lam * d_j * (pl_j * pr_j1 - pl_j1 * pr_j)
-    a21 = sl_j * sr_j1
-    a22 = -sl_j1 * sr_j
-    r2 = mu * d_j * (sl_j * sr_j1 - sl_j1 * sr_j)
-    u = (r1 * a22 - r2 * a12) / det
-    v = (a11 * r2 - a21 * r1) / det
-    return u, v, det
+def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
+                 components_mu: Sequence[complex]) -> tuple[PairSystem, ...]:
+    """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu."""
+    k = instance.k
+    return tuple(
+        PairSystem(j, instance.J.d[j], instance.lam, instance.mu,
+                   (components_lambda[j - k], components_lambda[j - k + 1]),
+                   (components_mu[j - k], components_mu[j - k + 1]))
+        for j in range(k, instance.n)
+    )
 
 
 def reconstruct_b(instance: GiepInstance,
@@ -215,22 +262,8 @@ def reconstruct_b(instance: GiepInstance,
     the solution unchanged).  Returns the recovered entries together with
     the determinants Delta_k..Delta_{n-1}.
     """
-    k, n = instance.k, instance.n
-    d = instance.J.d
-    lam, mu = instance.lam, instance.mu
-    bs: list[complex] = []
-    deltas: list[complex] = []
-    for j in range(k, n):
-        t = j - k
-        u, v, det = solve_pair_system(
-            j, d[j], lam, mu,
-            (components_lambda[t], components_lambda[t + 1]),
-            (components_mu[t], components_mu[t + 1]))
-        if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
-            raise HermitianInconsistentError(j)
-        bs.append(u)
-        deltas.append(det)
-    return tuple(bs), tuple(deltas)
+    systems = pair_systems(instance, components_lambda, components_mu)
+    return tuple(system.solve()[0] for system in systems), tuple(system.det for system in systems)
 
 
 def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
@@ -259,7 +292,7 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
         if i <= n - 1:
             num += (lam * d[i] - b_at(i)) * p[t + 1]
         val = lam * c[i] + num / p[t]
-        if abs(val.imag) > 1e-8 * (1.0 + abs(val)):
+        if abs(val.imag) > IMAG_RTOL * (1.0 + abs(val)):
             raise NonRealDiagonalError(i, val.imag)
         out.append(val.real)
     return tuple(out)
@@ -282,42 +315,14 @@ def head_components(instance: GiepInstance, b_k: complex, p_k1: complex,
     d = instance.J.d
     b = instance.head_b
     p_k1 = complex(p_k1)
-    pk1_val = eval_p(head, k + 1, z)
+    P, _ = pq_sweep(head, k + 1, z)
     out = []
     for m in range(k):
         prod = b_k - z * d[k]
         for j in range(m, k):
             prod *= b[j] - z * d[j]
-        out.append(prod * eval_p(head, m, z) / pk1_val * p_k1)
+        out.append(prod * P[m] / P[k + 1] * p_k1)
     return tuple(out)
-
-
-def classify_imaginary(j: int, p_pair: tuple[complex, complex], s_pair: tuple[complex, complex],
-                       d_j: float, lam: float, mu: float) -> ImaginaryClassification:
-    """Split b_j into x_j + i*y_j and test the eigenvalue-ratio condition.
-
-    p_pair = (p_j, p_{j+1}) at lam and s_pair = (s_j, s_{j+1}) at mu; left
-    values are their conjugates.  The flag is the cross-multiplied relative
-    comparison of lam/mu against the determinant ratio that forces x_j = 0.
-    """
-    pr_j, pr_j1 = complex(p_pair[0]), complex(p_pair[1])
-    sr_j, sr_j1 = complex(s_pair[0]), complex(s_pair[1])
-    pl_j, pl_j1 = pr_j.conjugate(), pr_j1.conjugate()
-    sl_j, sl_j1 = sr_j.conjugate(), sr_j1.conjugate()
-    det = delta(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1)
-    scale = delta_scale(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1)
-    if abs(det) <= DELTA_RTOL * (scale + 1.0):
-        raise SingularDeltaError(j)
-    wp = pl_j * pr_j1 - pl_j1 * pr_j
-    ws = sl_j * sr_j1 - sl_j1 * sr_j
-    vp = pl_j * pr_j1 + pl_j1 * pr_j
-    vs = sl_j * sr_j1 + sl_j1 * sr_j
-    x = d_j * (mu * vp * ws - lam * vs * wp) / (2.0 * det)
-    y = (lam - mu) * d_j * wp * ws / (2j * det)
-    lhs = lam * vs * wp
-    rhs = mu * vp * ws
-    ratio_ok = abs(lhs - rhs) <= 1e-8 * (abs(lhs) + abs(rhs))
-    return ImaginaryClassification(j, x.real, y.real, bool(ratio_ok))
 
 
 def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> tuple[float, float]:
@@ -381,7 +386,7 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     val = (b_k - mu * d_k) * sl[k] * ds[k + 1] \
         - (b_k.conjugate() - mu * d_k) * sl[k + 1] * ds[k] \
         - d_k * sl[k] * s[k + 1]
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
+    if abs(val.imag) > WITNESS_IMAG_RTOL * (1.0 + abs(val)):
         raise NonRealDiagonalError(k, val.imag)
     return float(val.real)
 
@@ -393,7 +398,7 @@ def _relative_residual(matrix: np.ndarray, vec: np.ndarray) -> float:
 
 def solve(instance: GiepInstance) -> ReconstructionResult:
     """Full reconstruction: entries of H, leading components, diagnostics."""
-    k, n = instance.k, instance.n
+    k = instance.k
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     for z in (lam, mu):
@@ -401,19 +406,13 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
             if in_spectrum(head, m, z):
                 raise SpectrumCollisionError(m - 1, complex(z))
 
-    b_rec, deltas = reconstruct_b(instance, instance.tail_p, instance.tail_s)
+    systems = pair_systems(instance, instance.tail_p, instance.tail_s)
+    b_rec = tuple(system.solve()[0] for system in systems)
     a_rec = reconstruct_a(instance, b_rec, instance.tail_p)
 
     H = HermitianTridiagonal(instance.head_a + a_rec, instance.head_b + b_rec)
     full = Pencil(instance.J, H)
-
-    flags = tuple(
-        classify_imaginary(j,
-                           (instance.tail_p[j - k], instance.tail_p[j - k + 1]),
-                           (instance.tail_s[j - k], instance.tail_s[j - k + 1]),
-                           instance.J.d[j], lam, mu)
-        for j in range(k, n)
-    )
+    flags = tuple(system.classify() for system in systems)
 
     head_p = head_components(instance, b_rec[0], instance.tail_p[1], z=lam)
     head_s = head_components(instance, b_rec[0], instance.tail_s[1], z=mu)
@@ -429,7 +428,7 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
         H=H,
         head_p=head_p,
         head_s=head_s,
-        deltas=deltas,
+        deltas=tuple(system.det for system in systems),
         residual_lambda=res_l,
         residual_mu=res_m,
         imaginary_flags=flags,

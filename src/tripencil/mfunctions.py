@@ -25,9 +25,7 @@ import numpy as np
 from .errors import DegenerateDifferenceError, NonRealDiagonalError, VanishingComponentError
 from .pencil import Pencil, SymmetricTridiagonal
 from .recurrence import assert_resolvent_point, left_components, pq_sweep, right_components
-
-DIFFERENCE_RTOL = 1e-12
-COMPONENT_RTOL = 1e-12
+from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, IMAG_RTOL
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,7 @@ class ResolventFactors:
 def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     table = m_table(pencil, omega)
     n = pencil.n
-    diffs = tuple(table.difference(t) for t in range(n + 1))
-    for t, g in enumerate(diffs):
-        if abs(g) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
-            raise DegenerateDifferenceError(t)
+    diffs = tuple(_checked_difference(table, t) for t in range(n + 1))
     pr = right_components(pencil, omega)
     pl = left_components(pencil, omega)
     F = np.triu(np.tile(pr[:, None], (1, n + 1)))
@@ -246,7 +241,7 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
 
     reals = []
     for j, v in zip(range(k + 1, n + 1), a_out):
-        if abs(v.imag) > 1e-8 * (1.0 + abs(v)):
+        if abs(v.imag) > IMAG_RTOL * (1.0 + abs(v)):
             raise NonRealDiagonalError(j, v.imag)
         reals.append(v.real)
     return MRouteEntries(k, tuple(b_out), tuple(reals))

@@ -16,13 +16,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegreeDropError, GenerationFailedError, NearSingularError
-from .giep import GiepInstance, ReconstructionResult, delta, delta_scale
+from .giep import GiepInstance, ReconstructionResult, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eval_p, kappa_sequence, poly_p, right_components
-
-ENTRY_TOL = 1e-7
-RESIDUAL_TOL = 1e-6
+from .recurrence import kappa_sequence, poly_p, right_components, spectrum_margin
+from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DENSE_RESIDUAL_RTOL, EIGENVALUE_GAP_TOL,
+                         ENTRY_TOL, NEAR_SINGULAR_RTOL, REAL_SPECTRUM_TOL, RESIDUAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -30,26 +29,22 @@ class GeneratorConfig:
     """Knobs for the seeded instance generator.
 
     min_im_ratio bounds |Im(b_j/d_j)| from below for j >= k, keeping the
-    reconstruction determinants away from zero.  ensure_pd_J makes J strictly
+    reconstruction determinants away from zero.  J is always drawn strictly
     diagonally dominant with positive diagonal, hence positive definite, so
-    the pencil spectrum is real.  eigenvalue_pick is "extreme" (smallest and
-    largest, maximizing |lam - mu|) or "random" (any distinct pair).
+    the pencil spectrum is real; the eigenvalue pair is the extreme one
+    (largest and smallest, maximizing |lam - mu|).
     """
 
     n: int
     k: int
     seed: int
     min_im_ratio: float = 0.1
-    ensure_pd_J: bool = True
-    eigenvalue_pick: str = "extreme"
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:
             raise ValueError(f"split index k={self.k} must satisfy 1 <= k <= n-1")
         if not self.min_im_ratio > 0:
             raise ValueError("min_im_ratio must be positive")
-        if self.eigenvalue_pick not in ("extreme", "random"):
-            raise ValueError(f"unknown eigenvalue_pick strategy {self.eigenvalue_pick!r}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +99,14 @@ def dense_resolvent(pencil: Pencil, omega: complex) -> np.ndarray:
     n1 = A.shape[0]
     det = complex(np.linalg.det(A))
     hadamard = float(np.prod(np.linalg.norm(A, axis=1)))
-    if abs(det) < 1e-12 * (hadamard + 1.0):
+    if abs(det) < NEAR_SINGULAR_RTOL * (hadamard + 1.0):
         raise NearSingularError(f"determinant {abs(det):.3e} below tolerance at omega={omega}")
     try:
         X = np.linalg.solve(A, np.eye(n1, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(str(exc)) from exc
     residual = float(np.abs(A @ X - np.eye(n1)).max())
-    if residual > 1e-10 * (1.0 + float(np.abs(A).max()) * float(np.abs(X).max())):
+    if residual > DENSE_RESIDUAL_RTOL * (1.0 + float(np.abs(A).max()) * float(np.abs(X).max())):
         raise NearSingularError(f"dense inverse residual {residual:.3e} too large")
     return X
 
@@ -141,11 +136,8 @@ def instance_from_truth(truth: Pencil, k: int, lam: float, mu: float) -> GiepIns
 def _draw_truth(config: GeneratorConfig, rng: np.random.Generator) -> Pencil:
     n = config.n
     d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
-    if config.ensure_pd_J:
-        pads = np.concatenate([[0.0], np.abs(d)]) + np.concatenate([np.abs(d), [0.0]])
-        c = pads + rng.uniform(0.3, 1.3, n + 1)
-    else:
-        c = rng.uniform(0.5, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+    pads = np.concatenate([[0.0], np.abs(d)]) + np.concatenate([np.abs(d), [0.0]])
+    c = pads + rng.uniform(0.3, 1.3, n + 1)
     a = rng.uniform(-1.0, 1.0, n + 1)
     b_re = rng.uniform(-1.0, 1.0, n)
     # |Im(b_j/d_j)| >= min_im_ratio for j >= k; a mild floor below k keeps the
@@ -156,11 +148,6 @@ def _draw_truth(config: GeneratorConfig, rng: np.random.Generator) -> Pencil:
     b = b_re + 1j * b_im
     return Pencil(SymmetricTridiagonal(tuple(c), tuple(d)),
                   HermitianTridiagonal(tuple(a), tuple(b)))
-
-
-def _spectrum_margin(pencil: Pencil, m: int, z: float) -> float:
-    scale = poly_p(pencil, m).magnitude_at(z)
-    return abs(eval_p(pencil, m, z)) / (1.0 + scale)
 
 
 def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
@@ -177,20 +164,16 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
             eigs = pencil_eigenvalues(truth)
         except DegreeDropError:
             continue
-        if config.ensure_pd_J and float(np.abs(eigs.imag).max()) > 1e-8:
+        if float(np.abs(eigs.imag).max()) > REAL_SPECTRUM_TOL:
             continue
         order = np.argsort(eigs.real)
-        if config.eigenvalue_pick == "extreme":
-            lam = float(eigs[order[-1]].real)
-            mu = float(eigs[order[0]].real)
-        else:
-            i1, i2 = rng.choice(len(eigs), size=2, replace=False)
-            lam, mu = float(eigs[i1].real), float(eigs[i2].real)
-        if abs(lam - mu) < 1e-6:
+        lam = float(eigs[order[-1]].real)
+        mu = float(eigs[order[0]].real)
+        if abs(lam - mu) < EIGENVALUE_GAP_TOL:
             continue
 
         # stay clearly outside every sub-pencil spectrum the solver touches
-        if any(_spectrum_margin(truth, m, z) < 1e-6
+        if any(spectrum_margin(truth, m, z) < ADMIT_SPECTRUM_MARGIN
                for m in range(k, n + 1) for z in (lam, mu)):
             continue
 
@@ -199,19 +182,8 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
         except Exception:
             continue
 
-        ok = True
-        for j in range(k, n):
-            t = j - k
-            pr_j, pr_j1 = inst.tail_p[t], inst.tail_p[t + 1]
-            sr_j, sr_j1 = inst.tail_s[t], inst.tail_s[t + 1]
-            det = delta(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                        sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
-            scale = delta_scale(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                                sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
-            if abs(det) < 1e-8 * (scale + 1.0):
-                ok = False
-                break
-        if ok:
+        if not any(abs(system.det) < ADMIT_DELTA_RTOL * (system.scale + 1.0)
+                   for system in pair_systems(inst, inst.tail_p, inst.tail_s)):
             return truth, inst
     raise GenerationFailedError(f"no admissible instance after 100 attempts (seed={config.seed})")
 

@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import PoleCollisionError, SpectrumCollisionError
 from .pencil import Pencil, RealPolynomial
-
-POLE_RTOL = 1e-12
-SPECTRUM_RTOL = 1e-10
+from .tolerances import DEGREE_DROP_RTOL, POLE_RTOL, SPECTRUM_RTOL
 
 
 def _check_index(pencil: Pencil, m: int) -> None:
@@ -134,36 +132,29 @@ def kappa_sequence(pencil: Pencil) -> KappaSequence:
             scale = 1.0
         else:
             scale = abs(c[m - 1] * kappas[m - 1]) + abs(d[m - 2] ** 2 * kappas[m - 2])
-        flags.append(abs(km) <= 1e-13 * (1.0 + scale))
+        flags.append(abs(km) <= DEGREE_DROP_RTOL * (1.0 + scale))
     return KappaSequence(tuple(kappas), tuple(flags))
 
 
-def in_spectrum(pencil: Pencil, m: int, z: complex) -> bool:
-    """Whether z lies in the spectrum of the order-(m-1) leading sub-pencil.
+def spectrum_margin(pencil: Pencil, m: int, z: complex) -> float:
+    """|P_m(z)| normalized by the coefficient magnitude of P_m at |z|.
 
-    Tested as |P_m(z)| below a tolerance normalized by the coefficient
-    magnitude of P_m at |z|.
+    Small when z is near the spectrum of the order-(m-1) leading sub-pencil.
     """
+    return abs(eval_p(pencil, m, z)) / (1.0 + poly_p(pencil, m).magnitude_at(z))
+
+
+def in_spectrum(pencil: Pencil, m: int, z: complex) -> bool:
+    """Whether z lies in the spectrum of the order-(m-1) leading sub-pencil."""
     _check_index(pencil, m)
     if m == 0:
         return False
-    val = eval_p(pencil, m, z)
-    scale = poly_p(pencil, m).magnitude_at(z)
-    return abs(val) < SPECTRUM_RTOL * (1.0 + scale)
+    return spectrum_margin(pencil, m, z) < SPECTRUM_RTOL
 
 
 def assert_resolvent_point(pencil: Pencil, m: int, z: complex) -> None:
     if in_spectrum(pencil, m, z):
         raise SpectrumCollisionError(m - 1, complex(z))
-
-
-def convergent(pencil: Pencil, m: int, z: complex) -> complex:
-    """Q_m(z)/P_m(z), the depth-m convergent of the continued fraction."""
-    if not 1 <= m <= pencil.n + 1:
-        raise ValueError(f"convergent index {m} out of range 1..{pencil.n + 1}")
-    assert_resolvent_point(pencil, m, z)
-    P, Q = pq_sweep(pencil, m, z)
-    return Q[m] / P[m]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:
@@ -179,12 +170,11 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _component_sweep(pencil: Pencil, z: complex, conjugate_b: bool,
+def _component_sweep(pencil: Pencil, z: complex,
                      with_derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
     z = complex(z)
     c, d = pencil.J.c, pencil.J.d
-    a = pencil.H.a
-    b = tuple(x.conjugate() for x in pencil.H.b) if conjugate_b else pencil.H.b
+    a, b = pencil.H.a, pencil.H.b
     n = pencil.n
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
@@ -212,16 +202,20 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     (z*J - H) p^R is supported on the last row only and vanishes when z is an
     eigenvalue of the pencil.
     """
-    return _component_sweep(pencil, z, conjugate_b=False, with_derivative=False)[0]
+    return _component_sweep(pencil, z, with_derivative=False)[0]
 
 
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:
-    """Left component sequence p^L; the same recurrence with b conjugated.
+    """Left component sequence p^L: the recurrence with b conjugated.
 
-    For real z this is the entrywise conjugate of right_components, and at a
-    real eigenvalue the row vector annihilates (z*J - H) from the left.
+    That recurrence at z is the conjugate of the right one at conj(z), so
+    p^L(z) = conj(p^R(conj(z))); for real z it is the entrywise conjugate of
+    right_components, and at an eigenvalue the row vector annihilates
+    (z*J - H) from the left.
     """
-    return _component_sweep(pencil, z, conjugate_b=True, with_derivative=False)[0]
+    pl = np.conj(right_components(pencil, complex(z).conjugate()))
+    pl[0] = 1.0  # the normalization, without the -0.0 imaginary part conj gives it
+    return pl
 
 
 def right_components_with_derivative(pencil: Pencil, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -230,5 +224,4 @@ def right_components_with_derivative(pencil: Pencil, z: complex) -> tuple[np.nda
     The derivative sequence is propagated through the differentiated
     recurrence alongside the values, avoiding finite-difference step tuning.
     """
-    p, dp = _component_sweep(pencil, z, conjugate_b=False, with_derivative=True)
-    return p, dp
+    return _component_sweep(pencil, z, with_derivative=True)

@@ -73,17 +73,9 @@ def test_criterion_2_closed_form_agreement(corpus, solved):
     worst_b = 0.0
     worst_conj = 0.0
     for (truth, inst), result in zip(items, solved):
-        k, n = inst.k, inst.n
-        for j in range(k, n):
-            t = j - k
-            u, v, _ = tp.solve_pair_system(
-                j, inst.J.d[j], inst.lam, inst.mu,
-                (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]))
-            closed, closed_conj = tp.closed_form_b(
-                inst.J.d[j], inst.lam, inst.mu,
-                (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]))
+        for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s):
+            u, v = system.solve()
+            closed, closed_conj = system.closed_form()
             worst_b = max(worst_b, abs(closed - u) / (1 + abs(u)))
             worst_conj = max(worst_conj, abs(closed_conj - v) / (1 + abs(v)))
     ok = worst_b <= 1e-9 and worst_conj <= 1e-9
@@ -219,14 +211,11 @@ def test_criterion_7_imaginary_classification():
         truth = build_pencil(rng, n, pure_imag=True)
         lam, mu = extreme_pair(truth)
         inst = tp.instance_from_truth(truth, k, lam, mu)
-        for j in range(k, n):
-            t = j - k
-            rec = tp.classify_imaginary(
-                j, (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]),
-                truth.J.d[j], lam, mu)
+        for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s):
+            rec = system.classify()
+            b_j = truth.H.b[rec.index]
             worst_x = max(worst_x, abs(rec.x) / abs(rec.y))
-            worst_y = max(worst_y, abs(rec.y - truth.H.b[j].imag) / (1 + abs(truth.H.b[j].imag)))
+            worst_y = max(worst_y, abs(rec.y - b_j.imag) / (1 + abs(b_j.imag)))
             all_flagged = all_flagged and rec.wall_ratio_ok
     ok = worst_x <= 1e-8 and worst_y <= 1e-9 and all_flagged
     report(7, "purely imaginary entries classified with eigenvalue-ratio flag", ok,

@@ -54,6 +54,17 @@ def test_direct_scalar_convergent(workdir, capsys):
     assert out["S"] == [0.5, 0.0]
 
 
+@pytest.mark.parametrize("c, a, d, b, point, extra", [
+    ((1.0,), (2.0,), (), (), "2.0", []),                        # P_1(2) = 0, order 0
+    ((1.0, 1.0), (0.5, 0.0), (1.0,), (1j,), "0.5", ["--all"]),  # P_1(0.5) = 0 inside
+])
+def test_direct_at_sub_pencil_root_exits_2(workdir, capsys, c, a, d, b, point, extra):
+    pencil = tp.Pencil(tp.SymmetricTridiagonal(c, d), tp.HermitianTridiagonal(a, b))
+    write_pencil(workdir / "p.json", pencil)
+    assert main(["direct", str(workdir / "p.json"), "--at", point, *extra]) == 2
+    assert "spectrum" in capsys.readouterr().err
+
+
 def test_direct_spectrum(workdir, capsys, rng):
     pencil = build_pencil(rng, 3)
     write_pencil(workdir / "p.json", pencil)

@@ -43,6 +43,16 @@ def test_left_row_annihilates_pencil(rng):
     assert np.linalg.norm(pl @ matrix) <= 1e-9 * np.linalg.norm(matrix) * np.linalg.norm(pl)
 
 
+def test_left_row_annihilates_all_but_last_column_at_complex_z(rng):
+    pencil = build_pencil(rng, 4)
+    z = 0.7 - 0.9j
+    pl = tp.left_components(pencil, z)
+    matrix = pencil.dense_at(z)
+    residual = pl @ matrix
+    assert np.abs(residual[:-1]).max() <= 1e-12 * np.linalg.norm(matrix) * np.linalg.norm(pl)
+    assert abs(residual[-1]) > 1e-3
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
 def test_left_is_conjugate_of_right_at_real_z(seed, n):
@@ -58,6 +68,14 @@ def test_pole_collision_reports_index(rng):
     z = pencil.H.b[1] / pencil.J.d[1]
     with pytest.raises(tp.PoleCollisionError) as exc:
         tp.right_components(pencil, z)
+    assert exc.value.index == 1
+
+
+def test_left_pole_collision_reports_index(rng):
+    pencil = build_pencil(rng, 3)
+    z = pencil.H.b[1].conjugate() / pencil.J.d[1]
+    with pytest.raises(tp.PoleCollisionError) as exc:
+        tp.left_components(pencil, z)
     assert exc.value.index == 1
 
 

@@ -1,5 +1,7 @@
 """Reconstruction from two eigenpairs: systems, heads, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,12 +87,8 @@ class TestReconstructB:
     def test_closed_form_agreement(self, rng):
         truth, inst = make_case(rng, 4, 2)
         bs, _ = tp.reconstruct_b(inst, inst.tail_p, inst.tail_s)
-        for j, b in zip(range(2, 4), bs):
-            t = j - 2
-            closed, closed_conj = tp.closed_form_b(
-                inst.J.d[j], inst.lam, inst.mu,
-                (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]))
+        for system, b in zip(tp.pair_systems(inst, inst.tail_p, inst.tail_s), bs):
+            closed, closed_conj = system.closed_form()
             assert abs(closed - b) <= 1e-9 * (1 + abs(b))
             assert abs(closed_conj - b.conjugate()) <= 1e-9 * (1 + abs(b))
 
@@ -154,33 +152,25 @@ class TestHeadComponents:
 class TestClassifyImaginary:
     def test_generic_split_matches_truth(self, rng):
         truth, inst = make_case(rng, 3, 1)
-        for j in (1, 2):
-            t = j - 1
-            rec = tp.classify_imaginary(
-                j, (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]),
-                truth.J.d[j], inst.lam, inst.mu)
+        for j, system in zip((1, 2), tp.pair_systems(inst, inst.tail_p, inst.tail_s)):
+            rec = system.classify()
             assert abs(rec.x - truth.H.b[j].real) <= 1e-9 * (1 + abs(truth.H.b[j]))
             assert abs(rec.y - truth.H.b[j].imag) <= 1e-9 * (1 + abs(truth.H.b[j]))
 
     def test_pure_imaginary_truth_flags_ratio(self, rng):
         truth, inst = make_case(rng, 3, 1, pure_imag=True)
-        for j in (1, 2):
-            t = j - 1
-            rec = tp.classify_imaginary(
-                j, (inst.tail_p[t], inst.tail_p[t + 1]),
-                (inst.tail_s[t], inst.tail_s[t + 1]),
-                truth.J.d[j], inst.lam, inst.mu)
+        for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s):
+            rec = system.classify()
             assert abs(rec.x) <= 1e-8 * abs(rec.y)
             assert rec.wall_ratio_ok
 
     def test_real_pole_ratio_refuses(self, rng):
         truth, inst = make_case(rng, 3, 1, real_b_at=(1,))
         with pytest.raises(tp.SingularDeltaError):
-            tp.classify_imaginary(
-                1, (inst.tail_p[0], inst.tail_p[1]),
-                (inst.tail_s[0], inst.tail_s[1]),
-                truth.J.d[1], inst.lam, inst.mu)
+            tp.PairSystem(
+                1, truth.J.d[1], inst.lam, inst.mu,
+                (inst.tail_p[0], inst.tail_p[1]),
+                (inst.tail_s[0], inst.tail_s[1])).classify()
 
 
 class TestTraceIdentities:
@@ -283,6 +273,15 @@ class TestSolve:
         # heads follow the tail scalings
         assert np.abs(np.asarray(r2.head_p) - gamma * np.asarray(r1.head_p)).max() \
             <= 1e-9 * (1 + np.abs(np.asarray(r1.head_p)).max())
+
+    @pytest.mark.parametrize("factor", [1e-4, 1e4])
+    def test_tail_magnitude_does_not_trip_delta_guard(self, factor):
+        _, inst = tp.generate_instance(tp.GeneratorConfig(n=8, k=3, seed=5))
+        scaled = dataclasses.replace(inst, tail_p=tuple(factor * x for x in inst.tail_p),
+                                     tail_s=tuple(factor * x for x in inst.tail_s))
+        H = tp.solve(inst).H.dense()
+        H_scaled = tp.solve(scaled).H.dense()
+        assert np.abs(H_scaled - H).max() <= 1e-12 * np.abs(H).max()
 
     def test_hermiticity_by_construction(self, rng):
         truth, inst = make_case(rng, 4, 1)

@@ -107,8 +107,10 @@ class TestGenerateInstance:
         assert min(abs(x) for x in result.deltas) > 0
 
     def test_random_pair_strategy(self):
-        truth, inst = tp.generate_instance(
-            tp.GeneratorConfig(n=4, k=1, seed=5, eigenvalue_pick="random"))
+        # a non-extreme eigenvalue pair of a generated truth still solves
+        truth, _ = tp.generate_instance(tp.GeneratorConfig(n=4, k=1, seed=5))
+        eigs = np.sort(tp.pencil_eigenvalues(truth).real)
+        inst = tp.instance_from_truth(truth, 1, float(eigs[-2]), float(eigs[1]))
         assert inst.lam != inst.mu
         report = tp.verify(truth, tp.solve(inst))
         assert report.passed

@@ -1,4 +1,4 @@
-"""Recurrence-level tests: minors, coefficient polynomials, convergents."""
+"""Recurrence-level tests: minors, coefficient polynomials, convergents (via m_function)."""
 
 import numpy as np
 import pytest
@@ -124,19 +124,21 @@ class TestKappa:
 
 
 class TestConvergent:
+    """The depth-m convergent Q_m/P_m is the m-function m(z, m)."""
+
     def test_first_convergent(self):
         pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0), (1.0,)),
                            tp.HermitianTridiagonal((0.0, 0.0), (1j,)))
-        assert tp.convergent(pencil, 1, 2.0) == 0.5
+        assert tp.m_function(pencil, 1, 2.0) == 0.5
 
     def test_hand_second_convergent(self):
-        assert tp.convergent(hand_pencil(), 2, 3.0) == -3.0
+        assert tp.m_function(hand_pencil(), 2, 3.0) == -3.0
 
     def test_rejects_spectrum_point(self, rng):
         pencil = build_pencil(rng, 2)
         root = np.roots(tp.poly_p(pencil, 3).coeffs[::-1])[0]
         with pytest.raises(tp.SpectrumCollisionError):
-            tp.convergent(pencil, 3, complex(root))
+            tp.m_function(pencil, 3, complex(root))
 
     def test_matches_bottom_up_continued_fraction(self, rng):
         pencil = build_pencil(rng, 4)
@@ -149,7 +151,7 @@ class TestConvergent:
                 w = (z * d[j] - b[j]) * (z * d[j] - b[j].conjugate())
                 tail = z * c[j] - a[j] - w / tail
             bottom_up = 1.0 / tail
-            direct = tp.convergent(pencil, m, z)
+            direct = tp.m_function(pencil, m, z)
             assert abs(bottom_up - direct) <= 1e-12 * abs(direct)
 
 
