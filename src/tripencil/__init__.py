@@ -52,6 +52,7 @@ from .oracle import (
 from .pencil import HermitianTridiagonal, Pencil, RealPolynomial, SymmetricTridiagonal
 from .recurrence import (
     KappaSequence,
+    eigenvalue_margin,
     eval_p,
     eval_q,
     in_spectrum,

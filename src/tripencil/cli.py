@@ -93,13 +93,12 @@ def _cmd_mfun(args) -> int:
     omega = _parse_point(args.omega)
     k = args.k
     table = mfunctions.m_table(pencil, omega)
-    factors = mfunctions.ldu_factors(pencil, omega)
     trailing = mfunctions.trailing_inverse(pencil, k, omega)
     out: dict = {
         "omega": [omega.real, omega.imag],
         "k": k,
         "m": [[v.real, v.imag] for v in table.values],
-        "diag": [[v.real, v.imag] for v in factors.diag],
+        "diag": [[v.real, v.imag] for v in table.diffs],
         "trailing_inverse": [[[v.real, v.imag] for v in row] for row in trailing],
     }
     if args.reconstruct:

@@ -34,9 +34,10 @@ from .errors import (
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
 from .recurrence import (
+    check_spectrum,
     in_spectrum,
     left_components,
-    pq_sweep,
+    pivot_sweep,
     right_components,
     right_components_with_derivative,
 )
@@ -302,27 +303,22 @@ def head_components(instance: GiepInstance, b_k: complex, p_k1: complex,
                     z: float | None = None) -> tuple[complex, ...]:
     """Leading components p_0..p_{k-1} at z (default: instance.lam).
 
-    p_m = (b_k - z d_k) * prod_{j=m..k-1} (b_j - z d_j) * P_m(z) / P_{k+1}(z) * p_{k+1},
-    where the P_m are minors of the head pencil, hence computable from the
-    given data alone.  Linear in p_k1, so tails may carry any normalization.
+    p_m = p_{k+1} * prod_{j=m..k} (b_j - z d_j)/D_j  (b_k the recovered entry),
+    where D_j = P_{j+1}(z)/P_j(z) are the pivots of the head pencil, hence
+    computable from the given data alone.  Linear in p_k1, so tails may carry
+    any normalization.
     """
     if z is None:
         z = instance.lam
     k = instance.k
     head = instance.head_pencil()
-    if in_spectrum(head, k + 1, z):
-        raise SpectrumCollisionError(k, complex(z))
+    pivots = check_spectrum(head, pivot_sweep(head, k + 1, z), k).pivots
     d = instance.J.d
-    b = instance.head_b
-    p_k1 = complex(p_k1)
-    P, _ = pq_sweep(head, k + 1, z)
-    out = []
-    for m in range(k):
-        prod = b_k - z * d[k]
-        for j in range(m, k):
-            prod *= b[j] - z * d[j]
-        out.append(prod * P[m] / P[k + 1] * p_k1)
-    return tuple(out)
+    b = instance.head_b + (complex(b_k),)
+    out = [complex(p_k1)]
+    for m in range(k, -1, -1):
+        out.append(out[-1] * (b[m] - z * d[m]) / pivots[m])
+    return tuple(out[:1:-1])
 
 
 def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> tuple[float, float]:

@@ -6,14 +6,37 @@ differences, the inverse R(w) of (w*J - H) has entries
 
     R[i, j] = p_j^L * (m(w, n+1) - m(w, max(i, j))) * p_i^R
 
-and factorizes as R = F * diag(g) * G where F is the upper-triangular
-staircase with row i constant p_i^R and G the lower-triangular staircase with
-column j constant p_j^L.  The orientation of the staircase, the max() in the
-entry rule and the overall sign were fixed empirically against dense
-inversion on 1x1 and 2x2 pencils and are locked by regression tests.
+and factorizes as the staircase F0 * diag(g) * G0, where F0 is upper
+triangular with row i constant p_i^R and G0 lower triangular with column j
+constant p_j^L.  The orientation of the staircase, the max() in the entry
+rule and the overall sign were fixed empirically against dense inversion on
+1x1 and 2x2 pencils and are locked by regression tests.
 
-The inverse of a trailing block of R is tridiagonal with entries built from
-1/g_t, which is what makes reconstruction of H from m-function data possible.
+Every direct operation here reads one pivot pass (recurrence.pivot_sweep)
+and forms nothing that can overflow.  With D_t = P_{t+1}/P_t the LDL^T pivots
+of w*J - H,
+
+    g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
+
+so the staircase is the unit LDU form R = U^-1 diag(1/D) L^-1 (ldu_factors),
+whose unit factors hold the component ratios p_i^R/p_t^R and p_j^L/p_t^L.
+The g_t themselves decay geometrically and underflow by n ~ 300.  The
+diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
+
+Each operation raises SpectrumCollisionError where what it returns does not
+exist: m_table on the spectrum of any leading sub-pencil, m_function(j) on
+that of rows 0..j-1, resolvent_matrix on that of the full pencil
+(recurrence.check_spectrum).  Next to a sub-pencil eigenvalue the m-values,
+the Schur pivot and the resolvent stay within a small multiple of their own
+conditioning (against dense inversion), so a small pivot elsewhere costs
+them no accuracy.  The product of the unit factors does not, and
+ldu_factors also raises at a pivot margin below FACTOR_RTOL.
+
+The inverse of a trailing block of R is tridiagonal: the trailing block of
+w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
+m-function data its entries are built from 1/g_t and the components
+(trailing_inverse_from), which is what makes reconstruction of H from
+m-function data possible.
 """
 
 from __future__ import annotations
@@ -22,10 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDifferenceError, NonRealDiagonalError, VanishingComponentError
+from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
+                     VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import assert_resolvent_point, left_components, pq_sweep, right_components
-from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, IMAG_RTOL
+from .recurrence import check_spectrum, pivot_sweep, twisted_pivots, unit_factors
+from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL
 
 
 @dataclass(frozen=True)
@@ -36,8 +60,9 @@ class MFunctionTable:
     so forming them by subtracting table values loses all relative accuracy
     once they fall below roundoff of the values.  m_table therefore also
     stores them in the cancellation-free product form
-    g_t = prod_{s<t} w_s / (P_t P_{t+1}) that the Wronskian identity gives;
-    a table built without diffs falls back to plain subtraction.
+    g_t = prod_{s<t} w_s / (P_t P_{t+1}) that the Wronskian identity gives,
+    taken from the pivots as g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t); a table
+    built without diffs falls back to plain subtraction.
     """
 
     omega: complex
@@ -61,61 +86,62 @@ class MFunctionTable:
             return self.diffs[t]
         return self.values[t + 1] - self.values[t]
 
-    def shifted(self, t: int) -> complex:
-        """m(w, t) - m(w, n+1), summed from the stable differences."""
-        if self.diffs is not None:
-            return -sum(self.diffs[t:], 0j)
-        return self.values[t] - self.values[-1]
-
 
 def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
-    """m(w, j) = Q_j(w)/P_j(w); zero for j = 0 by convention."""
+    """m(w, j) = Q_j(w)/P_j(w); zero for j = 0 by convention.
+
+    Raises SpectrumCollisionError(j-1) on the spectrum of rows 0..j-1 only.
+    """
     if not 0 <= j <= pencil.n + 1:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    assert_resolvent_point(pencil, j, omega)
-    P, Q = pq_sweep(pencil, j, omega)
-    return Q[j] / P[j]
+    return check_spectrum(pencil, pivot_sweep(pencil, j, omega), j - 1).values[-1]
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
-    """All values m(w, 0)..m(w, n+1) in one recurrence pass."""
-    omega = complex(omega)
-    for j in range(1, pencil.n + 2):
-        assert_resolvent_point(pencil, j, omega)
-    P, Q = pq_sweep(pencil, pencil.n + 1, omega)
-    vals = [0j] + [Q[j] / P[j] for j in range(1, pencil.n + 2)]
-    diffs = []
-    weight_prod = 1.0 + 0j
-    for t in range(pencil.n + 1):
-        diffs.append(weight_prod / (P[t] * P[t + 1]))
-        if t < pencil.n:
-            d_t, b_t = pencil.J.d[t], pencil.H.b[t]
-            weight_prod *= (omega * d_t - b_t) * (omega * d_t - b_t.conjugate())
-    return MFunctionTable(omega, tuple(vals), tuple(diffs))
+    """All values m(w, 0)..m(w, n+1) and their differences in one pivot pass.
+
+    The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
+    """
+    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega))
+    D = np.asarray(sweep.pivots)
+    ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
+    diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
+    return MFunctionTable(sweep.z, (0j,) + sweep.values, tuple(diffs.tolist()))
 
 
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
-    """Dense inverse of (w*J - H) built from m-functions and components."""
-    table = m_table(pencil, omega)
-    pr = right_components(pencil, omega)
-    pl = left_components(pencil, omega)
-    n = pencil.n
-    idx = np.arange(n + 1)
-    shifted = np.asarray([table.shifted(t) for t in range(n + 2)])
-    mmax = shifted[np.maximum.outer(idx, idx)]
-    return -np.outer(pr, pl) * mmax
+    """Dense inverse of (w*J - H) from the forward and the twisted pivots.
+
+    The diagonal is R[t, t] = 1/gamma_t (twisted_pivots); off it
+    R[i, j] = F[i, j] R[j, j] above the diagonal and G[i, j] R[i, i] below
+    it, with F, G the unit factors of ldu_factors.  Both pivot passes are
+    exact for coefficients perturbed by a few ulps, so small pivots on the
+    way cost no accuracy beyond the conditioning of w*J - H; only a point on
+    the spectrum of the full pencil raises SpectrumCollisionError(n).
+    """
+    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega), pencil.n)
+    diag = 1.0 / twisted_pivots(pencil, sweep)[0]
+    F, G = unit_factors(pencil, sweep)
+    F *= diag[None, :]
+    G *= diag[:, None]
+    F += G
+    np.fill_diagonal(F, diag)
+    return F
 
 
 @dataclass(frozen=True)
 class ResolventFactors:
-    """Staircase factorization R = F * diag(g) * G of the resolvent.
+    """Unit factorization R = F * diag(1/D) * G of the resolvent, D the pivots.
 
-    F[i, t] = p_i^R for t >= i (upper triangular), G[t, j] = p_j^L for j <= t
-    (lower triangular), and diag holds the consecutive m-differences
-    g_t = m(w, t+1) - m(w, t).  For real w, G is exactly the conjugate
-    transpose of F.
+    With w*J - H = L D U, F = U^-1 is unit upper triangular with
+    F[i, t] = p_i^R/p_t^R, G = L^-1 is unit lower triangular with
+    G[t, j] = p_j^L/p_t^L, and diag holds 1/D_t = p_t^R g_t p_t^L.  The
+    staircase form of the paper, with constant rows p_i^R and the
+    m-differences g_t on its diagonal, is F * diag(p_t^R) with diagonal
+    diag_t/(p_t^R p_t^L); it is not stored because g_t underflows by n ~ 300.
+    For real w, G is exactly the conjugate transpose of F.
     """
 
     omega: complex
@@ -128,14 +154,25 @@ class ResolventFactors:
 
 
 def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
-    table = m_table(pencil, omega)
-    n = pencil.n
-    diffs = tuple(_checked_difference(table, t) for t in range(n + 1))
-    pr = right_components(pencil, omega)
-    pl = left_components(pencil, omega)
-    F = np.triu(np.tile(pr[:, None], (1, n + 1)))
-    G = np.tril(np.tile(pl[None, :], (n + 1, 1)))
-    return ResolventFactors(complex(omega), F, diffs, G)
+    """The unit factorization of the resolvent at w from one pivot pass.
+
+    Raises SpectrumCollisionError(n) on the spectrum of the full pencil and
+    SpectrumCollisionError(t) at the first pivot margin below FACTOR_RTOL:
+    the factors then outgrow R about 1/margin times, and their product
+    would lose that much accuracy.  Then DegenerateDifferenceError(t) where
+    w_{t-1} vanishes (m(w, t+1) = m(w, t)), before the PoleCollisionError
+    that the same point gives for the components.
+    """
+    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega), pencil.n)
+    z = sweep.z
+    for t, margin in enumerate(sweep.margins):
+        if margin < FACTOR_RTOL:
+            raise SpectrumCollisionError(t, z)
+    for t, (w, ds, bs) in enumerate(zip(sweep.weights, pencil.J.d, pencil.H.b), start=1):
+        if abs(w) < DIFFERENCE_RTOL * (abs(z * ds) + abs(bs)) ** 2:
+            raise DegenerateDifferenceError(t)
+    F, G = unit_factors(pencil, sweep)
+    return ResolventFactors(z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
 
 
 def _checked_difference(table: MFunctionTable, t: int) -> complex:
@@ -174,13 +211,24 @@ def trailing_inverse_from(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
 
 
 def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
-    """Tridiagonal inverse of the trailing (n-k) x (n-k) block of the resolvent."""
+    """Tridiagonal inverse of the trailing (n-k) x (n-k) block of the resolvent.
+
+    It is the Schur complement of the leading block in w*J - H: the trailing
+    block of w*J - H with its corner replaced by the pivot D_{k+1}.  Raises
+    SpectrumCollisionError on the spectrum of that leading block (index k),
+    where the pivot does not exist, and of the full pencil (index n).
+    """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
-    table = m_table(pencil, omega)
-    pr = right_components(pencil, omega)
-    pl = left_components(pencil, omega)
-    return trailing_inverse_from(table, pr, pl, k, pencil.n)
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    check_spectrum(pencil, sweep.prefix(k + 1), k)
+    check_spectrum(pencil, sweep, pencil.n)
+    z = sweep.z
+    c, d = np.asarray(pencil.J.c[k + 1:]), np.asarray(pencil.J.d[k + 1:])
+    a, b = np.asarray(pencil.H.a[k + 1:]), np.asarray(pencil.H.b[k + 1:], dtype=complex)
+    out = np.diag(z * c - a) + np.diag(z * d - b, 1) + np.diag(z * d - b.conj(), -1)
+    out[0, 0] = sweep.pivots[k + 1]
+    return out
 
 
 @dataclass(frozen=True)

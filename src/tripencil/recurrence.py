@@ -19,10 +19,23 @@ with these seeds the Wronskian-type identity reads
 Component sequences p^R / p^L are the rational eigenvector solutions of the
 same recurrence, normalized to 1 at index 0; at a spectral point they are
 genuine right/left eigenvectors of the pencil.
+
+The minors and components grow or decay geometrically and leave the double
+range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
+pass that never overflows: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H,
+the m-values Q_t/P_t, and a relative margin per pivot.  Every direct
+operation of mfunctions reads this pass.  The component ratios follow from
+the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the same with
+conj(b_t); unit_factors turns them into the inverses of the unit factors of
+z*J - H = L D U.  Joined with the pivots taken from the bottom up they give
+the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
+their margins (head_margins) are the spectrum guard: spectrum_margin,
+in_spectrum, check_spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +43,9 @@ import numpy as np
 from .errors import PoleCollisionError, SpectrumCollisionError
 from .pencil import Pencil, RealPolynomial
 from .tolerances import DEGREE_DROP_RTOL, POLE_RTOL, SPECTRUM_RTOL
+
+_TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P and Q outside this range
+_EPS = 2.0 ** -52  # pivot_sweep stands in this much of its terms for an exactly zero minor
 
 
 def _check_index(pencil: Pencil, m: int) -> None:
@@ -136,25 +152,209 @@ def kappa_sequence(pencil: Pencil) -> KappaSequence:
     return KappaSequence(tuple(kappas), tuple(flags))
 
 
-def spectrum_margin(pencil: Pencil, m: int, z: complex) -> float:
-    """|P_m(z)| normalized by the coefficient magnitude of P_m at |z|.
+@dataclass(frozen=True)
+class PivotSweep:
+    """LDL^T pivots of z*J - H up to some order, their margins and the m-values.
 
-    Small when z is near the spectrum of the order-(m-1) leading sub-pencil.
+    pivots[t] = P_{t+1}(z)/P_t(z) is the t-th pivot D_t of z*J - H = L D U
+    (D_t = u_t - w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
+    w_t = (z d_t - b_t)(z d_t - conj(b_t))).  margins[t] =
+    |D_t| / (|z c_t| + |a_t| + |w_{t-1}/D_{t-1}|) says how far the terms of
+    the pivot are from cancelling; it bounds how much the unit factors of
+    z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
+    would read 1 at every inexact root of z c_0 - a_0.  values[t] =
+    Q_{t+1}/P_{t+1} = m(z, t+1), and weights holds the w_0, w_1, ... that
+    entered the pivots.  Whether z is in the spectrum of a leading
+    sub-pencil is head_margins' decision, not the pivot margin's: the pivot
+    misses an eigenvalue whose eigenvector nearly vanishes at the last row.
     """
-    return abs(eval_p(pencil, m, z)) / (1.0 + poly_p(pencil, m).magnitude_at(z))
+
+    z: complex
+    pivots: tuple[complex, ...]
+    margins: tuple[float, ...]
+    values: tuple[complex, ...]
+    weights: tuple[complex, ...]
+
+    def prefix(self, rows: int) -> "PivotSweep":
+        """The sweep of the leading sub-pencil over rows 0..rows-1."""
+        return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows],
+                          self.values[:rows], self.weights[:max(rows - 1, 0)])
+
+
+def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
+    """Pivots, margins and m-values of P_1..P_upto at z in one O(upto) pass.
+
+    Runs the P/Q recurrence of pq_sweep on values rescaled by powers of two
+    whenever |P| leaves [2^-256, 2^256], so nothing overflows and every
+    ratio is the one pq_sweep would give where its values are representable.
+    Where P_{t+1} is exactly zero (margin 0) the pivots and values use a
+    stand-in of 2^-52 times its terms, as LAPACK's pivmin does, so they stay
+    finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the recurrence and
+    the margins use the true zero.
+    """
+    _check_index(pencil, upto)
+    return _pivot_pass(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b, upto, complex(z))
+
+
+def _pivot_pass(c, d, a, b, upto: int, z: complex) -> PivotSweep:
+    pivots, margins, values, weights = [], [], [], []
+    # P_{-1} = 0, P_0 = 1, and Q_{-1} = -1, Q_0 = 0 with w_{-1} = 1, which gives Q_1 = 1;
+    # den is P_t, or its stand-in where P_t is exactly zero
+    p0, p1, q0, q1, w, den = 0j, 1 + 0j, -1 + 0j, 0j, 1 + 0j, 1 + 0j
+    for t in range(upto):
+        zc = z * c[t]
+        u = zc - a[t]
+        if t:
+            w = _weight(d[t - 1], b[t - 1], z)
+            weights.append(w)
+        up, wp = u * p1, w * p0
+        p2, q2 = up - wp, u * q1 - w * q0
+        scale = (abs(zc) + abs(a[t])) * abs(p1) + abs(wp)
+        margins.append(abs(p2) / scale if scale else 0.0)
+        stand = p2 or _EPS * (scale or abs(den))
+        pivots.append(stand / den)
+        values.append(q2 / stand)
+        size = abs(stand)
+        if not _TINY < size < _HUGE:
+            s = math.ldexp(1.0, -math.frexp(size)[1])
+            p2, p1, q2, q1, stand = p2 * s, p1 * s, q2 * s, q1 * s, stand * s
+        p0, p1, q0, q1, den = p1, p2, q1, q2, stand
+    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(values), tuple(weights))
+
+
+def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+    """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U, D = diag(pivots).
+
+    F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
+    upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
+    (unit lower triangular); sweep must hold the pivots of the full order.
+    Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
+    vanishes, as the component sweeps do.
+    """
+    z = sweep.z
+    right, left = [], []
+    for s, (ds, bs) in enumerate(zip(pencil.J.d, pencil.H.b)):
+        zd = z * ds
+        if min(abs(bs - zd), abs(bs.conjugate() - zd)) < POLE_RTOL * (1.0 + abs(bs) + abs(zd)):
+            raise PoleCollisionError(s)
+        right.append((bs - zd) / sweep.pivots[s])
+        left.append((bs.conjugate() - zd) / sweep.pivots[s])
+    return _unit_upper(right), _unit_upper(left).T
+
+
+def _unit_upper(steps: list[complex]) -> np.ndarray:
+    """S[i, t] = steps[i] * ... * steps[t-1] for i <= t, zero below the diagonal.
+
+    The prefix products C_t are carried as mantissa * 2^exponent, so
+    S[i, t] = C_t/C_i is formed from two mantissas and an exponent
+    difference, with no intermediate overflow or underflow.
+    """
+    mant, expo = [1 + 0j], [0]
+    m, e = 1 + 0j, 0
+    for q in steps:
+        m *= q
+        k = math.frexp(abs(m))[1]
+        if not -64 < k < 64:
+            m, e = m * math.ldexp(1.0, -k), e + k
+        mant.append(m)
+        expo.append(e)
+    M, E = np.asarray(mant), np.asarray(expo)
+    S = np.triu(np.multiply.outer(1.0 / M, M))
+    if E.any():
+        S *= np.ldexp(1.0, np.triu(E[None, :] - E[:, None]))
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), and its terms.
+
+    gamma_r = u_r - x_r - y_r joins the forward term x_r = u_r - D_r =
+    w_{r-1}/D_{r-1} with the backward term y_r of the pivots taken from row
+    N-1 up, as in a twisted factorization.  Both pivot passes, and so each
+    gamma_r, are exact for coefficients perturbed by a few ulps, however
+    small the pivots on the way.  The terms are |z c_r| + |a_r| + |x_r| + |y_r|.
+    """
+    N = len(sweep.pivots)
+    z = sweep.z
+    c, d, a, b = pencil.J.c[:N], pencil.J.d[:N - 1], pencil.H.a[:N], pencil.H.b[:N - 1]
+    zc, av = z * np.asarray(c), np.asarray(a)
+    u = zc - av
+    x = u - np.asarray(sweep.pivots)
+    # the pivots depend on b only through the weights, so reading the rows upwards needs no conjugation
+    y = u - np.asarray(_pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], N, z).pivots)[::-1]
+    return u - x - y, np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y)
+
+
+def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:
+    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = first..N-1.
+
+    N = len(sweep.pivots).  Entry t - first is min_r |gamma_r| / (its terms)
+    over the rows r <= t of head(t), rows 0..t (twisted_pivots): 0 at one of
+    its eigenvalues, whichever row the eigenvector lives on; at r = t it is
+    the pivot margin.  A single head costs one backward pass.  For several,
+    their backward pivots advance together, one vector step per row:
+    O(N (N - first)) flops in N steps.
+    """
+    N = len(sweep.pivots)
+    if not 0 <= first < N:
+        raise ValueError(f"first order {first} out of range 0..{N - 1}")
+    if first == N - 1:
+        gamma, terms = twisted_pivots(pencil, sweep)
+        return np.array([np.min(np.abs(gamma) / terms)])
+    z = sweep.z
+    zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
+    u = zc - av
+    w = np.asarray(sweep.weights, dtype=complex)
+    x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
+    ux, sx = u - x, np.abs(zc) + np.abs(av) + np.abs(x)
+    best = np.asarray(sweep.margins[first:])
+    Y = u[first:].copy()  # Y[i]: backward pivot of head(first + i) at the current row
+    for s in range(1, N):
+        h = max(s - first, 0)  # the heads with a row s above their last one
+        rows = slice(first + h - s, N - s)
+        y = w[rows] / Y[h:]
+        ay = np.abs(y)
+        best[h:] = np.minimum(best[h:], np.abs(ux[rows] - y) / (sx[rows] + ay))
+        Y[h:] = u[rows] - y
+        if not Y[h:].all():
+            # an exactly zero pivot: a stand-in of 2^-52 times its terms, as pivot_sweep does
+            Y[h:] = np.where(Y[h:] == 0, _EPS * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), Y[h:])
+    return best
+
+
+def check_spectrum(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> PivotSweep:
+    """Raise SpectrumCollisionError(t) at the first t >= first whose head(t) margin is below SPECTRUM_RTOL."""
+    margins = head_margins(pencil, sweep, first)
+    hit = np.flatnonzero(margins < SPECTRUM_RTOL)
+    if hit.size:
+        raise SpectrumCollisionError(first + int(hit[0]), sweep.z)
+    return sweep
+
+
+def spectrum_margin(pencil: Pencil, m: int, z: complex) -> float:
+    """Twisted margin at z of the order-(m-1) leading sub-pencil (rows 0..m-1); 1.0 for m = 0.
+
+    Small when z is near its spectrum, i.e. near a root of P_m (head_margins).
+    """
+    _check_index(pencil, m)
+    if m == 0:
+        return 1.0
+    return float(head_margins(pencil, pivot_sweep(pencil, m, z), m - 1)[0])
 
 
 def in_spectrum(pencil: Pencil, m: int, z: complex) -> bool:
-    """Whether z lies in the spectrum of the order-(m-1) leading sub-pencil."""
-    _check_index(pencil, m)
-    if m == 0:
-        return False
+    """Whether z lies in the spectrum of the order-(m-1) leading sub-pencil (rows 0..m-1)."""
     return spectrum_margin(pencil, m, z) < SPECTRUM_RTOL
 
 
-def assert_resolvent_point(pencil: Pencil, m: int, z: complex) -> None:
-    if in_spectrum(pencil, m, z):
-        raise SpectrumCollisionError(m - 1, complex(z))
+def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
+    """How close z is to an eigenvalue of the full pencil, relative to the terms (0 at one).
+
+    spectrum_margin of the full order: unlike the last pivot alone it is
+    small at every eigenvalue, whichever index its eigenvector lives on.
+    """
+    return spectrum_margin(pencil, pencil.n + 1, z)
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:

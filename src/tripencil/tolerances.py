@@ -7,7 +7,7 @@ Floors that only keep a division away from zero are not tolerances.
 
 # Recurrences and components (recurrence.py)
 POLE_RTOL = 1e-12           # |b_m - z d_m| this small against its terms: z is a component pole
-SPECTRUM_RTOL = 1e-10       # spectrum margin below this: z is in the sub-pencil spectrum
+SPECTRUM_RTOL = 1e-10       # twisted margin below this: z is in the (sub-)pencil spectrum
 DEGREE_DROP_RTOL = 1e-13    # kappa_m cancelled to roundoff of its two terms: the degree drops
 
 # Eigenpair reconstruction (giep.py)
@@ -19,7 +19,8 @@ RATIO_RTOL = 1e-8           # lam/mu matches the determinant ratio that forces R
 WITNESS_IMAG_RTOL = 1e-10   # the positivity witness is a real quadratic form up to roundoff
 
 # m-function route (mfunctions.py)
-DIFFERENCE_RTOL = 1e-12     # consecutive m-values closer than this are taken as coincident
+DIFFERENCE_RTOL = 1e-12     # m-values (or w_t against its terms) this close are taken as coincident
+FACTOR_RTOL = 1e-5          # pivot margin below this: the unit LDU product loses > ~5e-10 (~25 eps/margin)
 
 # Dense oracle and verification (oracle.py)
 NEAR_SINGULAR_RTOL = 1e-12  # det(wJ - H) against the Hadamard bound: numerically singular
@@ -31,5 +32,5 @@ RESIDUAL_TOL = 1e-6         # worst relative eigenpair residual that verify acce
 # so an admitted instance never trips one of them
 REAL_SPECTRUM_TOL = 1e-8    # largest |Im| of computed eigenvalues of a positive-definite-J draw
 EIGENVALUE_GAP_TOL = 1e-6   # smallest |lam - mu|
-ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest spectrum margin of a touched sub-pencil at lam or mu
+ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest coefficient-space margin of a touched sub-pencil at lam or mu
 ADMIT_DELTA_RTOL = 1e-8     # smallest |Delta_j| / (scale_j + 1)

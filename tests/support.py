@@ -41,6 +41,27 @@ def dense_eigenpairs(pencil):
     return w[order], v[:, order]
 
 
+def dense_matrix(pencil, z):
+    """z*J - H assembled with numpy from the coefficients alone."""
+    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
+    a, b = np.asarray(pencil.H.a), np.asarray(pencil.H.b, dtype=complex)
+    return np.diag(z * c - a).astype(complex) + np.diag(z * d - b, 1) + np.diag(z * d - b.conj(), -1)
+
+
+def dense_spectrum(pencil):
+    """Sorted eigenvalues of a PD-J pencil: Cholesky J = L L^T, then eigvalsh of L^-1 H L^-H (numpy only)."""
+    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
+    L = np.linalg.cholesky(np.diag(c) + np.diag(d, 1) + np.diag(d, -1))
+    H = -dense_matrix(pencil, 0.0)
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H).conj().T))
+
+
+def toeplitz_pencil(n, c, d, a, b):
+    """Constant coefficients on every diagonal, order n."""
+    return tp.Pencil(tp.SymmetricTridiagonal((c,) * (n + 1), (d,) * n),
+                     tp.HermitianTridiagonal((a,) * (n + 1), (b,) * n))
+
+
 def extreme_pair(pencil):
     """Largest and smallest real eigenvalue of a PD-J pencil."""
     w, _ = dense_eigenpairs(pencil)

@@ -84,6 +84,20 @@ def test_mfun_reconstruct(workdir, capsys, rng):
         assert abs(got - want) < 1e-7
 
 
+def test_mfun_diag_holds_m_differences(workdir, capsys, rng):
+    pencil = build_pencil(rng, 5)
+    lam, _ = extreme_pair(pencil)
+    write_pencil(workdir / "p.json", pencil)
+    assert main(["mfun", str(workdir / "p.json"), "--omega", f"{lam + 1.0},0.3",
+                 "--k", "2", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    m = [complex(*v) for v in out["m"]]
+    diag = [complex(*v) for v in out["diag"]]
+    assert len(diag) == len(m) - 1
+    for t, g in enumerate(diag):
+        assert abs(g - (m[t + 1] - m[t])) <= 1e-12 * (1 + abs(m[t + 1]))
+
+
 def test_missing_file_exits_1(capsys):
     assert main(["solve", "/nonexistent/instance.json"]) == 1
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tripencil as tp
-from support import build_pencil, dense_eigenpairs, extreme_pair, rel_err
+from support import (build_pencil, dense_eigenpairs, dense_spectrum, extreme_pair, rel_err, seeded_pencil,
+                     toeplitz_pencil)
 
 
 def make_case(rng, n, k, **kwargs):
@@ -225,6 +226,13 @@ class TestPositivityWitness:
         with pytest.raises(ValueError):
             tp.positivity_witness(truth, 1, lam + 10.0)
 
+    def test_accepts_eigenvalue_whose_eigenvector_vanishes_at_the_end(self):
+        # the top eigenvector of this draw is localized away from index n, so the
+        # last pivot at the eigenvalue is O(1) and only the twisted margin is small
+        truth = seeded_pencil(40, 40)
+        lam = float(dense_spectrum(truth)[-1])
+        assert tp.positivity_witness(truth, 20, lam) > 0
+
 
 class TestSolve:
     def test_round_trip_n4_k2(self, rng):
@@ -282,6 +290,22 @@ class TestSolve:
         H = tp.solve(inst).H.dense()
         H_scaled = tp.solve(scaled).H.dense()
         assert np.abs(H_scaled - H).max() <= 1e-12 * np.abs(H).max()
+
+    @pytest.mark.parametrize("n, k", [(40, 20), (160, 80)])
+    def test_toeplitz_lambda_near_head_spectrum_is_no_collision(self, n, k):
+        # lam stays ~1e-3 away from the order-k head spectrum, where a margin
+        # taken against the coefficient magnitude of P_{k+1} falls below SPECTRUM_RTOL
+        truth = toeplitz_pencil(n, 2.5, 1.0, 0.3, 0.4 + 0.3j)
+        eigs = dense_spectrum(truth)
+        inst = tp.instance_from_truth(truth, k, float(eigs[-1]), float(eigs[0]))
+        result = tp.solve(inst)
+        errors = [rel_err(result.H.b[j], truth.H.b[j]) for j in range(k, n)]
+        errors += [rel_err(result.H.a[j], truth.H.a[j]) for j in range(k + 1, n + 1)]
+        # measured: b 5e-15 / 7e-13 and a 1.6e-12 / 1.2e-11 at n = 40 / 160; the a entries carry
+        # the roundoff of lam and mu through the tails, and move with the dense eigensolver
+        assert max(errors[:n - k]) <= 5e-12
+        assert max(errors) <= 1e-10
+        assert max(result.residual_lambda, result.residual_mu) <= 1e-12
 
     def test_hermiticity_by_construction(self, rng):
         truth, inst = make_case(rng, 4, 1)

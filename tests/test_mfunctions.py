@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
-from support import build_pencil, extreme_pair, rel_err
+from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -12,6 +12,12 @@ def resolvent_point(pencil, rng, real=True):
     if real:
         return lam + 1.0 + float(rng.uniform(0.2, 1.5))
     return complex(rng.uniform(-1, 1), 0.5 + rng.uniform(0, 1))
+
+
+def far_points(pencil):
+    """Real points 1.5 outside each end of the spectrum and a complex one mid-band."""
+    eigs = dense_spectrum(pencil)
+    return eigs[-1] + 1.5, eigs[0] - 1.5, complex(0.5 * (eigs[0] + eigs[-1]), 0.5)
 
 
 class TestMFunction:
@@ -30,6 +36,23 @@ class TestMFunction:
         top = tp.m_function(pencil, 5, omega)
         dense = tp.dense_resolvent(pencil, omega)[0, 0]
         assert abs(top - dense) <= 1e-9 * (1 + abs(dense))
+
+    def test_top_matches_dense_corner_at_order_640(self):
+        # Q/P overflows at this order: the value must come from the pivots, not their quotient
+        pencil = seeded_pencil(640, 640)
+        for omega in far_points(pencil)[:2]:
+            top = tp.m_function(pencil, 641, omega)
+            corner = np.linalg.inv(dense_matrix(pencil, omega))[0, 0]
+            assert abs(top - corner) <= 1e-12 * abs(corner)
+
+    def test_guards_only_its_own_order(self):
+        # a_0/c_0 is the root of P_1; m(w, 3) is finite there and is checked on rows 0..2 alone
+        pencil = seeded_pencil(7, 4)
+        omega = pencil.H.a[0] / pencil.J.c[0]
+        corner = np.linalg.inv(dense_matrix(pencil.head(2), omega))[0, 0]
+        assert abs(tp.m_function(pencil, 3, omega) - corner) <= 1e-12 * abs(corner)
+        with pytest.raises(tp.SpectrumCollisionError):
+            tp.m_table(pencil, omega)
 
     def test_real_table_for_real_point(self, rng):
         pencil = build_pencil(rng, 4)
@@ -94,6 +117,8 @@ class TestFactorization:
         assert np.abs(factors.product() - R).max() <= 1e-9 * (1 + np.abs(R).max())
 
     def test_staircase_shapes(self, rng):
+        # unit form: F[i, t] = p_i^R/p_t^R on and above the diagonal, G[t, j] = p_j^L/p_t^L
+        # on and below it; the staircase of the paper is F * diag(p_t^R) and diag(p_t^L) * G
         pencil = build_pencil(rng, 3)
         omega = resolvent_point(pencil, rng)
         factors = tp.ldu_factors(pencil, omega)
@@ -102,14 +127,23 @@ class TestFactorization:
         n = pencil.n
         for i in range(n + 1):
             for t in range(n + 1):
-                assert factors.F[i, t] == (pr[i] if t >= i else 0)
-                assert factors.G[t, i] == (pl[i] if i <= t else 0)
+                if t < i:
+                    assert factors.F[i, t] == 0 and factors.G[t, i] == 0
+                elif t == i:
+                    assert factors.F[i, t] == 1 and factors.G[t, i] == 1
+                else:
+                    assert abs(factors.F[i, t] * pr[t] - pr[i]) <= 1e-14 * abs(pr[i])
+                    assert abs(factors.G[t, i] * pl[t] - pl[i]) <= 1e-14 * abs(pl[i])
 
     def test_diag_recomputed_from_ratios(self, rng):
+        # the unit form's diagonal is 1/D_t = p_t^R g_t p_t^L, so it gives back the m-differences
         pencil = build_pencil(rng, 4)
         omega = resolvent_point(pencil, rng)
         factors = tp.ldu_factors(pencil, omega)
-        for t, g in enumerate(factors.diag):
+        pr = tp.right_components(pencil, omega)
+        pl = tp.left_components(pencil, omega)
+        for t, inverse_pivot in enumerate(factors.diag):
+            g = inverse_pivot / (pr[t] * pl[t])
             lo = tp.eval_q(pencil, t, omega) / tp.eval_p(pencil, t, omega) if t else 0.0
             hi = tp.eval_q(pencil, t + 1, omega) / tp.eval_p(pencil, t + 1, omega)
             assert abs(g - (hi - lo)) <= 1e-10 * (1 + abs(g))
@@ -158,6 +192,58 @@ class TestTrailingInverse:
         ones = np.ones(4, dtype=complex)
         with pytest.raises(tp.DegenerateDifferenceError):
             trailing_inverse_from(table, ones, ones, 0, 3)
+
+
+@pytest.mark.parametrize("n", [160, 640])
+def test_direct_operations_match_dense_inverse(n):
+    """Every direct operation at orders where P, Q, the components and the g_t leave the double range."""
+    pencil = seeded_pencil(n, n)
+    k = n // 2
+    for omega in far_points(pencil):
+        X = np.linalg.inv(dense_matrix(pencil, omega))
+        scale = np.abs(X).max()
+        assert abs(tp.m_table(pencil, omega).top - X[0, 0]) <= 1e-12 * abs(X[0, 0])
+        assert np.abs(tp.resolvent_matrix(pencil, omega) - X).max() <= 1e-12 * scale
+        assert np.abs(tp.ldu_factors(pencil, omega).product() - X).max() <= 1e-12 * scale
+        T = np.linalg.inv(X[k + 1:, k + 1:])
+        assert np.abs(tp.trailing_inverse(pencil, k, omega) - T).max() <= 1e-12 * np.abs(T).max()
+
+
+def _accurate_or_raises(op, pencil, omega, reference, rtol):
+    """op(pencil, omega) raises SpectrumCollisionError or matches reference to rtol of its largest entry."""
+    try:
+        value = op(pencil, omega)
+    except tp.SpectrumCollisionError:
+        return False
+    assert np.abs(value - reference).max() <= rtol * np.abs(reference).max()
+    return True
+
+
+def test_point_near_sub_pencil_spectrum_is_accurate_or_raises():
+    # an eigenvalue of head(10): the pivot margin there is 1.03e-10, just above SPECTRUM_RTOL, and
+    # cond(wJ - H) = 5.8e5; a resolvent diagonal summed over the g_t, or the unit-LDU product,
+    # is 7.6e-6 off there
+    pencil = seeded_pencil(29, 12)
+    omega = min(dense_spectrum(pencil.head(10)), key=lambda lam: abs(lam + 0.97))
+    R = np.linalg.inv(dense_matrix(pencil, omega))
+    assert _accurate_or_raises(tp.resolvent_matrix, pencil, omega, R, 1e-10)
+    _accurate_or_raises(lambda p, z: tp.ldu_factors(p, z).product(), pencil, omega, R, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [29, 3, 11])
+def test_sub_pencil_eigenvalues_are_accurate_or_raise(seed):
+    """At every eigenvalue of every head: m_table raises; resolvent and LDU product are accurate or raise."""
+    pencil = seeded_pencil(seed, 12 + seed % 7)
+    eps = np.finfo(float).eps
+    for t in range(pencil.n):
+        for lam in dense_spectrum(pencil.head(t)):
+            with pytest.raises(tp.SpectrumCollisionError):
+                tp.m_table(pencil, lam)
+            A = dense_matrix(pencil, lam)
+            R, cond = np.linalg.inv(A), np.linalg.cond(A)
+            _accurate_or_raises(tp.resolvent_matrix, pencil, lam, R, 1e-12 + cond * eps)
+            _accurate_or_raises(lambda p, z: tp.ldu_factors(p, z).product(), pencil, lam, R,
+                                1e-9 + 50 * cond * eps)
 
 
 class TestReconstructFromM:

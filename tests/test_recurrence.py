@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripencil as tp
-from support import build_pencil, hand_pencil, seeded_pencil
+from tripencil import recurrence
+from tripencil.tolerances import SPECTRUM_RTOL
+from support import build_pencil, dense_spectrum, hand_pencil, seeded_pencil
 
 
 def test_eval_p_initial_condition(rng):
@@ -173,3 +175,31 @@ class TestLiouvilleOstrogradsky:
             for zr, zi in zs for m in range(6)
         )
         assert worst < 1e-9
+
+
+@pytest.mark.parametrize("n", [40, 160])
+def test_eigenvalue_margin_separates_eigenvalues_from_gaps(n):
+    pencil = seeded_pencil(n, n)
+    eigs = dense_spectrum(pencil)
+    assert max(tp.eigenvalue_margin(pencil, z) for z in eigs) < SPECTRUM_RTOL
+    assert min(tp.eigenvalue_margin(pencil, z) for z in 0.5 * (eigs[1:] + eigs[:-1])) > 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_in_spectrum_flags_every_sub_pencil_eigenvalue(seed):
+    # including those whose eigenvector nearly vanishes at the last row, where the pivot margin stays large
+    pencil = seeded_pencil(seed, 10 + seed)
+    for m in range(1, pencil.n + 2):
+        eigs = dense_spectrum(pencil.head(m - 1))
+        assert all(tp.in_spectrum(pencil, m, lam) for lam in eigs)
+        assert not any(tp.in_spectrum(pencil, m, mid) for mid in 0.5 * (eigs[1:] + eigs[:-1]))
+
+
+def test_head_margins_of_all_orders_match_one_order_at_a_time():
+    pencil = seeded_pencil(4, 30)
+    for z in (0.37, 1.1 + 0.2j):
+        sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+        together = recurrence.head_margins(pencil, sweep)
+        alone = [tp.spectrum_margin(pencil, m, z) for m in range(1, pencil.n + 2)]
+        assert np.allclose(together, alone, rtol=1e-10, atol=0)
+        assert np.array_equal(recurrence.head_margins(pencil, sweep, 27), together[27:])
