@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench/run.py, gathered into BENCH_<label>.json.
+
+    python scripts/bench_pairs.py --parent ../parent --change . --label twisted_oracle \\
+        --what "one line on the change" --workloads roundtrip --seed 1
+
+--parent and --change are two checkouts (say, a `git archive` of the parent
+commit and the working tree); each runs its own unchanged perfbench/run.py
+for the run_seconds of the change's BENCHMARK.json.  There are ten pairs per
+workload; in pair i both sides run one after the other, the side that runs first
+alternating from pair to pair, so a drift of host speed loads both alike.
+The last output line of every run (its JSON result) is kept, entry i of each
+list being pair i, in the layout of BENCH_pivot_kernel.json.  Also prints,
+per workload and end-to-end metric, both medians, the parent's
+interquartile range and the number of pairs the change wins.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, str]:
+    """One run of perfbench/run.py in a checkout: its last output line and its env line."""
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds)],
+                         cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+    env = next((line[len("env "):] for line in out if line.startswith("env ")), "{}")
+    return out[-1], env
+
+
+def host(env_line: str) -> str:
+    """The host description from run.py's env record."""
+    env = json.loads(env_line)
+    if not env:
+        return "unknown host"
+    threads = sorted(set(env["blas_threads"].values()))
+    return (f"{env['nproc']} CPUs, {env['cpu_model']}, {env['python']}, numpy {env['numpy']}, "
+            f"scipy {env['scipy']}, BLAS pinned to {'/'.join(threads)} thread")
+
+
+def merge(label: str, what: str, command: str, host_line: str,
+          lines: dict[str, dict[str, list[str]]]) -> dict:
+    """The BENCH document from the raw result lines, lines[side][workload][i] being pair i."""
+    if set(lines) != set(SIDES):
+        raise ValueError(f"expected the sides {SIDES}, got {sorted(lines)}")
+    for workload in lines["parent"]:
+        if len(lines["parent"][workload]) != len(lines["change"].get(workload, ())):
+            raise ValueError(f"unpaired runs for workload {workload!r}")
+    return {
+        "label": label,
+        "what": what,
+        "command": command,
+        "host": host_line,
+        "note": ("last output line of the unchanged perfbench/run.py; parent = the parent commit, "
+                 "change = this commit; the side that runs first alternates from pair to pair; "
+                 "entry i of each list is pair i"),
+        **{side: {w: [json.loads(line) for line in runs] for w, runs in lines[side].items()}
+           for side in SIDES},
+    }
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(doc: dict, better: dict[str, str]) -> list[dict]:
+    """Per workload and metric: medians, the parent's interquartile range and the pairs the change wins."""
+    rows = []
+    for workload, parent_runs in doc["parent"].items():
+        change_runs = doc["change"][workload]
+        for metric, direction in better.items():
+            old = [run["metrics"][metric]["value"] for run in parent_runs]
+            new = [run["metrics"][metric]["value"] for run in change_runs]
+            sign = 1.0 if direction == "higher" else -1.0
+            q1, median, q3 = _quartiles(old)
+            rows.append({
+                "workload": workload,
+                "metric": metric,
+                "parent": median,
+                "change": statistics.median(new),
+                "parent_iqr": q3 - q1,
+                "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+                "pairs": len(old),
+            })
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--what", required=True, help="one line on what the change does")
+    parser.add_argument("--workloads", nargs="+", default=["direct", "sweep", "roundtrip"])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    contract = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = contract["run_seconds"]
+
+    lines = {side: {w: [] for w in args.workloads} for side in SIDES}
+    env = "{}"
+    for workload in args.workloads:
+        for i in range(PAIRS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                line, env = run_side(getattr(args, side), workload, args.seed, seconds)
+                lines[side][workload].append(line)
+                print(f"{workload} pair {i + 1}/{PAIRS} {side}: {line}", file=sys.stderr)
+
+    command = (f"python3 perfbench/run.py --workload {{{','.join(args.workloads)}}} "
+               f"--seed {args.seed} --seconds {seconds:g}")
+    doc = merge(args.label, args.what, command, host(env), lines)
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    for row in summary(doc, better):
+        print(f"{row['workload']:10s} {row['metric']:16s} {row['parent']:12.6g} -> {row['change']:12.6g}"
+              f"  [parent IQR {row['parent_iqr']:.3g}]  change wins {row['wins']}/{row['pairs']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,6 +53,7 @@ from .pencil import HermitianTridiagonal, Pencil, RealPolynomial, SymmetricTridi
 from .recurrence import (
     KappaSequence,
     eigenvalue_margin,
+    eigenvector_components,
     eval_p,
     eval_q,
     in_spectrum,

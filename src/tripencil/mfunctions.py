@@ -175,9 +175,14 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     return ResolventFactors(z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
 
 
-def _checked_difference(table: MFunctionTable, t: int) -> complex:
+def _checked_difference(table: MFunctionTable, t: int, pl_t: complex, pr_t: complex) -> complex:
+    """g_t, after checking g_t p^L_t p^R_t = 1/D_t, the quantity the route divides by.
+
+    g_t alone decays like the inverse square of the components, so it says
+    nothing about coincident m-values once the components grow.
+    """
     g = table.difference(t)
-    if abs(g) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
+    if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
         raise DegenerateDifferenceError(t)
     return g
 
@@ -196,13 +201,13 @@ def trailing_inverse_from(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
     out = np.zeros((size, size), dtype=complex)
     scale = float(np.max(np.abs(pr)) + np.max(np.abs(pl)))
     for i in range(k + 1, n + 1):
-        gi = _checked_difference(table, i)
         pli = _checked_component(pl, i, scale)
         pri = _checked_component(pr, i, scale)
+        gi = _checked_difference(table, i, pli, pri)
         io = i - (k + 1)
         out[io, io] += 1.0 / (gi * pli * pri)
         if i > k + 1:
-            gprev = _checked_difference(table, i - 1)
+            gprev = _checked_difference(table, i - 1, pl[i - 1], pr[i - 1])
             out[io, io] += 1.0 / (gprev * pli * pri)
         if i < n:
             out[io, io + 1] = -1.0 / (gi * pli * _checked_component(pr, i + 1, scale))
@@ -267,23 +272,24 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
 
     b_out: list[complex] = []
     for j in range(k + 1, n):
-        gj = _checked_difference(table, j)
-        b_out.append(omega * d[j] + 1.0 / (_checked_component(pl, j, scale) * gj
-                                           * _checked_component(pr, j + 1, scale)))
+        plj = _checked_component(pl, j, scale)
+        prj1 = _checked_component(pr, j + 1, scale)
+        gj = _checked_difference(table, j, plj, _checked_component(pr, j, scale))
+        b_out.append(omega * d[j] + 1.0 / (plj * gj * prj1))
 
     a_out: list[float] = []
     for j in range(k + 1, n + 1):
-        gj = _checked_difference(table, j)
         plj = _checked_component(pl, j, scale)
         prj = _checked_component(pr, j, scale)
+        gj = _checked_difference(table, j, plj, prj)
         val = omega * c[j] - 1.0 / (gj * plj * prj)
         if j == k + 1:
-            gk = _checked_difference(table, k)
+            gk = _checked_difference(table, k, pl[k], pr[k])
             schur = (omega * d[k] - complex(b_k).conjugate()) * (omega * d[k] - complex(b_k)) \
                 * pl[k] * gk * pr[k]
             val -= schur
         else:
-            gprev = _checked_difference(table, j - 1)
+            gprev = _checked_difference(table, j - 1, pl[j - 1], pr[j - 1])
             val -= 1.0 / (gprev * plj * prj)
         a_out.append(val)
 

@@ -1,11 +1,14 @@
 """Independent ground-truth machinery: eigenvalues, dense inversion, generators.
 
-The eigensolver goes through the coefficient polynomial of the full minor
-P_{n+1} (companion matrix plus one Newton polish), so it shares nothing with
-the point-evaluation recurrence except the coefficients themselves.  The
-instance generator manufactures reconstruction problems whose answer is known
-and rejects draws that sit too close to any hypothesis boundary, so solver
-failures on generated data are bugs by definition.
+The eigensolver is dense numpy linear algebra on the assembled J and H
+(Cholesky of a positive-definite J, then a Hermitian eigensolver), so it
+shares nothing with the recurrences; there is no coefficient-polynomial or
+companion-matrix route.  The instance generator manufactures reconstruction
+problems whose answer is known: it takes the eigenvector tails from a
+twisted factorization (eigenvector_components) and rejects draws that sit
+too close to any hypothesis boundary, measured by the twisted margins the
+solver itself reads, so solver failures on generated data are bugs by
+definition.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegreeDropError, GenerationFailedError, NearSingularError
+from .errors import DegreeDropError, GenerationFailedError, NearSingularError, VanishingComponentError
 from .giep import GiepInstance, ReconstructionResult, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eval_p, kappa_sequence, poly_p, right_components
+from .recurrence import eigenvector_components, head_margins, kappa_sequence, pivot_sweep
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DENSE_RESIDUAL_RTOL, EIGENVALUE_GAP_TOL,
-                         ENTRY_TOL, NEAR_SINGULAR_RTOL, REAL_SPECTRUM_TOL, RESIDUAL_TOL)
+                         ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -64,33 +67,22 @@ def _relative(err_val: complex, truth: complex) -> float:
 
 
 def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
-    """All n+1 roots of P_{n+1}, sorted by real part.
+    """All n+1 eigenvalues of the pencil (roots of P_{n+1}), sorted by real part.
 
-    Computed as eigenvalues of the companion matrix of the monic coefficient
-    polynomial, refined by one Newton step on P_{n+1}.
+    For a positive-definite J = L L^T they are the eigenvalues of the
+    Hermitian L^-1 H L^-H, hence real; otherwise those of J^-1 H.  Raises
+    DegreeDropError where a leading minor of J vanishes (O(n) check).
     """
     kappas = kappa_sequence(pencil)
     if any(kappas.degraded):
         raise DegreeDropError(kappas.degraded.index(True))
-    poly = poly_p(pencil, pencil.n + 1)
-    coeffs = np.asarray(poly.coeffs, dtype=float)
-    monic = coeffs / coeffs[-1]
-    deg = len(monic) - 1
-    if deg == 0:
-        return np.array([], dtype=complex)
-    comp = np.zeros((deg, deg))
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = np.linalg.eigvals(comp)
-    dpoly = poly.derivative()
-    polished = []
-    for r in roots:
-        dp = dpoly(r)
-        if abs(dp) > 1e-300:
-            r = r - poly(r) / dp
-        polished.append(r)
-    out = np.asarray(polished, dtype=complex)
-    return out[np.lexsort((out.imag, out.real))]
+    J, H = pencil.J.dense(), pencil.H.dense()
+    try:
+        L = np.linalg.cholesky(J)
+    except np.linalg.LinAlgError:
+        out = np.linalg.eigvals(np.linalg.solve(J, H)).astype(complex)
+        return out[np.lexsort((out.imag, out.real))]
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H).conj().T)).astype(complex)
 
 
 def dense_resolvent(pencil: Pencil, omega: complex) -> np.ndarray:
@@ -114,12 +106,13 @@ def dense_resolvent(pencil: Pencil, omega: complex) -> np.ndarray:
 def instance_from_truth(truth: Pencil, k: int, lam: float, mu: float) -> GiepInstance:
     """Build the reconstruction problem a ground-truth pencil would pose.
 
-    Tails are the exact right components of the truth at the two eigenvalues.
-    No hypothesis checks are performed here, so deliberately degenerate
-    instances (for negative controls) can be constructed.
+    Tails are the eigenvector components of the truth at the two eigenvalues
+    (eigenvector_components, normalized to 1 at index 0).  No hypothesis
+    checks are performed here, so deliberately degenerate instances (for
+    negative controls) can be constructed.
     """
-    p = right_components(truth, lam)
-    s = right_components(truth, mu)
+    p = eigenvector_components(truth, lam)
+    s = eigenvector_components(truth, mu)
     return GiepInstance(
         J=truth.J,
         head_a=truth.H.a[:k + 1],
@@ -150,16 +143,6 @@ def _draw_truth(config: GeneratorConfig, rng: np.random.Generator) -> Pencil:
                   HermitianTridiagonal(tuple(a), tuple(b)))
 
 
-def _coefficient_margin(pencil: Pencil, m: int, z: float) -> float:
-    """|P_m(z)| over the coefficient magnitude of P_m at |z|: the generator's admission margin.
-
-    Costs O(m^2) and falls far below the pivot margin once the coefficients
-    grow, so the solver does not use it; admission keeps it so that the
-    seeded corpus does not change.
-    """
-    return abs(eval_p(pencil, m, z)) / (1.0 + poly_p(pencil, m).magnitude_at(z))
-
-
 def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
     """Manufacture a (truth, instance) pair satisfying every solver hypothesis.
 
@@ -174,22 +157,18 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
             eigs = pencil_eigenvalues(truth)
         except DegreeDropError:
             continue
-        if float(np.abs(eigs.imag).max()) > REAL_SPECTRUM_TOL:
-            continue
-        order = np.argsort(eigs.real)
-        lam = float(eigs[order[-1]].real)
-        mu = float(eigs[order[0]].real)
+        lam, mu = float(eigs[-1].real), float(eigs[0].real)
         if abs(lam - mu) < EIGENVALUE_GAP_TOL:
             continue
 
-        # stay clearly outside every sub-pencil spectrum the solver touches
-        if any(_coefficient_margin(truth, m, z) < ADMIT_SPECTRUM_MARGIN
-               for m in range(k, n + 1) for z in (lam, mu)):
+        # stay clearly outside the spectrum of every head the solver touches: rows 0..m-1, m = k..n
+        if any(head_margins(truth, pivot_sweep(truth, n, z), k - 1).min() < ADMIT_SPECTRUM_MARGIN
+               for z in (lam, mu)):
             continue
 
         try:
             inst = instance_from_truth(truth, k, lam, mu)
-        except Exception:
+        except VanishingComponentError:
             continue
 
         if not any(abs(system.det) < ADMIT_DELTA_RTOL * (system.scale + 1.0)

@@ -143,16 +143,3 @@ class RealPolynomial:
         for ck in reversed(self.coeffs):
             acc = acc * z + ck
         return acc
-
-    def derivative(self) -> "RealPolynomial":
-        if len(self.coeffs) == 1:
-            return RealPolynomial((0.0,))
-        return RealPolynomial(tuple(k * ck for k, ck in enumerate(self.coeffs) if k > 0))
-
-    def magnitude_at(self, z: complex) -> float:
-        """Sum of |coeff| * |z|^degree, the natural evaluation scale at z."""
-        r = abs(z)
-        acc = 0.0
-        for ck in reversed(self.coeffs):
-            acc = acc * r + abs(ck)
-        return acc

@@ -18,7 +18,9 @@ with these seeds the Wronskian-type identity reads
 
 Component sequences p^R / p^L are the rational eigenvector solutions of the
 same recurrence, normalized to 1 at index 0; at a spectral point they are
-genuine right/left eigenvectors of the pencil.
+right/left eigenvectors of the pencil in exact arithmetic, while in floating
+point the forward recurrence loses them as n grows.  eigenvector_components
+takes the eigenvector from a twisted factorization instead.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleCollisionError, SpectrumCollisionError
+from .errors import PoleCollisionError, SpectrumCollisionError, VanishingComponentError
 from .pencil import Pencil, RealPolynomial
 from .tolerances import DEGREE_DROP_RTOL, POLE_RTOL, SPECTRUM_RTOL
 
@@ -266,14 +268,15 @@ def _unit_upper(steps: list[complex]) -> np.ndarray:
     return S
 
 
-def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), and its terms.
+def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), its terms and D-_r.
 
     gamma_r = u_r - x_r - y_r joins the forward term x_r = u_r - D_r =
     w_{r-1}/D_{r-1} with the backward term y_r of the pivots taken from row
     N-1 up, as in a twisted factorization.  Both pivot passes, and so each
     gamma_r, are exact for coefficients perturbed by a few ulps, however
-    small the pivots on the way.  The terms are |z c_r| + |a_r| + |x_r| + |y_r|.
+    small the pivots on the way.  The terms are |z c_r| + |a_r| + |x_r| + |y_r|;
+    the backward pivots D-_r = u_r - y_r are returned as well.
     """
     N = len(sweep.pivots)
     z = sweep.z
@@ -282,8 +285,9 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.nd
     u = zc - av
     x = u - np.asarray(sweep.pivots)
     # the pivots depend on b only through the weights, so reading the rows upwards needs no conjugation
-    y = u - np.asarray(_pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], N, z).pivots)[::-1]
-    return u - x - y, np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y)
+    backward = np.asarray(_pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], N, z).pivots)[::-1]
+    y = u - backward
+    return u - x - y, np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y), backward
 
 
 def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:
@@ -300,7 +304,7 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
     if not 0 <= first < N:
         raise ValueError(f"first order {first} out of range 0..{N - 1}")
     if first == N - 1:
-        gamma, terms = twisted_pivots(pencil, sweep)
+        gamma, terms, _ = twisted_pivots(pencil, sweep)
         return np.array([np.min(np.abs(gamma) / terms)])
     z = sweep.z
     zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
@@ -399,10 +403,47 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     """Right component sequence p^R_0..p^R_n at z, normalized to p^R_0 = 1.
 
     Equals P_m(z) / prod_{j<m} (b_j - z d_j) for every m, so the residual of
-    (z*J - H) p^R is supported on the last row only and vanishes when z is an
-    eigenvalue of the pencil.
+    (z*J - H) p^R is supported on the last row only; in exact arithmetic it
+    vanishes at an eigenvalue of the pencil.  In floating point the forward
+    recurrence amplifies the error of a computed eigenvalue geometrically
+    (up to 1e-7 off the eigenvector at n = 20, wrong from n ~ 80 on); the
+    eigenvector itself comes from eigenvector_components.
     """
     return _component_sweep(pencil, z, with_derivative=False)[0]
+
+
+def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
+    """Right eigenvector v_0..v_n of the pencil at an eigenvalue z, normalized to v_0 = 1; O(n).
+
+    Twisted factorization (Parlett & Dhillon, LAA 267, 1997): at the row
+    r = argmin |gamma_r| (twisted_pivots) set v_r = 1, then the rows above
+    follow from the forward pivots, v_i = -(z d_i - b_i) v_{i+1}/D+_i, and
+    the rows below from the backward ones, v_i = -(z d_{i-1} - conj(b_{i-1}))
+    v_{i-1}/D-_i.  The residual (z*J - H) v is gamma_r v_r at row r alone,
+    the smallest any twist gives, so the vector is as accurate as z allows on
+    whichever row it lives.  At a point that is not an eigenvalue it is the
+    solution with that one-row residual, not right_components.  Raises
+    VanishingComponentError(0) where v_0 is zero in floating point or so
+    small against the other entries that normalizing overflows them.
+    """
+    sweep = pivot_sweep(pencil, pencil.n + 1, z)
+    gamma, _, backward = twisted_pivots(pencil, sweep)
+    z = sweep.z
+    r = int(np.argmin(np.abs(gamma)))
+    d, b = np.asarray(pencil.J.d), np.asarray(pencil.H.b, dtype=complex)
+    # v_i/v_{i+1} above the twist, v_i/v_{i-1} below it
+    up = -(z * d[:r] - b[:r]) / np.asarray(sweep.pivots[:r])
+    down = -(z * d[r:] - b[r:].conj()) / backward[r + 1:]
+    v = np.concatenate((np.cumprod(up[::-1])[::-1], [1.0 + 0j], np.cumprod(down)))
+    if v[0] == 0:
+        raise VanishingComponentError(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v /= v[0]
+    # a v_0 that is subnormal, or far below the largest entry, overflows the others
+    if not np.isfinite(v).all():
+        raise VanishingComponentError(0)
+    v[0] = 1.0
+    return v
 
 
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:

@@ -30,7 +30,6 @@ RESIDUAL_TOL = 1e-6         # worst relative eigenpair residual that verify acce
 
 # Instance generator admission (oracle.py): wider than the solver's guards,
 # so an admitted instance never trips one of them
-REAL_SPECTRUM_TOL = 1e-8    # largest |Im| of computed eigenvalues of a positive-definite-J draw
 EIGENVALUE_GAP_TOL = 1e-6   # smallest |lam - mu|
-ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest coefficient-space margin of a touched sub-pencil at lam or mu
+ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest twisted margin (head_margins) of a touched head at lam or mu
 ADMIT_DELTA_RTOL = 1e-8     # smallest |Delta_j| / (scale_j + 1)

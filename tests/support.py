@@ -76,3 +76,18 @@ def hand_pencil():
 
 def rel_err(value, truth):
     return abs(value - truth) / (1.0 + abs(truth))
+
+
+def dense_eigenvectors(pencil):
+    """Eigenvalues and J-orthonormal eigenvectors (columns) of a PD-J pencil, by numpy eigh."""
+    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
+    L = np.linalg.cholesky(np.diag(c) + np.diag(d, 1) + np.diag(d, -1))
+    H = -dense_matrix(pencil, 0.0)
+    w, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, H).conj().T))
+    return w, np.linalg.solve(L.T, Y)
+
+
+def max_normalized(v):
+    """v divided by its entry of largest modulus, which fixes scale and phase."""
+    v = np.asarray(v)
+    return v / v[np.argmax(np.abs(v))]

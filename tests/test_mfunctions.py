@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil.tolerances import DIFFERENCE_RTOL
 from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
 
 
@@ -281,6 +282,24 @@ class TestReconstructFromM:
             assert abs(entries.b_at(j) - solved.H.b[j]) <= 1e-7 * (1 + abs(solved.H.b[j]))
         for j in range(k + 1, 6):
             assert abs(entries.a_at(j) - solved.H.a[j]) <= 1e-7 * (1 + abs(solved.H.a[j]))
+
+    def test_order_40_canary_round_trip(self):
+        """Both routes recover the n = 40 draw, where a bare g_t falls below DIFFERENCE_RTOL."""
+        n, k = 40, 20
+        truth, inst = tp.generate_instance(tp.GeneratorConfig(n=n, k=k, seed=0))
+        result = tp.solve(inst)
+        omega = float(tp.pencil_eigenvalues(truth).real.max()) + 1.5
+        table = tp.m_table(truth, omega)
+        values = np.abs(table.values)
+        assert any(abs(table.difference(t)) < DIFFERENCE_RTOL * (1 + values[t] + values[t + 1])
+                   for t in range(k + 1, n + 1))
+        entries = self._route(truth, k, omega)
+        errors = [rel_err(result.H.b[j], truth.H.b[j]) for j in range(k, n)]
+        errors += [rel_err(result.H.a[j], truth.H.a[j]) for j in range(k + 1, n + 1)]
+        errors += [rel_err(entries.b_at(j), truth.H.b[j]) for j in range(k + 1, n)]
+        errors += [rel_err(entries.a_at(j), truth.H.a[j]) for j in range(k + 1, n + 1)]
+        assert max(errors) <= 1e-8
+        assert max(result.residual_lambda, result.residual_mu) <= 1e-7
 
     def test_vanishing_component_guard(self, rng):
         pencil = build_pencil(rng, 3)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tripencil as tp
-from support import build_pencil, dense_eigenpairs
+from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, max_normalized,
+                     seeded_pencil)
 
 
 class TestPencilEigenvalues:
@@ -45,6 +46,25 @@ class TestPencilEigenvalues:
         mine = np.sort(tp.pencil_eigenvalues(pencil).real)
         w, _ = dense_eigenpairs(pencil)
         assert np.abs(mine - np.sort(w.real)).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_matches_dense_spectrum(self, n):
+        pencil = seeded_pencil(n, n)
+        mine = tp.pencil_eigenvalues(pencil)
+        reference = dense_spectrum(pencil)
+        assert np.all(mine.imag == 0)
+        assert np.abs(mine.real - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_indefinite_J_matches_dense_eigenpairs(self, seed):
+        pencil = seeded_pencil(seed, 3 + seed, pd_J=False)
+        mine = tp.pencil_eigenvalues(pencil)
+        w, _ = dense_eigenpairs(pencil)
+        assert len(mine) == len(w)
+        # matched by nearest neighbour both ways: conjugate pairs share a real part
+        for x, ys in ((mine, w), (w, mine)):
+            for value in x:
+                assert np.min(np.abs(ys - value)) <= 1e-9 * (1 + abs(value))
 
     def test_degree_drop_raises(self):
         pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 0.25, 1.0), (0.5, 0.5)),
@@ -105,6 +125,15 @@ class TestGenerateInstance:
         # solve must not raise on generated data
         result = tp.solve(inst)
         assert min(abs(x) for x in result.deltas) > 0
+
+    def test_admits_order_40_canary(self):
+        """The extreme pair and tails of the n = 40 draw are the dense eigenpairs."""
+        truth, inst = tp.generate_instance(tp.GeneratorConfig(n=40, k=20, seed=0))
+        w, X = dense_eigenvectors(truth)
+        assert abs(inst.lam - w[-1]) <= 1e-12 * abs(w).max()
+        assert abs(inst.mu - w[0]) <= 1e-12 * abs(w).max()
+        for tail, x in ((inst.tail_p, X[:, -1]), (inst.tail_s, X[:, 0])):
+            assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
 
     def test_random_pair_strategy(self):
         # a non-extreme eigenvalue pair of a generated truth still solves
