@@ -49,19 +49,15 @@ from .oracle import (
     pencil_eigenvalues,
     verify,
 )
-from .pencil import HermitianTridiagonal, Pencil, RealPolynomial, SymmetricTridiagonal
+from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
 from .recurrence import (
-    KappaSequence,
     eigenvalue_margin,
     eigenvector_components,
     eval_p,
     eval_q,
     in_spectrum,
-    kappa_sequence,
     left_components,
     liouville_ostrogradsky_residual,
-    poly_p,
-    poly_q,
     right_components,
     right_components_with_derivative,
     spectrum_margin,

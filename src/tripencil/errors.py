@@ -86,10 +86,10 @@ class DegenerateDifferenceError(_IndexedError):
 
 
 class DegreeDropError(_IndexedError):
-    """A leading coefficient kappa_m vanishes, so the minor degree drops."""
+    """The order-m leading minor of J (the leading coefficient of P_m) cancels, so P_m drops degree."""
 
     def __init__(self, index: int):
-        super().__init__(index, f"degree drop: leading coefficient kappa at index {index} vanishes")
+        super().__init__(index, f"degree drop: the order-{index} leading minor of J vanishes")
 
 
 class NearSingularError(MathPreconditionError):

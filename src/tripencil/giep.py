@@ -29,7 +29,6 @@ from .errors import (
     HermitianInconsistentError,
     NonRealDiagonalError,
     SingularDeltaError,
-    SpectrumCollisionError,
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
@@ -336,11 +335,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     n = pencil.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
-    for m in (k, k + 1):
-        if in_spectrum(pencil, m, lam):
-            raise SpectrumCollisionError(m - 1, complex(lam))
-        if in_spectrum(pencil, m, mu):
-            raise SpectrumCollisionError(m - 1, complex(mu))
+    for z in (lam, mu):
+        check_spectrum(pencil, pivot_sweep(pencil, k + 1, z), k - 1)
     d_k = pencil.J.d[k]
     b_k = pencil.H.b[k]
     p = right_components(pencil, lam)
@@ -398,9 +394,7 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     for z in (lam, mu):
-        for m in (k, k + 1):
-            if in_spectrum(head, m, z):
-                raise SpectrumCollisionError(m - 1, complex(z))
+        check_spectrum(head, pivot_sweep(head, k + 1, z), k - 1)
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)

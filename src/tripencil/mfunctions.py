@@ -54,37 +54,30 @@ from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL
 
 @dataclass(frozen=True)
 class MFunctionTable:
-    """m(w, j) for j = 0..n+1 at a fixed resolvent point w.
+    """m(w, j) for j = 0..n+1 at a fixed resolvent point w, and diffs[t] = g_t = m(w, t+1) - m(w, t).
 
     Consecutive differences decay geometrically (the convergents converge),
     so forming them by subtracting table values loses all relative accuracy
-    once they fall below roundoff of the values.  m_table therefore also
-    stores them in the cancellation-free product form
+    once they fall below roundoff of the values.  The table therefore holds
+    them in the cancellation-free product form
     g_t = prod_{s<t} w_s / (P_t P_{t+1}) that the Wronskian identity gives,
-    taken from the pivots as g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t); a table
-    built without diffs falls back to plain subtraction.
+    which m_table takes from the pivots as g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     """
 
     omega: complex
     values: tuple[complex, ...]
-    diffs: tuple[complex, ...] | None = None
+    diffs: tuple[complex, ...]
 
     def __post_init__(self):
         if not self.values or self.values[0] != 0:
             raise ValueError("m-function table must start with m(w, 0) = 0")
-        if self.diffs is not None and len(self.diffs) != len(self.values) - 1:
+        if len(self.diffs) != len(self.values) - 1:
             raise ValueError("diffs must hold one entry per consecutive pair")
 
     @property
     def top(self) -> complex:
         """m(w, n+1), the m-function of the full pencil."""
         return self.values[-1]
-
-    def difference(self, t: int) -> complex:
-        """g_t = m(w, t+1) - m(w, t)."""
-        if self.diffs is not None:
-            return self.diffs[t]
-        return self.values[t + 1] - self.values[t]
 
 
 def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
@@ -181,7 +174,7 @@ def _checked_difference(table: MFunctionTable, t: int, pl_t: complex, pr_t: comp
     g_t alone decays like the inverse square of the components, so it says
     nothing about coincident m-values once the components grow.
     """
-    g = table.difference(t)
+    g = table.diffs[t]
     if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
         raise DegenerateDifferenceError(t)
     return g
@@ -256,42 +249,25 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
                        left_comp: np.ndarray, b_k: complex) -> MRouteEntries:
     """Recover b_{k+1}..b_{n-1} and a_{k+1}..a_n from an m-function table.
 
-    The trailing block of w*J - H equals the tridiagonal inverse of the
-    trailing resolvent block plus a rank-one correction at its (0, 0) corner
-    coming from the coupling entry w*d_k - b_k through the head pencil, which
-    is why b_k must be supplied.  Imaginary parts of the recovered diagonal
-    entries are checked and discarded.
+    The trailing block of w*J - H equals the tridiagonal inverse T of the
+    trailing resolvent block (trailing_inverse_from) plus a rank-one
+    correction at its (0, 0) corner coming from the coupling entry
+    w*d_k - b_k through the head pencil, which is why b_k must be supplied:
+    b_j = w d_j - T[j, j+1], a_j = w c_j - T[j, j], less that correction at
+    j = k+1.  Imaginary parts of the recovered diagonal entries are checked
+    and discarded.
     """
     n = J.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
     omega = complex(omega)
-    c, d = J.c, J.d
     pr, pl = np.asarray(right_comp, dtype=complex), np.asarray(left_comp, dtype=complex)
-    scale = float(np.max(np.abs(pr)) + np.max(np.abs(pl)))
-
-    b_out: list[complex] = []
-    for j in range(k + 1, n):
-        plj = _checked_component(pl, j, scale)
-        prj1 = _checked_component(pr, j + 1, scale)
-        gj = _checked_difference(table, j, plj, _checked_component(pr, j, scale))
-        b_out.append(omega * d[j] + 1.0 / (plj * gj * prj1))
-
-    a_out: list[float] = []
-    for j in range(k + 1, n + 1):
-        plj = _checked_component(pl, j, scale)
-        prj = _checked_component(pr, j, scale)
-        gj = _checked_difference(table, j, plj, prj)
-        val = omega * c[j] - 1.0 / (gj * plj * prj)
-        if j == k + 1:
-            gk = _checked_difference(table, k, pl[k], pr[k])
-            schur = (omega * d[k] - complex(b_k).conjugate()) * (omega * d[k] - complex(b_k)) \
-                * pl[k] * gk * pr[k]
-            val -= schur
-        else:
-            gprev = _checked_difference(table, j - 1, pl[j - 1], pr[j - 1])
-            val -= 1.0 / (gprev * plj * prj)
-        a_out.append(val)
+    T = trailing_inverse_from(table, pr, pl, k, n)
+    b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], np.diagonal(T, 1))]
+    a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], np.diagonal(T))]
+    gk = _checked_difference(table, k, pl[k], pr[k])
+    b_k = complex(b_k)
+    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * pl[k] * gk * pr[k]
 
     reals = []
     for j, v in zip(range(k + 1, n + 1), a_out):

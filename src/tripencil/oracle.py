@@ -22,9 +22,9 @@ from .errors import DegreeDropError, GenerationFailedError, NearSingularError, V
 from .giep import GiepInstance, ReconstructionResult, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eigenvector_components, head_margins, kappa_sequence, pivot_sweep
-from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DENSE_RESIDUAL_RTOL, EIGENVALUE_GAP_TOL,
-                         ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
+from .recurrence import eigenvector_components, head_margins, pivot_sweep
+from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
+                         EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,16 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
 
     For a positive-definite J = L L^T they are the eigenvalues of the
     Hermitian L^-1 H L^-H, hence real; otherwise those of J^-1 H.  Raises
-    DegreeDropError where a leading minor of J vanishes (O(n) check).
+    DegreeDropError(t+1) where the order-(t+1) leading minor of J cancels:
+    the minors of J are the P_m of the pencil z*J - 0 at z = 1, so the check
+    is the pivot margin of that pencil (pivot_sweep), O(n), scale-invariant
+    and free of overflow.
     """
-    kappas = kappa_sequence(pencil)
-    if any(kappas.degraded):
-        raise DegreeDropError(kappas.degraded.index(True))
+    n = pencil.n
+    minors = Pencil(pencil.J, HermitianTridiagonal((0.0,) * (n + 1), (0j,) * n))
+    for t, margin in enumerate(pivot_sweep(minors, n + 1, 1.0).margins):
+        if margin <= DEGREE_DROP_RTOL:
+            raise DegreeDropError(t + 1)
     J, H = pencil.J.dense(), pencil.H.dense()
     try:
         L = np.linalg.cholesky(J)

@@ -110,36 +110,3 @@ class Pencil:
             SymmetricTridiagonal(self.J.c[:k + 1], self.J.d[:k]),
             HermitianTridiagonal(self.H.a[:k + 1], self.H.b[:k]),
         )
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Real-coefficient polynomial, coefficients in ascending degree order.
-
-    The zero polynomial is stored as the single coefficient (0.0,); otherwise
-    trailing zero coefficients are trimmed so the last entry is the leading
-    coefficient.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        cs = _finite_floats(self.coeffs, "coeffs")
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs = cs[:-1]
-        if not cs:
-            cs = (0.0,)
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0.0:
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for ck in reversed(self.coeffs):
-            acc = acc * z + ck
-        return acc

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleCollisionError, SpectrumCollisionError, VanishingComponentError
-from .pencil import Pencil, RealPolynomial
-from .tolerances import DEGREE_DROP_RTOL, POLE_RTOL, SPECTRUM_RTOL
+from .pencil import Pencil
+from .tolerances import POLE_RTOL, SPECTRUM_RTOL
 
 _TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P and Q outside this range
 _EPS = 2.0 ** -52  # pivot_sweep stands in this much of its terms for an exactly zero minor
@@ -87,71 +87,6 @@ def eval_p(pencil: Pencil, m: int, z: complex) -> complex:
 def eval_q(pencil: Pencil, m: int, z: complex) -> complex:
     """Q_m(z); for m = n+1 this is the minor of z*J - H without row/column 0."""
     return pq_sweep(pencil, m, z)[1][m]
-
-
-def _poly_pair(pencil: Pencil, m: int) -> tuple[RealPolynomial, RealPolynomial]:
-    c, d = pencil.J.c, pencil.J.d
-    a, b = pencil.H.a, pencil.H.b
-    P: list[np.ndarray] = [np.array([1.0])]
-    Q: list[np.ndarray] = [np.array([0.0])]
-    if m >= 1:
-        P.append(np.array([-a[0], c[0]]))
-        Q.append(np.array([1.0]))
-    for j in range(1, m):
-        u = np.array([-a[j], c[j]])
-        bj = b[j - 1]
-        dj = d[j - 1]
-        # (z d - b)(z d - conj(b)) = d^2 z^2 - 2 d Re(b) z + |b|^2
-        w = np.array([abs(bj) ** 2, -2.0 * dj * bj.real, dj * dj])
-        nxt_p = np.convolve(u, P[j])
-        nxt_q = np.convolve(u, Q[j])
-        wp = np.convolve(w, P[j - 1])
-        wq = np.convolve(w, Q[j - 1])
-        L = max(len(nxt_p), len(wp))
-        P.append(np.pad(nxt_p, (0, L - len(nxt_p))) - np.pad(wp, (0, L - len(wp))))
-        Lq = max(len(nxt_q), len(wq))
-        Q.append(np.pad(nxt_q, (0, Lq - len(nxt_q))) - np.pad(wq, (0, Lq - len(wq))))
-    return RealPolynomial(tuple(P[m])), RealPolynomial(tuple(Q[m]))
-
-
-def poly_p(pencil: Pencil, m: int) -> RealPolynomial:
-    """Coefficient vector of P_m, via the recurrence run in coefficient space."""
-    _check_index(pencil, m)
-    return _poly_pair(pencil, m)[0]
-
-
-def poly_q(pencil: Pencil, m: int) -> RealPolynomial:
-    """Coefficient vector of Q_m."""
-    _check_index(pencil, m)
-    return _poly_pair(pencil, m)[1]
-
-
-@dataclass(frozen=True)
-class KappaSequence:
-    """Leading coefficients kappa_0..kappa_{n+1} of the P_m and degree-drop flags.
-
-    degraded[m] is True when kappa_m vanishes, i.e. the degree condition
-    kappa_m / kappa_{m-1} != d_{m-1}^2 / c_m failed one step earlier and P_m
-    has degree below m.
-    """
-
-    values: tuple[float, ...]
-    degraded: tuple[bool, ...]
-
-
-def kappa_sequence(pencil: Pencil) -> KappaSequence:
-    c, d = pencil.J.c, pencil.J.d
-    kappas = [1.0, c[0]]
-    for m in range(1, pencil.n + 1):
-        kappas.append(c[m] * kappas[m] - d[m - 1] ** 2 * kappas[m - 1])
-    flags = []
-    for m, km in enumerate(kappas):
-        if m < 2:
-            scale = 1.0
-        else:
-            scale = abs(c[m - 1] * kappas[m - 1]) + abs(d[m - 2] ** 2 * kappas[m - 2])
-        flags.append(abs(km) <= DEGREE_DROP_RTOL * (1.0 + scale))
-    return KappaSequence(tuple(kappas), tuple(flags))
 
 
 @dataclass(frozen=True)

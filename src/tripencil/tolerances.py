@@ -8,7 +8,6 @@ Floors that only keep a division away from zero are not tolerances.
 # Recurrences and components (recurrence.py)
 POLE_RTOL = 1e-12           # |b_m - z d_m| this small against its terms: z is a component pole
 SPECTRUM_RTOL = 1e-10       # twisted margin below this: z is in the (sub-)pencil spectrum
-DEGREE_DROP_RTOL = 1e-13    # kappa_m cancelled to roundoff of its two terms: the degree drops
 
 # Eigenpair reconstruction (giep.py)
 DELTA_RTOL = 1e-10          # tails with ~1e-14 relative error smear a zero Delta_j to ~1e-11 of scale
@@ -23,6 +22,7 @@ DIFFERENCE_RTOL = 1e-12     # m-values (or w_t against its terms) this close are
 FACTOR_RTOL = 1e-5          # pivot margin below this: the unit LDU product loses > ~5e-10 (~25 eps/margin)
 
 # Dense oracle and verification (oracle.py)
+DEGREE_DROP_RTOL = 1e-13    # pivot margin of J (the pencil z*J - 0 at z = 1) this small: a leading minor cancels
 NEAR_SINGULAR_RTOL = 1e-12  # det(wJ - H) against the Hadamard bound: numerically singular
 DENSE_RESIDUAL_RTOL = 1e-10 # |A X - I| of the dense inverse, relative to |A| |X|
 ENTRY_TOL = 1e-7            # worst relative error of a recovered entry that verify accepts

@@ -145,7 +145,7 @@ class TestHeadComponents:
     def test_spectrum_collision(self, rng):
         truth, inst = make_case(rng, 3, 1)
         head_pencil = inst.head_pencil()
-        root = np.roots(tp.poly_p(head_pencil, 2).coeffs[::-1])[0]
+        root = tp.pencil_eigenvalues(head_pencil.head(1))[0]
         with pytest.raises(tp.SpectrumCollisionError):
             tp.head_components(inst, truth.H.b[1], inst.tail_p[1], z=float(root.real))
 
@@ -256,7 +256,7 @@ class TestSolve:
     def test_lambda_in_head_spectrum_raises(self, rng):
         truth, inst = make_case(rng, 3, 1)
         head = inst.head_pencil()
-        bad = float(np.roots(tp.poly_p(head, 2).coeffs[::-1])[0].real)
+        bad = float(tp.pencil_eigenvalues(head.head(1))[0].real)
         corrupted = tp.GiepInstance(
             J=inst.J, head_a=inst.head_a, head_b=inst.head_b,
             lam=bad, mu=inst.mu,
@@ -264,6 +264,19 @@ class TestSolve:
             tail_s=inst.tail_s, k=1)
         with pytest.raises(tp.SpectrumCollisionError):
             tp.solve(corrupted)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_lambda_in_head_spectrum_reports_its_order(self, order):
+        # n = 6, k = 3: lam on the spectrum of head(k-1), then of head(k), both found by one pivot pass
+        n, k = 6, 3
+        for seed in range(20):
+            truth = seeded_pencil(seed, n)
+            inst = tp.instance_from_truth(truth, k, *extreme_pair(truth))
+            bad = float(dense_spectrum(inst.head_pencil().head(order))[-1])
+            corrupted = dataclasses.replace(inst, lam=bad, tail_p=tuple(tp.right_components(truth, bad)[k:]))
+            with pytest.raises(tp.SpectrumCollisionError) as info:
+                tp.solve(corrupted)
+            assert info.value.order == order
 
     def test_scaling_invariance(self, rng):
         truth, inst = make_case(rng, 4, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil.mfunctions import trailing_inverse_from
 from tripencil.tolerances import DIFFERENCE_RTOL
 from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
 
@@ -186,10 +187,21 @@ class TestTrailingInverse:
                 if abs(i - j) > 1:
                     assert T[i, j] == 0
 
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_m_data_formula_matches_schur_complement(self, n):
+        # trailing_inverse_from (the m-route's formula) against trailing_inverse (the pivot)
+        pencil = seeded_pencil(n, n)
+        k = n // 2
+        omega = dense_spectrum(pencil)[-1] + 1.5
+        T = trailing_inverse_from(tp.m_table(pencil, omega), tp.right_components(pencil, omega),
+                                  tp.left_components(pencil, omega), k, n)
+        reference = tp.trailing_inverse(pencil, k, omega)
+        assert np.abs(T - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_corrupt_table_guard(self, rng):
         pencil = build_pencil(rng, 3)
-        table = tp.MFunctionTable(1.0, (0j, 0.5 + 0j, 0.5 + 0j, 0.9 + 0j, 1.1 + 0j))
-        from tripencil.mfunctions import trailing_inverse_from
+        values = (0j, 0.5 + 0j, 0.5 + 0j, 0.9 + 0j, 1.1 + 0j)
+        table = tp.MFunctionTable(1.0, values, tuple(np.diff(values)))
         ones = np.ones(4, dtype=complex)
         with pytest.raises(tp.DegenerateDifferenceError):
             trailing_inverse_from(table, ones, ones, 0, 3)
@@ -291,7 +303,7 @@ class TestReconstructFromM:
         omega = float(tp.pencil_eigenvalues(truth).real.max()) + 1.5
         table = tp.m_table(truth, omega)
         values = np.abs(table.values)
-        assert any(abs(table.difference(t)) < DIFFERENCE_RTOL * (1 + values[t] + values[t + 1])
+        assert any(abs(table.diffs[t]) < DIFFERENCE_RTOL * (1 + values[t] + values[t + 1])
                    for t in range(k + 1, n + 1))
         entries = self._route(truth, k, omega)
         errors = [rel_err(result.H.b[j], truth.H.b[j]) for j in range(k, n)]

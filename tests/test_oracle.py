@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil.tolerances import SPECTRUM_RTOL
 from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, max_normalized,
                      seeded_pencil)
 
@@ -31,9 +32,8 @@ class TestPencilEigenvalues:
         pencil = build_pencil(rng, 6)
         roots = tp.pencil_eigenvalues(pencil)
         assert len(roots) == 7
-        scale = sum(abs(x) for x in tp.poly_p(pencil, 7).coeffs)
         for r in roots:
-            assert abs(tp.eval_p(pencil, 7, r)) <= 1e-8 * scale
+            assert tp.eigenvalue_margin(pencil, r) < SPECTRUM_RTOL
 
     def test_pd_J_real_spectrum(self, rng):
         pencil = build_pencil(rng, 5)
@@ -66,11 +66,28 @@ class TestPencilEigenvalues:
             for value in x:
                 assert np.min(np.abs(ys - value)) <= 1e-9 * (1 + abs(value))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-15])
+    def test_scaled_J_is_no_degree_drop(self, scale):
+        # the leading minors of J scale like scale^m; the degree check reads their pivot margins
+        pencil = seeded_pencil(3, 6)
+        J = tp.SymmetricTridiagonal(tuple(scale * x for x in pencil.J.c), tuple(scale * x for x in pencil.J.d))
+        mine = tp.pencil_eigenvalues(tp.Pencil(J, pencil.H)).real
+        reference = dense_spectrum(pencil) / scale
+        assert np.abs(mine - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_order_800_is_no_degree_drop(self):
+        # the leading minors of J overflow before order 800; their pivots do not
+        pencil = seeded_pencil(800, 800)
+        mine = tp.pencil_eigenvalues(pencil).real
+        reference = dense_spectrum(pencil)
+        assert np.abs(mine - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_degree_drop_raises(self):
         pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 0.25, 1.0), (0.5, 0.5)),
                            tp.HermitianTridiagonal((0.0, 0.0, 0.0), (1j, 1j)))
-        with pytest.raises(tp.DegreeDropError):
+        with pytest.raises(tp.DegreeDropError) as info:
             tp.pencil_eigenvalues(pencil)
+        assert info.value.index == 2
 
 
 class TestDenseResolvent:

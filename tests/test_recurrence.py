@@ -1,4 +1,4 @@
-"""Recurrence-level tests: minors, coefficient polynomials, convergents (via m_function)."""
+"""Recurrence-level tests: minors, convergents (via m_function), the pivot pass and its spectrum margins."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tripencil as tp
 from tripencil import recurrence
-from tripencil.tolerances import SPECTRUM_RTOL
+from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
 from support import build_pencil, dense_spectrum, hand_pencil, seeded_pencil
 
 
@@ -50,39 +50,6 @@ def test_index_out_of_range(rng):
         tp.eval_q(pencil, -1, 0.0)
 
 
-def test_poly_initial_coefficients(rng):
-    pencil = build_pencil(rng, 3)
-    assert tp.poly_p(pencil, 0).coeffs == (1.0,)
-    assert tp.poly_q(pencil, 0).coeffs == (0.0,)
-
-
-def test_poly_hand_expansion():
-    assert tp.poly_p(hand_pencil(), 2).coeffs == (-1.0,)
-
-
-def test_poly_roots_match_dense_eigenvalues(rng):
-    from support import dense_eigenpairs
-    pencil = build_pencil(rng, 3)
-    roots = np.sort_complex(np.roots(tp.poly_p(pencil, 4).coeffs[::-1]))
-    w, _ = dense_eigenpairs(pencil)
-    assert np.abs(np.sort_complex(w) - roots).max() < 1e-8
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
-def test_poly_point_agreement(seed, n):
-    pencil = seeded_pencil(seed, n)
-    z_rng = np.random.default_rng(seed + 1)
-    z = complex(z_rng.uniform(-2, 2), z_rng.uniform(-2, 2))
-    for m in range(n + 2):
-        via_poly = tp.poly_p(pencil, m)(z)
-        via_rec = tp.eval_p(pencil, m, z)
-        assert abs(via_poly - via_rec) <= 1e-10 * (1 + abs(via_rec))
-        via_poly_q = tp.poly_q(pencil, m)(z)
-        via_rec_q = tp.eval_q(pencil, m, z)
-        assert abs(via_poly_q - via_rec_q) <= 1e-10 * (1 + abs(via_rec_q))
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
 def test_real_z_gives_real_values(seed, n):
@@ -102,29 +69,6 @@ def test_determinant_identity_random(seed, n):
     assert abs(tp.eval_p(pencil, n + 1, z) - dense) <= 1e-9 * (1 + abs(dense))
 
 
-class TestKappa:
-    def test_direct_recursion(self):
-        pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0, 1.0), (0.5, 0.5)),
-                           tp.HermitianTridiagonal((0.0, 0.0, 0.0), (1j, 1j)))
-        seq = tp.kappa_sequence(pencil)
-        assert seq.values[:3] == (1.0, 1.0, 0.75)
-        assert not any(seq.degraded)
-
-    def test_constructed_degeneracy_flag(self):
-        # c_1 kappa_1 = d_0^2 kappa_0  =>  kappa_2 = 0
-        pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 0.25, 1.0), (0.5, 0.5)),
-                           tp.HermitianTridiagonal((0.0, 0.0, 0.0), (1j, 1j)))
-        seq = tp.kappa_sequence(pencil)
-        assert seq.degraded[2]
-
-    def test_leading_coefficient_agreement(self, rng):
-        pencil = build_pencil(rng, 4)
-        seq = tp.kappa_sequence(pencil)
-        poly = tp.poly_p(pencil, 5)
-        assert poly.degree == 5
-        assert abs(seq.values[5] - poly.coeffs[-1]) <= 1e-10 * abs(poly.coeffs[-1])
-
-
 class TestConvergent:
     """The depth-m convergent Q_m/P_m is the m-function m(z, m)."""
 
@@ -138,7 +82,7 @@ class TestConvergent:
 
     def test_rejects_spectrum_point(self, rng):
         pencil = build_pencil(rng, 2)
-        root = np.roots(tp.poly_p(pencil, 3).coeffs[::-1])[0]
+        root = tp.pencil_eigenvalues(pencil.head(2))[0]
         with pytest.raises(tp.SpectrumCollisionError):
             tp.m_function(pencil, 3, complex(root))
 
@@ -175,6 +119,22 @@ class TestLiouvilleOstrogradsky:
             for zr, zi in zs for m in range(6)
         )
         assert worst < 1e-9
+
+
+class TestKappa:
+    """kappa_m, the leading coefficient of P_m, is the order-m leading minor of J."""
+
+    def test_constructed_degeneracy_flag(self):
+        # c_0 c_1 = d_0^2  =>  kappa_2 = 0: the pivot of z*J - 0 at z = 1 cancels at order 2 only
+        J = tp.SymmetricTridiagonal((1.0, 0.25, 1.0), (0.5, 0.5))
+        minors = tp.Pencil(J, tp.HermitianTridiagonal((0.0, 0.0, 0.0), (0j, 0j)))
+        margins = recurrence.pivot_sweep(minors, 3, 1.0).margins
+        assert margins[1] <= DEGREE_DROP_RTOL
+        assert margins[0] > DEGREE_DROP_RTOL and margins[2] > DEGREE_DROP_RTOL
+        pencil = tp.Pencil(J, tp.HermitianTridiagonal((0.0, 0.0, 0.0), (1j, 1j)))
+        with pytest.raises(tp.DegreeDropError) as info:
+            tp.pencil_eigenvalues(pencil)
+        assert info.value.index == 2
 
 
 @pytest.mark.parametrize("n", [40, 160])
