@@ -2,12 +2,13 @@
 """Alternating parent/change pairs of perfbench/run.py, gathered into BENCH_<label>.json.
 
     python scripts/bench_pairs.py --parent ../parent --change . --label twisted_oracle \\
-        --what "one line on the change" --workloads roundtrip --seed 1
+        --what "one line on the change" --workloads direct direct:7 roundtrip --seed 1
 
 --parent and --change are two checkouts (say, a `git archive` of the parent
 commit and the working tree); each runs its own unchanged perfbench/run.py
-for the run_seconds of the change's BENCHMARK.json.  There are ten pairs per
-workload; in pair i both sides run one after the other, the side that runs first
+for the run_seconds of the change's BENCHMARK.json.  A workload written
+name:seed runs with that seed instead of --seed, under its own key.  There
+are ten pairs per workload; in pair i both sides run one after the other, the side that runs first
 alternating from pair to pair, so a drift of host speed loads both alike.
 The last output line of every run (its JSON result) is kept, entry i of each
 list being pair i, in the layout of BENCH_pivot_kernel.json.  Also prints,
@@ -33,6 +34,12 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
                          cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
     env = next((line[len("env "):] for line in out if line.startswith("env ")), "{}")
     return out[-1], env
+
+
+def workload_seed(spec: str, default: int) -> tuple[str, int]:
+    """The workload and seed of a --workloads entry, name or name:seed."""
+    name, _, seed = spec.partition(":")
+    return name, int(seed) if seed else default
 
 
 def host(env_line: str) -> str:
@@ -101,7 +108,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--what", required=True, help="one line on what the change does")
-    parser.add_argument("--workloads", nargs="+", default=["direct", "sweep", "roundtrip"])
+    parser.add_argument("--workloads", nargs="+", default=["direct", "sweep", "roundtrip"],
+                        help="workload names, each optionally as name:seed")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -109,15 +117,18 @@ def main(argv=None) -> int:
 
     lines = {side: {w: [] for w in args.workloads} for side in SIDES}
     env = "{}"
-    for workload in args.workloads:
+    for spec in args.workloads:
+        workload, seed = workload_seed(spec, args.seed)
         for i in range(PAIRS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                line, env = run_side(getattr(args, side), workload, args.seed, seconds)
-                lines[side][workload].append(line)
-                print(f"{workload} pair {i + 1}/{PAIRS} {side}: {line}", file=sys.stderr)
+                line, env = run_side(getattr(args, side), workload, seed, seconds)
+                lines[side][spec].append(line)
+                print(f"{spec} pair {i + 1}/{PAIRS} {side}: {line}", file=sys.stderr)
 
     command = (f"python3 perfbench/run.py --workload {{{','.join(args.workloads)}}} "
                f"--seed {args.seed} --seconds {seconds:g}")
+    if any(":" in spec for spec in args.workloads):
+        command += " (a workload written name:seed runs with that seed)"
     doc = merge(args.label, args.what, command, host(env), lines)
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")

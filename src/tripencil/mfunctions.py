@@ -26,11 +26,12 @@ diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil, m_function(j) on
 that of rows 0..j-1, resolvent_matrix on that of the full pencil
-(recurrence.check_spectrum).  Next to a sub-pencil eigenvalue the m-values,
-the Schur pivot and the resolvent stay within a small multiple of their own
-conditioning (against dense inversion), so a small pivot elsewhere costs
-them no accuracy.  The product of the unit factors does not, and
-ldu_factors also raises at a pivot margin below FACTOR_RTOL.
+(recurrence.check_spectrum; resolvent_matrix applies its test to the
+twisted pivots it reads for its diagonal).  Next to a sub-pencil eigenvalue
+the m-values, the Schur pivot and the resolvent stay within a small
+multiple of their own conditioning (against dense inversion), so a small
+pivot elsewhere costs them no accuracy.  The product of the unit factors
+does not, and ldu_factors also raises at a pivot margin below FACTOR_RTOL.
 
 The inverse of a trailing block of R is tridiagonal: the trailing block of
 w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
@@ -49,7 +50,7 @@ from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCo
                      VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
 from .recurrence import check_spectrum, pivot_sweep, twisted_pivots, unit_factors
-from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL
+from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,23 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """Dense inverse of (w*J - H) from the forward and the twisted pivots.
 
-    The diagonal is R[t, t] = 1/gamma_t (twisted_pivots); off it
-    R[i, j] = F[i, j] R[j, j] above the diagonal and G[i, j] R[i, i] below
-    it, with F, G the unit factors of ldu_factors.  Both pivot passes are
-    exact for coefficients perturbed by a few ulps, so small pivots on the
-    way cost no accuracy beyond the conditioning of w*J - H; only a point on
-    the spectrum of the full pencil raises SpectrumCollisionError(n).
+    The diagonal is R[t, t] = 1/gamma_t from one twisted_pivots pass, whose
+    margin min |gamma_t|/(its terms) is also the spectrum test of
+    head_margins(·, n): below SPECTRUM_RTOL, w is on the spectrum of the
+    full pencil and SpectrumCollisionError(n) is raised.  Off the diagonal
+    R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
+    G the unit factors of ldu_factors; the diagonal is folded into the pass
+    that forms each factor (unit_factors with a scale), so R is their sum.
+    Both pivot passes are exact for coefficients perturbed by a few ulps, so
+    small pivots on the way cost no accuracy beyond the conditioning of
+    w*J - H.
     """
-    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega), pencil.n)
-    diag = 1.0 / twisted_pivots(pencil, sweep)[0]
-    F, G = unit_factors(pencil, sweep)
-    F *= diag[None, :]
-    G *= diag[:, None]
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    gamma, terms, _ = twisted_pivots(pencil, sweep)
+    if np.min(np.abs(gamma) / terms) < SPECTRUM_RTOL:
+        raise SpectrumCollisionError(pencil.n, sweep.z)
+    diag = 1.0 / gamma
+    F, G = unit_factors(pencil, sweep, diag)
     F += G
     np.fill_diagonal(F, diag)
     return F
@@ -143,7 +149,7 @@ class ResolventFactors:
     G: np.ndarray
 
     def product(self) -> np.ndarray:
-        return self.F @ np.diag(np.asarray(self.diag, dtype=complex)) @ self.G
+        return (self.F * np.asarray(self.diag, dtype=complex)) @ self.G
 
 
 def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
@@ -224,7 +230,11 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     z = sweep.z
     c, d = np.asarray(pencil.J.c[k + 1:]), np.asarray(pencil.J.d[k + 1:])
     a, b = np.asarray(pencil.H.a[k + 1:]), np.asarray(pencil.H.b[k + 1:], dtype=complex)
-    out = np.diag(z * c - a) + np.diag(z * d - b, 1) + np.diag(z * d - b.conj(), -1)
+    size = pencil.n - k
+    out = np.zeros((size, size), dtype=complex)
+    out.flat[::size + 1] = z * c - a
+    out.flat[1::size + 1] = z * d - b
+    out.flat[size::size + 1] = z * d - b.conj()
     out[0, 0] = sweep.pivots[k + 1]
     return out
 

@@ -48,6 +48,7 @@ from .tolerances import POLE_RTOL, SPECTRUM_RTOL
 
 _TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P and Q outside this range
 _EPS = 2.0 ** -52  # pivot_sweep stands in this much of its terms for an exactly zero minor
+_LIFT = 2.0 ** 64  # _unit_upper's row factor 2^64/M_i, M_i in [2^-64, 2^63), lies in (2, 2^128]
 
 
 def _check_index(pencil: Pencil, m: int) -> None:
@@ -159,14 +160,17 @@ def _pivot_pass(c, d, a, b, upto: int, z: complex) -> PivotSweep:
     return PivotSweep(z, tuple(pivots), tuple(margins), tuple(values), tuple(weights))
 
 
-def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+def unit_factors(pencil: Pencil, sweep: PivotSweep,
+                 scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U, D = diag(pivots).
 
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
     (unit lower triangular); sweep must hold the pivots of the full order.
-    Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
-    vanishes, as the component sweeps do.
+    With a scale, F * diag(scale) and diag(scale) * G come back instead, the
+    scale folded into the one pass that forms each factor; their diagonals
+    are exactly the scale.  Raises PoleCollisionError(s) where b_s - z d_s or
+    conj(b_s) - z d_s vanishes, as the component sweeps do.
     """
     z = sweep.z
     right, left = [], []
@@ -176,30 +180,48 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
             raise PoleCollisionError(s)
         right.append((bs - zd) / sweep.pivots[s])
         left.append((bs.conjugate() - zd) / sweep.pivots[s])
-    return _unit_upper(right), _unit_upper(left).T
+    return _unit_upper(right, scale), _unit_upper(left, scale).T
 
 
-def _unit_upper(steps: list[complex]) -> np.ndarray:
-    """S[i, t] = steps[i] * ... * steps[t-1] for i <= t, zero below the diagonal.
+def _unit_upper(steps: list[complex], scale: np.ndarray | None = None) -> np.ndarray:
+    """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
-    The prefix products C_t are carried as mantissa * 2^exponent, so
-    S[i, t] = C_t/C_i is formed from two mantissas and an exponent
-    difference, with no intermediate overflow or underflow.
+    No scale means ones.  The prefix products C_t are carried as
+    mantissa * 2^exponent, and the exponent changes only where the mantissa
+    is rescaled, so the indices fall into runs of one exponent (a dozen at
+    n = 640).  Each run of rows i is one outer product of 2^64/M_i with the
+    column mantissas M_t scale[t] shifted by 2^(E_t - E_run - 64): S[i, t] =
+    C_t/C_i with no n^2 exponent matrix, and only the diagonal block of the
+    run needs zeroing below its diagonal.  The mantissas lie in
+    [2^-64, 2^63), so the row factor lies in (2, 2^128] and the column
+    factor never outgrows its entry: every entry below the overflow
+    threshold comes back finite, and every entry above 2^-894 (~1e-269)
+    with full relative accuracy.
     """
-    mant, expo = [1 + 0j], [0]
+    mant, expo, runs = [1 + 0j], [0], [0]
     m, e = 1 + 0j, 0
-    for q in steps:
+    for t, q in enumerate(steps, start=1):
         m *= q
         k = math.frexp(abs(m))[1]
         if not -64 < k < 64:
             m, e = m * math.ldexp(1.0, -k), e + k
+            runs.append(t)
         mant.append(m)
         expo.append(e)
-    M, E = np.asarray(mant), np.asarray(expo)
-    S = np.triu(np.multiply.outer(1.0 / M, M))
-    if E.any():
-        S *= np.ldexp(1.0, np.triu(E[None, :] - E[:, None]))
-    np.fill_diagonal(S, 1.0)
+    M = np.asarray(mant)
+    # ldexp on the (real, imaginary) rows of the column mantissas shifts them exactly
+    cols = (M if scale is None else M * scale).view(float).reshape(-1, 2)
+    shifts = np.asarray(expo)[:, None] - 64
+    size = len(mant)
+    bounds = list(zip(runs, runs[1:] + [size]))
+    index = np.arange(max(hi - lo for lo, hi in bounds))
+    below = index[:, None] > index  # the part of a diagonal block to zero
+    S = np.zeros((size, size), dtype=complex)
+    for lo, hi in bounds:
+        shifted = np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0]
+        np.multiply.outer(_LIFT / M[lo:hi], shifted, out=S[lo:hi, lo:])
+        np.copyto(S[lo:hi, lo:hi], 0, where=below[:hi - lo, :hi - lo])
+    np.fill_diagonal(S, 1.0 if scale is None else scale)
     return S
 
 

@@ -259,6 +259,26 @@ def test_sub_pencil_eigenvalues_are_accurate_or_raise(seed):
                                 1e-9 + 50 * cond * eps)
 
 
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_full_pencil_eigenvalues_raise_with_the_full_order(seed):
+    """resolvent_matrix's one twisted pass flags every eigenvalue, as ldu_factors and trailing_inverse do."""
+    pencil = seeded_pencil(seed, 12 + seed % 7)
+    n = pencil.n
+    for lam in dense_spectrum(pencil):
+        for op in (tp.resolvent_matrix, tp.ldu_factors, lambda p, z: tp.trailing_inverse(p, n // 2, z)):
+            with pytest.raises(tp.SpectrumCollisionError) as info:
+                op(pencil, lam)
+            assert info.value.order == n
+
+
+@pytest.mark.parametrize("n", [40, 160, 640])
+def test_resolvent_is_exactly_hermitian_at_real_points(n):
+    pencil = seeded_pencil(n, n)
+    for omega in far_points(pencil)[:2]:
+        R = tp.resolvent_matrix(pencil, omega)
+        assert np.array_equal(R, R.conj().T)
+
+
 class TestReconstructFromM:
     def _route(self, pencil, k, omega):
         table = tp.m_table(pencil, omega)

@@ -1,5 +1,6 @@
 """Recurrence-level tests: minors, convergents (via m_function), the pivot pass and its spectrum margins."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,50 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         alone = [tp.spectrum_margin(pencil, m, z) for m in range(1, pencil.n + 2)]
         assert np.allclose(together, alone, rtol=1e-10, atol=0)
         assert np.array_equal(recurrence.head_margins(pencil, sweep, 27), together[27:])
+
+
+def _rise_and_fall(rng, N):
+    """N steps at random phases whose prefix products climb about 2^1400 and come back down."""
+    climb = 2800.0 / N  # mean log2 size of a step
+    log2 = np.concatenate([rng.uniform(0.5, 1.5, N // 2), -rng.uniform(0.5, 1.5, N - N // 2)]) * climb
+    return np.exp2(log2) * np.exp(1j * rng.uniform(-np.pi, np.pi, N))
+
+
+def _exact_ratios(steps, scale):
+    """C_t/C_i * scale[t] as an O(1) mantissa times 2^E[i, t], from prefix products C_t in mpmath.
+
+    Only the rounding of the mantissas to doubles and their quotient, a few
+    eps, separates it from the exact ratio.
+    """
+    with mpmath.workprec(200):
+        prefix = [mpmath.mpc(1)]
+        for q in steps:
+            prefix.append(prefix[-1] * mpmath.mpc(q.real, q.imag))
+        expo = np.array([int(mpmath.frexp(abs(c))[1]) for c in prefix])
+        mant = np.array([complex(c * mpmath.mpf(2) ** -int(e)) for c, e in zip(prefix, expo)])
+    return np.multiply.outer(1.0 / mant, mant * scale), expo[None, :] - expo[:, None]
+
+
+@pytest.mark.parametrize("N, scaled", [(60, False), (300, False), (300, True)])
+def test_unit_upper_matches_mpmath_across_the_double_range(N, scaled):
+    """The blocked assembly: accurate over the mid range, finite up to 1e300, tiny below 1e-320."""
+    rng = np.random.default_rng(N + scaled)
+    steps = _rise_and_fall(rng, N)
+    scale = np.exp2(rng.uniform(-10, 10, N + 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi, N + 1))
+    base, E = _exact_ratios(steps, scale if scaled else 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past 2^1024 overflow, as they must
+        S = recurrence._unit_upper(list(steps), scale if scaled else None)
+        back = np.ldexp(S.real, -E) + 1j * np.ldexp(S.imag, -E)  # S[i, t] / 2^E[i, t]
+    assert E.max() > 1100  # the prefix products span more than 2^1100
+    upper = np.triu(np.ones(S.shape, dtype=bool), 1)
+    log10 = np.log10(np.abs(base)) + E * np.log10(2.0)
+    assert np.all(S[~upper & ~np.eye(N + 1, dtype=bool)] == 0)
+    assert np.array_equal(np.diagonal(S), scale if scaled else np.ones(N + 1))
+
+    mid = upper & (np.abs(log10) <= 250)
+    assert mid.sum() > N
+    assert np.max(np.abs(back[mid] - base[mid]) / np.abs(base[mid])) <= 4 * N * np.finfo(float).eps
+    assert np.isfinite(S[upper & (log10 < 300)]).all()
+    low = upper & (log10 < -320)
+    assert low.sum() >= 10
+    assert np.abs(S[low]).max() <= 1e-280

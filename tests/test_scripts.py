@@ -46,3 +46,9 @@ def test_bench_pairs_merges_result_lines():
     lines["change"]["roundtrip"].pop()
     with pytest.raises(ValueError):
         bench.merge("demo", "", "", "", lines)
+
+
+def test_bench_pairs_reads_a_seed_per_workload():
+    bench = load_script("bench_pairs")
+    assert bench.workload_seed("direct", 1) == ("direct", 1)
+    assert bench.workload_seed("direct:7", 1) == ("direct", 7)
