@@ -25,7 +25,6 @@ from .giep import (
     pair_systems,
     positivity_witness,
     reconstruct_a,
-    reconstruct_b,
     solve,
     trace_identity_residuals,
 )
@@ -55,12 +54,10 @@ from .recurrence import (
     eigenvector_components,
     eval_p,
     eval_q,
-    in_spectrum,
     left_components,
     liouville_ostrogradsky_residual,
     right_components,
     right_components_with_derivative,
-    spectrum_margin,
 )
 
 __version__ = "0.1.0"

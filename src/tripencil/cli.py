@@ -5,13 +5,15 @@ from an instance file), mfun (m-function table, factorization, trailing
 inverse, optional reconstruction), generate (seeded truth/instance pair),
 verify (reconstruction against truth).
 
-Exit codes: 0 success, 1 I/O or schema error, 2 mathematical precondition
-failure, 3 verification failed.
+Exit codes: 0 success, 1 I/O or schema error, or a value that double
+precision cannot hold, 2 mathematical precondition failure, 3 verification
+failed.  No subcommand writes NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -38,10 +40,19 @@ def _parse_point(text: str) -> complex:
 
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
         return
     for key, val in doc.items():
         print(f"{key}: {val}")
+
+
+def _check_finite(**sequences) -> None:
+    """Raise ValueError at the first entry, in argument order, that is not finite."""
+    for name, values in sequences.items():
+        for i, v in enumerate(values):
+            if not cmath.isfinite(v):
+                raise ValueError(f"{name}[{i}] = {v} is not finite: "
+                                 "the unscaled recurrence leaves the double range at this point")
 
 
 def _cmd_direct(args) -> int:
@@ -55,6 +66,9 @@ def _cmd_direct(args) -> int:
         z = _parse_point(args.at)
         P, Q = pq_sweep(pencil, n + 1, z)
         table = mfunctions.m_table(pencil, z)
+        pr = right_components(pencil, z)
+        pl = left_components(pencil, z)
+        _check_finite(P=P, Q=Q, right_components=pr, left_components=pl)
         out["z"] = [z.real, z.imag]
         if args.all:
             out["P"] = [[v.real, v.imag] for v in P]
@@ -64,8 +78,6 @@ def _cmd_direct(args) -> int:
             out["P"] = [P[n + 1].real, P[n + 1].imag]
             out["Q"] = [Q[n + 1].real, Q[n + 1].imag]
         out["S"] = [table.top.real, table.top.imag]
-        pr = right_components(pencil, z)
-        pl = left_components(pencil, z)
         out["right_components"] = [[v.real, v.imag] for v in pr]
         out["left_components"] = [[v.real, v.imag] for v in pl]
     _emit(out, args.json)

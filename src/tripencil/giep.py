@@ -34,14 +34,14 @@ from .errors import (
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
 from .recurrence import (
     check_spectrum,
-    in_spectrum,
+    eigenvalue_margin,
     left_components,
     pivot_sweep,
     right_components,
     right_components_with_derivative,
 )
 from .tolerances import (COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL,
-                         WITNESS_IMAG_RTOL)
+                         SPECTRUM_RTOL, WITNESS_IMAG_RTOL)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class GiepInstance:
     """Problem data: J, the head of H, two eigenvalues and eigenvector tails.
 
     tail_p holds p_k^R(lam)..p_n^R(lam), tail_s the analogous values at mu.
-    The optional poles field is diagnostic only; reconstruction never reads it.
     """
 
     J: SymmetricTridiagonal
@@ -60,7 +59,6 @@ class GiepInstance:
     tail_p: tuple[complex, ...]
     tail_s: tuple[complex, ...]
     k: int
-    poles: tuple[complex, ...] | None = None
 
     def __post_init__(self):
         n = self.J.n
@@ -72,10 +70,6 @@ class GiepInstance:
         object.__setattr__(self, "tail_s", _finite_complexes(self.tail_s, "tail_s"))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", float(self.mu))
-        if self.poles is not None:
-            object.__setattr__(self, "poles", _finite_complexes(self.poles, "poles"))
-            if len(self.poles) != n - self.k:
-                raise ValueError("poles must cover indices k..n-1")
         if self.lam == self.mu:
             raise ValueError("the two eigenvalues must be distinct")
         if len(self.head_a) != self.k + 1:
@@ -252,20 +246,6 @@ def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
     )
 
 
-def reconstruct_b(instance: GiepInstance,
-                  components_lambda: Sequence[complex],
-                  components_mu: Sequence[complex]) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Solve the per-index 2x2 systems for b_k..b_{n-1}.
-
-    components_lambda / components_mu hold the right components p_k..p_n at
-    lam and s_k..s_n at mu (any common rescaling of either sequence leaves
-    the solution unchanged).  Returns the recovered entries together with
-    the determinants Delta_k..Delta_{n-1}.
-    """
-    systems = pair_systems(instance, components_lambda, components_mu)
-    return tuple(system.solve()[0] for system in systems), tuple(system.det for system in systems)
-
-
 def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
                   components_lambda: Sequence[complex]) -> tuple[float, ...]:
     """Recover the real diagonal entries a_{k+1}..a_n from the lam-eigenpair.
@@ -369,8 +349,10 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     n = pencil.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
-    if not in_spectrum(pencil, n + 1, mu):
-        raise ValueError("mu must be an eigenvalue of the full pencil")
+    margin = eigenvalue_margin(pencil, mu)
+    if not margin < SPECTRUM_RTOL:
+        raise ValueError(f"mu = {mu!r} must be an eigenvalue of the full pencil: its twisted margin "
+                         f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")
     d_k = pencil.J.d[k]
     b_k = pencil.H.b[k]
     s, ds = right_components_with_derivative(pencil, mu)

@@ -109,9 +109,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """Dense inverse of (w*J - H) from the forward and the twisted pivots.
 
     The diagonal is R[t, t] = 1/gamma_t from one twisted_pivots pass, whose
-    margin min |gamma_t|/(its terms) is also the spectrum test of
-    head_margins(·, n): below SPECTRUM_RTOL, w is on the spectrum of the
-    full pencil and SpectrumCollisionError(n) is raised.  Off the diagonal
+    margin is also the spectrum test of head_margins(·, n): below
+    SPECTRUM_RTOL, w is on the spectrum of the full pencil and
+    SpectrumCollisionError(n) is raised.  Off the diagonal
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors; the diagonal is folded into the pass
     that forms each factor (unit_factors with a scale), so R is their sum.
@@ -120,8 +120,8 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     w*J - H.
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    gamma, terms, _ = twisted_pivots(pencil, sweep)
-    if np.min(np.abs(gamma) / terms) < SPECTRUM_RTOL:
+    gamma, margin, _ = twisted_pivots(pencil, sweep)
+    if margin < SPECTRUM_RTOL:
         raise SpectrumCollisionError(pencil.n, sweep.z)
     diag = 1.0 / gamma
     F, G = unit_factors(pencil, sweep, diag)

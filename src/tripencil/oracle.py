@@ -127,7 +127,6 @@ def instance_from_truth(truth: Pencil, k: int, lam: float, mu: float) -> GiepIns
         tail_p=tuple(p[k:]),
         tail_s=tuple(s[k:]),
         k=k,
-        poles=tuple(truth.H.b[j] / truth.J.d[j] for j in range(k, truth.n)),
     )
 
 

@@ -31,8 +31,9 @@ the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the same with
 conj(b_t); unit_factors turns them into the inverses of the unit factors of
 z*J - H = L D U.  Joined with the pivots taken from the bottom up they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
-their margins (head_margins) are the spectrum guard: spectrum_margin,
-in_spectrum, check_spectrum.
+their margin min_r |gamma_r|/(its terms) is the spectrum guard: head_margins
+for the leading sub-pencils, check_spectrum to raise on it and
+eigenvalue_margin for the full pencil.
 """
 
 from __future__ import annotations
@@ -225,15 +226,17 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None) -> np.nda
     return S
 
 
-def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), its terms and D-_r.
+def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
+    """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), their margin and D-_r.
 
     gamma_r = u_r - x_r - y_r joins the forward term x_r = u_r - D_r =
     w_{r-1}/D_{r-1} with the backward term y_r of the pivots taken from row
     N-1 up, as in a twisted factorization.  Both pivot passes, and so each
     gamma_r, are exact for coefficients perturbed by a few ulps, however
-    small the pivots on the way.  The terms are |z c_r| + |a_r| + |x_r| + |y_r|;
-    the backward pivots D-_r = u_r - y_r are returned as well.
+    small the pivots on the way.  The margin is
+    min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|): 0 at an eigenvalue
+    of the order-(N-1) leading sub-pencil, whichever row its eigenvector
+    lives on.  The backward pivots D-_r = u_r - y_r are returned as well.
     """
     N = len(sweep.pivots)
     z = sweep.z
@@ -244,7 +247,9 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.nd
     # the pivots depend on b only through the weights, so reading the rows upwards needs no conjugation
     backward = np.asarray(_pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], N, z).pivots)[::-1]
     y = u - backward
-    return u - x - y, np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y), backward
+    gamma = u - x - y
+    terms = np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y)
+    return gamma, float(np.min(np.abs(gamma) / terms)), backward
 
 
 def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:
@@ -261,8 +266,7 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
     if not 0 <= first < N:
         raise ValueError(f"first order {first} out of range 0..{N - 1}")
     if first == N - 1:
-        gamma, terms, _ = twisted_pivots(pencil, sweep)
-        return np.array([np.min(np.abs(gamma) / terms)])
+        return np.array([twisted_pivots(pencil, sweep)[1]])
     z = sweep.z
     zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
     u = zc - av
@@ -293,29 +297,15 @@ def check_spectrum(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> PivotSw
     return sweep
 
 
-def spectrum_margin(pencil: Pencil, m: int, z: complex) -> float:
-    """Twisted margin at z of the order-(m-1) leading sub-pencil (rows 0..m-1); 1.0 for m = 0.
-
-    Small when z is near its spectrum, i.e. near a root of P_m (head_margins).
-    """
-    _check_index(pencil, m)
-    if m == 0:
-        return 1.0
-    return float(head_margins(pencil, pivot_sweep(pencil, m, z), m - 1)[0])
-
-
-def in_spectrum(pencil: Pencil, m: int, z: complex) -> bool:
-    """Whether z lies in the spectrum of the order-(m-1) leading sub-pencil (rows 0..m-1)."""
-    return spectrum_margin(pencil, m, z) < SPECTRUM_RTOL
-
-
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
-    """How close z is to an eigenvalue of the full pencil, relative to the terms (0 at one).
+    """How close z is to an eigenvalue of the pencil, relative to the terms (0 at one).
 
-    spectrum_margin of the full order: unlike the last pivot alone it is
-    small at every eigenvalue, whichever index its eigenvector lives on.
+    The twisted margin of the full order (twisted_pivots): unlike the last
+    pivot alone it is small at every eigenvalue, whichever index its
+    eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
+    the leading sub-pencil over rows 0..m.
     """
-    return spectrum_margin(pencil, pencil.n + 1, z)
+    return twisted_pivots(pencil, pivot_sweep(pencil, pencil.n + 1, z))[1]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:

@@ -79,7 +79,7 @@ def decode_pencil(doc: Any) -> Pencil:
 
 
 def encode_instance(inst: GiepInstance) -> dict:
-    doc = {
+    return {
         "n": inst.n,
         "k": inst.k,
         "c": list(inst.J.c),
@@ -91,12 +91,10 @@ def encode_instance(inst: GiepInstance) -> dict:
         "tail_p": _cplx_list(inst.tail_p),
         "tail_s": _cplx_list(inst.tail_s),
     }
-    if inst.poles is not None:
-        doc["poles"] = _cplx_list(inst.poles)
-    return doc
 
 
 def decode_instance(doc: Any) -> GiepInstance:
+    """The instance a document holds; other keys, such as the diagnostic poles of older files, are not read."""
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
     n = _require(doc, "n")
@@ -119,7 +117,6 @@ def decode_instance(doc: Any) -> GiepInstance:
             tail_p=_parse_cplx_list(_require(doc, "tail_p"), "tail_p"),
             tail_s=_parse_cplx_list(_require(doc, "tail_s"), "tail_s"),
             k=k,
-            poles=_parse_cplx_list(doc["poles"], "poles") if "poles" in doc else None,
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

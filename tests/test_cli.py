@@ -7,7 +7,7 @@ import pytest
 import tripencil as tp
 from tripencil import serialize
 from tripencil.cli import main
-from support import build_pencil, extreme_pair
+from support import build_pencil, dense_spectrum, extreme_pair, seeded_pencil
 
 
 @pytest.fixture
@@ -63,6 +63,17 @@ def test_direct_at_sub_pencil_root_exits_2(workdir, capsys, c, a, d, b, point, e
     write_pencil(workdir / "p.json", pencil)
     assert main(["direct", str(workdir / "p.json"), "--at", point, *extra]) == 2
     assert "spectrum" in capsys.readouterr().err
+
+
+def test_direct_at_overflowing_point_exits_1_without_nan(workdir, capsys):
+    # the unscaled P/Q recurrence overflows at n = 640 above the spectrum
+    pencil = seeded_pencil(3, 640)
+    write_pencil(workdir / "p.json", pencil)
+    point = repr(float(dense_spectrum(pencil)[-1]) + 1.5)
+    assert main(["direct", str(workdir / "p.json"), "--at", point, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert "P[" in captured.err and "not finite" in captured.err
 
 
 def test_direct_spectrum(workdir, capsys, rng):
@@ -133,6 +144,16 @@ class TestSerializationRoundTrip:
         lam, mu = extreme_pair(truth)
         inst = tp.instance_from_truth(truth, 2, lam, mu)
         doc = json.loads(json.dumps(serialize.encode_instance(inst)))
+        assert serialize.decode_instance(doc) == inst
+
+    def test_instance_document_holds_only_the_problem_data(self, rng):
+        truth = build_pencil(rng, 4)
+        lam, mu = extreme_pair(truth)
+        inst = tp.instance_from_truth(truth, 2, lam, mu)
+        doc = json.loads(json.dumps(serialize.encode_instance(inst)))
+        assert list(doc) == ["n", "k", "c", "d", "a", "b", "lambda", "mu", "tail_p", "tail_s"]
+        # files that still carry the diagnostic b_j/d_j of the truth decode to the same instance
+        doc["poles"] = [[b.real / d, b.imag / d] for b, d in zip(truth.H.b[2:], truth.J.d[2:])]
         assert serialize.decode_instance(doc) == inst
 
     def test_result_bitwise(self):

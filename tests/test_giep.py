@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil.tolerances import SPECTRUM_RTOL
 from support import (build_pencil, dense_eigenpairs, dense_spectrum, extreme_pair, rel_err, seeded_pencil,
                      toeplitz_pencil)
 
@@ -62,17 +63,22 @@ class TestDelta:
         assert abs(d1 + d2) <= 1e-12 * abs(d1)
 
 
+def solve_b(inst):
+    """b_k..b_{n-1} from the per-index 2x2 systems, as solve recovers them."""
+    return tuple(system.solve()[0] for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s))
+
+
 class TestReconstructB:
     def test_round_trip_order4(self, rng):
         truth, inst = make_case(rng, 3, 1)
-        bs, _ = tp.reconstruct_b(inst, inst.tail_p, inst.tail_s)
+        bs = solve_b(inst)
         for j, b in zip(range(1, 3), bs):
             assert abs(b - truth.H.b[j]) <= 1e-9 * abs(truth.H.b[j])
 
     def test_real_pole_ratio_raises(self, rng):
         _, inst = make_case(rng, 4, 1, real_b_at=(2,))
         with pytest.raises(tp.SingularDeltaError) as exc:
-            tp.reconstruct_b(inst, inst.tail_p, inst.tail_s)
+            solve_b(inst)
         assert exc.value.index == 2
 
     def test_swap_symmetry(self, rng):
@@ -81,13 +87,13 @@ class TestReconstructB:
             J=inst.J, head_a=inst.head_a, head_b=inst.head_b,
             lam=inst.mu, mu=inst.lam, tail_p=inst.tail_s, tail_s=inst.tail_p,
             k=inst.k)
-        b1, _ = tp.reconstruct_b(inst, inst.tail_p, inst.tail_s)
-        b2, _ = tp.reconstruct_b(swapped, swapped.tail_p, swapped.tail_s)
+        b1 = solve_b(inst)
+        b2 = solve_b(swapped)
         assert max(abs(x - y) for x, y in zip(b1, b2)) <= 1e-9 * max(abs(x) for x in b1)
 
     def test_closed_form_agreement(self, rng):
         truth, inst = make_case(rng, 4, 2)
-        bs, _ = tp.reconstruct_b(inst, inst.tail_p, inst.tail_s)
+        bs = solve_b(inst)
         for system, b in zip(tp.pair_systems(inst, inst.tail_p, inst.tail_s), bs):
             closed, closed_conj = system.closed_form()
             assert abs(closed - b) <= 1e-9 * (1 + abs(b))
@@ -223,8 +229,9 @@ class TestPositivityWitness:
     def test_rejects_non_eigenvalue(self, rng):
         truth = build_pencil(rng, 3)
         lam, _ = extreme_pair(truth)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SPECTRUM_RTOL") as exc:
             tp.positivity_witness(truth, 1, lam + 10.0)
+        assert f"{SPECTRUM_RTOL:g}" in str(exc.value)
 
     def test_accepts_eigenvalue_whose_eigenvector_vanishes_at_the_end(self):
         # the top eigenvector of this draw is localized away from index n, so the
