@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,9 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads: built once, as each parse starts from a new namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

@@ -291,11 +291,17 @@ def head_components(instance: GiepInstance, b_k: complex, p_k1: complex,
         z = instance.lam
     k = instance.k
     head = instance.head_pencil()
-    pivots = check_spectrum(head, pivot_sweep(head, k + 1, z), k).pivots
+    return _head_components(instance, check_spectrum(head, pivot_sweep(head, k + 1, z), k).pivots,
+                            b_k, p_k1, z)
+
+
+def _head_components(instance: GiepInstance, pivots: Sequence[complex], b_k: complex,
+                     p_k1: complex, z: float) -> tuple[complex, ...]:
+    """head_components from the pivots of the head pencil at z, its spectrum already checked."""
     d = instance.J.d
     b = instance.head_b + (complex(b_k),)
     out = [complex(p_k1)]
-    for m in range(k, -1, -1):
+    for m in range(instance.k, -1, -1):
         out.append(out[-1] * (b[m] - z * d[m]) / pivots[m])
     return tuple(out[:1:-1])
 
@@ -375,8 +381,9 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     k = instance.k
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
-    for z in (lam, mu):
-        check_spectrum(head, pivot_sweep(head, k + 1, z), k - 1)
+    # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
+    pivots_lam, pivots_mu = (check_spectrum(head, pivot_sweep(head, k + 1, z), k - 1).pivots
+                             for z in (lam, mu))
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)
@@ -386,8 +393,8 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     full = Pencil(instance.J, H)
     flags = tuple(system.classify() for system in systems)
 
-    head_p = head_components(instance, b_rec[0], instance.tail_p[1], z=lam)
-    head_s = head_components(instance, b_rec[0], instance.tail_s[1], z=mu)
+    head_p = _head_components(instance, pivots_lam, b_rec[0], instance.tail_p[1], lam)
+    head_s = _head_components(instance, pivots_mu, b_rec[0], instance.tail_s[1], mu)
 
     p_full = np.concatenate([np.asarray(head_p, dtype=complex),
                              np.asarray(instance.tail_p, dtype=complex)])

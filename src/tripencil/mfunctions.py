@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
                      VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import check_spectrum, pivot_sweep, twisted_pivots, unit_factors
+from .recurrence import _unit_steps, _unit_upper, check_spectrum, pivot_sweep, twisted_pivots, unit_factors
 from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
 
 
@@ -113,8 +113,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     SPECTRUM_RTOL, w is on the spectrum of the full pencil and
     SpectrumCollisionError(n) is raised.  Off the diagonal
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
-    G the unit factors of ldu_factors; the diagonal is folded into the pass
-    that forms each factor (unit_factors with a scale), so R is their sum.
+    G the unit factors of ldu_factors: the diagonal is folded into the pass
+    that forms each factor, and G is formed straight into the lower
+    triangle of the array that holds F.
     Both pivot passes are exact for coefficients perturbed by a few ulps, so
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
@@ -124,10 +125,10 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     if margin < SPECTRUM_RTOL:
         raise SpectrumCollisionError(pencil.n, sweep.z)
     diag = 1.0 / gamma
-    F, G = unit_factors(pencil, sweep, diag)
-    F += G
-    np.fill_diagonal(F, diag)
-    return F
+    right, left = _unit_steps(pencil, sweep)
+    R = _unit_upper(right, diag)
+    _unit_upper(left, diag, R.T)
+    return R
 
 
 @dataclass(frozen=True)

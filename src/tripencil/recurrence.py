@@ -33,7 +33,10 @@ z*J - H = L D U.  Joined with the pivots taken from the bottom up they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: head_margins
 for the leading sub-pencils, check_spectrum to raise on it and
-eigenvalue_margin for the full pencil.
+eigenvalue_margin for the full pencil.  head_margins runs the bottom-up
+passes of all heads together and stops once they have joined, bit for bit,
+which off the spectrum they do within a few dozen rows: O(n) work per row
+reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -173,6 +176,12 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep,
     are exactly the scale.  Raises PoleCollisionError(s) where b_s - z d_s or
     conj(b_s) - z d_s vanishes, as the component sweeps do.
     """
+    right, left = _unit_steps(pencil, sweep)
+    return _unit_upper(right, scale), _unit_upper(left, scale).T
+
+
+def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex]]:
+    """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors)."""
     z = sweep.z
     right, left = [], []
     for s, (ds, bs) in enumerate(zip(pencil.J.d, pencil.H.b)):
@@ -181,19 +190,23 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep,
             raise PoleCollisionError(s)
         right.append((bs - zd) / sweep.pivots[s])
         left.append((bs.conjugate() - zd) / sweep.pivots[s])
-    return _unit_upper(right, scale), _unit_upper(left, scale).T
+    return right, left
 
 
-def _unit_upper(steps: list[complex], scale: np.ndarray | None = None) -> np.ndarray:
+def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
-    No scale means ones.  The prefix products C_t are carried as
+    No scale means ones.  With out, S goes into the diagonal and the upper
+    triangle of out, which is returned, and the rest of out is left as it
+    is: out = R.T puts S^T into the lower triangle of R.  The prefix
+    products C_t are carried as
     mantissa * 2^exponent, and the exponent changes only where the mantissa
     is rescaled, so the indices fall into runs of one exponent (a dozen at
     n = 640).  Each run of rows i is one outer product of 2^64/M_i with the
     column mantissas M_t scale[t] shifted by 2^(E_t - E_run - 64): S[i, t] =
     C_t/C_i with no n^2 exponent matrix, and only the diagonal block of the
-    run needs zeroing below its diagonal.  The mantissas lie in
+    run is written through a mask of its upper triangle.  The mantissas lie in
     [2^-64, 2^63), so the row factor lies in (2, 2^128] and the column
     factor never outgrows its entry: every entry below the overflow
     threshold comes back finite, and every entry above 2^-894 (~1e-269)
@@ -216,12 +229,13 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None) -> np.nda
     size = len(mant)
     bounds = list(zip(runs, runs[1:] + [size]))
     index = np.arange(max(hi - lo for lo, hi in bounds))
-    below = index[:, None] > index  # the part of a diagonal block to zero
-    S = np.zeros((size, size), dtype=complex)
+    above = index[:, None] < index  # the part of a diagonal block to write
+    S = np.zeros((size, size), dtype=complex) if out is None else out
     for lo, hi in bounds:
         shifted = np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0]
-        np.multiply.outer(_LIFT / M[lo:hi], shifted, out=S[lo:hi, lo:])
-        np.copyto(S[lo:hi, lo:hi], 0, where=below[:hi - lo, :hi - lo])
+        lift, width = _LIFT / M[lo:hi], hi - lo
+        np.multiply.outer(lift, shifted[width:], out=S[lo:hi, hi:])
+        np.copyto(S[lo:hi, lo:hi], np.multiply.outer(lift, shifted[:width]), where=above[:width, :width])
     np.fill_diagonal(S, 1.0 if scale is None else scale)
     return S
 
@@ -259,8 +273,18 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
     over the rows r <= t of head(t), rows 0..t (twisted_pivots): 0 at one of
     its eigenvalues, whichever row the eigenvector lives on; at r = t it is
     the pivot margin.  A single head costs one backward pass.  For several,
-    their backward pivots advance together, one vector step per row:
-    O(N (N - first)) flops in N steps.
+    their backward pivots advance together, one vector step per row, head
+    t on row t - s at step s.  Each step is a function of the row and the
+    pivot below it alone, so once the pivot of head(t) equals, bit for bit,
+    the one head(t - 1) had on the same row a step before, the two heads
+    read the same values on every row further up.  Off the spectrum the
+    passes are tails of a convergent continued fraction and join within a
+    few dozen rows (the join depth L: 23-32 at the benchmark's points).
+    Once every head has joined the next shorter one and the shortest has
+    reached row 0, the rows left to each head are those the shorter heads
+    have just read, and the loop stops with the margins of all N steps:
+    O((N - first) max(first, L)) flops in max(first, L) steps.  Near an
+    eigenvalue of a sub-pencil the passes may not join, and it takes all N.
     """
     N = len(sweep.pivots)
     if not 0 <= first < N:
@@ -280,11 +304,18 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
         rows = slice(first + h - s, N - s)
         y = w[rows] / Y[h:]
         ay = np.abs(y)
-        best[h:] = np.minimum(best[h:], np.abs(ux[rows] - y) / (sx[rows] + ay))
-        Y[h:] = u[rows] - y
-        if not Y[h:].all():
+        step = np.abs(ux[rows] - y) / (sx[rows] + ay)
+        new = u[rows] - y
+        if not new.all():
             # an exactly zero pivot: a stand-in of 2^-52 times its terms, as pivot_sweep does
-            Y[h:] = np.where(Y[h:] == 0, _EPS * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), Y[h:])
+            new = np.where(new == 0, _EPS * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), new)
+        # head h is on row 0 and every longer head has joined the next shorter one:
+        # the rows j - 1..0 left to head h + j are those heads h + j - 1..h have just read
+        if s >= first and new[-1] == Y[-2] and np.array_equal(new[1:], Y[h:-1]):
+            best[h:] = np.minimum(best[h:], np.minimum.accumulate(step))
+            return best
+        best[h:] = np.minimum(best[h:], step)
+        Y[h:] = new
     return best
 
 

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and serialization round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ import tripencil as tp
 from tripencil import serialize
 from tripencil.cli import main
 from support import build_pencil, dense_spectrum, extreme_pair, seeded_pencil
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -74,6 +80,25 @@ def test_direct_at_overflowing_point_exits_1_without_nan(workdir, capsys):
     captured = capsys.readouterr()
     assert "NaN" not in captured.out and "Infinity" not in captured.out
     assert "P[" in captured.err and "not finite" in captured.err
+
+
+def test_consecutive_calls_share_no_state(workdir, capsys, rng):
+    """Calls in one process give the exit codes and output of the same calls each in a fresh process."""
+    write_pencil(workdir / "p.json", build_pencil(rng, 3))
+    write_pencil(workdir / "root.json", tp.Pencil(tp.SymmetricTridiagonal((1.0,), ()),
+                                                  tp.HermitianTridiagonal((2.0,), ())))
+    calls = [["direct", str(workdir / "p.json"), "--at", "0.5,0.25", "--all", "--json"],
+             ["direct", str(workdir / "p.json"), "--spectrum"],
+             ["direct", str(workdir / "root.json"), "--at", "2.0"],
+             ["mfun", str(workdir / "p.json"), "--omega", "0.5,0.25", "--k", "1"]]
+    together = []
+    for argv in calls:
+        together.append((main(argv), capsys.readouterr().out))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    alone = [subprocess.run([sys.executable, "-m", "tripencil", *argv], capture_output=True, text=True, env=env)
+             for argv in calls]
+    assert [code for code, _ in together] == [0, 0, 2, 0]
+    assert together == [(run.returncode, run.stdout) for run in alone]
 
 
 def test_direct_spectrum(workdir, capsys, rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil import recurrence
 from tripencil.mfunctions import trailing_inverse_from
 from tripencil.tolerances import DIFFERENCE_RTOL
 from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
@@ -277,6 +278,21 @@ def test_resolvent_is_exactly_hermitian_at_real_points(n):
     for omega in far_points(pencil)[:2]:
         R = tp.resolvent_matrix(pencil, omega)
         assert np.array_equal(R, R.conj().T)
+
+
+@pytest.mark.parametrize("n", [40, 640])
+def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
+    """F diag(1/gamma) above the diagonal and diag(1/gamma) G below it, formed in one array."""
+    pencil = seeded_pencil(n, n)
+    upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)
+    for omega in far_points(pencil)[::2]:
+        sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
+        diag = 1.0 / recurrence.twisted_pivots(pencil, sweep)[0]
+        F, G = recurrence.unit_factors(pencil, sweep, diag)
+        R = tp.resolvent_matrix(pencil, omega)
+        assert np.array_equal(R[upper], F[upper])
+        assert np.array_equal(R.T[upper], G.T[upper])
+        assert np.array_equal(np.diagonal(R), diag)
 
 
 class TestReconstructFromM:

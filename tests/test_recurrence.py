@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import build_pencil, dense_spectrum, hand_pencil, seeded_pencil
+from support import build_pencil, dense_spectrum, hand_pencil, seeded_pencil, toeplitz_pencil
 
 
 def test_eval_p_initial_condition(rng):
@@ -165,6 +165,77 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         alone = [tp.eigenvalue_margin(pencil.head(m - 1), z) for m in range(1, pencil.n + 2)]
         assert np.allclose(together, alone, rtol=1e-10, atol=0)
         assert np.array_equal(recurrence.head_margins(pencil, sweep, 27), together[27:])
+
+
+def _all_steps_margins(pencil, sweep, first):
+    """head_margins as a plain N-step loop, with no early stop: the backward pivots of all heads, row by row."""
+    N = len(sweep.pivots)
+    z = sweep.z
+    zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
+    u = zc - av
+    w = np.asarray(sweep.weights, dtype=complex)
+    x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
+    ux, sx = u - x, np.abs(zc) + np.abs(av) + np.abs(x)
+    best = np.asarray(sweep.margins[first:])
+    Y = u[first:].copy()
+    for s in range(1, N):
+        h = max(s - first, 0)
+        rows = slice(first + h - s, N - s)
+        y = w[rows] / Y[h:]
+        ay = np.abs(y)
+        best[h:] = np.minimum(best[h:], np.abs(ux[rows] - y) / (sx[rows] + ay))
+        Y[h:] = u[rows] - y
+        if not Y[h:].all():
+            Y[h:] = np.where(Y[h:] == 0, 2.0 ** -52 * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), Y[h:])
+    return best
+
+
+def _assert_margins_match_all_steps(pencil, points, firsts):
+    """head_margins equals the N-step loop bit for bit; returns {(point, first): whether the guard fires}."""
+    fired = {}
+    for z in points:
+        sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+        for first in firsts:
+            margins = recurrence.head_margins(pencil, sweep, first)
+            assert np.array_equal(margins, _all_steps_margins(pencil, sweep, first)), (z, first)
+            fired[z, first] = bool((margins < SPECTRUM_RTOL).any())
+    return fired
+
+
+@pytest.mark.parametrize("n", [40, 160, 640])
+def test_head_margins_stop_early_with_the_margins_of_all_steps(n):
+    pencil = seeded_pencil(n + 1, n)
+    eigs = dense_spectrum(pencil)
+    points = [eigs[0] - 1.5, eigs[-1] + 1.5, 0.5 * (eigs[0] + eigs[-1]) + 0.5j]
+    near = [1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]
+    on_head = []  # (eigenvalue, order of its head)
+    for m in (n // 4, n // 2 + 1, n - 1):
+        head = dense_spectrum(pencil.head(m))
+        for lam in (head[0], head[len(head) // 2]) if n < 640 else (head[len(head) // 3],):
+            on_head.append((lam, m))
+            points += [lam, *(lam * (1 + rel) for rel in near)]
+    firsts = (0, n // 2, n - 1)
+    fired = _assert_margins_match_all_steps(pencil, points, firsts)
+    assert not any(fired[z, first] for z in points[:3] for first in firsts)
+    assert all(fired[lam, first] for lam, m in on_head for first in firsts if first <= m)
+
+
+def test_head_margins_through_an_exactly_zero_backward_pivot():
+    # at z = 0 every row has u = 1 and w = |b|^2 = 1, so the second backward pivot of each head,
+    # u - w/u, is exactly zero and the loop takes its stand-in
+    pencil = toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j)
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
+    u, w = -np.asarray(pencil.H.a), np.asarray(sweep.weights)
+    assert u[-2] - w[-1] / u[-1] == 0
+    _assert_margins_match_all_steps(pencil, [0.0, 1e-17, 0.25j], (0, 5, 11))
+
+
+def test_head_margins_of_a_pencil_shorter_than_the_join_depth():
+    # off the spectrum the passes join only after a few dozen rows: here they reach row 0 first
+    pencil = seeded_pencil(3, 6)
+    eigs = dense_spectrum(pencil)
+    points = [eigs[-1] + 1.5, 0.3 + 0.5j, *(0.5 * (eigs[1:] + eigs[:-1]))]
+    _assert_margins_match_all_steps(pencil, points, range(pencil.n))
 
 
 def _rise_and_fall(rng, N):
