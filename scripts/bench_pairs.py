@@ -12,8 +12,9 @@ are ten pairs per workload; in pair i both sides run one after the other, the si
 alternating from pair to pair, so a drift of host speed loads both alike.
 The last output line of every run (its JSON result) is kept, entry i of each
 list being pair i, in the layout of BENCH_pivot_kernel.json.  Also prints,
-per workload and end-to-end metric, both medians, the parent's
-interquartile range and the number of pairs the change wins.
+per workload and end-to-end metric, both sides' quartiles (q1/median/q3),
+the number of pairs the change wins and a verdict (see verdict()) against
+the metric's bound in BENCHMARK.json.
 """
 
 import argparse
@@ -80,24 +81,53 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(doc: dict, better: dict[str, str]) -> list[dict]:
-    """Per workload and metric: medians, the parent's interquartile range and the pairs the change wins."""
+def verdict(old: list[float], new: list[float], better: str, bound: float) -> str:
+    """gain, worse, unresolved or within bound for paired runs of one metric, pair i being old[i], new[i].
+
+    gain: the change wins at least 9 pairs in 10 (ties count for neither)
+    and the medians differ by more than the parent's interquartile range.
+    worse: the change's median is worse than the parent's by more than the
+    bound, a fraction of the parent's median.  unresolved: the parent's
+    interquartile range is wider than that bound, and not every change run
+    beats every parent run.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = _quartiles(old)
+    gap = sign * (statistics.median(new) - median)
+    if 10 * _wins(old, new, better) >= 9 * len(old) and gap > q3 - q1:
+        return "gain"
+    if gap < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not min(sign * x for x in new) > max(sign * x for x in old):
+        return "unresolved"
+    return "within bound"
+
+
+def _wins(old: list[float], new: list[float], better: str) -> int:
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (b - a) > 0 for a, b in zip(old, new))
+
+
+def summary(doc: dict, metrics: list[dict]) -> list[dict]:
+    """Per workload and metric: both sides' quartiles, the pairs the change wins and the verdict.
+
+    metrics holds the end_to_end entries of BENCHMARK.json: name, better and bound.
+    """
     rows = []
     for workload, parent_runs in doc["parent"].items():
         change_runs = doc["change"][workload]
-        for metric, direction in better.items():
-            old = [run["metrics"][metric]["value"] for run in parent_runs]
-            new = [run["metrics"][metric]["value"] for run in change_runs]
-            sign = 1.0 if direction == "higher" else -1.0
-            q1, median, q3 = _quartiles(old)
+        for metric in metrics:
+            name, better = metric["name"], metric["better"]
+            old = [run["metrics"][name]["value"] for run in parent_runs]
+            new = [run["metrics"][name]["value"] for run in change_runs]
             rows.append({
                 "workload": workload,
-                "metric": metric,
-                "parent": median,
-                "change": statistics.median(new),
-                "parent_iqr": q3 - q1,
-                "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+                "metric": name,
+                "parent": _quartiles(old),
+                "change": _quartiles(new),
+                "wins": _wins(old, new, better),
                 "pairs": len(old),
+                "verdict": verdict(old, new, better, metric["bound"]),
             })
     return rows
 
@@ -133,10 +163,10 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
-    for row in summary(doc, better):
-        print(f"{row['workload']:10s} {row['metric']:16s} {row['parent']:12.6g} -> {row['change']:12.6g}"
-              f"  [parent IQR {row['parent_iqr']:.3g}]  change wins {row['wins']}/{row['pairs']}")
+    for row in summary(doc, contract["end_to_end"]):
+        quartiles = {side: "/".join(f"{q:.6g}" for q in row[side]) for side in SIDES}
+        print(f"{row['workload']:10s} {row['metric']:16s} parent {quartiles['parent']:28s} "
+              f"change {quartiles['change']:28s} change wins {row['wins']}/{row['pairs']}  {row['verdict']}")
     print(f"wrote {out}")
     return 0
 

@@ -329,13 +329,13 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     pl = left_components(pencil, lam)
     s = right_components(pencil, mu)
     sl = left_components(pencil, mu)
-    Jd = pencil.J.dense().astype(complex)
+    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
 
-    lhs1 = (lam - mu) * (pl[k + 1:] @ Jd[k + 1:, k + 1:] @ s[k + 1:])
+    lhs1 = (lam - mu) * (pl[k + 1:] @ _tridiagonal_product(c[k + 1:], d[k + 1:], d[k + 1:], s[k + 1:]))
     rhs1 = (b_k - lam * d_k) * pl[k] * s[k + 1] - (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k]
     res1 = abs(lhs1 - rhs1) / (1.0 + abs(rhs1))
 
-    lhs2 = (lam - mu) * (sl[:k + 1] @ Jd[:k + 1, :k + 1] @ p[:k + 1])
+    lhs2 = (lam - mu) * (sl[:k + 1] @ _tridiagonal_product(c[:k + 1], d[:k], d[:k], p[:k + 1]))
     rhs2 = (b_k - lam * d_k) * sl[k] * p[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k]
     res2 = abs(lhs2 - rhs2) / (1.0 + abs(rhs2))
     return res1, res2
@@ -371,9 +371,22 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     return float(val.real)
 
 
-def _relative_residual(matrix: np.ndarray, vec: np.ndarray) -> float:
-    denom = float(np.linalg.norm(matrix) * np.linalg.norm(vec))
-    return float(np.linalg.norm(matrix @ vec) / (denom + 1e-300))
+def _tridiagonal_product(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                         vec: np.ndarray) -> np.ndarray:
+    """T @ vec for the tridiagonal T with these diagonals, in O(n)."""
+    out = diag * vec
+    out[:-1] += upper * vec[1:]
+    out[1:] += lower * vec[:-1]
+    return out
+
+
+def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
+    """|(z*J - H) vec| / (|z*J - H|_F |vec|), both read from the three diagonals of z*J - H."""
+    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
+    a, b = np.asarray(pencil.H.a), np.asarray(pencil.H.b, dtype=complex)
+    diag, upper, lower = z * c - a, z * d - b, z * d - b.conj()
+    denom = float(np.linalg.norm(np.concatenate((diag, upper, lower))) * np.linalg.norm(vec))
+    return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
 def solve(instance: GiepInstance) -> ReconstructionResult:
@@ -400,8 +413,8 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
                              np.asarray(instance.tail_p, dtype=complex)])
     s_full = np.concatenate([np.asarray(head_s, dtype=complex),
                              np.asarray(instance.tail_s, dtype=complex)])
-    res_l = _relative_residual(full.dense_at(lam), p_full)
-    res_m = _relative_residual(full.dense_at(mu), s_full)
+    res_l = _relative_residual(full, lam, p_full)
+    res_m = _relative_residual(full, mu, s_full)
 
     return ReconstructionResult(
         H=H,

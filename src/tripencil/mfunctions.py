@@ -165,12 +165,13 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     """
     sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega), pencil.n)
     z = sweep.z
-    for t, margin in enumerate(sweep.margins):
-        if margin < FACTOR_RTOL:
-            raise SpectrumCollisionError(t, z)
-    for t, (w, ds, bs) in enumerate(zip(sweep.weights, pencil.J.d, pencil.H.b), start=1):
-        if abs(w) < DIFFERENCE_RTOL * (abs(z * ds) + abs(bs)) ** 2:
-            raise DegenerateDifferenceError(t)
+    low = np.flatnonzero(np.asarray(sweep.margins) < FACTOR_RTOL)
+    if low.size:
+        raise SpectrumCollisionError(int(low[0]), z)
+    terms = np.abs(z * np.asarray(pencil.J.d)) + np.abs(np.asarray(pencil.H.b))
+    flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
+    if flat.size:
+        raise DegenerateDifferenceError(int(flat[0]) + 1)
     F, G = unit_factors(pencil, sweep)
     return ResolventFactors(z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
 

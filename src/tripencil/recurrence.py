@@ -29,7 +29,8 @@ the m-values Q_t/P_t, and a relative margin per pivot.  Every direct
 operation of mfunctions reads this pass.  The component ratios follow from
 the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the same with
 conj(b_t); unit_factors turns them into the inverses of the unit factors of
-z*J - H = L D U.  Joined with the pivots taken from the bottom up they give
+z*J - H = L D U.  Joined with the pivots taken from the bottom up, by a
+pass that reads the forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: head_margins
 for the leading sub-pencils, check_spectrum to raise on it and
@@ -181,16 +182,20 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep,
 
 
 def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex]]:
-    """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors)."""
-    z = sweep.z
-    right, left = [], []
-    for s, (ds, bs) in enumerate(zip(pencil.J.d, pencil.H.b)):
-        zd = z * ds
-        if min(abs(bs - zd), abs(bs.conjugate() - zd)) < POLE_RTOL * (1.0 + abs(bs) + abs(zd)):
-            raise PoleCollisionError(s)
-        right.append((bs - zd) / sweep.pivots[s])
-        left.append((bs.conjugate() - zd) / sweep.pivots[s])
-    return right, left
+    """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
+
+    One array pass: the pole test of the component sweeps on every s at
+    once, raising PoleCollisionError(s) at the first s that fails it, then
+    the two divisions.
+    """
+    zd = sweep.z * np.asarray(pencil.J.d)
+    b = np.asarray(pencil.H.b, dtype=complex)
+    right, left = b - zd, b.conj() - zd
+    poles = np.minimum(np.abs(right), np.abs(left)) < POLE_RTOL * (1.0 + np.abs(b) + np.abs(zd))
+    if poles.any():
+        raise PoleCollisionError(int(np.argmax(poles)))
+    D = np.asarray(sweep.pivots[:len(b)])
+    return (right / D).tolist(), (left / D).tolist()
 
 
 def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
@@ -245,25 +250,54 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
 
     gamma_r = u_r - x_r - y_r joins the forward term x_r = u_r - D_r =
     w_{r-1}/D_{r-1} with the backward term y_r of the pivots taken from row
-    N-1 up, as in a twisted factorization.  Both pivot passes, and so each
-    gamma_r, are exact for coefficients perturbed by a few ulps, however
-    small the pivots on the way.  The margin is
+    N-1 up, as in a twisted factorization.  The pass from the bottom up
+    reads the weights w_r of the forward sweep and carries only the
+    rescaled minors: its pivots are, bit for bit, those of pivot_sweep on
+    the rows in reverse order.  Both pivot passes, and so each gamma_r, are
+    exact for coefficients perturbed by a few ulps, however small the pivots
+    on the way.  The margin is
     min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|): 0 at an eigenvalue
     of the order-(N-1) leading sub-pencil, whichever row its eigenvector
     lives on.  The backward pivots D-_r = u_r - y_r are returned as well.
     """
     N = len(sweep.pivots)
     z = sweep.z
-    c, d, a, b = pencil.J.c[:N], pencil.J.d[:N - 1], pencil.H.a[:N], pencil.H.b[:N - 1]
+    c, a = pencil.J.c[:N], pencil.H.a[:N]
     zc, av = z * np.asarray(c), np.asarray(a)
     u = zc - av
     x = u - np.asarray(sweep.pivots)
-    # the pivots depend on b only through the weights, so reading the rows upwards needs no conjugation
-    backward = np.asarray(_pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], N, z).pivots)[::-1]
+    backward = np.asarray(_backward_pivots(c, a, sweep.weights, z))
     y = u - backward
     gamma = u - x - y
     terms = np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y)
     return gamma, float(np.min(np.abs(gamma) / terms)), backward
+
+
+def _backward_pivots(c, a, weights, z: complex) -> list[complex]:
+    """The pivots of _pivot_pass on the rows read upwards, in row order, from the forward weights.
+
+    The same steps as _pivot_pass with the rows reversed, so the same bits:
+    row r reads w_r, which _pivot_pass forms from d_r and b_r alone (the
+    weights do not change when the rows are read upwards, and need no
+    conjugation), the same stand-in for an exactly zero minor and the same
+    power-of-two rescale.  Only the minors P are carried.
+    """
+    out = [0j] * len(c)
+    p0, p1, den, w = 0j, 1 + 0j, 1 + 0j, 1 + 0j  # on row N-1, w multiplies P_{-1} = 0, as in _pivot_pass
+    for r in range(len(c) - 1, -1, -1):
+        zc = z * c[r]
+        if r < len(weights):
+            w = weights[r]
+        wp = w * p0
+        p2 = (zc - a[r]) * p1 - wp
+        stand = p2 or _EPS * (((abs(zc) + abs(a[r])) * abs(p1) + abs(wp)) or abs(den))
+        out[r] = stand / den
+        size = abs(stand)
+        if not _TINY < size < _HUGE:
+            s = math.ldexp(1.0, -math.frexp(size)[1])
+            p2, p1, stand = p2 * s, p1 * s, stand * s
+        p0, p1, den = p1, p2, stand
+    return out
 
 
 def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:

@@ -199,6 +199,39 @@ class TestTraceIdentities:
             tp.trace_identity_residuals(truth, 1, 1.5, 1.5)
 
 
+def _dense_trace_identity_residuals(pencil, k, lam, mu):
+    """trace_identity_residuals' two identities with the blocks of J assembled dense."""
+    Jd = pencil.J.dense().astype(complex)
+    b_k, d_k = pencil.H.b[k], pencil.J.d[k]
+    p, pl = tp.right_components(pencil, lam), tp.left_components(pencil, lam)
+    s, sl = tp.right_components(pencil, mu), tp.left_components(pencil, mu)
+    lhs1 = (lam - mu) * (pl[k + 1:] @ Jd[k + 1:, k + 1:] @ s[k + 1:])
+    rhs1 = (b_k - lam * d_k) * pl[k] * s[k + 1] - (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k]
+    lhs2 = (lam - mu) * (sl[:k + 1] @ Jd[:k + 1, :k + 1] @ p[:k + 1])
+    rhs2 = (b_k - lam * d_k) * sl[k] * p[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k]
+    return abs(lhs1 - rhs1) / (1.0 + abs(rhs1)), abs(lhs2 - rhs2) / (1.0 + abs(rhs2))
+
+
+@pytest.mark.parametrize("n", [5, 40, 160])
+def test_banded_residuals_match_the_dense_formulas(n):
+    from tripencil.giep import _relative_residual
+    pencil = seeded_pencil(n, n)
+    eigs = dense_spectrum(pencil)
+    v = tp.eigenvector_components(pencil, eigs[-1])
+    w = np.array([1, 1j]) @ np.random.default_rng(n).standard_normal((2, n + 1))
+    for z, vec in ((eigs[-1], v), (eigs[-1], w), (eigs[0] - 0.3, w)):
+        A = pencil.dense_at(z)
+        dense = np.linalg.norm(A @ vec) / (np.linalg.norm(A) * np.linalg.norm(vec) + 1e-300)
+        assert abs(_relative_residual(pencil, z, vec) - dense) <= 1e-13 * dense + 1e-16
+    # off the spectrum the first identity fails, by an amount that compares relatively; the
+    # second holds at any point, and both formulas leave a residual at roundoff
+    lam, mu = eigs[-1] + 0.7, eigs[0] - 0.4
+    for k in (1, n // 2, n - 1):
+        banded = tp.trace_identity_residuals(pencil, k, lam, mu)
+        assert np.allclose(banded, _dense_trace_identity_residuals(pencil, k, lam, mu), rtol=1e-12, atol=1e-14)
+        assert banded[0] > 0.1 and banded[1] < 1e-14
+
+
 class TestPositivityWitness:
     def test_near_identity_J(self, rng):
         n = 3

@@ -6,7 +6,7 @@ import pytest
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.mfunctions import trailing_inverse_from
-from tripencil.tolerances import DIFFERENCE_RTOL
+from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
 
 
@@ -206,6 +206,49 @@ class TestTrailingInverse:
         ones = np.ones(4, dtype=complex)
         with pytest.raises(tp.DegenerateDifferenceError):
             trailing_inverse_from(table, ones, ones, 0, 3)
+
+
+def _two_pole_pencil(z):
+    """Order 5 with the real pole ratios b_1/d_1 = b_3/d_3 = z, so w_1(z) = w_3(z) = 0 exactly."""
+    d = (0.8, 0.7, 0.6, 0.9, 0.5)
+    return tp.Pencil(tp.SymmetricTridiagonal((1.2, 0.9, 1.1, 1.3, 1.0, 0.8), d),
+                     tp.HermitianTridiagonal((0.1, -0.2, 0.3, -0.4, 0.2, 0.6),
+                                             (0.2 + 0.6j, z * d[1], 0.3 - 0.5j, z * d[3], 0.1 + 0.4j)))
+
+
+def test_array_guards_raise_at_the_first_failing_index():
+    z = 0.5
+    pencil = _two_pole_pencil(z)
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+    # off the spectrum and clear of FACTOR_RTOL: only the poles and the vanishing weights fail
+    assert recurrence.eigenvalue_margin(pencil, z) > 1e-3 and min(sweep.margins) > FACTOR_RTOL
+    for op in (lambda: tp.resolvent_matrix(pencil, z), lambda: recurrence.unit_factors(pencil, sweep)):
+        with pytest.raises(tp.PoleCollisionError) as exc:
+            op()
+        assert exc.value.index == 1
+    # ldu_factors tests the weights before the poles: w_1 = 0 is DegenerateDifferenceError(2)
+    with pytest.raises(tp.DegenerateDifferenceError) as exc:
+        tp.ldu_factors(pencil, z)
+    assert exc.value.index == 2
+
+
+def test_ldu_factors_raises_at_the_first_small_pivot_margin():
+    z = 0.7
+    c, d = (1.2, 0.9, 1.1, 1.3, 1.0, 0.8), (0.8, 0.7, 0.6, 0.9, 0.5)
+    a, b = [0.1, -0.2, 0.3, -0.4, 0.2, 0.6], (0.2 + 0.6j, 0.1 - 0.3j, 0.3 - 0.5j, -0.2 + 0.4j, 0.1 + 0.4j)
+
+    def pencil_and_sweep():
+        pencil = tp.Pencil(tp.SymmetricTridiagonal(c, d), tp.HermitianTridiagonal(a, b))
+        return pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+
+    for t in (1, 3):  # shift a_t so that the pivot D_t (real at real z) is about 1e-7
+        a[t] += pencil_and_sweep()[1].pivots[t].real - 1e-7
+    pencil, sweep = pencil_and_sweep()
+    low = [t for t, margin in enumerate(sweep.margins) if margin < FACTOR_RTOL]
+    assert low == [1, 3] and recurrence.eigenvalue_margin(pencil, z) > SPECTRUM_RTOL
+    with pytest.raises(tp.SpectrumCollisionError) as exc:
+        tp.ldu_factors(pencil, z)
+    assert exc.value.order == 1
 
 
 @pytest.mark.parametrize("n", [160, 640])

@@ -230,6 +230,33 @@ def test_head_margins_through_an_exactly_zero_backward_pivot():
     _assert_margins_match_all_steps(pencil, [0.0, 1e-17, 0.25j], (0, 5, 11))
 
 
+def _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z):
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+    c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
+    old = recurrence._pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], pencil.n + 1, sweep.z).pivots[::-1]
+    new = recurrence._backward_pivots(c, a, sweep.weights, sweep.z)
+    assert np.array_equal(old, new)
+    assert np.array_equal(recurrence.twisted_pivots(pencil, sweep)[2], new)
+
+
+@pytest.mark.parametrize("n", [10, 160, 640])
+def test_backward_pivots_are_the_reversed_forward_pass_bit_for_bit(n):
+    # the minors leave [2^-256, 2^256] within 640 rows, so that pass runs through rescales
+    pencil = seeded_pencil(3, n)
+    eigs = dense_spectrum(pencil)
+    for z in (eigs[-1] + 1.5, eigs[0] - 1.5, 0.5 * (eigs[n // 2] + eigs[n // 2 + 1]), 0.3 + 0.5j):
+        _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z)
+
+
+def test_backward_pivots_through_an_exactly_zero_minor():
+    # the pencil of test_head_margins_through_an_exactly_zero_backward_pivot: at z = 0 the second
+    # backward minor is exactly zero and both passes take the stand-in; in the scaled copy
+    # (u = 2, w = 4) the stand-in's terms also read |P| != 1
+    for pencil in (toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j), toeplitz_pencil(12, 1.0, 1.0, -2.0, 2j)):
+        for z in (0.0, 1e-17, 0.25j):
+            _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z)
+
+
 def test_head_margins_of_a_pencil_shorter_than_the_join_depth():
     # off the spectrum the passes join only after a few dozen rows: here they reach row 0 first
     pencil = seeded_pencil(3, 6)

@@ -37,10 +37,11 @@ def test_bench_pairs_merges_result_lines():
     assert list(doc)[:5] == ["label", "what", "command", "host", "note"]
     assert doc["label"] == "demo"
     assert doc["change"]["roundtrip"][1]["metrics"]["good_ops_per_s"]["value"] == 83.0
-    better = {"good_ops_per_s": "higher", "setup_s": "lower"}
-    rows = {row["metric"]: row for row in bench.summary(doc, better)}
-    assert rows["good_ops_per_s"]["parent"] == 82.0 and rows["good_ops_per_s"]["change"] == 300.0
-    assert rows["good_ops_per_s"]["parent_iqr"] == 2.0
+    metrics = [{"name": "good_ops_per_s", "better": "higher", "bound": 0.2},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    rows = {row["metric"]: row for row in bench.summary(doc, metrics)}
+    assert rows["good_ops_per_s"]["parent"] == (81.0, 82.0, 83.0)
+    assert rows["good_ops_per_s"]["change"] == (191.5, 300.0, 305.0)
     assert rows["good_ops_per_s"]["wins"] == 2
     assert rows["setup_s"]["wins"] == 1  # lower is better; an equal value is no win
     lines["change"]["roundtrip"].pop()
@@ -52,3 +53,25 @@ def test_bench_pairs_reads_a_seed_per_workload():
     bench = load_script("bench_pairs")
     assert bench.workload_seed("direct", 1) == ("direct", 1)
     assert bench.workload_seed("direct:7", 1) == ("direct", 7)
+
+
+@pytest.mark.parametrize("old, new, better, expected", [
+    # 9 of 10 pairs won (one tie), medians 100 -> 120 apart by more than the parent IQR
+    ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [120, 121, 119, 120, 122, 118, 120, 121, 119, 100],
+     "higher", "gain"),
+    # a tie in two pairs leaves 8 of 10 wins: not a gain, and within the 20% bound
+    ([100] * 10, [120] * 8 + [100] * 2, "higher", "within bound"),
+    # all ten won, but the gap 1 does not clear the parent IQR 10
+    ([90, 110] * 5, [91, 111] * 5, "higher", "within bound"),
+    # lower is better: a median 30% higher is worse than the 25% bound
+    ([1.0] * 10, [1.3] * 10, "lower", "worse"),
+    # the same rise within the bound
+    ([1.0] * 10, [1.2] * 10, "lower", "within bound"),
+    # parent IQR 40 wider than 20% of its median 100, runs overlapping: unresolved
+    ([60, 140] * 5, [70, 130] * 5, "higher", "unresolved"),
+    # the same spread, every change run beats every parent run, the gap 41.5 short of the IQR 80
+    ([60, 140] * 5, [141, 142] * 5, "higher", "within bound"),
+])
+def test_bench_pairs_verdicts(old, new, better, expected):
+    bound = 0.2 if better == "higher" else 0.25
+    assert load_script("bench_pairs").verdict(old, new, better, bound) == expected
