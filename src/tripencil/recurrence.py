@@ -20,7 +20,9 @@ Component sequences p^R / p^L are the rational eigenvector solutions of the
 same recurrence, normalized to 1 at index 0; at a spectral point they are
 right/left eigenvectors of the pencil in exact arithmetic, while in floating
 point the forward recurrence loses them as n grows.  eigenvector_components
-takes the eigenvector from a twisted factorization instead.
+takes the eigenvector from a twisted factorization instead.  pq_sweep and
+the component sweeps step on plain Python complex numbers, carrying the last
+two values in locals: numpy scalar arithmetic costs about twice as much per step.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
@@ -75,13 +77,17 @@ def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list
     P = [1.0 + 0j]
     Q = [0.0 + 0j]
     if upto >= 1:
-        P.append(z * c[0] - a[0])
-        Q.append(1.0 + 0j)
-    for m in range(1, upto):
-        u = z * c[m] - a[m]
-        w = _weight(d[m - 1], b[m - 1], z)
-        P.append(u * P[m] - w * P[m - 1])
-        Q.append(u * Q[m] - w * Q[m - 1])
+        p0, p1, q0, q1 = P[0], z * c[0] - a[0], Q[0], 1.0 + 0j
+        P.append(p1)
+        Q.append(q1)
+    for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
+        u = z * cm - am
+        zd = z * dl
+        w = (zd - bl) * (zd - bl.conjugate())  # w_{m-1}: _weight, inlined
+        p0, p1 = p1, u * p1 - w * p0
+        q0, q1 = q1, u * q1 - w * q0
+        P.append(p1)
+        Q.append(q1)
     return P, Q
 
 
@@ -191,9 +197,11 @@ def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[
     zd = sweep.z * np.asarray(pencil.J.d)
     b = np.asarray(pencil.H.b, dtype=complex)
     right, left = b - zd, b.conj() - zd
-    poles = np.minimum(np.abs(right), np.abs(left)) < POLE_RTOL * (1.0 + np.abs(b) + np.abs(zd))
+    value, scale = np.minimum(np.abs(right), np.abs(left)), 1.0 + np.abs(b) + np.abs(zd)
+    poles = value < POLE_RTOL * scale
     if poles.any():
-        raise PoleCollisionError(int(np.argmax(poles)))
+        s = int(np.argmax(poles))
+        raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
     D = np.asarray(sweep.pivots[:len(b)])
     return (right / D).tolist(), (left / D).tolist()
 
@@ -389,26 +397,25 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
 def _component_sweep(pencil: Pencil, z: complex,
                      with_derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
     z = complex(z)
-    c, d = pencil.J.c, pencil.J.d
-    a, b = pencil.H.a, pencil.H.b
-    n = pencil.n
-    p = np.empty(n + 1, dtype=complex)
-    p[0] = 1.0
-    dp = np.zeros(n + 1, dtype=complex) if with_derivative else None
-    for m in range(n):
-        den = b[m] - z * d[m]
-        if abs(den) < POLE_RTOL * (1.0 + abs(b[m]) + abs(z * d[m])):
-            raise PoleCollisionError(m)
-        num = (z * c[m] - a[m]) * p[m]
-        if m > 0:
-            num += (z * d[m - 1] - b[m - 1].conjugate()) * p[m - 1]
-        p[m + 1] = num / den
+    p, dp = [1 + 0j], [0j]
+    # p_{m-1}, p_m and their derivatives; p_{-1} = 0 makes step 0 read no sub-diagonal
+    p0, p1, dp0, dp1 = 0j, 1 + 0j, 0j, 0j
+    dl, f = 0.0, 0j  # d_{m-1} and the sub-diagonal factor z d_{m-1} - conj(b_{m-1})
+    for m, (cm, dm, am, bm) in enumerate(zip(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b)):
+        zd = z * dm
+        den = bm - zd
+        scale = 1.0 + abs(bm) + abs(zd)
+        if abs(den) < POLE_RTOL * scale:
+            raise PoleCollisionError(m, abs(den), scale, POLE_RTOL)
+        u = z * cm - am
+        p2 = (u * p1 + f * p0) / den
+        p.append(p2)
         if with_derivative:
-            dnum = c[m] * p[m] + (z * c[m] - a[m]) * dp[m]
-            if m > 0:
-                dnum += d[m - 1] * p[m - 1] + (z * d[m - 1] - b[m - 1].conjugate()) * dp[m - 1]
-            dp[m + 1] = (dnum + d[m] * p[m + 1]) / den
-    return p, dp
+            dp2 = (cm * p1 + u * dp1 + (dl * p0 + f * dp0) + dm * p2) / den
+            dp.append(dp2)
+            dp0, dp1 = dp1, dp2
+        p0, p1, dl, f = p1, p2, dm, zd - bm.conjugate()
+    return np.array(p), np.array(dp) if with_derivative else None
 
 
 def right_components(pencil: Pencil, z: complex) -> np.ndarray:

@@ -68,6 +68,20 @@ def extreme_pair(pencil):
     return float(w[-1].real), float(w[0].real)
 
 
+def far_points(pencil):
+    """Real points 1.5 outside each end of the spectrum and a complex one mid-band."""
+    eigs = dense_spectrum(pencil)
+    return eigs[-1] + 1.5, eigs[0] - 1.5, complex(0.5 * (eigs[0] + eigs[-1]), 0.5)
+
+
+def two_pole_pencil(z):
+    """Order 5 with the real pole ratios b_1/d_1 = b_3/d_3 = z, so w_1(z) = w_3(z) = 0 exactly."""
+    d = (0.8, 0.7, 0.6, 0.9, 0.5)
+    return tp.Pencil(tp.SymmetricTridiagonal((1.2, 0.9, 1.1, 1.3, 1.0, 0.8), d),
+                     tp.HermitianTridiagonal((0.1, -0.2, 0.3, -0.4, 0.2, 0.6),
+                                             (0.2 + 0.6j, z * d[1], 0.3 - 0.5j, z * d[3], 0.1 + 0.4j)))
+
+
 def hand_pencil():
     """c=[1,1], d=[1], a=[0,0], b=[i]: P_2 = z^2 - (z^2+1) = -1."""
     return tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0), (1.0,)),

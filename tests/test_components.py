@@ -1,13 +1,16 @@
 """Eigenvector component sequences and their derivatives."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripencil as tp
-from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, max_normalized,
-                     seeded_pencil)
+from tripencil import recurrence
+from tripencil.tolerances import POLE_RTOL
+from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, far_points, max_normalized,
+                     seeded_pencil, two_pole_pencil)
 
 
 def test_normalization(rng):
@@ -78,6 +81,94 @@ def test_left_pole_collision_reports_index(rng):
     with pytest.raises(tp.PoleCollisionError) as exc:
         tp.left_components(pencil, z)
     assert exc.value.index == 1
+
+
+def test_every_component_sweep_raises_at_the_first_pole_with_its_numbers():
+    """Poles at indices 1 and 3: each sweep and unit_factors stop at 1, and the error says by how much."""
+    z = 0.5
+    pencil = two_pole_pencil(z)
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+    for op in (tp.right_components, tp.left_components, tp.right_components_with_derivative,
+               lambda pencil, z: recurrence.unit_factors(pencil, sweep)):
+        with pytest.raises(tp.PoleCollisionError) as exc:
+            op(pencil, z)
+        err = exc.value
+        assert err.index == 1
+        assert err.tol == POLE_RTOL and err.value < err.tol * err.scale
+        assert err.scale == 1.0 + abs(pencil.H.b[1]) + abs(z * pencil.J.d[1])
+        for number in (f"{err.value:.3e}", f"{err.tol:.1e}", f"{err.scale:.3e}"):
+            assert number in str(err)
+
+
+def _mp_components(pencil, z, conjugate_b=False):
+    """p and p' of the forward recurrence in 40-digit arithmetic, b conjugated for the left sequence."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
+        b = [mpmath.mpc(x.conjugate() if conjugate_b else x) for x in pencil.H.b]
+        p, dp = [mpmath.mpc(1)], [mpmath.mpc(0)]
+        for m in range(pencil.n):
+            u = z * c[m] - a[m]
+            num, dnum = u * p[m], c[m] * p[m] + u * dp[m]
+            if m:
+                f = z * d[m - 1] - mpmath.conj(b[m - 1])
+                num += f * p[m - 1]
+                dnum += d[m - 1] * p[m - 1] + f * dp[m - 1]
+            den = b[m] - z * d[m]
+            p.append(num / den)
+            dp.append((dnum + d[m] * p[m + 1]) / den)
+        return p, dp
+
+
+def _worst_relative(values, reference):
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpc(complex(v)) - r) / abs(r)) for v, r in zip(values, reference) if r)
+
+
+@pytest.mark.parametrize("n", [160, 640])
+def test_component_sweeps_match_mpmath(n):
+    """Outside the spectrum and at a complex point every entry, derivative too, is within 1e-12 relative."""
+    pencil = seeded_pencil(3, n)
+    outside, _, complex_point = far_points(pencil)
+    for z in (complex(outside), complex_point):
+        p, dp = _mp_components(pencil, z)
+        pl, _ = _mp_components(pencil, z, conjugate_b=True)
+        v, dv = tp.right_components_with_derivative(pencil, z)
+        assert dv[0] == 0
+        assert _worst_relative(tp.right_components(pencil, z), p) <= 1e-12
+        assert _worst_relative(tp.left_components(pencil, z), pl) <= 1e-12
+        assert _worst_relative(v, p) <= 1e-12
+        assert _worst_relative(dv, dp) <= 1e-12
+
+
+def _row_terms(pencil, z, v, conjugate_b=False):
+    """Rows 0..n-1 of (z*J - H) v as (sum, sum of magnitudes); H with b conjugated for the left sequence."""
+    n = pencil.n
+    c, d, a = (np.asarray(x) for x in (pencil.J.c, pencil.J.d, pencil.H.a))
+    b = np.asarray(pencil.H.b, dtype=complex)
+    if conjugate_b:
+        b = b.conj()
+    diag = (z * c[:n] - a[:n]) * v[:n]
+    sup = (z * d - b) * v[1:]
+    sub = np.concatenate([[0.0], (z * d[:n - 1] - b[:n - 1].conj()) * v[:n - 1]])
+    return diag + sup + sub, np.abs(diag) + np.abs(sup) + np.abs(sub)
+
+
+@pytest.mark.parametrize("n", [160, 640])
+def test_component_sweeps_solve_their_rows(n):
+    """At an eigenvalue and mid-gap, rows 0..n-1 of (z*J - H) p and of J p + (z*J - H) p' vanish to 1e-12."""
+    pencil = seeded_pencil(3, n)
+    eigs = dense_spectrum(pencil)
+    for z in (complex(eigs[n // 2]), complex(0.5 * (eigs[n // 2] + eigs[n // 2 + 1]))):
+        v, dv = tp.right_components_with_derivative(pencil, z)
+        for p, conjugate_b in ((tp.right_components(pencil, z), False), (tp.left_components(pencil, z), True),
+                               (v, False)):
+            residual, terms = _row_terms(pencil, z, p, conjugate_b)
+            assert np.all(np.abs(residual) <= 1e-12 * terms)
+        residual, terms = _row_terms(pencil, z, dv)
+        c, d = np.asarray(pencil.J.c[:n]), np.asarray(pencil.J.d)
+        jv = [c * v[:n], d * v[1:], np.concatenate([[0.0], d[:n - 1] * v[:n - 1]])]
+        assert np.all(np.abs(residual + sum(jv)) <= 1e-12 * (terms + sum(np.abs(x) for x in jv)))
 
 
 def test_components_match_product_formula(rng):

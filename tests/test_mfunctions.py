@@ -7,7 +7,8 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.mfunctions import trailing_inverse_from
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
-from support import build_pencil, dense_matrix, dense_spectrum, extreme_pair, rel_err, seeded_pencil
+from support import (build_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points, rel_err, seeded_pencil,
+                     two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -15,12 +16,6 @@ def resolvent_point(pencil, rng, real=True):
     if real:
         return lam + 1.0 + float(rng.uniform(0.2, 1.5))
     return complex(rng.uniform(-1, 1), 0.5 + rng.uniform(0, 1))
-
-
-def far_points(pencil):
-    """Real points 1.5 outside each end of the spectrum and a complex one mid-band."""
-    eigs = dense_spectrum(pencil)
-    return eigs[-1] + 1.5, eigs[0] - 1.5, complex(0.5 * (eigs[0] + eigs[-1]), 0.5)
 
 
 class TestMFunction:
@@ -208,17 +203,9 @@ class TestTrailingInverse:
             trailing_inverse_from(table, ones, ones, 0, 3)
 
 
-def _two_pole_pencil(z):
-    """Order 5 with the real pole ratios b_1/d_1 = b_3/d_3 = z, so w_1(z) = w_3(z) = 0 exactly."""
-    d = (0.8, 0.7, 0.6, 0.9, 0.5)
-    return tp.Pencil(tp.SymmetricTridiagonal((1.2, 0.9, 1.1, 1.3, 1.0, 0.8), d),
-                     tp.HermitianTridiagonal((0.1, -0.2, 0.3, -0.4, 0.2, 0.6),
-                                             (0.2 + 0.6j, z * d[1], 0.3 - 0.5j, z * d[3], 0.1 + 0.4j)))
-
-
 def test_array_guards_raise_at_the_first_failing_index():
     z = 0.5
-    pencil = _two_pole_pencil(z)
+    pencil = two_pole_pencil(z)
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
     # off the spectrum and clear of FACTOR_RTOL: only the poles and the vanishing weights fail
     assert recurrence.eigenvalue_margin(pencil, z) > 1e-3 and min(sweep.margins) > FACTOR_RTOL

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import build_pencil, dense_spectrum, hand_pencil, seeded_pencil, toeplitz_pencil
+from support import build_pencil, dense_spectrum, far_points, hand_pencil, seeded_pencil, toeplitz_pencil
 
 
 def test_eval_p_initial_condition(rng):
@@ -68,6 +68,36 @@ def test_determinant_identity_random(seed, n):
     z = complex(*np.random.default_rng(seed + 3).uniform(-2, 2, 2))
     dense = np.linalg.det(pencil.dense_at(z))
     assert abs(tp.eval_p(pencil, n + 1, z) - dense) <= 1e-9 * (1 + abs(dense))
+
+
+def _pq_lists(pencil, upto, z):
+    """The P/Q recurrence indexed through its own lists, with the weight formula of the module docstring."""
+    c, d = pencil.J.c, pencil.J.d
+    a, b = pencil.H.a, pencil.H.b
+    P, Q = [1.0 + 0j], [0.0 + 0j]
+    if upto >= 1:
+        P.append(z * c[0] - a[0])
+        Q.append(1.0 + 0j)
+    for m in range(1, upto):
+        u = z * c[m] - a[m]
+        w = (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - b[m - 1].conjugate())
+        P.append(u * P[m] - w * P[m - 1])
+        Q.append(u * Q[m] - w * Q[m - 1])
+    return P, Q
+
+
+@pytest.mark.parametrize("n", [10, 160, 640])
+def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
+    """pq_sweep carries the last two values in locals; every bit of P and Q stays that of the list loop."""
+    pencil = seeded_pencil(3, n)
+    for z in map(complex, far_points(pencil)):
+        P, Q = (np.asarray(x) for x in _pq_lists(pencil, n + 1, z))
+        finite = np.isfinite(P) & np.isfinite(Q)
+        upto = n + 1 if finite.all() else int(np.argmin(finite)) - 1
+        assert upto >= min(n + 1, 200)
+        got = [np.asarray(x) for x in recurrence.pq_sweep(pencil, upto, z)]
+        for mine, reference in zip(got, (P, Q)):
+            assert np.array_equal(mine.view(np.uint64), reference[:upto + 1].view(np.uint64))
 
 
 class TestConvergent:
