@@ -13,7 +13,6 @@ failed.  No subcommand writes NaN or Infinity.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import sys
@@ -47,15 +46,6 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(f"{key}: {val}")
 
 
-def _check_finite(**sequences) -> None:
-    """Raise ValueError at the first entry, in argument order, that is not finite."""
-    for name, values in sequences.items():
-        for i, v in enumerate(values):
-            if not cmath.isfinite(v):
-                raise ValueError(f"{name}[{i}] = {v} is not finite: "
-                                 "the unscaled recurrence leaves the double range at this point")
-
-
 def _cmd_direct(args) -> int:
     pencil = serialize.decode_pencil(serialize.load_json(args.pencil))
     n = pencil.n
@@ -65,11 +55,10 @@ def _cmd_direct(args) -> int:
         out["eigenvalues"] = [[z.real, z.imag] for z in eigs]
     if args.at is not None:
         z = _parse_point(args.at)
+        table = mfunctions.m_table(pencil, z)  # a spectrum point exits 2 before an overflow exits 1
         P, Q = pq_sweep(pencil, n + 1, z)
-        table = mfunctions.m_table(pencil, z)
         pr = right_components(pencil, z)
         pl = left_components(pencil, z)
-        _check_finite(P=P, Q=Q, right_components=pr, left_components=pl)
         out["z"] = [z.real, z.imag]
         if args.all:
             out["P"] = [[v.real, v.imag] for v in P]

@@ -35,9 +35,10 @@ does not, and ldu_factors also raises at a pivot margin below FACTOR_RTOL.
 
 The inverse of a trailing block of R is tridiagonal: the trailing block of
 w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
-m-function data its entries are built from 1/g_t and the components
-(trailing_inverse_from), which is what makes reconstruction of H from
-m-function data possible.
+m-function data its diagonals are built from 1/(g_t p^L_t p^R_t) = D_t and
+neighbouring components, which is what makes reconstruction of H from
+m-function data possible (reconstruct_from_m reads the diagonal and the
+superdiagonal in one guarded pass, with no dense array).
 """
 
 from __future__ import annotations
@@ -176,46 +177,6 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     return ResolventFactors(z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
 
 
-def _checked_difference(table: MFunctionTable, t: int, pl_t: complex, pr_t: complex) -> complex:
-    """g_t, after checking g_t p^L_t p^R_t = 1/D_t, the quantity the route divides by.
-
-    g_t alone decays like the inverse square of the components, so it says
-    nothing about coincident m-values once the components grow.
-    """
-    g = table.diffs[t]
-    if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
-        raise DegenerateDifferenceError(t)
-    return g
-
-
-def _checked_component(values: np.ndarray, i: int, scale: float) -> complex:
-    v = values[i]
-    if abs(v) < COMPONENT_RTOL * (1.0 + scale):
-        raise VanishingComponentError(i)
-    return v
-
-
-def trailing_inverse_from(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
-                          k: int, n: int) -> np.ndarray:
-    """Inverse of the trailing block R[k+1.., k+1..] from precomputed data."""
-    size = n - k
-    out = np.zeros((size, size), dtype=complex)
-    scale = float(np.max(np.abs(pr)) + np.max(np.abs(pl)))
-    for i in range(k + 1, n + 1):
-        pli = _checked_component(pl, i, scale)
-        pri = _checked_component(pr, i, scale)
-        gi = _checked_difference(table, i, pli, pri)
-        io = i - (k + 1)
-        out[io, io] += 1.0 / (gi * pli * pri)
-        if i > k + 1:
-            gprev = _checked_difference(table, i - 1, pl[i - 1], pr[i - 1])
-            out[io, io] += 1.0 / (gprev * pli * pri)
-        if i < n:
-            out[io, io + 1] = -1.0 / (gi * pli * _checked_component(pr, i + 1, scale))
-            out[io + 1, io] = -1.0 / (gi * _checked_component(pl, i + 1, scale) * pri)
-    return out
-
-
 def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     """Tridiagonal inverse of the trailing (n-k) x (n-k) block of the resolvent.
 
@@ -241,6 +202,33 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     return out
 
 
+def _trailing_diagonals(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
+                        k: int) -> tuple[list[complex], list[complex], complex]:
+    """T's diagonal and superdiagonal over rows k+1..n, and e_k, in one pass.
+
+    With e_t = g_t p^L_t p^R_t (= 1/D_t), T[i, i] = 1/e_i + 1/(g_{i-1} p^L_i p^R_i)
+    (from i = k+2 on) and T[i, i+1] = -1/(g_i p^L_i p^R_{i+1}).  Each t = k+1..n
+    is tested once: VanishingComponentError(t), then DegenerateDifferenceError(t)
+    for a small e_t (g_t alone decays with the components); e_k is tested last.
+    """
+    g, m = table.diffs, table.values
+    floor = COMPONENT_RTOL * (1.0 + float(np.max(np.abs(pr)) + np.max(np.abs(pl))))
+    pr, pl = pr.tolist(), pl.tolist()
+    diag, upper = [], []
+    for t in (*range(k + 1, len(pr)), k):  # e_k is tested after every row of T
+        if t > k and (abs(pl[t]) < floor or abs(pr[t]) < floor):
+            raise VanishingComponentError(t)
+        e = g[t] * pl[t] * pr[t]
+        if abs(e) < DIFFERENCE_RTOL * (1.0 + abs(m[t]) + abs(m[t + 1])):
+            raise DegenerateDifferenceError(t)
+        if t == k + 1:
+            diag.append(1.0 / e)
+        elif t > k + 1:
+            diag.append(1.0 / e + 1.0 / (g[t - 1] * pl[t] * pr[t]))
+            upper.append(-1.0 / (g[t - 1] * pl[t - 1] * pr[t]))
+    return diag, upper, e
+
+
 @dataclass(frozen=True)
 class MRouteEntries:
     """Entries of H recovered from m-function data: b_{k+1}..b_{n-1}, a_{k+1}..a_n."""
@@ -262,24 +250,28 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     """Recover b_{k+1}..b_{n-1} and a_{k+1}..a_n from an m-function table.
 
     The trailing block of w*J - H equals the tridiagonal inverse T of the
-    trailing resolvent block (trailing_inverse_from) plus a rank-one
-    correction at its (0, 0) corner coming from the coupling entry
-    w*d_k - b_k through the head pencil, which is why b_k must be supplied:
-    b_j = w d_j - T[j, j+1], a_j = w c_j - T[j, j], less that correction at
-    j = k+1.  Imaginary parts of the recovered diagonal entries are checked
-    and discarded.
+    trailing resolvent block plus a rank-one correction at its (0, 0) corner
+    coming from the coupling entry w*d_k - b_k through the head pencil,
+    which is why b_k must be supplied: b_j = w d_j - T[j, j+1] and
+    a_j = w c_j - T[j, j], less (w d_k - conj(b_k))(w d_k - b_k) e_k at
+    j = k+1.  T's two diagonals and e_k come from _trailing_diagonals, with
+    no dense array.  Imaginary parts of the recovered diagonal entries are
+    checked and discarded.  The data must be of the order n of J: n+2
+    m-values and n+1 components each.
     """
     n = J.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
+    if not (len(table.values) == n + 2 and len(right_comp) == len(left_comp) == n + 1):
+        raise ValueError(f"{len(table.values)} m-values and {len(right_comp)}, {len(left_comp)} components "
+                         f"do not fit J of order {n}: {n + 2} and {n + 1} expected")
     omega = complex(omega)
     pr, pl = np.asarray(right_comp, dtype=complex), np.asarray(left_comp, dtype=complex)
-    T = trailing_inverse_from(table, pr, pl, k, n)
-    b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], np.diagonal(T, 1))]
-    a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], np.diagonal(T))]
-    gk = _checked_difference(table, k, pl[k], pr[k])
+    diag, upper, e_k = _trailing_diagonals(table, pr, pl, k)
+    b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], upper)]
+    a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], diag)]
     b_k = complex(b_k)
-    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * pl[k] * gk * pr[k]
+    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * e_k
 
     reals = []
     for j, v in zip(range(k + 1, n + 1), a_out):

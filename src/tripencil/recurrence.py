@@ -44,6 +44,7 @@ reached, not O(n^2) per point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,13 +64,26 @@ def _check_index(pencil: Pencil, m: int) -> None:
         raise ValueError(f"recurrence index {m} out of range 0..{pencil.n + 1}")
 
 
+def _check_finite(**sequences) -> None:
+    """Raise ValueError at the first entry, in argument order, that is not finite.
+
+    Testing the last entry is enough: the unscaled recurrences never divide
+    by a value they carry, so a value that leaves the double range stays out.
+    """
+    for name, values in sequences.items():
+        if not cmath.isfinite(values[-1]):
+            i = next(i for i, v in enumerate(values) if not cmath.isfinite(v))
+            raise ValueError(f"{name}[{i}] = {values[i]} is not finite: "
+                             "the unscaled recurrence leaves the double range at this point")
+
+
 def _weight(d: float, b: complex, z: complex) -> complex:
     """(z d - b)(z d - conj(b)); real coefficients as a polynomial in z."""
     return (z * d - b) * (z * d - b.conjugate())
 
 
 def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list[complex]]:
-    """Values P_0..P_upto and Q_0..Q_upto at z in one recurrence pass."""
+    """Values P_0..P_upto and Q_0..Q_upto at z in one pass; ValueError where they leave the double range."""
     _check_index(pencil, upto)
     z = complex(z)
     c, d = pencil.J.c, pencil.J.d
@@ -88,6 +102,7 @@ def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list
         q0, q1 = q1, u * q1 - w * q0
         P.append(p1)
         Q.append(q1)
+    _check_finite(P=P, Q=Q)
     return P, Q
 
 
@@ -415,6 +430,7 @@ def _component_sweep(pencil: Pencil, z: complex,
             dp.append(dp2)
             dp0, dp1 = dp1, dp2
         p0, p1, dl, f = p1, p2, dm, zd - bm.conjugate()
+    _check_finite(components=p, derivatives=dp)
     return np.array(p), np.array(dp) if with_derivative else None
 
 
@@ -426,7 +442,8 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     vanishes at an eigenvalue of the pencil.  In floating point the forward
     recurrence amplifies the error of a computed eigenvalue geometrically
     (up to 1e-7 off the eigenvector at n = 20, wrong from n ~ 80 on); the
-    eigenvector itself comes from eigenvector_components.
+    eigenvector itself comes from eigenvector_components.  Raises ValueError
+    where an entry leaves the double range, as pq_sweep does.
     """
     return _component_sweep(pencil, z, with_derivative=False)[0]
 

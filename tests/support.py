@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg
 
 import tripencil as tp
+from tripencil.tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, IMAG_RTOL
 
 
 def build_pencil(rng, n, pd_J=True, min_im=0.2, real_b_at=(), pure_imag=False):
@@ -105,3 +106,57 @@ def max_normalized(v):
     """v divided by its entry of largest modulus, which fixes scale and phase."""
     v = np.asarray(v)
     return v / v[np.argmax(np.abs(v))]
+
+
+def _reference_difference(table, t, pl_t, pr_t):
+    g = table.diffs[t]
+    if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
+        raise tp.DegenerateDifferenceError(t)
+    return g
+
+
+def _reference_component(values, i, scale):
+    v = values[i]
+    if abs(v) < COMPONENT_RTOL * (1.0 + scale):
+        raise tp.VanishingComponentError(i)
+    return v
+
+
+def reference_trailing_inverse_from(table, pr, pl, k, n):
+    """Dense inverse of the trailing resolvent block from m-function data, one guarded numpy entry at a time.
+
+    The m-route's earlier formula, kept as the reference for its diagonals and the order of its guards.
+    """
+    size = n - k
+    out = np.zeros((size, size), dtype=complex)
+    scale = float(np.max(np.abs(pr)) + np.max(np.abs(pl)))
+    for i in range(k + 1, n + 1):
+        pli = _reference_component(pl, i, scale)
+        pri = _reference_component(pr, i, scale)
+        gi = _reference_difference(table, i, pli, pri)
+        io = i - (k + 1)
+        out[io, io] += 1.0 / (gi * pli * pri)
+        if i > k + 1:
+            gprev = _reference_difference(table, i - 1, pl[i - 1], pr[i - 1])
+            out[io, io] += 1.0 / (gprev * pli * pri)
+        if i < n:
+            out[io, io + 1] = -1.0 / (gi * pli * _reference_component(pr, i + 1, scale))
+            out[io + 1, io] = -1.0 / (gi * _reference_component(pl, i + 1, scale) * pri)
+    return out
+
+
+def reference_m_route(J, k, omega, table, right_comp, left_comp, b_k):
+    """(b, a) of reconstruct_from_m, read off reference_trailing_inverse_from, with the same errors."""
+    n = J.n
+    omega = complex(omega)
+    pr, pl = np.asarray(right_comp, dtype=complex), np.asarray(left_comp, dtype=complex)
+    T = reference_trailing_inverse_from(table, pr, pl, k, n)
+    b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], np.diagonal(T, 1))]
+    a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], np.diagonal(T))]
+    gk = _reference_difference(table, k, pl[k], pr[k])
+    b_k = complex(b_k)
+    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * pl[k] * gk * pr[k]
+    for j, v in zip(range(k + 1, n + 1), a_out):
+        if abs(v.imag) > IMAG_RTOL * (1.0 + abs(v)):
+            raise tp.NonRealDiagonalError(j, v.imag)
+    return b_out, [v.real for v in a_out]

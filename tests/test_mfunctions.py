@@ -5,10 +5,10 @@ import pytest
 
 import tripencil as tp
 from tripencil import recurrence
-from tripencil.mfunctions import trailing_inverse_from
+from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
-from support import (build_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points, rel_err, seeded_pencil,
-                     two_pole_pencil)
+from support import (build_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points, reference_m_route, rel_err,
+                     seeded_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -185,22 +185,25 @@ class TestTrailingInverse:
 
     @pytest.mark.parametrize("n", [10, 40])
     def test_m_data_formula_matches_schur_complement(self, n):
-        # trailing_inverse_from (the m-route's formula) against trailing_inverse (the pivot)
+        # T's diagonals from m-function data (the m-route's formula) against trailing_inverse (the pivot)
         pencil = seeded_pencil(n, n)
         k = n // 2
         omega = dense_spectrum(pencil)[-1] + 1.5
-        T = trailing_inverse_from(tp.m_table(pencil, omega), tp.right_components(pencil, omega),
-                                  tp.left_components(pencil, omega), k, n)
+        diag, upper, _ = _trailing_diagonals(tp.m_table(pencil, omega), tp.right_components(pencil, omega),
+                                             tp.left_components(pencil, omega), k)
         reference = tp.trailing_inverse(pencil, k, omega)
-        assert np.abs(T - reference).max() <= 1e-12 * np.abs(reference).max()
+        scale = np.abs(reference).max()
+        assert np.abs(np.asarray(diag) - np.diagonal(reference)).max() <= 1e-12 * scale
+        assert np.abs(np.asarray(upper) - np.diagonal(reference, 1)).max() <= 1e-12 * scale
 
     def test_corrupt_table_guard(self, rng):
         pencil = build_pencil(rng, 3)
         values = (0j, 0.5 + 0j, 0.5 + 0j, 0.9 + 0j, 1.1 + 0j)
         table = tp.MFunctionTable(1.0, values, tuple(np.diff(values)))
         ones = np.ones(4, dtype=complex)
-        with pytest.raises(tp.DegenerateDifferenceError):
-            trailing_inverse_from(table, ones, ones, 0, 3)
+        with pytest.raises(tp.DegenerateDifferenceError) as exc:
+            _trailing_diagonals(table, ones, ones, 0)
+        assert exc.value.index == 1
 
 
 def test_array_guards_raise_at_the_first_failing_index():
@@ -388,3 +391,60 @@ class TestReconstructFromM:
         pr[2] = 0.0
         with pytest.raises(tp.VanishingComponentError):
             tp.reconstruct_from_m(pencil.J, 1, omega, table, pr, pl, pencil.H.b[1])
+
+    @pytest.mark.parametrize("n", [4, 10, 40])
+    def test_entries_match_the_dense_reference(self, n):
+        """The diagonals read in one pass give the entries of the dense (n-k)^2 formula, to roundoff.
+
+        CPython and numpy round complex division differently, so the entries agree to a few ulps of
+        their terms, not bit for bit: rel_err, as everywhere an entry of H is compared.
+        """
+        pencil = seeded_pencil(n, n)
+        for omega in far_points(pencil)[::2]:
+            for k in (n // 2, n - 1):  # below n/2, n = 40 components fail the guard scaled by max|p|
+                data = (tp.m_table(pencil, omega), tp.right_components(pencil, omega),
+                        tp.left_components(pencil, omega), pencil.H.b[k])
+                entries = tp.reconstruct_from_m(pencil.J, k, omega, *data)
+                b, a = reference_m_route(pencil.J, k, omega, *data)
+                assert len(entries.b) == len(b) and len(entries.a) == len(a)
+                for mine, reference in zip(entries.b + entries.a, b + a):
+                    assert rel_err(mine, reference) <= 1e-14
+
+    @pytest.mark.parametrize("corrupt, error, index", [
+        ({"diffs": (3,), "pr": (5,)}, tp.DegenerateDifferenceError, 3),   # D(t) before any later V
+        ({"diffs": (4,), "pl": (4,)}, tp.VanishingComponentError, 4),     # V(t) before D(t)
+        ({"diffs": (2,), "pr": (6,)}, tp.VanishingComponentError, 6),     # D(k) after every row of T
+        ({"diffs": (2, 6)}, tp.DegenerateDifferenceError, 6),
+        ({"pr": (2,), "pl": (2,)}, tp.DegenerateDifferenceError, 2),      # row k has no component test
+        ({"diffs": (2,), "shift": 0.5j}, tp.DegenerateDifferenceError, 2),  # D(k) before NonReal
+        ({"shift": 0.5j}, tp.NonRealDiagonalError, 3),
+    ])
+    def test_guards_raise_in_the_order_of_the_dense_reference(self, corrupt, error, index):
+        n, k = 6, 2
+        pencil = seeded_pencil(n, n)
+        omega = dense_spectrum(pencil)[-1] + 1.5
+        table = tp.m_table(pencil, omega)
+        diffs = list(table.diffs)
+        for t in corrupt.get("diffs", ()):
+            diffs[t] = 0j
+        table = tp.MFunctionTable(table.omega, table.values, tuple(diffs))
+        pr, pl = tp.right_components(pencil, omega), tp.left_components(pencil, omega)
+        pr[list(corrupt.get("pr", ()))] = 0.0
+        pl[list(corrupt.get("pl", ()))] = 0.0
+        args = (pencil.J, k, omega + corrupt.get("shift", 0), table, pr, pl, pencil.H.b[k])
+        for route in (tp.reconstruct_from_m, reference_m_route):
+            with pytest.raises(error) as exc:
+                route(*args)
+            assert exc.value.index == index
+
+    def test_rejects_data_of_another_order(self):
+        pencil = seeded_pencil(5, 6)
+        omega = dense_spectrum(pencil)[-1] + 1.5
+        head = pencil.head(4)
+        full = (tp.m_table(pencil, omega), tp.right_components(pencil, omega), tp.left_components(pencil, omega))
+        short = (tp.m_table(head, omega), tp.right_components(head, omega), tp.left_components(head, omega))
+        for i in range(4):  # all three of the order-6 pencil, then one of them at a time
+            data = full if i == 3 else tuple(full[j] if j == i else short[j] for j in range(3))
+            with pytest.raises(ValueError, match="order 4"):
+                tp.reconstruct_from_m(head.J, 2, omega, *data, head.H.b[2])
+        tp.reconstruct_from_m(head.J, 2, omega, *short, head.H.b[2])

@@ -100,6 +100,25 @@ def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
             assert np.array_equal(mine.view(np.uint64), reference[:upto + 1].view(np.uint64))
 
 
+_BIG, _TOEPLITZ = seeded_pencil(3, 640), toeplitz_pencil(60, 2.5, 1.0, 0.3, 0.4 + 1e-9j)
+
+
+@pytest.mark.parametrize("call, first", [
+    (lambda: recurrence.pq_sweep(_BIG, 641, 5.0), "P[274]"),
+    (lambda: tp.eval_p(_BIG, 641, 5.0), "P[274]"),
+    (lambda: tp.eval_q(_BIG, 641, 5.0), "P[274]"),
+    (lambda: tp.liouville_ostrogradsky_residual(_BIG, 640, 5.0), "P[274]"),
+    (lambda: tp.right_components(_TOEPLITZ, 0.4), "components[35]"),
+    (lambda: tp.left_components(_TOEPLITZ, 0.4), "components[35]"),
+    (lambda: tp.right_components_with_derivative(_TOEPLITZ, 0.4), "components[35]"),
+], ids=["pq_sweep", "eval_p", "eval_q", "liouville", "right", "left", "derivative"])
+def test_unscaled_sweeps_raise_where_they_leave_the_double_range(call, first):
+    """No NaN comes back: the error names the first entry that is not finite."""
+    with pytest.raises(ValueError, match=r"not finite") as exc:
+        call()
+    assert str(exc.value).startswith(first + " = ")
+
+
 class TestConvergent:
     """The depth-m convergent Q_m/P_m is the m-function m(z, m)."""
 
