@@ -4,7 +4,9 @@
 Generates seeded instances over a range of orders, recovers the Hermitian
 matrix by both the eigenpair route and the m-function route, and reports
 worst-case entry errors binned by min_j |Delta_j| (the conditioning of the
-per-index 2x2 systems).
+per-index 2x2 systems).  An instance whose generation or reconstruction
+raises a library error is a failed row tagged with the error's class; the
+failures are listed by class, and the exit status is 1 if there are any.
 
     python scripts/roundtrip_sweep.py --count 300 --max-n 10
     python scripts/roundtrip_sweep.py --count 500 --csv sweep.csv
@@ -21,8 +23,17 @@ import tripencil as tp
 
 
 def run_case(seed, max_n, min_im_ratio):
+    """One instance through both routes: its row, or a failed row tagged with the library error's class."""
     n = 2 + seed % (max_n - 1)
     k = 1 + (seed * 7) % (n - 1)
+    try:
+        return measure(seed, n, k, min_im_ratio)
+    except tp.PencilError as exc:
+        return {"seed": seed, "n": n, "k": k, "min_delta": math.nan, "eig_err": math.nan, "m_err": math.nan,
+                "residual": math.nan, "eig_pass": False, "m_pass": False, "error": type(exc).__name__}
+
+
+def measure(seed, n, k, min_im_ratio):
     cfg = tp.GeneratorConfig(n=n, k=k, seed=seed, min_im_ratio=min_im_ratio)
     truth, inst = tp.generate_instance(cfg)
 
@@ -47,6 +58,7 @@ def run_case(seed, max_n, min_im_ratio):
         "residual": max(eig_report.residual_lambda, eig_report.residual_mu),
         "eig_pass": eig_report.passed,
         "m_pass": m_report.passed,
+        "error": "",
     }
 
 
@@ -72,6 +84,8 @@ def main(argv=None):
     # bin by log10 of the smallest 2x2 determinant magnitude
     bins = {}
     for row in rows:
+        if row["error"]:
+            continue
         key = int(math.floor(math.log10(row["min_delta"])))
         bins.setdefault(key, []).append(row)
 
@@ -86,6 +100,11 @@ def main(argv=None):
 
     failures = [r for r in rows if not (r["eig_pass"] and r["m_pass"])]
     print(f"\n{len(rows)} instances, {len(failures)} failures")
+    by_class = {}
+    for row in failures:
+        by_class.setdefault(row["error"] or "verify failed", []).append(row["seed"])
+    for name, seeds in sorted(by_class.items()):
+        print(f"  {name}: {len(seeds)} (seeds {', '.join(map(str, seeds))})")
     return 1 if failures else 0
 
 

@@ -8,6 +8,8 @@ them to exit code 2.  ``SchemaError`` covers malformed serialized input
 
 from __future__ import annotations
 
+from typing import Mapping
+
 
 class PencilError(Exception):
     """Base class for all library errors."""
@@ -104,4 +106,15 @@ class NearSingularError(MathPreconditionError):
 
 
 class GenerationFailedError(PencilError):
-    """Instance generator exhausted its rejection-sampling budget."""
+    """Instance generator exhausted its rejection-sampling budget.
+
+    rejections maps each admission test, in the order the generator runs
+    them, to the number of attempts it rejected; the counts sum to the budget.
+    """
+
+    def __init__(self, seed: int, rejections: Mapping[str, int]):
+        self.seed = seed
+        self.rejections = dict(rejections)
+        counts = ", ".join(f"{test} {count}" for test, count in self.rejections.items())
+        super().__init__(f"no admissible instance after {sum(self.rejections.values())} attempts "
+                         f"(seed={seed}); rejected by {counts}")

@@ -33,8 +33,11 @@ from .errors import (
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
 from .recurrence import (
+    PivotSweep,
+    _check_margins,
     check_spectrum,
     eigenvalue_margin,
+    head_margins,
     left_components,
     pivot_sweep,
     right_components,
@@ -389,14 +392,29 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
+def _solver_head_margins(pencil: Pencil, k: int, z: float) -> tuple[PivotSweep, np.ndarray]:
+    """The pivot sweep of rows 0..k at z and the twisted margins of head(k - 1) and head(k).
+
+    These two heads are the only ones whose spectrum solve needs z to avoid:
+    it raises on these margins, and the instance generator admits a draw by
+    them, so both decide on the same numbers.  Rows past k are not read.
+    """
+    sweep = pivot_sweep(pencil, k + 1, z)
+    return sweep, head_margins(pencil, sweep, k - 1)
+
+
 def solve(instance: GiepInstance) -> ReconstructionResult:
     """Full reconstruction: entries of H, leading components, diagnostics."""
     k = instance.k
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
-    pivots_lam, pivots_mu = (check_spectrum(head, pivot_sweep(head, k + 1, z), k - 1).pivots
-                             for z in (lam, mu))
+    pivots = []
+    for z in (lam, mu):
+        sweep, margins = _solver_head_margins(head, k, z)
+        _check_margins(margins, k - 1, sweep.z)
+        pivots.append(sweep.pivots)
+    pivots_lam, pivots_mu = pivots
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)

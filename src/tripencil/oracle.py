@@ -6,9 +6,11 @@ shares nothing with the recurrences; there is no coefficient-polynomial or
 companion-matrix route.  The instance generator manufactures reconstruction
 problems whose answer is known: it takes the eigenvector tails from a
 twisted factorization (eigenvector_components) and rejects draws that sit
-too close to any hypothesis boundary, measured by the twisted margins the
-solver itself reads, so solver failures on generated data are bugs by
-definition.
+too close to a boundary of the tests solve applies.  Its head test is
+solve's own, the twisted margins of head(k - 1) and head(k) at lam and mu
+read through the same helper, held to the wider ADMIT_SPECTRUM_MARGIN;
+neither reads the heads past k.  So solver failures on generated data are
+bugs by definition.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegreeDropError, GenerationFailedError, NearSingularError, VanishingComponentError
-from .giep import GiepInstance, ReconstructionResult, pair_systems
+from .giep import GiepInstance, ReconstructionResult, _solver_head_margins, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eigenvector_components, head_margins, pivot_sweep
+from .recurrence import eigenvector_components, pivot_sweep
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
                          EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
@@ -151,34 +153,43 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
     """Manufacture a (truth, instance) pair satisfying every solver hypothesis.
 
     Deterministic for a fixed seed; each rejected draw advances a sub-seed so
-    reruns reproduce the same sequence of attempts.
+    reruns reproduce the same sequence of attempts.  The admission tests run
+    in the order degree drop, eigenvalue gap, head spectrum, v_0, Delta_j;
+    GenerationFailedError reports how many attempts each rejected.
     """
+    k = config.k
+    rejected = dict.fromkeys(("degree drop", "eigenvalue gap", "head spectrum", "v_0", "Delta_j"), 0)
     for attempt in range(100):
         rng = np.random.default_rng([config.seed, attempt])
         truth = _draw_truth(config, rng)
-        n, k = config.n, config.k
         try:
             eigs = pencil_eigenvalues(truth)
         except DegreeDropError:
+            rejected["degree drop"] += 1
             continue
         lam, mu = float(eigs[-1].real), float(eigs[0].real)
         if abs(lam - mu) < EIGENVALUE_GAP_TOL:
+            rejected["eigenvalue gap"] += 1
             continue
 
-        # stay clearly outside the spectrum of every head the solver touches: rows 0..m-1, m = k..n
-        if any(head_margins(truth, pivot_sweep(truth, n, z), k - 1).min() < ADMIT_SPECTRUM_MARGIN
-               for z in (lam, mu)):
+        # stay clearly outside the spectra solve tests, those of head(k - 1) and head(k) (rows 0..k),
+        # on the margins it reads
+        if any(_solver_head_margins(truth, k, z)[1].min() < ADMIT_SPECTRUM_MARGIN for z in (lam, mu)):
+            rejected["head spectrum"] += 1
             continue
 
         try:
             inst = instance_from_truth(truth, k, lam, mu)
         except VanishingComponentError:
+            rejected["v_0"] += 1
             continue
 
-        if not any(abs(system.det) < ADMIT_DELTA_RTOL * (system.scale + 1.0)
-                   for system in pair_systems(inst, inst.tail_p, inst.tail_s)):
-            return truth, inst
-    raise GenerationFailedError(f"no admissible instance after 100 attempts (seed={config.seed})")
+        if any(abs(system.det) < ADMIT_DELTA_RTOL * (system.scale + 1.0)
+               for system in pair_systems(inst, inst.tail_p, inst.tail_s)):
+            rejected["Delta_j"] += 1
+            continue
+        return truth, inst
+    raise GenerationFailedError(config.seed, rejected)
 
 
 def verify(truth: Pencil, result: ReconstructionResult | MRouteEntries) -> VerificationReport:

@@ -378,11 +378,15 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
 
 def check_spectrum(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> PivotSweep:
     """Raise SpectrumCollisionError(t) at the first t >= first whose head(t) margin is below SPECTRUM_RTOL."""
-    margins = head_margins(pencil, sweep, first)
+    _check_margins(head_margins(pencil, sweep, first), first, sweep.z)
+    return sweep
+
+
+def _check_margins(margins: np.ndarray, first: int, z: complex) -> None:
+    """check_spectrum's test on margins head_margins(·, first) already gave."""
     hit = np.flatnonzero(margins < SPECTRUM_RTOL)
     if hit.size:
-        raise SpectrumCollisionError(first + int(hit[0]), sweep.z)
-    return sweep
+        raise SpectrumCollisionError(first + int(hit[0]), z)
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:

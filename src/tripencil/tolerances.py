@@ -28,8 +28,9 @@ DENSE_RESIDUAL_RTOL = 1e-10 # |A X - I| of the dense inverse, relative to |A| |X
 ENTRY_TOL = 1e-7            # worst relative error of a recovered entry that verify accepts
 RESIDUAL_TOL = 1e-6         # worst relative eigenpair residual that verify accepts
 
-# Instance generator admission (oracle.py): wider than the solver's guards,
-# so an admitted instance never trips one of them
+# Instance generator admission (oracle.py): wider than the solver's guards they
+# mirror, so an admitted instance never trips one of those; the component guard
+# (COMPONENT_RTOL) has no admission test, so that generated data shows where it fires
 EIGENVALUE_GAP_TOL = 1e-6   # smallest |lam - mu|
-ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest twisted margin (head_margins) of a touched head at lam or mu
+ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest twisted margin of head(k - 1) and head(k) at lam or mu, as solve reads them
 ADMIT_DELTA_RTOL = 1e-8     # smallest |Delta_j| / (scale_j + 1)

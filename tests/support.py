@@ -89,6 +89,12 @@ def hand_pencil():
                      tp.HermitianTridiagonal((0.0, 0.0), (1j,)))
 
 
+def corpus_shape(seed):
+    """(n, k) of acceptance-corpus seed: orders 2..10, split 1 + 7 seed mod (n - 1)."""
+    n = 2 + seed % 9
+    return n, 1 + (seed * 7) % (n - 1)
+
+
 def rel_err(value, truth):
     return abs(value - truth) / (1.0 + abs(truth))
 

@@ -13,7 +13,7 @@ import pytest
 import tripencil as tp
 from tripencil import serialize
 from tripencil.cli import main as cli_main
-from support import build_pencil, extreme_pair, rel_err
+from support import build_pencil, corpus_shape, extreme_pair, rel_err
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -21,12 +21,6 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {num}: {label}{suffix}")
     assert ok, f"criterion {num} failed: {label}{suffix}"
-
-
-def corpus_shape(seed: int) -> tuple[int, int]:
-    n = 2 + seed % 9
-    k = 1 + (seed * 7) % (n - 1)
-    return n, k
 
 
 @pytest.fixture(scope="module")

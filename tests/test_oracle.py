@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import tripencil as tp
-from tripencil.tolerances import SPECTRUM_RTOL
-from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, max_normalized,
-                     seeded_pencil)
+from tripencil import giep, oracle, recurrence
+from tripencil.tolerances import ADMIT_SPECTRUM_MARGIN, SPECTRUM_RTOL
+from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
+                     max_normalized, seeded_pencil)
+
+CANARY = tp.GeneratorConfig(n=40, k=20, seed=0)  # the fixed n = 40 draw of the benchmark's roundtrip workload
 
 
 class TestPencilEigenvalues:
@@ -145,12 +148,78 @@ class TestGenerateInstance:
 
     def test_admits_order_40_canary(self):
         """The extreme pair and tails of the n = 40 draw are the dense eigenpairs."""
-        truth, inst = tp.generate_instance(tp.GeneratorConfig(n=40, k=20, seed=0))
+        truth, inst = tp.generate_instance(CANARY)
         w, X = dense_eigenvectors(truth)
         assert abs(inst.lam - w[-1]) <= 1e-12 * abs(w).max()
         assert abs(inst.mu - w[0]) <= 1e-12 * abs(w).max()
         for tail, x in ((inst.tail_p, X[:, -1]), (inst.tail_s, X[:, 0])):
             assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
+
+    def test_admits_by_the_margins_solve_tests(self, monkeypatch):
+        """Admission reads heads k - 1 and k at lam and mu: bit for bit the margins solve then raises on."""
+        admitted, tested = [], []
+        solver_head_margins, check_margins = giep._solver_head_margins, giep._check_margins
+
+        def admit(pencil, k, z):
+            sweep, margins = solver_head_margins(pencil, k, z)
+            admitted.append(margins)
+            return sweep, margins
+
+        def check(margins, first, z):
+            tested.append(margins)
+            check_margins(margins, first, z)
+
+        monkeypatch.setattr(oracle, "_solver_head_margins", admit)
+        monkeypatch.setattr(giep, "_check_margins", check)
+        configs = [tp.GeneratorConfig(n=n, k=k, seed=seed) for seed in range(200) for n, k in [corpus_shape(seed)]]
+        for config in configs + [CANARY]:
+            admitted.clear()
+            tested.clear()
+            _, inst = tp.generate_instance(config)
+            tp.solve(inst)
+            # the admitted attempt is the last, and it computed both points, lam then mu
+            assert len(tested) == 2 and len(admitted) >= 2
+            for ours, theirs in zip(admitted[-2:], tested):
+                assert ours.shape == (2,) and ours.tobytes() == theirs.tobytes()
+                assert ours.min() >= ADMIT_SPECTRUM_MARGIN
+
+    def test_canary_admits_a_draw_with_a_near_collision_on_an_unread_head(self):
+        """Solve never reads the heads past k; a draw that comes close to their spectra still solves."""
+        truth, inst = tp.generate_instance(CANARY)
+        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z), inst.k + 1).min()
+                     for z in (inst.lam, inst.mu))
+        assert unread < ADMIT_SPECTRUM_MARGIN
+        report = tp.verify(truth, tp.solve(inst))
+        assert report.passed
+        assert max(report.entry_errors.values()) <= 1e-8
+        assert max(report.residual_lambda, report.residual_mu) <= 1e-7
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_generated_instances_solve_within_the_acceptance_bounds(self, n):
+        for seed in range(30):
+            truth, inst = tp.generate_instance(tp.GeneratorConfig(n=n, k=n // 2, seed=seed))
+            report = tp.verify(truth, tp.solve(inst))
+            assert max(report.entry_errors.values()) <= 1e-8, seed
+            assert max(report.residual_lambda, report.residual_mu) <= 1e-7, seed
+
+    def test_failure_counts_the_rejections_of_each_test(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ADMIT_DELTA_RTOL", math.inf)  # every Delta_j test rejects
+        with pytest.raises(tp.GenerationFailedError) as info:
+            tp.generate_instance(CANARY)
+        # the attempts the head test rejects, counted from the draws themselves
+        head = 0
+        for attempt in range(100):
+            truth = oracle._draw_truth(CANARY, np.random.default_rng([CANARY.seed, attempt]))
+            eigs = tp.pencil_eigenvalues(truth)
+            head += any(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, CANARY.k + 1, z.real),
+                                                CANARY.k - 1).min() < ADMIT_SPECTRUM_MARGIN
+                        for z in (eigs[-1], eigs[0]))
+        assert head == 52
+        expected = {"degree drop": 0, "eigenvalue gap": 0, "head spectrum": head, "v_0": 0, "Delta_j": 100 - head}
+        assert info.value.rejections == expected
+        assert info.value.seed == 0
+        assert str(info.value) == ("no admissible instance after 100 attempts (seed=0); rejected by "
+                                   "degree drop 0, eigenvalue gap 0, head spectrum 52, v_0 0, Delta_j 48")
 
     def test_random_pair_strategy(self):
         # a non-extreme eigenvalue pair of a generated truth still solves

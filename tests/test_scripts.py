@@ -21,6 +21,33 @@ def test_roundtrip_sweep_runs(capsys):
     assert "5 instances, 0 failures" in capsys.readouterr().out
 
 
+def test_roundtrip_sweep_records_library_errors_and_exits_1(monkeypatch, capsys, tmp_path):
+    sweep = load_script("roundtrip_sweep")
+    generate, solve = sweep.tp.generate_instance, sweep.tp.solve
+
+    def failing_generate(config):
+        if config.seed == 4:
+            raise sweep.tp.GenerationFailedError(4, {"head spectrum": 100})
+        return generate(config)
+
+    def failing_solve(inst):
+        if inst.n == 3:  # seeds 1 and 10 of --max-n 10
+            raise sweep.tp.VanishingComponentError(2)
+        return solve(inst)
+
+    monkeypatch.setattr(sweep.tp, "generate_instance", failing_generate)
+    monkeypatch.setattr(sweep.tp, "solve", failing_solve)
+    rows = tmp_path / "rows.csv"
+    assert sweep.main(["--count", "12", "--csv", str(rows)]) == 1
+    out = capsys.readouterr().out
+    assert "12 instances, 3 failures" in out
+    assert "  GenerationFailedError: 1 (seeds 4)" in out
+    assert "  VanishingComponentError: 2 (seeds 1, 10)" in out
+    tags = [line.rsplit(",", 1)[1] for line in rows.read_text().splitlines()[1:]]
+    assert [(seed, tag) for seed, tag in enumerate(tags) if tag] == [
+        (1, "VanishingComponentError"), (4, "GenerationFailedError"), (10, "VanishingComponentError")]
+
+
 def _result_line(ops_per_s, setup_s):
     return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
         "good_ops_per_s": {"value": ops_per_s, "unit": "1/s"},
