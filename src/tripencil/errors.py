@@ -44,12 +44,16 @@ class PoleCollisionError(_IndexedError):
 
 
 class SpectrumCollisionError(MathPreconditionError):
-    """Evaluation point lies in the spectrum of a leading sub-pencil."""
+    """Evaluation point lies in the spectrum of a leading sub-pencil.
 
-    def __init__(self, order: int, point: complex):
-        self.order = order
-        self.point = point
-        super().__init__(f"point {point} lies in the spectrum of the order-{order} leading sub-pencil")
+    value is its twisted margin, below tol = SPECTRUM_RTOL, or in ldu_factors
+    the pivot margin, below tol = FACTOR_RTOL.
+    """
+
+    def __init__(self, order: int, point: complex, value: float, tol: float):
+        self.order, self.point, self.value, self.tol = order, point, value, tol
+        super().__init__(f"point {point} lies in the spectrum of the order-{order} leading sub-pencil: "
+                         f"margin {value:.3e} < tol {tol:.1e}")
 
 
 class SingularDeltaError(_IndexedError):

@@ -124,7 +124,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     gamma, margin, _ = twisted_pivots(pencil, sweep)
     if margin < SPECTRUM_RTOL:
-        raise SpectrumCollisionError(pencil.n, sweep.z)
+        raise SpectrumCollisionError(pencil.n, sweep.z, margin, SPECTRUM_RTOL)
     diag = 1.0 / gamma
     right, left = _unit_steps(pencil, sweep)
     R = _unit_upper(right, diag)
@@ -168,7 +168,7 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     z = sweep.z
     low = np.flatnonzero(np.asarray(sweep.margins) < FACTOR_RTOL)
     if low.size:
-        raise SpectrumCollisionError(int(low[0]), z)
+        raise SpectrumCollisionError(int(low[0]), z, sweep.margins[low[0]], FACTOR_RTOL)
     terms = np.abs(z * np.asarray(pencil.J.d)) + np.abs(np.asarray(pencil.H.b))
     flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:

@@ -36,10 +36,12 @@ pass that reads the forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: head_margins
 for the leading sub-pencils, check_spectrum to raise on it and
-eigenvalue_margin for the full pencil.  head_margins runs the bottom-up
-passes of all heads together and stops once they have joined, bit for bit,
-which off the spectrum they do within a few dozen rows: O(n) work per row
-reached, not O(n^2) per point.
+eigenvalue_margin for the full pencil.  The margin has one formula in one
+arithmetic: twisted_pivots runs the bottom-up pass of one head on numpy
+scalars, head_margins those of all heads together as one vector step per
+row, and both give the same bits.  head_margins stops once the passes have
+joined, bit for bit, which off the spectrum they do within a few dozen
+rows: O(n) work per row reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -271,65 +273,58 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
 def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), their margin and D-_r.
 
-    gamma_r = u_r - x_r - y_r joins the forward term x_r = u_r - D_r =
-    w_{r-1}/D_{r-1} with the backward term y_r of the pivots taken from row
-    N-1 up, as in a twisted factorization.  The pass from the bottom up
-    reads the weights w_r of the forward sweep and carries only the
-    rescaled minors: its pivots are, bit for bit, those of pivot_sweep on
-    the rows in reverse order.  Both pivot passes, and so each gamma_r, are
-    exact for coefficients perturbed by a few ulps, however small the pivots
-    on the way.  The margin is
-    min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|): 0 at an eigenvalue
-    of the order-(N-1) leading sub-pencil, whichever row its eigenvector
-    lives on.  The backward pivots D-_r = u_r - y_r are returned as well.
+    gamma_r = u_r - x_r - y_r joins the forward term x_r = w_{r-1}/D_{r-1}
+    (x_0 = 0) with the backward term y_r = w_r/D-_{r+1} (y_{N-1} = 0) of the
+    pivots taken from row N-1 up, as in a twisted factorization: D-_{N-1} =
+    u_{N-1} and D-_r = u_r - y_r, each exactly zero one replaced by
+    _stand_in.  The margin is the pivot margin on row N-1, which sees a true
+    zero minor, and min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|) above
+    it: 0 at an eigenvalue of the order-(N-1) leading sub-pencil, whichever
+    row its eigenvector lives on.  It is head_margins' margin of head(N-1),
+    bit for bit: the pass is its vector step on numpy complex128 scalars,
+    which round as its array operations do (Python's complex division and
+    abs() do not).  The backward pivots D-_r are returned as well.
     """
+    u, w, ux, own, sx = _row_terms(pencil, sweep)
+    Y = u[-1] or np.complex128(_stand_in(own[-1]))
+    backward = [Y]
+    for ur, wr in zip(list(u[-2::-1]), list(w[::-1])):
+        y = wr / Y
+        Y = ur - y
+        if not Y:  # on row N - 1 - len(backward)
+            Y = np.complex128(_stand_in(own[-1 - len(backward)] + np.abs(y)))
+        backward.append(Y)
+    backward = np.array(backward[::-1])
+    y = w / backward[1:]
+    gamma = ux  # u - x - y, with y_{N-1} = 0
+    gamma[:-1] -= y
+    above = np.abs(gamma[:-1]) / (sx[:-1] + np.abs(y))
+    return gamma, float(above.min(initial=sweep.margins[-1])), backward
+
+
+def _row_terms(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, ...]:
+    """u = z c - a, w, u - x, |z c| + |a| and |z c| + |a| + |x| on rows 0..N-1, x_r = w_{r-1}/D_{r-1}, x_0 = 0."""
     N = len(sweep.pivots)
-    z = sweep.z
-    c, a = pencil.J.c[:N], pencil.H.a[:N]
-    zc, av = z * np.asarray(c), np.asarray(a)
+    zc, av = sweep.z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
     u = zc - av
-    x = u - np.asarray(sweep.pivots)
-    backward = np.asarray(_backward_pivots(c, a, sweep.weights, z))
-    y = u - backward
-    gamma = u - x - y
-    terms = np.abs(zc) + np.abs(av) + np.abs(x) + np.abs(y)
-    return gamma, float(np.min(np.abs(gamma) / terms)), backward
+    w = np.asarray(sweep.weights, dtype=complex)
+    x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
+    own = np.abs(zc) + np.abs(av)
+    return u, w, u - x, own, own + np.abs(x)
 
 
-def _backward_pivots(c, a, weights, z: complex) -> list[complex]:
-    """The pivots of _pivot_pass on the rows read upwards, in row order, from the forward weights.
-
-    The same steps as _pivot_pass with the rows reversed, so the same bits:
-    row r reads w_r, which _pivot_pass forms from d_r and b_r alone (the
-    weights do not change when the rows are read upwards, and need no
-    conjugation), the same stand-in for an exactly zero minor and the same
-    power-of-two rescale.  Only the minors P are carried.
-    """
-    out = [0j] * len(c)
-    p0, p1, den, w = 0j, 1 + 0j, 1 + 0j, 1 + 0j  # on row N-1, w multiplies P_{-1} = 0, as in _pivot_pass
-    for r in range(len(c) - 1, -1, -1):
-        zc = z * c[r]
-        if r < len(weights):
-            w = weights[r]
-        wp = w * p0
-        p2 = (zc - a[r]) * p1 - wp
-        stand = p2 or _EPS * (((abs(zc) + abs(a[r])) * abs(p1) + abs(wp)) or abs(den))
-        out[r] = stand / den
-        size = abs(stand)
-        if not _TINY < size < _HUGE:
-            s = math.ldexp(1.0, -math.frexp(size)[1])
-            p2, p1, stand = p2 * s, p1 * s, stand * s
-        p0, p1, den = p1, p2, stand
-    return out
+def _stand_in(terms):
+    """What stands in for an exactly zero backward pivot: 2^-52 times its terms, or 2^-52 where those are zero."""
+    return _EPS * np.where(terms > 0, terms, 1.0)
 
 
 def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:
     """Twisted margins at sweep.z of the leading sub-pencils head(t), t = first..N-1.
 
-    N = len(sweep.pivots).  Entry t - first is min_r |gamma_r| / (its terms)
-    over the rows r <= t of head(t), rows 0..t (twisted_pivots): 0 at one of
-    its eigenvalues, whichever row the eigenvector lives on; at r = t it is
-    the pivot margin.  A single head costs one backward pass.  For several,
+    N = len(sweep.pivots).  Entry t - first is twisted_pivots' margin of
+    head(t), rows 0..t, bit for bit: 0 at one of its eigenvalues, whichever
+    row the eigenvector lives on; at r = t it is the pivot margin.  A single
+    head costs one scalar backward pass (twisted_pivots).  For several,
     their backward pivots advance together, one vector step per row, head
     t on row t - s at step s.  Each step is a function of the row and the
     pivot below it alone, so once the pivot of head(t) equals, bit for bit,
@@ -348,14 +343,11 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
         raise ValueError(f"first order {first} out of range 0..{N - 1}")
     if first == N - 1:
         return np.array([twisted_pivots(pencil, sweep)[1]])
-    z = sweep.z
-    zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
-    u = zc - av
-    w = np.asarray(sweep.weights, dtype=complex)
-    x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
-    ux, sx = u - x, np.abs(zc) + np.abs(av) + np.abs(x)
+    u, w, ux, own, sx = _row_terms(pencil, sweep)
     best = np.asarray(sweep.margins[first:])
     Y = u[first:].copy()  # Y[i]: backward pivot of head(first + i) at the current row
+    if not Y.all():
+        Y = np.where(Y == 0, _stand_in(own[first:]), Y)
     for s in range(1, N):
         h = max(s - first, 0)  # the heads with a row s above their last one
         rows = slice(first + h - s, N - s)
@@ -364,8 +356,7 @@ def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarra
         step = np.abs(ux[rows] - y) / (sx[rows] + ay)
         new = u[rows] - y
         if not new.all():
-            # an exactly zero pivot: a stand-in of 2^-52 times its terms, as pivot_sweep does
-            new = np.where(new == 0, _EPS * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), new)
+            new = np.where(new == 0, _stand_in(own[rows] + ay), new)
         # head h is on row 0 and every longer head has joined the next shorter one:
         # the rows j - 1..0 left to head h + j are those heads h + j - 1..h have just read
         if s >= first and new[-1] == Y[-2] and np.array_equal(new[1:], Y[h:-1]):
@@ -386,7 +377,7 @@ def _check_margins(margins: np.ndarray, first: int, z: complex) -> None:
     """check_spectrum's test on margins head_margins(·, first) already gave."""
     hit = np.flatnonzero(margins < SPECTRUM_RTOL)
     if hit.size:
-        raise SpectrumCollisionError(first + int(hit[0]), z)
+        raise SpectrumCollisionError(first + int(hit[0]), z, float(margins[hit[0]]), SPECTRUM_RTOL)
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:

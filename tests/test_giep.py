@@ -318,6 +318,16 @@ class TestSolve:
                 tp.solve(corrupted)
             assert info.value.order == order
 
+    def test_lambda_on_a_head_with_exactly_zero_bottom_pivots_raises(self):
+        # u = 0 at lam = 0, so the bottom pivot of head(k - 1) and of head(k) is exactly zero; lam is on head(k)
+        truth = toeplitz_pencil(12, 2.5, 1.0, 0.0, 1j)
+        mu = float(dense_spectrum(truth)[-1])
+        for op in (lambda: tp.solve(tp.instance_from_truth(truth, 6, 0.0, mu)),
+                   lambda: tp.trace_identity_residuals(truth, 6, 0.0, mu)):
+            with pytest.raises(tp.SpectrumCollisionError) as info:
+                op()
+            assert (info.value.order, info.value.value, info.value.tol) == (6, 0.0, SPECTRUM_RTOL)
+
     def test_scaling_invariance(self, rng):
         truth, inst = make_case(rng, 4, 2)
         gamma, delta_scale = 1.3 - 0.4j, -0.2 + 2.1j

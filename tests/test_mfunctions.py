@@ -1,5 +1,7 @@
 """Resolvent, factorization, trailing inverse and m-function reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from tripencil import recurrence
 from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 from support import (build_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points, reference_m_route, rel_err,
-                     seeded_pencil, two_pole_pencil)
+                     seeded_pencil, toeplitz_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -239,6 +241,38 @@ def test_ldu_factors_raises_at_the_first_small_pivot_margin():
     with pytest.raises(tp.SpectrumCollisionError) as exc:
         tp.ldu_factors(pencil, z)
     assert exc.value.order == 1
+    assert (exc.value.value, exc.value.tol) == (sweep.margins[1], FACTOR_RTOL)
+    assert f"margin {sweep.margins[1]:.3e} < tol {FACTOR_RTOL:.1e}" in str(exc.value)
+
+
+def test_resolvent_spectrum_error_carries_the_twisted_margin():
+    pencil = seeded_pencil(3, 15)
+    for lam in dense_spectrum(pencil)[::5]:
+        margin = recurrence.eigenvalue_margin(pencil, lam)
+        with pytest.raises(tp.SpectrumCollisionError) as exc:
+            tp.resolvent_matrix(pencil, lam)
+        assert (exc.value.order, exc.value.value, exc.value.tol) == (pencil.n, margin, SPECTRUM_RTOL)
+        assert f"margin {margin:.3e} < tol {SPECTRUM_RTOL:.1e}" in str(exc.value)
+
+
+def test_exact_one_row_head_eigenvalue_raises():
+    # the pivot of head(0) is exactly zero, with no term of its own: its stand-in must not read as a margin of 1
+    pencil = tp.Pencil(tp.SymmetricTridiagonal((2.5,), ()), tp.HermitianTridiagonal((0.0,), ()))
+    toeplitz = toeplitz_pencil(11, 2.5, 1.0, 0.0, 1j)
+    for op in (lambda: tp.resolvent_matrix(pencil, 0.0), lambda: tp.m_function(toeplitz, 1, 0.0),
+               lambda: tp.trailing_inverse(toeplitz, 0, 0.0)):
+        with pytest.raises(tp.SpectrumCollisionError) as exc:
+            op()
+        assert (exc.value.order, exc.value.value) == (0, 0.0)
+
+
+def test_m_table_through_exactly_zero_bottom_pivots_raises_without_a_warning():
+    # u = 0 at z = 0: the bottom pivot of every head is exactly zero and takes its stand-in, not a division by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(tp.SpectrumCollisionError) as exc:
+            tp.m_table(toeplitz_pencil(11, 2.5, 1.0, 0.0, 1j), 0.0)
+    assert exc.value.order == 0
 
 
 @pytest.mark.parametrize("n", [160, 640])

@@ -212,8 +212,11 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
         together = recurrence.head_margins(pencil, sweep)
         alone = [tp.eigenvalue_margin(pencil.head(m - 1), z) for m in range(1, pencil.n + 2)]
-        assert np.allclose(together, alone, rtol=1e-10, atol=0)
+        assert np.array_equal(together, alone)
         assert np.array_equal(recurrence.head_margins(pencil, sweep, 27), together[27:])
+        # the last head alone takes the scalar pass, two heads the vector loop: the same bits
+        last_two = recurrence.head_margins(pencil, sweep, pencil.n - 1)
+        assert last_two[1] == recurrence.head_margins(pencil, sweep, pencil.n)[0]
 
 
 def _all_steps_margins(pencil, sweep, first):
@@ -226,24 +229,33 @@ def _all_steps_margins(pencil, sweep, first):
     x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
     ux, sx = u - x, np.abs(zc) + np.abs(av) + np.abs(x)
     best = np.asarray(sweep.margins[first:])
-    Y = u[first:].copy()
+
+    def stand_in(Y, terms):  # an exactly zero pivot: 2^-52 times its terms, or 2^-52 where those are zero
+        return np.where(Y == 0, 2.0 ** -52 * np.where(terms > 0, terms, 1.0), Y)
+
+    Y = stand_in(u[first:], np.abs(zc[first:]) + np.abs(av[first:]))
     for s in range(1, N):
         h = max(s - first, 0)
         rows = slice(first + h - s, N - s)
         y = w[rows] / Y[h:]
         ay = np.abs(y)
         best[h:] = np.minimum(best[h:], np.abs(ux[rows] - y) / (sx[rows] + ay))
-        Y[h:] = u[rows] - y
-        if not Y[h:].all():
-            Y[h:] = np.where(Y[h:] == 0, 2.0 ** -52 * (np.abs(zc[rows]) + np.abs(av[rows]) + ay), Y[h:])
+        Y[h:] = stand_in(u[rows] - y, np.abs(zc[rows]) + np.abs(av[rows]) + ay)
     return best
 
 
+def _assert_twisted_pivots_match_head_margins(pencil, sweep):
+    """twisted_pivots' margin of each head, on its prefix of the sweep, equals head_margins' bit for bit."""
+    alone = [recurrence.twisted_pivots(pencil, sweep.prefix(t + 1))[1] for t in range(len(sweep.pivots))]
+    assert np.array_equal(recurrence.head_margins(pencil, sweep), alone), sweep.z
+
+
 def _assert_margins_match_all_steps(pencil, points, firsts):
-    """head_margins equals the N-step loop bit for bit; returns {(point, first): whether the guard fires}."""
+    """head_margins equals the N-step loop and twisted_pivots bit for bit; returns {(point, first): guard fires}."""
     fired = {}
     for z in points:
         sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+        _assert_twisted_pivots_match_head_margins(pencil, sweep)
         for first in firsts:
             margins = recurrence.head_margins(pencil, sweep, first)
             assert np.array_equal(margins, _all_steps_margins(pencil, sweep, first)), (z, first)
@@ -279,31 +291,52 @@ def test_head_margins_through_an_exactly_zero_backward_pivot():
     _assert_margins_match_all_steps(pencil, [0.0, 1e-17, 0.25j], (0, 5, 11))
 
 
-def _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z):
-    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
-    c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
-    old = recurrence._pivot_pass(c[::-1], d[::-1], a[::-1], b[::-1], pencil.n + 1, sweep.z).pivots[::-1]
-    new = recurrence._backward_pivots(c, a, sweep.weights, sweep.z)
-    assert np.array_equal(old, new)
-    assert np.array_equal(recurrence.twisted_pivots(pencil, sweep)[2], new)
-
-
 @pytest.mark.parametrize("n", [10, 160, 640])
-def test_backward_pivots_are_the_reversed_forward_pass_bit_for_bit(n):
-    # the minors leave [2^-256, 2^256] within 640 rows, so that pass runs through rescales
+def test_twisted_pivots_of_each_head_match_head_margins_bit_for_bit(n):
     pencil = seeded_pencil(3, n)
     eigs = dense_spectrum(pencil)
     for z in (eigs[-1] + 1.5, eigs[0] - 1.5, 0.5 * (eigs[n // 2] + eigs[n // 2 + 1]), 0.3 + 0.5j):
-        _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z)
+        _assert_twisted_pivots_match_head_margins(pencil, recurrence.pivot_sweep(pencil, n + 1, z))
 
 
-def test_backward_pivots_through_an_exactly_zero_minor():
-    # the pencil of test_head_margins_through_an_exactly_zero_backward_pivot: at z = 0 the second
-    # backward minor is exactly zero and both passes take the stand-in; in the scaled copy
-    # (u = 2, w = 4) the stand-in's terms also read |P| != 1
-    for pencil in (toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j), toeplitz_pencil(12, 1.0, 1.0, -2.0, 2j)):
+def test_twisted_pivots_of_each_head_through_an_exactly_zero_pivot():
+    # the pencil of test_head_margins_through_an_exactly_zero_backward_pivot, its scaled copy (u = 2, w = 4),
+    # and pencils with u = 0 at z = 0, where the bottom pivot of every head is exactly zero
+    for pencil in (toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j), toeplitz_pencil(12, 1.0, 1.0, -2.0, 2j),
+                   toeplitz_pencil(11, 2.5, 1.0, 0.0, 1j), toeplitz_pencil(12, 2.5, 1.0, 0.0, 1j)):
         for z in (0.0, 1e-17, 0.25j):
-            _assert_backward_pivots_match_the_reversed_forward_pass(pencil, z)
+            _assert_twisted_pivots_match_head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z))
+
+
+def test_an_exact_one_row_head_eigenvalue_has_margin_0():
+    # the pivot is exactly zero, with no term of its own: its stand-in must not count as one
+    pencil = tp.Pencil(tp.SymmetricTridiagonal((2.5,), ()), tp.HermitianTridiagonal((0.0,), ()))
+    assert tp.eigenvalue_margin(pencil, 0.0) == 0.0
+
+
+def test_several_heads_through_an_exactly_zero_bottom_pivot():
+    # u = 0 at z = 0, so the bottom pivot of every head is exactly zero; 0 is an eigenvalue of head(12)
+    pencil = toeplitz_pencil(12, 2.5, 1.0, 0.0, 1j)
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
+    assert np.array_equal(recurrence.head_margins(pencil, sweep, 11), [1.0, 0.0])
+    with pytest.raises(tp.SpectrumCollisionError) as info:
+        recurrence.check_spectrum(pencil, sweep, 11)
+    assert info.value.order == 12
+    assert (info.value.value, info.value.tol) == (0.0, SPECTRUM_RTOL)
+    assert "margin 0.000e+00 < tol 1.0e-10" in str(info.value)
+
+
+def test_check_spectrum_error_carries_the_margin():
+    pencil = seeded_pencil(5, 20)
+    for m in (4, 11):
+        z = dense_spectrum(pencil.head(m))[1]
+        sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
+        margins = recurrence.head_margins(pencil, sweep)
+        t = int(np.flatnonzero(margins < SPECTRUM_RTOL)[0])
+        with pytest.raises(tp.SpectrumCollisionError) as info:
+            recurrence.check_spectrum(pencil, sweep)
+        assert (info.value.order, info.value.value, info.value.tol) == (t, margins[t], SPECTRUM_RTOL)
+        assert f"margin {margins[t]:.3e} < tol {SPECTRUM_RTOL:.1e}" in str(info.value)
 
 
 def test_head_margins_of_a_pencil_shorter_than_the_join_depth():
