@@ -6,16 +6,18 @@ solver recovers the remaining entries b_k..b_{n-1} and a_{k+1}..a_n of H and
 the leading eigenvector components.
 
 For every index j the pair (b_j, conj(b_j)) satisfies the same 2x2 linear
-system, one equation per eigenvalue:
+system, one equation per eigenvalue.  At real lam and mu the left components
+are the conjugates of the right ones, so it reads the tails only through the
+neighbour products alpha_j = conj(p_j) p_{j+1} at lam and
+beta_j = conj(s_j) s_{j+1} at mu:
 
-    p_j^L p_{j+1}^R b_j - p_{j+1}^L p_j^R conj(b_j)
-        = lam d_j (p_j^L p_{j+1}^R - p_{j+1}^L p_j^R)
+    alpha_j b_j - conj(alpha_j) conj(b_j) = lam d_j (alpha_j - conj(alpha_j))
 
-(and the mu-counterpart in the s-components).  PairSystem holds this system
-and its determinant Delta_j for one index; the primary path solves it
-directly, and the closed-form expression for b_j through Delta_j is kept as
-an independent cross-check.  Delta_j vanishes exactly when the pole ratio
-b_j/d_j is real, so a singular system is reported rather than solved.
+(and the mu-counterpart in beta_j).  PairSystem holds this system and its
+determinant Delta_j for one index; the primary path solves it directly, and
+the closed-form expression for b_j through Delta_j is kept as an independent
+cross-check.  Delta_j vanishes exactly when the pole ratio b_j/d_j is real,
+so a singular system is reported rather than solved.
 """
 
 from __future__ import annotations
@@ -129,56 +131,44 @@ class ReconstructionResult:
         return len(self.head_p)
 
 
-def delta(pl_j: complex, pl_j1: complex, pr_j: complex, pr_j1: complex,
-          sl_j: complex, sl_j1: complex, sr_j: complex, sr_j1: complex) -> complex:
-    """Determinant of the 2x2 system for (b_j, conj(b_j)).
+def delta(alpha: complex, beta: complex) -> complex:
+    """Determinant Delta_j of the 2x2 system for (b_j, conj(b_j)) in the neighbour products.
 
+    alpha = conj(p_j) p_{j+1} at lam and beta = conj(s_j) s_{j+1} at mu:
+    Delta_j = conj(alpha) (beta - conj(beta)) - conj(beta) (alpha - conj(alpha)).
     Proportional to (lam - mu) * Im(b_j/d_j); zero exactly when the pole
     ratio at j is real.
     """
-    return pl_j1 * pr_j * (sl_j * sr_j1 - sl_j1 * sr_j) \
-        - sl_j1 * sr_j * (pl_j * pr_j1 - pl_j1 * pr_j)
-
-
-def delta_scale(pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1) -> float:
-    """Magnitude of the largest degree-4 monomial entering the determinant."""
-    return max(
-        abs(pl_j1 * pr_j * sl_j * sr_j1),
-        abs(pl_j1 * pr_j * sl_j1 * sr_j),
-        abs(sl_j1 * sr_j * pl_j * pr_j1),
-        abs(sl_j1 * sr_j * pl_j1 * pr_j),
-    )
+    return alpha.conjugate() * (beta - beta.conjugate()) - beta.conjugate() * (alpha - alpha.conjugate())
 
 
 @dataclass(frozen=True)
 class PairSystem:
     """The 2x2 system for the unknown pair (b_j, conj(b_j)) at one index j.
 
-    p_pair = (p_j, p_{j+1}) at lam and s_pair = (s_j, s_{j+1}) at mu are
-    right component values; the left values are their conjugates.  terms
-    (pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1), det (Delta_j) and
-    scale (the magnitude of its largest monomial) are computed once at
-    construction; solve, closed_form and classify read them.
+    At real lam and mu the left components are the conjugates of the right
+    ones, so the system reads the tails only through the neighbour products
+    alpha = conj(p_j) p_{j+1} at lam and beta = conj(s_j) s_{j+1} at mu.
+    Every formula is homogeneous of degree (1, 1) in (alpha, beta): a real
+    rescaling of either scales det and scale alike and leaves b_j and the
+    classification as they are, so the neighbour ratio p_{j+1}/p_j =
+    alpha/|p_j|^2 in place of alpha gives the same system.  det (Delta_j)
+    and scale = |alpha| |beta| (the magnitude of each of its monomials) are
+    computed once at construction; solve, closed_form and classify read them.
     """
 
     j: int
     d_j: float
     lam: float
     mu: float
-    p_pair: tuple[complex, complex]
-    s_pair: tuple[complex, complex]
-    terms: tuple[complex, ...] = field(init=False, repr=False)
+    alpha: complex
+    beta: complex
     det: complex = field(init=False)
     scale: float = field(init=False)
 
     def __post_init__(self):
-        pr_j, pr_j1 = complex(self.p_pair[0]), complex(self.p_pair[1])
-        sr_j, sr_j1 = complex(self.s_pair[0]), complex(self.s_pair[1])
-        terms = (pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                 sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "det", delta(*terms))
-        object.__setattr__(self, "scale", delta_scale(*terms))
+        object.__setattr__(self, "det", delta(self.alpha, self.beta))
+        object.__setattr__(self, "scale", abs(self.alpha) * abs(self.beta))
 
     def _check_regular(self) -> None:
         # against scale alone: rescaling either tail scales det and scale alike
@@ -192,28 +182,21 @@ class PairSystem:
         scale, HermitianInconsistentError when v is not conj(u).
         """
         self._check_regular()
-        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
-        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
-        a11 = pl_j * pr_j1
-        a12 = -pl_j1 * pr_j
-        r1 = lam * d_j * (pl_j * pr_j1 - pl_j1 * pr_j)
-        a21 = sl_j * sr_j1
-        a22 = -sl_j1 * sr_j
-        r2 = mu * d_j * (sl_j * sr_j1 - sl_j1 * sr_j)
-        u = (r1 * a22 - r2 * a12) / det
-        v = (a11 * r2 - a21 * r1) / det
+        alpha, beta, lam, mu, d_j, det = self.alpha, self.beta, self.lam, self.mu, self.d_j, self.det
+        wp, ws = alpha - alpha.conjugate(), beta - beta.conjugate()
+        r1, r2 = lam * d_j * wp, mu * d_j * ws
+        u = (r2 * alpha.conjugate() - r1 * beta.conjugate()) / det
+        v = (alpha * r2 - beta * r1) / det
         if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
             raise HermitianInconsistentError(self.j)
         return u, v
 
     def closed_form(self) -> tuple[complex, complex]:
         """Closed-form (b_j, conj(b_j)) through Delta_j; a cross-check on solve()."""
-        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
-        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
-        wp = pl_j * pr_j1 - pl_j1 * pr_j
-        ws = sl_j * sr_j1 - sl_j1 * sr_j
-        b = (lam + mu) * d_j + (d_j / det) * (mu * sl_j1 * sr_j * wp - lam * pl_j1 * pr_j * ws)
-        b_conj = (lam + mu) * d_j + (d_j / det) * (mu * sl_j * sr_j1 * wp - lam * pl_j * pr_j1 * ws)
+        alpha, beta, lam, mu, d_j, det = self.alpha, self.beta, self.lam, self.mu, self.d_j, self.det
+        wp, ws = alpha - alpha.conjugate(), beta - beta.conjugate()
+        b = (lam + mu) * d_j + (d_j / det) * (mu * beta.conjugate() * wp - lam * alpha.conjugate() * ws)
+        b_conj = (lam + mu) * d_j + (d_j / det) * (mu * beta * wp - lam * alpha * ws)
         return b, b_conj
 
     def classify(self) -> ImaginaryClassification:
@@ -223,12 +206,9 @@ class PairSystem:
         against the determinant ratio that forces x_j = 0.
         """
         self._check_regular()
-        pl_j, pl_j1, pr_j, pr_j1, sl_j, sl_j1, sr_j, sr_j1 = self.terms
-        lam, mu, d_j, det = self.lam, self.mu, self.d_j, self.det
-        wp = pl_j * pr_j1 - pl_j1 * pr_j
-        ws = sl_j * sr_j1 - sl_j1 * sr_j
-        vp = pl_j * pr_j1 + pl_j1 * pr_j
-        vs = sl_j * sr_j1 + sl_j1 * sr_j
+        alpha, beta, lam, mu, d_j, det = self.alpha, self.beta, self.lam, self.mu, self.d_j, self.det
+        wp, ws = alpha - alpha.conjugate(), beta - beta.conjugate()
+        vp, vs = alpha + alpha.conjugate(), beta + beta.conjugate()
         x = d_j * (mu * vp * ws - lam * vs * wp) / (2.0 * det)
         y = (lam - mu) * d_j * wp * ws / (2j * det)
         lhs = lam * vs * wp
@@ -241,10 +221,11 @@ def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
                  components_mu: Sequence[complex]) -> tuple[PairSystem, ...]:
     """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu."""
     k = instance.k
+    p = [complex(x) for x in components_lambda]
+    s = [complex(x) for x in components_mu]
     return tuple(
         PairSystem(j, instance.J.d[j], instance.lam, instance.mu,
-                   (components_lambda[j - k], components_lambda[j - k + 1]),
-                   (components_mu[j - k], components_mu[j - k + 1]))
+                   p[j - k].conjugate() * p[j - k + 1], s[j - k].conjugate() * s[j - k + 1])
         for j in range(k, instance.n)
     )
 

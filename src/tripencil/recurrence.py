@@ -159,10 +159,8 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     the margins use the true zero.
     """
     _check_index(pencil, upto)
-    return _pivot_pass(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b, upto, complex(z))
-
-
-def _pivot_pass(c, d, a, b, upto: int, z: complex) -> PivotSweep:
+    z = complex(z)
+    c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
     pivots, margins, values, weights = [], [], [], []
     # P_{-1} = 0, P_0 = 1, and Q_{-1} = -1, Q_0 = 0 with w_{-1} = 1, which gives Q_1 = 1;
     # den is P_t, or its stand-in where P_t is exactly zero
@@ -279,11 +277,12 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
     u_{N-1} and D-_r = u_r - y_r, each exactly zero one replaced by
     _stand_in.  The margin is the pivot margin on row N-1, which sees a true
     zero minor, and min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|) above
-    it: 0 at an eigenvalue of the order-(N-1) leading sub-pencil, whichever
-    row its eigenvector lives on.  It is head_margins' margin of head(N-1),
-    bit for bit: the pass is its vector step on numpy complex128 scalars,
-    which round as its array operations do (Python's complex division and
-    abs() do not).  The backward pivots D-_r are returned as well.
+    it (0 on a row whose terms all vanish): 0 at an eigenvalue of the
+    order-(N-1) leading sub-pencil, whichever row its eigenvector lives on.
+    It is head_margins' margin of head(N-1), bit for bit: the pass is its
+    vector step on numpy complex128 scalars, which round as its array
+    operations do (Python's complex division and abs() do not).  The
+    backward pivots D-_r are returned as well.
     """
     u, w, ux, own, sx = _row_terms(pencil, sweep)
     Y = u[-1] or np.complex128(_stand_in(own[-1]))
@@ -303,14 +302,20 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
 
 
 def _row_terms(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, ...]:
-    """u = z c - a, w, u - x, |z c| + |a| and |z c| + |a| + |x| on rows 0..N-1, x_r = w_{r-1}/D_{r-1}, x_0 = 0."""
+    """u = z c - a, w, u - x, |z c| + |a| and |z c| + |a| + |x| on rows 0..N-1, x_r = w_{r-1}/D_{r-1}, x_0 = 0.
+
+    The last is 1 on a row above the bottom whose terms are all zero (w_r = 0 too), so its margin reads 0, not 0/0.
+    """
     N = len(sweep.pivots)
     zc, av = sweep.z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
     u = zc - av
     w = np.asarray(sweep.weights, dtype=complex)
     x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
     own = np.abs(zc) + np.abs(av)
-    return u, w, u - x, own, own + np.abs(x)
+    sx = own + np.abs(x)
+    if not sx.all():
+        sx[:-1][(sx[:-1] == 0) & (w == 0)] = 1.0
+    return u, w, u - x, own, sx
 
 
 def _stand_in(terms):

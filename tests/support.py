@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 
 import tripencil as tp
-from tripencil.tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, IMAG_RTOL
+from tripencil.tolerances import (COMPONENT_RTOL, DELTA_RTOL, DIFFERENCE_RTOL, HERMITIAN_RTOL, IMAG_RTOL,
+                                  RATIO_RTOL)
 
 
 def build_pencil(rng, n, pd_J=True, min_im=0.2, real_b_at=(), pure_imag=False):
@@ -166,3 +169,36 @@ def reference_m_route(J, k, omega, table, right_comp, left_comp, b_k):
         if abs(v.imag) > IMAG_RTOL * (1.0 + abs(v)):
             raise tp.NonRealDiagonalError(j, v.imag)
     return b_out, [v.real for v in a_out]
+
+
+def reference_pair_system(j, d_j, lam, mu, p_pair, s_pair):
+    """The 2x2 system at j from (p_j, p_{j+1}) at lam and (s_j, s_{j+1}) at mu, in eight component values.
+
+    PairSystem's earlier algebra, the left values being the conjugates of the right ones, kept as the
+    reference for its form in the neighbour products: det, scale (the largest of the four monomials of
+    det), the solved (u, v), the closed form and the classification (x, y, ratio_ok), with the same errors.
+    """
+    pr_j, pr_j1 = complex(p_pair[0]), complex(p_pair[1])
+    sr_j, sr_j1 = complex(s_pair[0]), complex(s_pair[1])
+    pl_j, pl_j1, sl_j, sl_j1 = pr_j.conjugate(), pr_j1.conjugate(), sr_j.conjugate(), sr_j1.conjugate()
+    det = pl_j1 * pr_j * (sl_j * sr_j1 - sl_j1 * sr_j) - sl_j1 * sr_j * (pl_j * pr_j1 - pl_j1 * pr_j)
+    scale = max(abs(pl_j1 * pr_j * sl_j * sr_j1), abs(pl_j1 * pr_j * sl_j1 * sr_j),
+                abs(sl_j1 * sr_j * pl_j * pr_j1), abs(sl_j1 * sr_j * pl_j1 * pr_j))
+    if abs(det) <= DELTA_RTOL * scale:
+        raise tp.SingularDeltaError(j)
+    a11, a12, a21, a22 = pl_j * pr_j1, -pl_j1 * pr_j, sl_j * sr_j1, -sl_j1 * sr_j
+    wp, ws = pl_j * pr_j1 - pl_j1 * pr_j, sl_j * sr_j1 - sl_j1 * sr_j
+    vp, vs = pl_j * pr_j1 + pl_j1 * pr_j, sl_j * sr_j1 + sl_j1 * sr_j
+    r1, r2 = lam * d_j * wp, mu * d_j * ws
+    u = (r1 * a22 - r2 * a12) / det
+    v = (a11 * r2 - a21 * r1) / det
+    if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
+        raise tp.HermitianInconsistentError(j)
+    closed = ((lam + mu) * d_j + (d_j / det) * (mu * sl_j1 * sr_j * wp - lam * pl_j1 * pr_j * ws),
+              (lam + mu) * d_j + (d_j / det) * (mu * sl_j * sr_j1 * wp - lam * pl_j * pr_j1 * ws))
+    x = d_j * (mu * vp * ws - lam * vs * wp) / (2.0 * det)
+    y = (lam - mu) * d_j * wp * ws / (2j * det)
+    lhs, rhs = lam * vs * wp, mu * vp * ws
+    ratio_ok = abs(lhs - rhs) <= RATIO_RTOL * (abs(lhs) + abs(rhs))
+    return SimpleNamespace(det=det, scale=scale, u=u, v=v, closed=closed, x=x.real, y=y.real,
+                           ratio_ok=bool(ratio_ok))

@@ -172,13 +172,10 @@ def test_criterion_6_negative_controls():
         lam, mu = extreme_pair(truth)
         inst = tp.instance_from_truth(truth, k, lam, mu)
         t = j0 - k
-        pr_j, pr_j1 = inst.tail_p[t], inst.tail_p[t + 1]
-        sr_j, sr_j1 = inst.tail_s[t], inst.tail_s[t + 1]
-        det = tp.delta(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                       sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
-        from tripencil.giep import delta_scale
-        scale = delta_scale(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                            sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
+        system = tp.PairSystem(j0, truth.J.d[j0], lam, mu,
+                               inst.tail_p[t].conjugate() * inst.tail_p[t + 1],
+                               inst.tail_s[t].conjugate() * inst.tail_s[t + 1])
+        det, scale = system.det, system.scale
         if abs(det) > 1e-10 * (scale + 1.0):
             failures.append(f"case {case}: |Delta_{j0}| = {abs(det):.2e} not vanishing")
             continue

@@ -1,14 +1,15 @@
 """Reconstruction from two eigenpairs: systems, heads, diagnostics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import tripencil as tp
 from tripencil.tolerances import SPECTRUM_RTOL
-from support import (build_pencil, dense_eigenpairs, dense_spectrum, extreme_pair, rel_err, seeded_pencil,
-                     toeplitz_pencil)
+from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_spectrum, extreme_pair,
+                     reference_pair_system, rel_err, seeded_pencil, toeplitz_pencil)
 
 
 def make_case(rng, n, k, **kwargs):
@@ -23,8 +24,7 @@ class TestDelta:
         t = 0  # j = k = 1
         pr_j, pr_j1 = inst.tail_p[t], inst.tail_p[t + 1]
         sr_j, sr_j1 = inst.tail_s[t], inst.tail_s[t + 1]
-        det = tp.delta(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                       sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
+        det = tp.delta(pr_j.conjugate() * pr_j1, sr_j.conjugate() * sr_j1)
         scale = abs(pr_j * pr_j1 * sr_j * sr_j1)
         assert abs(det) <= 1e-12 * (scale + 1)
 
@@ -33,8 +33,7 @@ class TestDelta:
         j, lam, mu = 1, inst.lam, inst.mu
         pr_j, pr_j1 = inst.tail_p[0], inst.tail_p[1]
         sr_j, sr_j1 = inst.tail_s[0], inst.tail_s[1]
-        det = tp.delta(pr_j.conjugate(), pr_j1.conjugate(), pr_j, pr_j1,
-                       sr_j.conjugate(), sr_j1.conjugate(), sr_j, sr_j1)
+        det = tp.delta(pr_j.conjugate() * pr_j1, sr_j.conjugate() * sr_j1)
         assert abs(det) > 0
         # product form: 2i (lam-mu) Im(alpha_j) d_j^2 * P_j P_{j+1} at both
         # eigenvalues over the squared pole distances
@@ -51,15 +50,9 @@ class TestDelta:
 
     def test_swapping_eigenvalue_roles_negates(self, rng):
         _, inst = make_case(rng, 3, 1)
-        args_pm = (inst.tail_p[0].conjugate(), inst.tail_p[1].conjugate(),
-                   inst.tail_p[0], inst.tail_p[1],
-                   inst.tail_s[0].conjugate(), inst.tail_s[1].conjugate(),
-                   inst.tail_s[0], inst.tail_s[1])
-        args_mp = (inst.tail_s[0].conjugate(), inst.tail_s[1].conjugate(),
-                   inst.tail_s[0], inst.tail_s[1],
-                   inst.tail_p[0].conjugate(), inst.tail_p[1].conjugate(),
-                   inst.tail_p[0], inst.tail_p[1])
-        d1, d2 = tp.delta(*args_pm), tp.delta(*args_mp)
+        alpha = inst.tail_p[0].conjugate() * inst.tail_p[1]
+        beta = inst.tail_s[0].conjugate() * inst.tail_s[1]
+        d1, d2 = tp.delta(alpha, beta), tp.delta(beta, alpha)
         assert abs(d1 + d2) <= 1e-12 * abs(d1)
 
 
@@ -176,8 +169,70 @@ class TestClassifyImaginary:
         with pytest.raises(tp.SingularDeltaError):
             tp.PairSystem(
                 1, truth.J.d[1], inst.lam, inst.mu,
-                (inst.tail_p[0], inst.tail_p[1]),
-                (inst.tail_s[0], inst.tail_s[1])).classify()
+                inst.tail_p[0].conjugate() * inst.tail_p[1],
+                inst.tail_s[0].conjugate() * inst.tail_s[1]).classify()
+
+
+@pytest.fixture(scope="module")
+def corpus_instances():
+    """The instances of the acceptance corpus, seeds 0..199, and the n = 40 canary."""
+    configs = [tp.GeneratorConfig(n=n, k=k, seed=seed) for seed in range(200) for n, k in [corpus_shape(seed)]]
+    return [tp.generate_instance(config)[1] for config in configs + [tp.GeneratorConfig(n=40, k=20, seed=0)]]
+
+
+def bits(*values):
+    """The exact bits of complex or real values, signed zeros included."""
+    return [float(x).hex() for value in values for x in (complex(value).real, complex(value).imag)]
+
+
+def first_singular(systems):
+    """The index of the first system whose solve raises SingularDeltaError, as solve meets them."""
+    for system in systems:
+        try:
+            system.solve()
+        except tp.SingularDeltaError as exc:
+            return exc.index
+    return None
+
+
+class TestNeighbourProducts:
+    def test_matches_the_eight_term_reference(self, corpus_instances):
+        for inst in corpus_instances:
+            for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s):
+                t = system.j - inst.k
+                ref = reference_pair_system(system.j, system.d_j, inst.lam, inst.mu,
+                                            inst.tail_p[t:t + 2], inst.tail_s[t:t + 2])
+                flag = system.classify()
+                assert bits(system.det, *system.solve()) == bits(ref.det, ref.u, ref.v)
+                assert (bits(flag.x, flag.y), flag.wall_ratio_ok) == (bits(ref.x, ref.y), ref.ratio_ok)
+                assert abs(system.scale - ref.scale) <= 4 * math.ulp(ref.scale)
+                assert max(rel_err(x, y) for x, y in zip(system.closed_form(), ref.closed)) <= 1e-15
+
+    def test_neighbour_ratios_give_the_same_system(self, corpus_instances):
+        # rho_j = p_{j+1}/p_j = alpha_j/|p_j|^2: a real rescaling, to which every formula is homogeneous
+        for inst in corpus_instances:
+            p, s = inst.tail_p, inst.tail_s
+            for system in tp.pair_systems(inst, p, s):
+                t = system.j - inst.k
+                ratios = tp.PairSystem(system.j, system.d_j, inst.lam, inst.mu, p[t + 1] / p[t], s[t + 1] / s[t])
+                b, b_ratios = system.solve()[0], ratios.solve()[0]
+                assert rel_err(b_ratios, b) <= 4e-15
+                assert ratios.classify().wall_ratio_ok == system.classify().wall_ratio_ok
+
+    def test_neighbour_ratios_raise_where_the_products_do(self):
+        # the 20 real-pole cases of acceptance criterion 6
+        rng = np.random.default_rng(616161)
+        for case in range(20):
+            n = 3 + case % 6
+            k = 1 + case % (n - 1)
+            j0 = k + case % (n - k)
+            truth = build_pencil(rng, n, real_b_at=(j0,))
+            lam, mu = extreme_pair(truth)
+            inst = tp.instance_from_truth(truth, k, lam, mu)
+            p, s = inst.tail_p, inst.tail_s
+            ratios = [tp.PairSystem(j, inst.J.d[j], lam, mu, p[j - k + 1] / p[j - k], s[j - k + 1] / s[j - k])
+                      for j in range(k, n)]
+            assert first_singular(tp.pair_systems(inst, p, s)) == first_singular(ratios) == j0
 
 
 class TestTraceIdentities:

@@ -326,6 +326,24 @@ def test_several_heads_through_an_exactly_zero_bottom_pivot():
     assert "margin 0.000e+00 < tol 1.0e-10" in str(info.value)
 
 
+def test_a_row_whose_terms_all_vanish_reads_margin_0():
+    # at z = 0 row 1 has z c_1 = a_1 = 0 and poles on both sides (b_0 = b_1 = 0, so w_0 = w_1 = 0):
+    # every head through it is singular, and its twisted margin must read 0, not 0/0
+    pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0,) * 4, (1.0,) * 3),
+                       tp.HermitianTridiagonal((1.0, 0.0, 1.0, 1.0), (0j, 0j, 0.5j)))
+    sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
+    margins = recurrence.head_margins(pencil, sweep)
+    assert margins.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert [recurrence.twisted_pivots(pencil, sweep.prefix(t + 1))[1] for t in range(4)] == margins.tolist()
+    assert tp.eigenvalue_margin(pencil, 0.0) == 0.0
+    with pytest.raises(tp.SpectrumCollisionError) as info:
+        tp.resolvent_matrix(pencil, 0.0)
+    assert info.value.order == 3
+    with pytest.raises(tp.SpectrumCollisionError) as info:
+        tp.m_table(pencil, 0.0)
+    assert info.value.order == 1
+
+
 def test_check_spectrum_error_carries_the_margin():
     pencil = seeded_pencil(5, 20)
     for m in (4, 11):
