@@ -21,7 +21,6 @@ from .giep import (
     PairSystem,
     ReconstructionResult,
     delta,
-    head_components,
     pair_systems,
     positivity_witness,
     reconstruct_a,

@@ -17,11 +17,14 @@ beta_j = conj(s_j) s_{j+1} at mu:
 determinant Delta_j for one index; the primary path solves it directly, and
 the closed-form expression for b_j through Delta_j is kept as an independent
 cross-check.  Delta_j vanishes exactly when the pole ratio b_j/d_j is real,
-so a singular system is reported rather than solved.
+so a singular system is reported rather than solved.  The block trace
+identities and the positivity witness are statements about the
+eigenvectors at lam and mu: both read the twisted eigenvector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,16 +40,13 @@ from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_
 from .recurrence import (
     PivotSweep,
     _check_margins,
+    _rows_above,
+    _twisted_eigenvector,
     check_spectrum,
-    eigenvalue_margin,
     head_margins,
-    left_components,
     pivot_sweep,
-    right_components,
-    right_components_with_derivative,
 )
-from .tolerances import (COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL,
-                         SPECTRUM_RTOL, WITNESS_IMAG_RTOL)
+from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
 @dataclass(frozen=True)
@@ -262,97 +262,85 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     return tuple(out)
 
 
-def head_components(instance: GiepInstance, b_k: complex, p_k1: complex,
-                    z: float | None = None) -> tuple[complex, ...]:
-    """Leading components p_0..p_{k-1} at z (default: instance.lam).
-
-    p_m = p_{k+1} * prod_{j=m..k} (b_j - z d_j)/D_j  (b_k the recovered entry),
-    where D_j = P_{j+1}(z)/P_j(z) are the pivots of the head pencil, hence
-    computable from the given data alone.  Linear in p_k1, so tails may carry
-    any normalization.
-    """
-    if z is None:
-        z = instance.lam
-    k = instance.k
-    head = instance.head_pencil()
-    return _head_components(instance, check_spectrum(head, pivot_sweep(head, k + 1, z), k).pivots,
-                            b_k, p_k1, z)
-
-
-def _head_components(instance: GiepInstance, pivots: Sequence[complex], b_k: complex,
-                     p_k1: complex, z: float) -> tuple[complex, ...]:
-    """head_components from the pivots of the head pencil at z, its spectrum already checked."""
-    d = instance.J.d
-    b = instance.head_b + (complex(b_k),)
-    out = [complex(p_k1)]
-    for m in range(instance.k, -1, -1):
-        out.append(out[-1] * (b[m] - z * d[m]) / pivots[m])
-    return tuple(out[:1:-1])
-
-
 def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> tuple[float, float]:
-    """Relative residuals of the two block trace identities at (lam, mu).
+    """Relative residuals of the two block trace identities at eigenvalues (lam, mu).
 
     First identity: (lam - mu) p^L_{[k+1,n]} J_{[k+1,n]} s^R_{[k+1,n]} equals
     (b_k - lam d_k) p_k^L s_{k+1}^R - (conj(b_k) - mu d_k) p_{k+1}^L s_k^R.
     Second: (lam - mu) s^L_{[0,k]} J_{[0,k]} p^R_{[0,k]} equals
     (b_k - lam d_k) s_k^L p_{k+1}^R - (conj(b_k) - mu d_k) s_{k+1}^L p_k^R;
     the sign of this right-hand side was fixed against direct dense
-    evaluation.  Exact data gives residuals at roundoff level.
+    evaluation.  p^R and s^R are the eigenvectors at lam and mu
+    (eigenvector_components), the left ones their conjugates.  Each residual
+    is relative to the terms of its identity, |lam - mu| |x^L| |J| |y^R| +
+    |t_1| + |t_2|: roundoff on exact data, also where the lhs cancels.  One
+    pivot pass per point raises SpectrumCollisionError on the spectrum of
+    head(k - 1) or head(k), then ValueError off the spectrum of the pencil;
+    ValueError too where the terms leave the double range under v_0 = 1.
     """
     if lam == mu:
         raise ValueError("the identities degenerate at lam == mu")
     n = pencil.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
-    for z in (lam, mu):
-        check_spectrum(pencil, pivot_sweep(pencil, k + 1, z), k - 1)
-    d_k = pencil.J.d[k]
-    b_k = pencil.H.b[k]
-    p = right_components(pencil, lam)
-    pl = left_components(pencil, lam)
-    s = right_components(pencil, mu)
-    sl = left_components(pencil, mu)
+    vectors = []
+    for z, name in ((lam, "lam"), (mu, "mu")):
+        sweep = pivot_sweep(pencil, n + 1, z)
+        check_spectrum(pencil, sweep.prefix(k + 1), k - 1)
+        vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
+    p, s = vectors
+    pl, sl = p.conj(), s.conj()
+    d_k, b_k = pencil.J.d[k], pencil.H.b[k]
     c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
 
-    lhs1 = (lam - mu) * (pl[k + 1:] @ _tridiagonal_product(c[k + 1:], d[k + 1:], d[k + 1:], s[k + 1:]))
-    rhs1 = (b_k - lam * d_k) * pl[k] * s[k + 1] - (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k]
-    res1 = abs(lhs1 - rhs1) / (1.0 + abs(rhs1))
+    def residual(rows: slice, left: np.ndarray, right: np.ndarray, t1: complex, t2: complex) -> float:
+        cb, db = c[rows], d[rows][:len(c[rows]) - 1]
+        lhs = (lam - mu) * (left[rows] @ _tridiagonal_product(cb, db, db, right[rows]))
+        terms = abs(lam - mu) * (abs(left[rows]) @ _tridiagonal_product(cb, abs(db), abs(db), abs(right[rows])))
+        terms += abs(t1) + abs(t2)
+        if not math.isfinite(terms):
+            raise ValueError(f"the trace identities at lam = {lam!r}, mu = {mu!r} leave the double range "
+                             "under v_0 = 1")
+        return float(abs(lhs - (t1 - t2)) / terms)
 
-    lhs2 = (lam - mu) * (sl[:k + 1] @ _tridiagonal_product(c[:k + 1], d[:k], d[:k], p[:k + 1]))
-    rhs2 = (b_k - lam * d_k) * sl[k] * p[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k]
-    res2 = abs(lhs2 - rhs2) / (1.0 + abs(rhs2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res1 = residual(slice(k + 1, None), pl, s,
+                        (b_k - lam * d_k) * pl[k] * s[k + 1], (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k])
+        res2 = residual(slice(0, k + 1), sl, p,
+                        (b_k - lam * d_k) * sl[k] * p[k + 1], (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k])
     return res1, res2
 
 
 def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
-    """Value of the limiting quadratic form (s^R)* J_{[0,k]} s^R at eigenvalue mu.
+    """Value of the quadratic form (s^R)* J_{[0,k]} s^R at the eigenvalue mu, with s_0 = 1.
 
-    Evaluated from the coupling entries and analytic component derivatives:
-
-        (b_k - mu d_k) s_k^L (s_{k+1}^R)' - (conj(b_k) - mu d_k) s_{k+1}^L (s_k^R)'
-            - d_k s_k^L s_{k+1}^R
-
-    (sign fixed against the dense quadratic form).  Positive whenever the
-    leading block of J is positive definite.
+    s^R is the eigenvector at mu (eigenvector_components); the form is
+    sum_{i<=k} c_i |s_i|^2 + 2 sum_{i<k} d_i Re(conj(s_i) s_{i+1}), O(k) and
+    real by construction.  The paper writes it through the component
+    derivatives: (b_k - mu d_k) conj(s_k) s'_{k+1} - (conj(b_k) - mu d_k)
+    conj(s_{k+1}) s'_k - d_k conj(s_k) s_{k+1}.  Positive whenever the
+    leading block of J is positive definite.  ValueError where mu is not an
+    eigenvalue, or where the value leaves the double range.
     """
     n = pencil.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
-    margin = eigenvalue_margin(pencil, mu)
+    s = _eigenvector(pencil, pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
+    c, d = np.asarray(pencil.J.c[:k + 1]), np.asarray(pencil.J.d[:k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(c @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d @ (s[:-1].conj() * s[1:]).real))
+    if not math.isfinite(val):
+        raise ValueError(f"the positivity witness at mu = {mu!r} leaves the double range under s_0 = 1")
+    return val
+
+
+def _eigenvector(pencil: Pencil, sweep: PivotSweep, point: str) -> np.ndarray:
+    """The eigenvector at sweep.z, v_0 = 1, from its full-order pivot sweep; ValueError where it is no eigenvalue."""
+    v, margin = _twisted_eigenvector(pencil, sweep)
     if not margin < SPECTRUM_RTOL:
-        raise ValueError(f"mu = {mu!r} must be an eigenvalue of the full pencil: its twisted margin "
+        raise ValueError(f"{point} must be an eigenvalue of the full pencil: its twisted margin "
                          f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")
-    d_k = pencil.J.d[k]
-    b_k = pencil.H.b[k]
-    s, ds = right_components_with_derivative(pencil, mu)
-    sl = np.conj(s)
-    val = (b_k - mu * d_k) * sl[k] * ds[k + 1] \
-        - (b_k.conjugate() - mu * d_k) * sl[k + 1] * ds[k] \
-        - d_k * sl[k] * s[k + 1]
-    if abs(val.imag) > WITNESS_IMAG_RTOL * (1.0 + abs(val)):
-        raise NonRealDiagonalError(k, val.imag)
-    return float(val.real)
+    return v
 
 
 def _tridiagonal_product(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
@@ -405,20 +393,20 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     full = Pencil(instance.J, H)
     flags = tuple(system.classify() for system in systems)
 
-    head_p = _head_components(instance, pivots_lam, b_rec[0], instance.tail_p[1], lam)
-    head_s = _head_components(instance, pivots_mu, b_rec[0], instance.tail_s[1], mu)
+    # p_0..p_{k-1} upwards from p_{k+1}, through the head pivots and the recovered b_k
+    b_head = instance.head_b + (b_rec[0],)
+    head_p = instance.tail_p[1] * _rows_above(lam, instance.J.d, b_head, pivots_lam)[:k]
+    head_s = instance.tail_s[1] * _rows_above(mu, instance.J.d, b_head, pivots_mu)[:k]
 
-    p_full = np.concatenate([np.asarray(head_p, dtype=complex),
-                             np.asarray(instance.tail_p, dtype=complex)])
-    s_full = np.concatenate([np.asarray(head_s, dtype=complex),
-                             np.asarray(instance.tail_s, dtype=complex)])
+    p_full = np.concatenate([head_p, np.asarray(instance.tail_p, dtype=complex)])
+    s_full = np.concatenate([head_s, np.asarray(instance.tail_s, dtype=complex)])
     res_l = _relative_residual(full, lam, p_full)
     res_m = _relative_residual(full, mu, s_full)
 
     return ReconstructionResult(
         H=H,
-        head_p=head_p,
-        head_s=head_s,
+        head_p=tuple(head_p.tolist()),
+        head_s=tuple(head_s.tolist()),
         deltas=tuple(system.det for system in systems),
         residual_lambda=res_l,
         residual_mu=res_m,

@@ -184,7 +184,7 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
             rejected["v_0"] += 1
             continue
 
-        if any(abs(system.det) < ADMIT_DELTA_RTOL * (system.scale + 1.0)
+        if any(abs(system.det) < ADMIT_DELTA_RTOL * system.scale
                for system in pair_systems(inst, inst.tail_p, inst.tail_s)):
             rejected["Delta_j"] += 1
             continue

@@ -20,7 +20,9 @@ Component sequences p^R / p^L are the rational eigenvector solutions of the
 same recurrence, normalized to 1 at index 0; at a spectral point they are
 right/left eigenvectors of the pencil in exact arithmetic, while in floating
 point the forward recurrence loses them as n grows.  eigenvector_components
-takes the eigenvector from a twisted factorization instead.  pq_sweep and
+takes the eigenvector from a twisted factorization instead, and whatever
+the library evaluates at an eigenvalue reads it; the sweep with
+z-derivatives has no caller left and stays for the benchmark.  pq_sweep and
 the component sweeps step on plain Python complex numbers, carrying the last
 two values in locals: numpy scalar arithmetic costs about twice as much per step.
 
@@ -186,20 +188,17 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     return PivotSweep(z, tuple(pivots), tuple(margins), tuple(values), tuple(weights))
 
 
-def unit_factors(pencil: Pencil, sweep: PivotSweep,
-                 scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
     """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U, D = diag(pivots).
 
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
     (unit lower triangular); sweep must hold the pivots of the full order.
-    With a scale, F * diag(scale) and diag(scale) * G come back instead, the
-    scale folded into the one pass that forms each factor; their diagonals
-    are exactly the scale.  Raises PoleCollisionError(s) where b_s - z d_s or
-    conj(b_s) - z d_s vanishes, as the component sweeps do.
+    Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
+    vanishes, as the component sweeps do.
     """
     right, left = _unit_steps(pencil, sweep)
-    return _unit_upper(right, scale), _unit_upper(left, scale).T
+    return _unit_upper(right), _unit_upper(left).T
 
 
 def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex]]:
@@ -453,7 +452,7 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
 
     Twisted factorization (Parlett & Dhillon, LAA 267, 1997): at the row
     r = argmin |gamma_r| (twisted_pivots) set v_r = 1, then the rows above
-    follow from the forward pivots, v_i = -(z d_i - b_i) v_{i+1}/D+_i, and
+    follow from the forward pivots, v_i = (b_i - z d_i) v_{i+1}/D+_i, and
     the rows below from the backward ones, v_i = -(z d_{i-1} - conj(b_{i-1}))
     v_{i-1}/D-_i.  The residual (z*J - H) v is gamma_r v_r at row r alone,
     the smallest any twist gives, so the vector is as accurate as z allows on
@@ -462,15 +461,18 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     VanishingComponentError(0) where v_0 is zero in floating point or so
     small against the other entries that normalizing overflows them.
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, z)
-    gamma, _, backward = twisted_pivots(pencil, sweep)
+    return _twisted_eigenvector(pencil, pivot_sweep(pencil, pencil.n + 1, z))[0]
+
+
+def _twisted_eigenvector(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float]:
+    """eigenvector_components at sweep.z from its full-order sweep, and the twisted margin of that one pass."""
+    gamma, margin, backward = twisted_pivots(pencil, sweep)
     z = sweep.z
     r = int(np.argmin(np.abs(gamma)))
     d, b = np.asarray(pencil.J.d), np.asarray(pencil.H.b, dtype=complex)
-    # v_i/v_{i+1} above the twist, v_i/v_{i-1} below it
-    up = -(z * d[:r] - b[:r]) / np.asarray(sweep.pivots[:r])
+    # v_i/v_{i-1} below the twist
     down = -(z * d[r:] - b[r:].conj()) / backward[r + 1:]
-    v = np.concatenate((np.cumprod(up[::-1])[::-1], [1.0 + 0j], np.cumprod(down)))
+    v = np.concatenate((_rows_above(z, d, b, sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))
     if v[0] == 0:
         raise VanishingComponentError(0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,7 +481,14 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     if not np.isfinite(v).all():
         raise VanishingComponentError(0)
     v[0] = 1.0
-    return v
+    return v, margin
+
+
+def _rows_above(z: complex, d, b, pivots) -> np.ndarray:
+    """v_0/v_r..v_{r-1}/v_r, r = len(pivots): v_i = (b_i - z d_i) v_{i+1}/D_i, forward pivots D_0..D_{r-1}."""
+    r = len(pivots)
+    steps = (np.asarray(b[:r], dtype=complex) - z * np.asarray(d[:r])) / np.asarray(pivots)
+    return np.cumprod(steps[::-1])[::-1]
 
 
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:

@@ -15,7 +15,6 @@ HERMITIAN_RTOL = 1e-8       # the solved conjugate unknown must match conj(b_j) 
 COMPONENT_RTOL = 1e-12      # a component this far below the largest one cannot be divided by
 IMAG_RTOL = 1e-8            # a larger imaginary part of a recovered a_j means inconsistent data
 RATIO_RTOL = 1e-8           # lam/mu matches the determinant ratio that forces Re(b_j) = 0
-WITNESS_IMAG_RTOL = 1e-10   # the positivity witness is a real quadratic form up to roundoff
 
 # m-function route (mfunctions.py)
 DIFFERENCE_RTOL = 1e-12     # m-values (or w_t against its terms) this close are taken as coincident
@@ -33,4 +32,4 @@ RESIDUAL_TOL = 1e-6         # worst relative eigenpair residual that verify acce
 # (COMPONENT_RTOL) has no admission test, so that generated data shows where it fires
 EIGENVALUE_GAP_TOL = 1e-6   # smallest |lam - mu|
 ADMIT_SPECTRUM_MARGIN = 1e-6  # smallest twisted margin of head(k - 1) and head(k) at lam or mu, as solve reads them
-ADMIT_DELTA_RTOL = 1e-8     # smallest |Delta_j| / (scale_j + 1)
+ADMIT_DELTA_RTOL = 1e-8     # smallest |Delta_j| / scale_j, against scale alone as solve's DELTA_RTOL test

@@ -202,3 +202,17 @@ def reference_pair_system(j, d_j, lam, mu, p_pair, s_pair):
     ratio_ok = abs(lhs - rhs) <= RATIO_RTOL * (abs(lhs) + abs(rhs))
     return SimpleNamespace(det=det, scale=scale, u=u, v=v, closed=closed, x=x.real, y=y.real,
                            ratio_ok=bool(ratio_ok))
+
+
+def reference_positivity_witness(pencil, k, mu):
+    """The paper's form of the positivity witness, from the forward components at mu and their z-derivatives.
+
+    (b_k - mu d_k) conj(s_k) s'_{k+1} - (conj(b_k) - mu d_k) conj(s_{k+1}) s'_k - d_k conj(s_k) s_{k+1},
+    with s_0 = 1: positivity_witness's earlier formula, kept as its small-n cross-check.  Complex, real up
+    to roundoff; the forward recurrence loses the eigenvector as n grows.
+    """
+    s, ds = tp.right_components_with_derivative(pencil, mu)
+    d_k, b_k = pencil.J.d[k], pencil.H.b[k]
+    sl = np.conj(s)
+    return ((b_k - mu * d_k) * sl[k] * ds[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * ds[k]
+            - d_k * sl[k] * s[k + 1])

@@ -8,8 +8,8 @@ import pytest
 
 import tripencil as tp
 from tripencil.tolerances import SPECTRUM_RTOL
-from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_spectrum, extreme_pair,
-                     reference_pair_system, rel_err, seeded_pencil, toeplitz_pencil)
+from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum, extreme_pair,
+                     reference_pair_system, reference_positivity_witness, rel_err, seeded_pencil, toeplitz_pencil)
 
 
 def make_case(rng, n, k, **kwargs):
@@ -119,9 +119,11 @@ class TestReconstructA:
 
 
 class TestHeadComponents:
+    """The leading components p_0..p_{k-1} that solve returns, from the head pivots and the recovered b_k."""
+
     def test_k1_matches_dense_eigenvector(self, rng):
         truth, inst = make_case(rng, 3, 1)
-        head = tp.head_components(inst, truth.H.b[1], inst.tail_p[1])
+        head = tp.solve(inst).head_p
         w, v = dense_eigenpairs(truth)
         u = v[:, -1]  # lam is the largest eigenvalue
         full = np.concatenate([head, inst.tail_p])
@@ -131,22 +133,15 @@ class TestHeadComponents:
     def test_round_trip_order5_k2(self, rng):
         truth, inst = make_case(rng, 4, 2)
         expected = tp.right_components(truth, inst.lam)[:2]
-        head = tp.head_components(inst, truth.H.b[2], inst.tail_p[1])
+        head = tp.solve(inst).head_p
         assert np.abs(np.asarray(head) - expected).max() <= 1e-9 * (1 + np.abs(expected).max())
 
     def test_homogeneous_in_tail(self, rng):
         truth, inst = make_case(rng, 4, 2)
         gamma = 0.7 - 1.9j
-        head = np.asarray(tp.head_components(inst, truth.H.b[2], inst.tail_p[1]))
-        scaled = np.asarray(tp.head_components(inst, truth.H.b[2], gamma * inst.tail_p[1]))
+        head = np.asarray(tp.solve(inst).head_p)
+        scaled = np.asarray(tp.solve(dataclasses.replace(inst, tail_p=tuple(gamma * x for x in inst.tail_p))).head_p)
         assert np.abs(scaled - gamma * head).max() <= 1e-12 * np.abs(scaled).max()
-
-    def test_spectrum_collision(self, rng):
-        truth, inst = make_case(rng, 3, 1)
-        head_pencil = inst.head_pencil()
-        root = tp.pencil_eigenvalues(head_pencil.head(1))[0]
-        with pytest.raises(tp.SpectrumCollisionError):
-            tp.head_components(inst, truth.H.b[1], inst.tail_p[1], z=float(root.real))
 
 
 class TestClassifyImaginary:
@@ -253,18 +248,44 @@ class TestTraceIdentities:
         with pytest.raises(ValueError):
             tp.trace_identity_residuals(truth, 1, 1.5, 1.5)
 
+    def test_rejects_non_eigenvalue(self, rng):
+        truth = build_pencil(rng, 3)
+        lam, mu = extreme_pair(truth)
+        with pytest.raises(ValueError, match="mu = .*SPECTRUM_RTOL"):
+            tp.trace_identity_residuals(truth, 1, lam, mu - 10.0)
+
+    @pytest.mark.parametrize("seed, n", [(3, 20), (3, 40), (4, 40), (5, 40)])
+    def test_residuals_at_roundoff_on_localised_eigenvectors(self, seed, n):
+        # the forward component recurrence left 7.1e-6, 2.2e-4, 4.0e-7 and 5.7e-5 in the first identity here
+        pencil = seeded_pencil(seed, n)
+        eigs = dense_spectrum(pencil)
+        assert max(tp.trace_identity_residuals(pencil, n // 2, eigs[-1], eigs[0])) <= 1e-13
+
+    def test_raises_where_the_terms_leave_the_double_range(self):
+        # under v_0 = 1 the top eigenvector of this draw reaches 1e187 at row 593, and that at eigs[632] 1e156
+        pencil = seeded_pencil(1, 640)
+        eigs = dense_spectrum(pencil)
+        with pytest.raises(ValueError, match="double range"):
+            tp.trace_identity_residuals(pencil, 5, eigs[640], eigs[632])
+
 
 def _dense_trace_identity_residuals(pencil, k, lam, mu):
-    """trace_identity_residuals' two identities with the blocks of J assembled dense."""
+    """trace_identity_residuals' two identities with the blocks of J assembled dense, on the same eigenvectors."""
     Jd = pencil.J.dense().astype(complex)
     b_k, d_k = pencil.H.b[k], pencil.J.d[k]
-    p, pl = tp.right_components(pencil, lam), tp.left_components(pencil, lam)
-    s, sl = tp.right_components(pencil, mu), tp.left_components(pencil, mu)
-    lhs1 = (lam - mu) * (pl[k + 1:] @ Jd[k + 1:, k + 1:] @ s[k + 1:])
-    rhs1 = (b_k - lam * d_k) * pl[k] * s[k + 1] - (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k]
-    lhs2 = (lam - mu) * (sl[:k + 1] @ Jd[:k + 1, :k + 1] @ p[:k + 1])
-    rhs2 = (b_k - lam * d_k) * sl[k] * p[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k]
-    return abs(lhs1 - rhs1) / (1.0 + abs(rhs1)), abs(lhs2 - rhs2) / (1.0 + abs(rhs2))
+    p, s = tp.eigenvector_components(pencil, lam), tp.eigenvector_components(pencil, mu)
+    pl, sl = p.conj(), s.conj()
+
+    def residual(rows, left, right, t1, t2):
+        block = Jd[rows, rows]
+        lhs = (lam - mu) * (left[rows] @ block @ right[rows])
+        terms = abs(lam - mu) * (np.abs(left[rows]) @ np.abs(block) @ np.abs(right[rows])) + abs(t1) + abs(t2)
+        return abs(lhs - (t1 - t2)) / terms
+
+    return (residual(slice(k + 1, None), pl, s, (b_k - lam * d_k) * pl[k] * s[k + 1],
+                     (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k]),
+            residual(slice(0, k + 1), sl, p, (b_k - lam * d_k) * sl[k] * p[k + 1],
+                     (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k]))
 
 
 @pytest.mark.parametrize("n", [5, 40, 160])
@@ -278,13 +299,16 @@ def test_banded_residuals_match_the_dense_formulas(n):
         A = pencil.dense_at(z)
         dense = np.linalg.norm(A @ vec) / (np.linalg.norm(A) * np.linalg.norm(vec) + 1e-300)
         assert abs(_relative_residual(pencil, z, vec) - dense) <= 1e-13 * dense + 1e-16
-    # off the spectrum the first identity fails, by an amount that compares relatively; the
-    # second holds at any point, and both formulas leave a residual at roundoff
-    lam, mu = eigs[-1] + 0.7, eigs[0] - 0.4
-    for k in (1, n // 2, n - 1):
+    # at the extreme pair, on splits where neither eigenvalue is on a head spectrum (past k = 24 at
+    # n = 40 and k = 62 at n = 160 the localised extreme eigenvectors put one there)
+    lam, mu = eigs[-1], eigs[0]
+    for k in {5: (1, 2, 4), 40: (1, 20, 24), 160: (1, 40, 62)}[n]:
         banded = tp.trace_identity_residuals(pencil, k, lam, mu)
         assert np.allclose(banded, _dense_trace_identity_residuals(pencil, k, lam, mu), rtol=1e-12, atol=1e-14)
-        assert banded[0] > 0.1 and banded[1] < 1e-14
+        assert max(banded) < 1e-14
+    # off the spectrum the identities are not defined
+    with pytest.raises(ValueError, match="lam = .*SPECTRUM_RTOL"):
+        tp.trace_identity_residuals(pencil, n // 2, eigs[-1] + 0.7, eigs[0] - 0.4)
 
 
 class TestPositivityWitness:
@@ -320,6 +344,33 @@ class TestPositivityWitness:
         with pytest.raises(ValueError, match="SPECTRUM_RTOL") as exc:
             tp.positivity_witness(truth, 1, lam + 10.0)
         assert f"{SPECTRUM_RTOL:g}" in str(exc.value)
+
+    def test_matches_the_derivative_form_on_criterion_8_cases(self):
+        rng = np.random.default_rng(818181)
+        for case in range(20):
+            n = 3 + case % 5
+            truth = build_pencil(rng, n)
+            k = 1 + case % (n - 1)
+            mu = float(tp.pencil_eigenvalues(truth)[case % (n + 1)].real)
+            witness = tp.positivity_witness(truth, k, mu)
+            assert abs(reference_positivity_witness(truth, k, mu) - witness) <= 1e-10 * abs(witness)
+
+    def test_order_640_matches_the_dense_quadratic_form(self):
+        # the forward derivative recurrence gave this witness an imaginary part of 1.2e171
+        truth, k = seeded_pencil(3, 640), 320
+        eigs, vectors = dense_eigenvectors(truth)
+        witness = tp.positivity_witness(truth, k, eigs[0])
+        s = tp.eigenvector_components(truth, eigs[0])[:k + 1]
+        v = vectors[:k + 1, 0]
+        dense = np.real(np.conj(v) @ truth.J.block(0, k) @ v) / np.real(np.vdot(v, v))
+        assert math.isfinite(witness) and witness > 0
+        assert abs(witness / np.sum(np.abs(s) ** 2) - dense) <= 1e-12 * abs(dense)
+
+    def test_raises_where_the_value_leaves_the_double_range(self):
+        # under s_0 = 1 the top eigenvector of this draw reaches 1e187 at row 593, so |s|^2 overflows
+        pencil = seeded_pencil(1, 640)
+        with pytest.raises(ValueError, match="double range"):
+            tp.positivity_witness(pencil, 600, dense_spectrum(pencil)[-1])
 
     def test_accepts_eigenvalue_whose_eigenvector_vanishes_at_the_end(self):
         # the top eigenvector of this draw is localized away from index n, so the

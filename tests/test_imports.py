@@ -35,8 +35,25 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or constants (dunders aside).
+
+    An annotation without a value binds nothing.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and not (name.id.startswith("__") and name.id.endswith("__"))]
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes of a package that no module of it reads or imports.
+    """Module-level functions, classes and constants of a package that no module of it reads or imports.
 
     sources maps file names to source text.  A definition counts as read where
     its name is loaded, is the attribute of a load, or is imported by name
@@ -53,16 +70,17 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [f"{name}: {node.name} (line {node.lineno})" for name, tree in trees.items()
-            for node in tree.body if isinstance(node, kinds) and node.name not in read]
+    return [f"{name}: {defined} (line {node.lineno})" for name, tree in trees.items()
+            for node in tree.body for defined in _defined_names(node) if defined not in read]
 
 
 def test_unread_definitions_are_found():
     sources = {"__init__.py": "from .a import f\n",
                "a.py": "def f():\n    return g()\ndef g(): pass\ndef h(): pass\nclass C: pass\nclass D: pass\nx: D\n",
-               "b.py": "from . import a\na.C\n"}
-    assert unread_definitions(sources) == ["a.py: h (line 4)"]
+               "b.py": "from . import a\na.C\n",
+               "c.py": "__version__ = '1'\nTOL = 1e-8\n_LO, _HI = 0, 1\nLIMIT: int = 3\nRATE: float\nprint(_LO)\n"}
+    assert unread_definitions(sources) == ["a.py: h (line 4)", "c.py: TOL (line 2)", "c.py: _HI (line 3)",
+                                           "c.py: LIMIT (line 4)"]
 
 
 def test_no_unread_definitions():

@@ -355,7 +355,8 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
     for omega in far_points(pencil)[::2]:
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
         diag = 1.0 / recurrence.twisted_pivots(pencil, sweep)[0]
-        F, G = recurrence.unit_factors(pencil, sweep, diag)
+        right, left = recurrence._unit_steps(pencil, sweep)
+        F, G = recurrence._unit_upper(right, diag), recurrence._unit_upper(left, diag).T
         R = tp.resolvent_matrix(pencil, omega)
         assert np.array_equal(R[upper], F[upper])
         assert np.array_equal(R.T[upper], G.T[upper])

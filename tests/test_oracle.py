@@ -221,6 +221,16 @@ class TestGenerateInstance:
         assert str(info.value) == ("no admissible instance after 100 attempts (seed=0); rejected by "
                                    "degree drop 0, eigenvalue gap 0, head spectrum 52, v_0 0, Delta_j 48")
 
+    def test_delta_admission_is_scale_invariant(self):
+        # attempt 0 has |Delta_j| / scale_j >= 0.58 with tails of size ~1e-10: a regular system, which a
+        # test against scale_j + 1 rejected
+        config = tp.GeneratorConfig(n=9, k=6, seed=43)
+        truth, inst = tp.generate_instance(config)
+        assert truth == oracle._draw_truth(config, np.random.default_rng([config.seed, 0]))
+        report = tp.verify(truth, tp.solve(inst))
+        assert max(report.entry_errors.values()) <= 1e-8
+        assert max(report.residual_lambda, report.residual_mu) <= 1e-7
+
     def test_random_pair_strategy(self):
         # a non-extreme eigenvalue pair of a generated truth still solves
         truth, _ = tp.generate_instance(tp.GeneratorConfig(n=4, k=1, seed=5))
