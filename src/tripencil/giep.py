@@ -291,7 +291,7 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     p, s = vectors
     pl, sl = p.conj(), s.conj()
     d_k, b_k = pencil.J.d[k], pencil.H.b[k]
-    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
+    c, d, _, _ = pencil._diagonals
 
     def residual(rows: slice, left: np.ndarray, right: np.ndarray, t1: complex, t2: complex) -> float:
         cb, db = c[rows], d[rows][:len(c[rows]) - 1]
@@ -326,9 +326,9 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
     s = _eigenvector(pencil, pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
-    c, d = np.asarray(pencil.J.c[:k + 1]), np.asarray(pencil.J.d[:k])
+    c, d, _, _ = pencil._diagonals
     with np.errstate(over="ignore", invalid="ignore"):
-        val = float(c @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d @ (s[:-1].conj() * s[1:]).real))
+        val = float(c[:k + 1] @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d[:k] @ (s[:-1].conj() * s[1:]).real))
     if not math.isfinite(val):
         raise ValueError(f"the positivity witness at mu = {mu!r} leaves the double range under s_0 = 1")
     return val
@@ -354,8 +354,7 @@ def _tridiagonal_product(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray,
 
 def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     """|(z*J - H) vec| / (|z*J - H|_F |vec|), both read from the three diagonals of z*J - H."""
-    c, d = np.asarray(pencil.J.c), np.asarray(pencil.J.d)
-    a, b = np.asarray(pencil.H.a), np.asarray(pencil.H.b, dtype=complex)
+    c, d, a, b = pencil._diagonals
     diag, upper, lower = z * c - a, z * d - b, z * d - b.conj()
     denom = float(np.linalg.norm(np.concatenate((diag, upper, lower))) * np.linalg.norm(vec))
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))

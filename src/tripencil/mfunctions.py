@@ -169,7 +169,8 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     low = np.flatnonzero(np.asarray(sweep.margins) < FACTOR_RTOL)
     if low.size:
         raise SpectrumCollisionError(int(low[0]), z, sweep.margins[low[0]], FACTOR_RTOL)
-    terms = np.abs(z * np.asarray(pencil.J.d)) + np.abs(np.asarray(pencil.H.b))
+    _, d, _, b = pencil._diagonals
+    terms = np.abs(z * d) + np.abs(b)
     flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
@@ -191,8 +192,7 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     check_spectrum(pencil, sweep.prefix(k + 1), k)
     check_spectrum(pencil, sweep, pencil.n)
     z = sweep.z
-    c, d = np.asarray(pencil.J.c[k + 1:]), np.asarray(pencil.J.d[k + 1:])
-    a, b = np.asarray(pencil.H.a[k + 1:]), np.asarray(pencil.H.b[k + 1:], dtype=complex)
+    c, d, a, b = (x[k + 1:] for x in pencil._diagonals)
     size = pencil.n - k
     out = np.zeros((size, size), dtype=complex)
     out.flat[::size + 1] = z * c - a

@@ -2,14 +2,18 @@
 
 J is real symmetric tridiagonal (diagonal c, off-diagonal d), H is Hermitian
 tridiagonal (real diagonal a, super-diagonal b, sub-diagonal conj(b)).  Both
-are stored as immutable coefficient tuples; all operations on them are pure
-functions, so every type here is safe to share across threads.
+are stored as immutable coefficient tuples, which are the value: equality,
+hashing and repr read them alone.  A pencil also converts its four diagonals
+to read-only numpy arrays once, on first use, for the array passes to slice;
+all operations are pure functions, so every type here is safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,6 +102,18 @@ class Pencil:
     @property
     def n(self) -> int:
         return self.J.n
+
+    @cached_property
+    def _diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """c, d, a and b (complex) as read-only arrays, converted on first use and kept."""
+        arrays = (np.array(self.J.c), np.array(self.J.d), np.array(self.H.a), np.array(self.H.b, dtype=complex))
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the value alone: a copy converts its own read-only arrays."""
+        return {"J": self.J, "H": self.H}
 
     def dense_at(self, z: complex) -> np.ndarray:
         return complex(z) * self.J.dense().astype(complex) - self.H.dense()

@@ -25,6 +25,10 @@ the library evaluates at an eigenvalue reads it; the sweep with
 z-derivatives has no caller left and stays for the benchmark.  pq_sweep and
 the component sweeps step on plain Python complex numbers, carrying the last
 two values in locals: numpy scalar arithmetic costs about twice as much per step.
+The component sweeps prepare their coefficients in one array pass over the
+pencil's diagonals (the pole test of every index, u_m = z c_m - a_m,
+b_m - z d_m and the sub-diagonal factor), so the loop does the step alone;
+the operations and their order are those of the per-step form, bit for bit.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
@@ -208,16 +212,21 @@ def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[
     once, raising PoleCollisionError(s) at the first s that fails it, then
     the two divisions.
     """
-    zd = sweep.z * np.asarray(pencil.J.d)
-    b = np.asarray(pencil.H.b, dtype=complex)
+    _, d, _, b = pencil._diagonals
+    zd = sweep.z * d
     right, left = b - zd, b.conj() - zd
-    value, scale = np.minimum(np.abs(right), np.abs(left)), 1.0 + np.abs(b) + np.abs(zd)
-    poles = value < POLE_RTOL * scale
-    if poles.any():
-        s = int(np.argmax(poles))
-        raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
+    _check_poles(np.minimum(np.abs(right), np.abs(left)), b, zd)
     D = np.asarray(sweep.pivots[:len(b)])
     return (right / D).tolist(), (left / D).tolist()
+
+
+def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
+    """Raise PoleCollisionError(s) at the first s with value[s] < POLE_RTOL (1 + |b_s| + |z d_s|)."""
+    scale = 1.0 + np.abs(b) + np.abs(zd)
+    poles = value < POLE_RTOL * scale
+    if np.count_nonzero(poles):
+        s = int(np.argmax(poles))
+        raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
 
 
 def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
@@ -306,7 +315,8 @@ def _row_terms(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, ...]:
     The last is 1 on a row above the bottom whose terms are all zero (w_r = 0 too), so its margin reads 0, not 0/0.
     """
     N = len(sweep.pivots)
-    zc, av = sweep.z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
+    c, _, a, _ = pencil._diagonals
+    zc, av = sweep.z * c[:N], a[:N]
     u = zc - av
     w = np.asarray(sweep.weights, dtype=complex)
     x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
@@ -411,26 +421,29 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
 def _component_sweep(pencil: Pencil, z: complex,
                      with_derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
     z = complex(z)
+    c, d, a, b = pencil._diagonals
+    zd = z * d
+    den = b - zd
+    _check_poles(np.abs(den), b, zd)
+    # step m is p_{m+1} = (u_m p_m + f_m p_{m-1})/den_m with u_m = z c_m - a_m, den_m = b_m - z d_m
+    # and f_m = z d_{m-1} - conj(b_{m-1}), f_0 = 0; zip stops after the n steps of den
+    steps = zip((z * c - a).tolist(), [0j] + (zd - b.conj()).tolist(), den.tolist())
     p, dp = [1 + 0j], [0j]
-    # p_{m-1}, p_m and their derivatives; p_{-1} = 0 makes step 0 read no sub-diagonal
-    p0, p1, dp0, dp1 = 0j, 1 + 0j, 0j, 0j
-    dl, f = 0.0, 0j  # d_{m-1} and the sub-diagonal factor z d_{m-1} - conj(b_{m-1})
-    for m, (cm, dm, am, bm) in enumerate(zip(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b)):
-        zd = z * dm
-        den = bm - zd
-        scale = 1.0 + abs(bm) + abs(zd)
-        if abs(den) < POLE_RTOL * scale:
-            raise PoleCollisionError(m, abs(den), scale, POLE_RTOL)
-        u = z * cm - am
-        p2 = (u * p1 + f * p0) / den
-        p.append(p2)
-        if with_derivative:
-            dp2 = (cm * p1 + u * dp1 + (dl * p0 + f * dp0) + dm * p2) / den
+    p0, p1 = 0j, 1 + 0j  # p_{m-1}, p_m; p_{-1} = 0
+    if with_derivative:
+        dp0, dp1, dl = 0j, 0j, 0.0  # their derivatives and d_{m-1}
+        for cm, dm, (u, f, dn) in zip(pencil.J.c, pencil.J.d, steps):
+            p2 = (u * p1 + f * p0) / dn
+            dp2 = (cm * p1 + u * dp1 + (dl * p0 + f * dp0) + dm * p2) / dn
+            p.append(p2)
             dp.append(dp2)
-            dp0, dp1 = dp1, dp2
-        p0, p1, dl, f = p1, p2, dm, zd - bm.conjugate()
+            p0, p1, dp0, dp1, dl = p1, p2, dp1, dp2, dm
+    else:
+        for u, f, dn in steps:
+            p0, p1 = p1, (u * p1 + f * p0) / dn
+            p.append(p1)
     _check_finite(components=p, derivatives=dp)
-    return np.array(p), np.array(dp) if with_derivative else None
+    return np.array(p, dtype=complex), np.array(dp, dtype=complex) if with_derivative else None
 
 
 def right_components(pencil: Pencil, z: complex) -> np.ndarray:
@@ -441,8 +454,12 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     vanishes at an eigenvalue of the pencil.  In floating point the forward
     recurrence amplifies the error of a computed eigenvalue geometrically
     (up to 1e-7 off the eigenvector at n = 20, wrong from n ~ 80 on); the
-    eigenvector itself comes from eigenvector_components.  Raises ValueError
-    where an entry leaves the double range, as pq_sweep does.
+    eigenvector itself comes from eigenvector_components.  One array pass
+    tests every index for a pole, raising PoleCollisionError at the first,
+    and forms the coefficients of each step; the loop then steps
+    p_{m+1} = (u_m p_m + f_m p_{m-1})/(b_m - z d_m), f_m = z d_{m-1} -
+    conj(b_{m-1}).  Raises ValueError where an entry leaves the double
+    range, as pq_sweep does.
     """
     return _component_sweep(pencil, z, with_derivative=False)[0]
 
@@ -469,7 +486,7 @@ def _twisted_eigenvector(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray,
     gamma, margin, backward = twisted_pivots(pencil, sweep)
     z = sweep.z
     r = int(np.argmin(np.abs(gamma)))
-    d, b = np.asarray(pencil.J.d), np.asarray(pencil.H.b, dtype=complex)
+    _, d, _, b = pencil._diagonals
     # v_i/v_{i-1} below the twist
     down = -(z * d[r:] - b[r:].conj()) / backward[r + 1:]
     v = np.concatenate((_rows_above(z, d, b, sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))

@@ -9,7 +9,7 @@ import scipy.linalg
 
 import tripencil as tp
 from tripencil.tolerances import (COMPONENT_RTOL, DELTA_RTOL, DIFFERENCE_RTOL, HERMITIAN_RTOL, IMAG_RTOL,
-                                  RATIO_RTOL)
+                                  POLE_RTOL, RATIO_RTOL)
 
 
 def build_pencil(rng, n, pd_J=True, min_im=0.2, real_b_at=(), pure_imag=False):
@@ -216,3 +216,29 @@ def reference_positivity_witness(pencil, k, mu):
     sl = np.conj(s)
     return ((b_k - mu * d_k) * sl[k] * ds[k + 1] - (b_k.conjugate() - mu * d_k) * sl[k + 1] * ds[k]
             - d_k * sl[k] * s[k + 1])
+
+
+def reference_components(pencil, z):
+    """Right components p_0..p_n at z and their z-derivatives, one step per index on the coefficient tuples.
+
+    The component sweep's earlier loop, kept as the reference for the sweep on coefficients prepared by
+    one array pass: each step tests its pole, raising PoleCollisionError(m), then forms z d_m, u_m and the
+    next values, in the same operation order.  The values are not checked for leaving the double range.
+    """
+    z = complex(z)
+    p, dp = [1 + 0j], [0j]
+    p0, p1, dp0, dp1 = 0j, 1 + 0j, 0j, 0j
+    dl, f = 0.0, 0j  # d_{m-1} and the sub-diagonal factor z d_{m-1} - conj(b_{m-1})
+    for m, (cm, dm, am, bm) in enumerate(zip(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b)):
+        zd = z * dm
+        den = bm - zd
+        scale = 1.0 + abs(bm) + abs(zd)
+        if abs(den) < POLE_RTOL * scale:
+            raise tp.PoleCollisionError(m, abs(den), scale, POLE_RTOL)
+        u = z * cm - am
+        p2 = (u * p1 + f * p0) / den
+        dp2 = (cm * p1 + u * dp1 + (dl * p0 + f * dp0) + dm * p2) / den
+        p.append(p2)
+        dp.append(dp2)
+        p0, p1, dp0, dp1, dl, f = p1, p2, dp1, dp2, dm, zd - bm.conjugate()
+    return np.array(p), np.array(dp)

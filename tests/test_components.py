@@ -10,7 +10,7 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import POLE_RTOL
 from support import (build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, far_points, max_normalized,
-                     seeded_pencil, two_pole_pencil)
+                     reference_components, seeded_pencil, two_pole_pencil)
 
 
 def test_normalization(rng):
@@ -98,6 +98,52 @@ def test_every_component_sweep_raises_at_the_first_pole_with_its_numbers():
         assert err.scale == 1.0 + abs(pencil.H.b[1]) + abs(z * pencil.J.d[1])
         for number in (f"{err.value:.3e}", f"{err.tol:.1e}", f"{err.scale:.3e}"):
             assert number in str(err)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 160, 640])
+def test_component_sweeps_are_the_per_step_loop_bit_for_bit(n):
+    """At the extreme eigenvalues, a far real point and a complex one, every bit is that of the per-step loop."""
+    compared = 0
+    for seed in range(3):
+        pencil = seeded_pencil(seed, n)
+        eigs, far = dense_spectrum(pencil), far_points(pencil)
+        for z in (eigs[-1], eigs[0], far[0], far[2]):
+            p, dp = reference_components(pencil, z)
+            pl = np.conj(reference_components(pencil, np.conj(z))[0])
+            pl[0] = 1.0
+            if not all(np.isfinite(x).all() for x in (p, dp, pl)):
+                continue
+            got, got_dp = tp.right_components_with_derivative(pencil, z)
+            for mine, reference in ((tp.right_components(pencil, z), p), (tp.left_components(pencil, z), pl),
+                                    (got, p), (got_dp, dp)):
+                assert np.array_equal(_bits(mine), _bits(reference))
+            compared += 1
+    assert compared >= 10
+
+
+_NEAR = seeded_pencil(1, 10)
+
+
+@pytest.mark.parametrize("pencil, z", [
+    (two_pole_pencil(0.5), 0.5),
+    (two_pole_pencil(-0.4 + 0.2j), -0.4 + 0.2j),
+    (_NEAR, _NEAR.H.b[6] / _NEAR.J.d[6] * (1 + 1e-13)),
+], ids=["exact-real", "exact-complex", "near"])
+def test_component_sweeps_raise_the_pole_error_of_the_per_step_loop(pencil, z):
+    """The pole test on every index at once stops at the loop's index, with the loop's value, scale and tol."""
+    with pytest.raises(tp.PoleCollisionError) as reference:
+        reference_components(pencil, z)
+    for op in (tp.right_components, tp.right_components_with_derivative,
+               lambda pencil, z: tp.left_components(pencil, np.conj(z))):
+        with pytest.raises(tp.PoleCollisionError) as exc:
+            op(pencil, z)
+        got, want = exc.value, reference.value
+        assert (got.index, got.value, got.scale, got.tol) == (want.index, want.value, want.scale, want.tol)
+        assert str(got) == str(want)
 
 
 def _mp_components(pencil, z, conjugate_b=False):
