@@ -37,15 +37,7 @@ from .errors import (
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import (
-    PivotSweep,
-    _check_margins,
-    _rows_above,
-    _twisted_eigenvector,
-    check_spectrum,
-    head_margins,
-    pivot_sweep,
-)
+from .recurrence import PivotSweep, _rows_above, _twisted_eigenvector, check_spectrum, pivot_sweep
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -286,7 +278,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     vectors = []
     for z, name in ((lam, "lam"), (mu, "mu")):
         sweep = pivot_sweep(pencil, n + 1, z)
-        check_spectrum(pencil, sweep.prefix(k + 1), k - 1)
+        for part in _solver_heads(sweep.prefix(k + 1)):
+            check_spectrum(pencil, part)
         vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
@@ -360,15 +353,16 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
-def _solver_head_margins(pencil: Pencil, k: int, z: float) -> tuple[PivotSweep, np.ndarray]:
-    """The pivot sweep of rows 0..k at z and the twisted margins of head(k - 1) and head(k).
+def _solver_heads(sweep: PivotSweep) -> tuple[PivotSweep, PivotSweep]:
+    """The pivot sweeps of head(k - 1) and head(k), from the sweep of rows 0..k (k = len(sweep.pivots) - 1).
 
-    These two heads are the only ones whose spectrum solve needs z to avoid:
-    it raises on these margins, and the instance generator admits a draw by
-    them, so both decide on the same numbers.  Rows past k are not read.
+    These two heads are the only ones whose spectrum solve needs lam and mu
+    to avoid: it raises on their twisted margins, in this order
+    (check_spectrum), and the instance generator admits a draw by the same
+    margins, so both decide on the same numbers.  Each test is one O(k)
+    scalar pass, and rows past k are not read.
     """
-    sweep = pivot_sweep(pencil, k + 1, z)
-    return sweep, head_margins(pencil, sweep, k - 1)
+    return sweep.prefix(len(sweep.pivots) - 1), sweep
 
 
 def solve(instance: GiepInstance) -> ReconstructionResult:
@@ -379,8 +373,9 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
     pivots = []
     for z in (lam, mu):
-        sweep, margins = _solver_head_margins(head, k, z)
-        _check_margins(margins, k - 1, sweep.z)
+        sweep = pivot_sweep(head, k + 1, z)
+        for part in _solver_heads(sweep):
+            check_spectrum(head, part)
         pivots.append(sweep.pivots)
     pivots_lam, pivots_mu = pivots
 

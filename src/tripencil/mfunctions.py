@@ -24,10 +24,10 @@ The g_t themselves decay geometrically and underflow by n ~ 300.  The
 diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 
 Each operation raises SpectrumCollisionError where what it returns does not
-exist: m_table on the spectrum of any leading sub-pencil, m_function(j) on
-that of rows 0..j-1, resolvent_matrix on that of the full pencil
-(recurrence.check_spectrum; resolvent_matrix applies its test to the
-twisted pivots it reads for its diagonal).  Next to a sub-pencil eigenvalue
+exist: m_table on the spectrum of any leading sub-pencil (head_margins),
+m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
+full pencil (recurrence.check_spectrum, one scalar pass per head tested;
+resolvent_matrix takes its diagonal from the pass it tested).  Next to a sub-pencil eigenvalue
 the m-values, the Schur pivot and the resolvent stay within a small
 multiple of their own conditioning (against dense inversion), so a small
 pivot elsewhere costs them no accuracy.  The product of the unit factors
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
                      VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import _unit_steps, _unit_upper, check_spectrum, pivot_sweep, twisted_pivots, unit_factors
+from .recurrence import _unit_steps, _unit_upper, check_spectrum, head_margins, pivot_sweep, unit_factors
 from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
 
 
@@ -91,15 +91,24 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    return check_spectrum(pencil, pivot_sweep(pencil, j, omega), j - 1).values[-1]
+    sweep = pivot_sweep(pencil, j, omega)
+    check_spectrum(pencil, sweep)
+    return sweep.values[-1]
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """All values m(w, 0)..m(w, n+1) and their differences in one pivot pass.
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
+    Raises SpectrumCollisionError(t) at the first t whose head(t) margin
+    (head_margins) is below SPECTRUM_RTOL.
     """
-    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega))
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    margins = head_margins(pencil, sweep)
+    hit = np.flatnonzero(margins < SPECTRUM_RTOL)
+    if hit.size:
+        t = int(hit[0])
+        raise SpectrumCollisionError(t, sweep.z, float(margins[t]), SPECTRUM_RTOL)
     D = np.asarray(sweep.pivots)
     ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
@@ -109,10 +118,9 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """Dense inverse of (w*J - H) from the forward and the twisted pivots.
 
-    The diagonal is R[t, t] = 1/gamma_t from one twisted_pivots pass, whose
-    margin is also the spectrum test of head_margins(·, n): below
-    SPECTRUM_RTOL, w is on the spectrum of the full pencil and
-    SpectrumCollisionError(n) is raised.  Off the diagonal
+    The diagonal is R[t, t] = 1/gamma_t from the twisted_pivots pass of
+    check_spectrum, which raises SpectrumCollisionError(n) on the spectrum
+    of the full pencil.  Off the diagonal
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors: the diagonal is folded into the pass
     that forms each factor, and G is formed straight into the lower
@@ -122,10 +130,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     w*J - H.
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    gamma, margin, _ = twisted_pivots(pencil, sweep)
-    if margin < SPECTRUM_RTOL:
-        raise SpectrumCollisionError(pencil.n, sweep.z, margin, SPECTRUM_RTOL)
-    diag = 1.0 / gamma
+    diag = 1.0 / check_spectrum(pencil, sweep)[0]
     right, left = _unit_steps(pencil, sweep)
     R = _unit_upper(right, diag)
     _unit_upper(left, diag, R.T)
@@ -164,7 +169,8 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     w_{t-1} vanishes (m(w, t+1) = m(w, t)), before the PoleCollisionError
     that the same point gives for the components.
     """
-    sweep = check_spectrum(pencil, pivot_sweep(pencil, pencil.n + 1, omega), pencil.n)
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    check_spectrum(pencil, sweep)
     z = sweep.z
     low = np.flatnonzero(np.asarray(sweep.margins) < FACTOR_RTOL)
     if low.size:
@@ -189,8 +195,8 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    check_spectrum(pencil, sweep.prefix(k + 1), k)
-    check_spectrum(pencil, sweep, pencil.n)
+    check_spectrum(pencil, sweep.prefix(k + 1))
+    check_spectrum(pencil, sweep)
     z = sweep.z
     c, d, a, b = (x[k + 1:] for x in pencil._diagonals)
     size = pencil.n - k

@@ -40,14 +40,16 @@ conj(b_t); unit_factors turns them into the inverses of the unit factors of
 z*J - H = L D U.  Joined with the pivots taken from the bottom up, by a
 pass that reads the forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
-their margin min_r |gamma_r|/(its terms) is the spectrum guard: head_margins
-for the leading sub-pencils, check_spectrum to raise on it and
-eigenvalue_margin for the full pencil.  The margin has one formula in one
-arithmetic: twisted_pivots runs the bottom-up pass of one head on numpy
-scalars, head_margins those of all heads together as one vector step per
-row, and both give the same bits.  head_margins stops once the passes have
-joined, bit for bit, which off the spectrum they do within a few dozen
-rows: O(n) work per row reached, not O(n^2) per point.
+their margin min_r |gamma_r|/(its terms) is the spectrum guard.  A test
+of one head, the leading sub-pencil a sweep ends at, is one scalar pass:
+check_spectrum raises on it, and eigenvalue_margin reads it for the full
+pencil.  head_margins gives the margins of all heads at once, which only
+m_table needs.  The margin has one formula in one arithmetic:
+twisted_pivots runs the bottom-up pass of one head on numpy scalars,
+head_margins those of all heads together as one vector step per row, and
+both give the same bits.  head_margins stops once the passes have joined,
+bit for bit, which off the spectrum they do within a few dozen rows: O(n)
+work per row reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ class PivotSweep:
     would read 1 at every inexact root of z c_0 - a_0.  values[t] =
     Q_{t+1}/P_{t+1} = m(z, t+1), and weights holds the w_0, w_1, ... that
     entered the pivots.  Whether z is in the spectrum of a leading
-    sub-pencil is head_margins' decision, not the pivot margin's: the pivot
-    misses an eigenvalue whose eigenvector nearly vanishes at the last row.
+    sub-pencil is the twisted margin's decision, not the pivot margin's: the
+    pivot misses an eigenvalue whose eigenvector nearly vanishes at the last
+    row.
     """
 
     z: complex
@@ -332,66 +335,59 @@ def _stand_in(terms):
     return _EPS * np.where(terms > 0, terms, 1.0)
 
 
-def head_margins(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> np.ndarray:
-    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = first..N-1.
+def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
+    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1.
 
-    N = len(sweep.pivots).  Entry t - first is twisted_pivots' margin of
-    head(t), rows 0..t, bit for bit: 0 at one of its eigenvalues, whichever
-    row the eigenvector lives on; at r = t it is the pivot margin.  A single
-    head costs one scalar backward pass (twisted_pivots).  For several,
-    their backward pivots advance together, one vector step per row, head
-    t on row t - s at step s.  Each step is a function of the row and the
+    N = len(sweep.pivots).  Entry t is twisted_pivots' margin of head(t),
+    rows 0..t, bit for bit: 0 at one of its eigenvalues, whichever row the
+    eigenvector lives on; at r = t it is the pivot margin.  The backward
+    pivots of all heads advance together, one vector step per row, head t
+    on row t - s at step s.  Each step is a function of the row and the
     pivot below it alone, so once the pivot of head(t) equals, bit for bit,
     the one head(t - 1) had on the same row a step before, the two heads
     read the same values on every row further up.  Off the spectrum the
     passes are tails of a convergent continued fraction and join within a
     few dozen rows (the join depth L: 23-32 at the benchmark's points).
-    Once every head has joined the next shorter one and the shortest has
-    reached row 0, the rows left to each head are those the shorter heads
-    have just read, and the loop stops with the margins of all N steps:
-    O((N - first) max(first, L)) flops in max(first, L) steps.  Near an
+    Once every head has joined the next shorter one, the rows left to each
+    head are those the shorter heads have just read, and the loop stops
+    with the margins of all N heads: O(N L) flops in L steps.  Near an
     eigenvalue of a sub-pencil the passes may not join, and it takes all N.
+    A test of one head is one scalar pass (check_spectrum).
     """
     N = len(sweep.pivots)
-    if not 0 <= first < N:
-        raise ValueError(f"first order {first} out of range 0..{N - 1}")
-    if first == N - 1:
-        return np.array([twisted_pivots(pencil, sweep)[1]])
     u, w, ux, own, sx = _row_terms(pencil, sweep)
-    best = np.asarray(sweep.margins[first:])
-    Y = u[first:].copy()  # Y[i]: backward pivot of head(first + i) at the current row
+    best = np.asarray(sweep.margins)
+    Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
-        Y = np.where(Y == 0, _stand_in(own[first:]), Y)
+        Y = np.where(Y == 0, _stand_in(own), Y)
     for s in range(1, N):
-        h = max(s - first, 0)  # the heads with a row s above their last one
-        rows = slice(first + h - s, N - s)
-        y = w[rows] / Y[h:]
+        rows = slice(0, N - s)  # heads s..N-1 have a row s above their last one
+        y = w[rows] / Y[s:]
         ay = np.abs(y)
         step = np.abs(ux[rows] - y) / (sx[rows] + ay)
         new = u[rows] - y
         if not new.all():
             new = np.where(new == 0, _stand_in(own[rows] + ay), new)
-        # head h is on row 0 and every longer head has joined the next shorter one:
-        # the rows j - 1..0 left to head h + j are those heads h + j - 1..h have just read
-        if s >= first and new[-1] == Y[-2] and np.array_equal(new[1:], Y[h:-1]):
-            best[h:] = np.minimum(best[h:], np.minimum.accumulate(step))
+        # head s is on row 0 and every longer head has joined the next shorter one:
+        # the rows j - 1..0 left to head s + j are those heads s + j - 1..s have just read
+        if new[-1] == Y[-2] and np.array_equal(new[1:], Y[s:-1]):
+            best[s:] = np.minimum(best[s:], np.minimum.accumulate(step))
             return best
-        best[h:] = np.minimum(best[h:], step)
-        Y[h:] = new
+        best[s:] = np.minimum(best[s:], step)
+        Y[s:] = new
     return best
 
 
-def check_spectrum(pencil: Pencil, sweep: PivotSweep, first: int = 0) -> PivotSweep:
-    """Raise SpectrumCollisionError(t) at the first t >= first whose head(t) margin is below SPECTRUM_RTOL."""
-    _check_margins(head_margins(pencil, sweep, first), first, sweep.z)
-    return sweep
+def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
+    """The twisted_pivots pass of head(N - 1), N = len(sweep.pivots), checked against SPECTRUM_RTOL.
 
-
-def _check_margins(margins: np.ndarray, first: int, z: complex) -> None:
-    """check_spectrum's test on margins head_margins(·, first) already gave."""
-    hit = np.flatnonzero(margins < SPECTRUM_RTOL)
-    if hit.size:
-        raise SpectrumCollisionError(first + int(hit[0]), z, float(margins[hit[0]]), SPECTRUM_RTOL)
+    Raises SpectrumCollisionError(N - 1) where its margin is below the
+    tolerance, and returns the pass (gamma, margin, backward pivots).
+    """
+    twisted = twisted_pivots(pencil, sweep)
+    if twisted[1] < SPECTRUM_RTOL:
+        raise SpectrumCollisionError(len(sweep.pivots) - 1, sweep.z, twisted[1], SPECTRUM_RTOL)
+    return twisted
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:

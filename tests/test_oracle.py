@@ -11,6 +11,12 @@ from tripencil.tolerances import ADMIT_SPECTRUM_MARGIN, SPECTRUM_RTOL
 from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
                      max_normalized, seeded_pencil)
 
+
+def sweep_bits(sweep):
+    """The exact bytes of every field of a pivot sweep."""
+    return [np.asarray(field).tobytes() for field in (sweep.z, sweep.pivots, sweep.margins, sweep.values,
+                                                       sweep.weights)]
+
 CANARY = tp.GeneratorConfig(n=40, k=20, seed=0)  # the fixed n = 40 draw of the benchmark's roundtrip workload
 
 
@@ -156,37 +162,67 @@ class TestGenerateInstance:
             assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
 
     def test_admits_by_the_margins_solve_tests(self, monkeypatch):
-        """Admission reads heads k - 1 and k at lam and mu: bit for bit the margins solve then raises on."""
+        """Admission reads heads k - 1 and k at lam and mu: bit for bit the sweeps solve then raises on."""
         admitted, tested = [], []
-        solver_head_margins, check_margins = giep._solver_head_margins, giep._check_margins
+        solver_heads = giep._solver_heads
 
-        def admit(pencil, k, z):
-            sweep, margins = solver_head_margins(pencil, k, z)
-            admitted.append(margins)
-            return sweep, margins
+        def recorder(log):
+            def record(sweep):
+                heads = solver_heads(sweep)
+                log.append(heads)
+                return heads
+            return record
 
-        def check(margins, first, z):
-            tested.append(margins)
-            check_margins(margins, first, z)
-
-        monkeypatch.setattr(oracle, "_solver_head_margins", admit)
-        monkeypatch.setattr(giep, "_check_margins", check)
+        monkeypatch.setattr(oracle, "_solver_heads", recorder(admitted))
+        monkeypatch.setattr(giep, "_solver_heads", recorder(tested))
         configs = [tp.GeneratorConfig(n=n, k=k, seed=seed) for seed in range(200) for n, k in [corpus_shape(seed)]]
         for config in configs + [CANARY]:
             admitted.clear()
             tested.clear()
-            _, inst = tp.generate_instance(config)
+            truth, inst = tp.generate_instance(config)
             tp.solve(inst)
             # the admitted attempt is the last, and it computed both points, lam then mu
             assert len(tested) == 2 and len(admitted) >= 2
             for ours, theirs in zip(admitted[-2:], tested):
-                assert ours.shape == (2,) and ours.tobytes() == theirs.tobytes()
-                assert ours.min() >= ADMIT_SPECTRUM_MARGIN
+                assert [len(head.pivots) for head in ours] == [inst.k, inst.k + 1]
+                assert [sweep_bits(head) for head in ours] == [sweep_bits(head) for head in theirs]
+                assert min(recurrence.twisted_pivots(truth, head)[1] for head in ours) >= ADMIT_SPECTRUM_MARGIN
+
+    def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
+        """Heads k - 1 and k are tested by one twisted pass each at lam and mu; the all-heads loop never runs."""
+        passes = []  # (caller, z, rows) of every twisted pass over rows 0..k at most
+
+        def recorder(caller, twisted):
+            def record(pencil, sweep):
+                passes.append((caller, sweep.z, len(sweep.pivots)))
+                return twisted(pencil, sweep)
+            return record
+
+        def all_heads(*args):
+            raise AssertionError("head_margins runs")
+
+        monkeypatch.setattr(oracle, "twisted_pivots", recorder("admit", oracle.twisted_pivots))
+        monkeypatch.setattr(recurrence, "twisted_pivots", recorder("solve", recurrence.twisted_pivots))
+        for module in (recurrence, giep, oracle, tp.mfunctions):
+            if hasattr(module, "head_margins"):
+                monkeypatch.setattr(module, "head_margins", all_heads)
+        for config in (tp.GeneratorConfig(n=6, k=1, seed=3), tp.GeneratorConfig(n=9, k=8, seed=4), CANARY):
+            passes.clear()
+            _, inst = tp.generate_instance(config)
+            k = inst.k
+            heads = [p for p in passes if p[2] <= k + 1]  # the tails come from passes over all n + 1 rows
+            assert all(p[0] == "admit" for p in heads)
+            # head(k - 1), then head(k) at the same point unless head(k - 1) rejected the draw
+            assert all(p[2] == k or (p[2] == k + 1 and q[1:] == (p[1], k)) for q, p in zip([()] + heads, heads))
+            assert heads[-4:] == [("admit", z, rows) for z in (inst.lam, inst.mu) for rows in (k, k + 1)]
+            passes.clear()
+            tp.solve(inst)
+            assert passes == [("solve", z, rows) for z in (inst.lam, inst.mu) for rows in (k, k + 1)]
 
     def test_canary_admits_a_draw_with_a_near_collision_on_an_unread_head(self):
         """Solve never reads the heads past k; a draw that comes close to their spectra still solves."""
         truth, inst = tp.generate_instance(CANARY)
-        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z), inst.k + 1).min()
+        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z))[inst.k + 1:].min()
                      for z in (inst.lam, inst.mu))
         assert unread < ADMIT_SPECTRUM_MARGIN
         report = tp.verify(truth, tp.solve(inst))
@@ -211,8 +247,8 @@ class TestGenerateInstance:
         for attempt in range(100):
             truth = oracle._draw_truth(CANARY, np.random.default_rng([CANARY.seed, attempt]))
             eigs = tp.pencil_eigenvalues(truth)
-            head += any(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, CANARY.k + 1, z.real),
-                                                CANARY.k - 1).min() < ADMIT_SPECTRUM_MARGIN
+            head += any(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, CANARY.k + 1, z.real))
+                        [CANARY.k - 1:].min() < ADMIT_SPECTRUM_MARGIN
                         for z in (eigs[-1], eigs[0]))
         assert head == 52
         expected = {"degree drop": 0, "eigenvalue gap": 0, "head spectrum": head, "v_0": 0, "Delta_j": 100 - head}
