@@ -211,15 +211,23 @@ class PairSystem:
 
 def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
                  components_mu: Sequence[complex]) -> tuple[PairSystem, ...]:
-    """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu."""
-    k = instance.k
-    p = [complex(x) for x in components_lambda]
-    s = [complex(x) for x in components_mu]
-    return tuple(
-        PairSystem(j, instance.J.d[j], instance.lam, instance.mu,
-                   p[j - k].conjugate() * p[j - k + 1], s[j - k].conjugate() * s[j - k + 1])
-        for j in range(k, instance.n)
-    )
+    """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu.
+
+    Each reads the neighbour ratios rho_j = p_{j+1}/p_j and sigma_j =
+    s_{j+1}/s_j: the products alpha_j and beta_j over |p_j|^2 and |s_j|^2,
+    which give the same system (PairSystem) and never span more decades
+    than the tails do between neighbours.  Where p_j is zero, or so small
+    against p_{j+1} that the ratio overflows, the product over |p_{j+1}|^2
+    rounds to 0 and stands in for it, so that system is singular.
+    """
+    k, n = instance.k, instance.n
+    p, s = np.asarray(components_lambda, dtype=complex), np.asarray(components_mu, dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho, sigma = p[1:] / p[:-1], s[1:] / s[:-1]
+    rho[~np.isfinite(rho)] = 0
+    sigma[~np.isfinite(sigma)] = 0
+    return tuple(PairSystem(j, d_j, instance.lam, instance.mu, r, q)
+                 for j, d_j, r, q in zip(range(k, n), instance.J.d[k:], rho.tolist(), sigma.tolist()))
 
 
 def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
@@ -227,14 +235,19 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     """Recover the real diagonal entries a_{k+1}..a_n from the lam-eigenpair.
 
     b_full holds b_k..b_{n-1}; components_lambda holds p_k..p_n at lam.  Each
-    a_i comes out of the three-term relation at row i solved for the diagonal
-    entry; a non-negligible imaginary part means the data is inconsistent.
+    a_i comes out of the three-term relation at row i solved for the
+    diagonal entry, in the neighbour ratios rho_t = p_{t+1}/p_t:
+    a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1} + (lam d_i - b_i) rho_i,
+    with 1/rho_{i-1} formed as p_{i-1}/p_i.  Row i divides by p_i alone, so
+    VanishingComponentError(i) is raised where p_i is no more than
+    COMPONENT_RTOL times the larger of its neighbours p_{i-1}, p_{i+1}
+    (zero included), however far the tail spans; a non-negligible
+    imaginary part of a_i means the data is inconsistent.
     """
     k, n = instance.k, instance.n
     c, d = instance.J.c, instance.J.d
     lam = instance.lam
     p = [complex(x) for x in components_lambda]
-    comp_scale = max(abs(x) for x in p)
 
     def b_at(j: int) -> complex:
         return complex(b_full[j - k])
@@ -242,12 +255,12 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     out: list[float] = []
     for i in range(k + 1, n + 1):
         t = i - k
-        if abs(p[t]) <= COMPONENT_RTOL * (1.0 + comp_scale):
+        near = abs(p[t - 1]) if i == n else max(abs(p[t - 1]), abs(p[t + 1]))
+        if abs(p[t]) <= COMPONENT_RTOL * near:
             raise VanishingComponentError(i)
-        num = (lam * d[i - 1] - b_at(i - 1).conjugate()) * p[t - 1]
+        val = lam * c[i] + (lam * d[i - 1] - b_at(i - 1).conjugate()) * (p[t - 1] / p[t])
         if i <= n - 1:
-            num += (lam * d[i] - b_at(i)) * p[t + 1]
-        val = lam * c[i] + num / p[t]
+            val += (lam * d[i] - b_at(i)) * (p[t + 1] / p[t])
         if abs(val.imag) > IMAG_RTOL * (1.0 + abs(val)):
             raise NonRealDiagonalError(i, val.imag)
         out.append(val.real)

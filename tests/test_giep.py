@@ -117,6 +117,37 @@ class TestReconstructA:
         worst = max(abs(v - truth.H.a[i]) for i, v in zip(range(2, 5), a))
         assert worst > 1e-3
 
+    @pytest.mark.parametrize("t", [1, 2, 4])  # rows k + t, the last (row n) with one neighbour
+    def test_exactly_zero_component_raises(self, rng, t):
+        truth, inst = make_case(rng, 5, 1)
+        tail = list(inst.tail_p)
+        tail[t] = 0j
+        with pytest.raises(tp.VanishingComponentError) as info:
+            tp.reconstruct_a(inst, truth.H.b[1:], tail)
+        assert info.value.index == 1 + t
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 4])
+    def test_solve_on_an_exactly_zero_component_raises_on_its_singular_system(self, rng, t):
+        # the ratio p_{j+1}/p_j next to it is 0, or stands in as 0 where it divides by 0, with no warning
+        _, inst = make_case(rng, 5, 1)
+        tail = list(inst.tail_p)
+        tail[t] = 0j
+        with pytest.raises(tp.SingularDeltaError) as info:
+            tp.solve(dataclasses.replace(inst, tail_p=tuple(tail)))
+        assert info.value.index == max(t, 1)  # j = k + t - 1, or k where t = 0
+
+    def test_component_guard_reads_the_neighbours(self, rng):
+        truth, inst = make_case(rng, 5, 1)
+        for factor, raises in ((1e-11, False), (1e-13, True)):
+            tail = list(inst.tail_p)
+            tail[2] *= factor  # p_3 against p_2 and p_4
+            if raises:
+                with pytest.raises(tp.VanishingComponentError) as info:
+                    tp.reconstruct_a(inst, truth.H.b[1:], tail)
+                assert info.value.index == 3
+            else:
+                tp.reconstruct_a(inst, truth.H.b[1:], tail)
+
 
 class TestHeadComponents:
     """The leading components p_0..p_{k-1} that solve returns, from the head pivots and the recovered b_k."""
@@ -190,10 +221,17 @@ def first_singular(systems):
     return None
 
 
+def product_systems(inst):
+    """PairSystem at j = k..n-1 from the neighbour products alpha_j = conj(p_j) p_{j+1} and beta_j = conj(s_j) s_{j+1}."""
+    p, s, k = inst.tail_p, inst.tail_s, inst.k
+    return [tp.PairSystem(j, inst.J.d[j], inst.lam, inst.mu, p[j - k].conjugate() * p[j - k + 1],
+                          s[j - k].conjugate() * s[j - k + 1]) for j in range(k, inst.n)]
+
+
 class TestNeighbourProducts:
     def test_matches_the_eight_term_reference(self, corpus_instances):
         for inst in corpus_instances:
-            for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s):
+            for system in product_systems(inst):
                 t = system.j - inst.k
                 ref = reference_pair_system(system.j, system.d_j, inst.lam, inst.mu,
                                             inst.tail_p[t:t + 2], inst.tail_s[t:t + 2])
@@ -204,15 +242,15 @@ class TestNeighbourProducts:
                 assert max(rel_err(x, y) for x, y in zip(system.closed_form(), ref.closed)) <= 1e-15
 
     def test_neighbour_ratios_give_the_same_system(self, corpus_instances):
-        # rho_j = p_{j+1}/p_j = alpha_j/|p_j|^2: a real rescaling, to which every formula is homogeneous
+        # pair_systems reads rho_j = p_{j+1}/p_j = alpha_j/|p_j|^2: a real rescaling, to which every formula
+        # is homogeneous
         for inst in corpus_instances:
-            p, s = inst.tail_p, inst.tail_s
-            for system in tp.pair_systems(inst, p, s):
-                t = system.j - inst.k
-                ratios = tp.PairSystem(system.j, system.d_j, inst.lam, inst.mu, p[t + 1] / p[t], s[t + 1] / s[t])
-                b, b_ratios = system.solve()[0], ratios.solve()[0]
-                assert rel_err(b_ratios, b) <= 4e-15
-                assert ratios.classify().wall_ratio_ok == system.classify().wall_ratio_ok
+            for ratios, products in zip(tp.pair_systems(inst, inst.tail_p, inst.tail_s), product_systems(inst)):
+                t = ratios.j - inst.k
+                for ratio, tail in ((ratios.alpha, inst.tail_p), (ratios.beta, inst.tail_s)):
+                    assert abs(ratio - tail[t + 1] / tail[t]) <= 4e-16 * abs(tail[t + 1] / tail[t])
+                assert rel_err(ratios.solve()[0], products.solve()[0]) <= 4e-15
+                assert ratios.classify().wall_ratio_ok == products.classify().wall_ratio_ok
 
     def test_neighbour_ratios_raise_where_the_products_do(self):
         # the 20 real-pole cases of acceptance criterion 6
@@ -224,10 +262,8 @@ class TestNeighbourProducts:
             truth = build_pencil(rng, n, real_b_at=(j0,))
             lam, mu = extreme_pair(truth)
             inst = tp.instance_from_truth(truth, k, lam, mu)
-            p, s = inst.tail_p, inst.tail_s
-            ratios = [tp.PairSystem(j, inst.J.d[j], lam, mu, p[j - k + 1] / p[j - k], s[j - k + 1] / s[j - k])
-                      for j in range(k, n)]
-            assert first_singular(tp.pair_systems(inst, p, s)) == first_singular(ratios) == j0
+            assert first_singular(tp.pair_systems(inst, inst.tail_p, inst.tail_s)) == j0
+            assert first_singular(product_systems(inst)) == j0
 
 
 class TestTraceIdentities:

@@ -230,7 +230,9 @@ class TestGenerateInstance:
         assert max(report.entry_errors.values()) <= 1e-8
         assert max(report.residual_lambda, report.residual_mu) <= 1e-7
 
-    @pytest.mark.parametrize("n", [20, 40])
+    # at n = 80 seeds 0, 1, 3, 5, 6 and 11 have tails across up to 17 decades, which a component guard
+    # against the largest component rejected
+    @pytest.mark.parametrize("n", [20, 40, 80])
     def test_generated_instances_solve_within_the_acceptance_bounds(self, n):
         for seed in range(30):
             truth, inst = tp.generate_instance(tp.GeneratorConfig(n=n, k=n // 2, seed=seed))
