@@ -65,8 +65,11 @@ class GiepInstance:
         object.__setattr__(self, "head_b", _finite_complexes(self.head_b, "head_b"))
         object.__setattr__(self, "tail_p", _finite_complexes(self.tail_p, "tail_p"))
         object.__setattr__(self, "tail_s", _finite_complexes(self.tail_s, "tail_s"))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "mu", float(self.mu))
+        for name in ("lam", "mu"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} is not finite")
+            object.__setattr__(self, name, value)
         if self.lam == self.mu:
             raise ValueError("the two eigenvalues must be distinct")
         if len(self.head_a) != self.k + 1:

@@ -50,7 +50,8 @@ import numpy as np
 from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
                      VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import _unit_steps, _unit_upper, check_spectrum, head_margins, pivot_sweep, unit_factors
+from .recurrence import (_finite_point, _unit_steps, _unit_upper, check_spectrum, head_margins, pivot_sweep,
+                         unit_factors)
 from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
 
 
@@ -271,7 +272,7 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     if not (len(table.values) == n + 2 and len(right_comp) == len(left_comp) == n + 1):
         raise ValueError(f"{len(table.values)} m-values and {len(right_comp)}, {len(left_comp)} components "
                          f"do not fit J of order {n}: {n + 2} and {n + 1} expected")
-    omega = complex(omega)
+    omega = _finite_point(omega)
     pr, pl = np.asarray(right_comp, dtype=complex), np.asarray(left_comp, dtype=complex)
     diag, upper, e_k = _trailing_diagonals(table, pr, pl, k)
     b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], upper)]

@@ -74,6 +74,14 @@ def _check_index(pencil: Pencil, m: int) -> None:
         raise ValueError(f"recurrence index {m} out of range 0..{pencil.n + 1}")
 
 
+def _finite_point(z: complex) -> complex:
+    """z as a complex number; ValueError where it is NaN or infinite, at which no sweep has a value."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"the point z = {z!r} is not finite")
+    return z
+
+
 def _check_finite(**sequences) -> None:
     """Raise ValueError at the first entry, in argument order, that is not finite.
 
@@ -95,7 +103,7 @@ def _weight(d: float, b: complex, z: complex) -> complex:
 def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list[complex]]:
     """Values P_0..P_upto and Q_0..Q_upto at z in one pass; ValueError where they leave the double range."""
     _check_index(pencil, upto)
-    z = complex(z)
+    z = _finite_point(z)
     c, d = pencil.J.c, pencil.J.d
     a, b = pencil.H.a, pencil.H.b
     P = [1.0 + 0j]
@@ -168,7 +176,7 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     the margins use the true zero.
     """
     _check_index(pencil, upto)
-    z = complex(z)
+    z = _finite_point(z)
     c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
     pivots, margins, values, weights = [], [], [], []
     # P_{-1} = 0, P_0 = 1, and Q_{-1} = -1, Q_0 = 0 with w_{-1} = 1, which gives Q_1 = 1;
@@ -416,7 +424,7 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
 
 def _component_sweep(pencil: Pencil, z: complex,
                      with_derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    z = complex(z)
+    z = _finite_point(z)
     c, d, a, b = pencil._diagonals
     zd = z * d
     den = b - zd

@@ -1,12 +1,14 @@
 """Reconstruction from two eigenpairs: systems, heads, diagnostics."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import tripencil as tp
+from tripencil import serialize
 from tripencil.tolerances import SPECTRUM_RTOL
 from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum, extreme_pair,
                      reference_pair_system, reference_positivity_witness, rel_err, seeded_pencil, toeplitz_pencil)
@@ -540,3 +542,16 @@ class TestInstanceValidation:
             tp.GiepInstance(J=inst.J, head_a=inst.head_a, head_b=inst.head_b,
                             lam=inst.lam, mu=inst.mu, tail_p=inst.tail_p[:-1],
                             tail_s=inst.tail_s, k=1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lam", "mu"])
+def test_an_instance_with_a_non_finite_eigenvalue_raises(field, value):
+    _, inst = tp.generate_instance(tp.GeneratorConfig(n=4, k=2, seed=0))
+    with pytest.raises(ValueError, match=f"^{field} = .* is not finite$"):
+        dataclasses.replace(inst, **{field: value})
+    # json reads the literal NaN: the instance file then fails to decode, before solve
+    doc = json.loads(json.dumps(serialize.encode_instance(inst)))
+    doc["lambda" if field == "lam" else field] = value
+    with pytest.raises(tp.SchemaError, match="is not finite"):
+        serialize.decode_instance(json.loads(json.dumps(doc)))

@@ -1,5 +1,7 @@
 """Recurrence-level tests: minors, convergents (via m_function), the pivot pass and its spectrum margins."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -413,3 +415,38 @@ def test_unit_upper_matches_mpmath_across_the_double_range(N, scaled):
     low = upper & (log10 < -320)
     assert low.sum() >= 10
     assert np.abs(S[low]).max() <= 1e-280
+
+
+def _m_route_at(pencil, z):
+    table = tp.m_table(pencil, 40.0)
+    return tp.reconstruct_from_m(pencil.J, 2, z, table, tp.right_components(pencil, 40.0),
+                                 tp.left_components(pencil, 40.0), pencil.H.b[2])
+
+
+POINT_OPERATIONS = {
+    "eval_p": lambda pencil, z: tp.eval_p(pencil, 3, z),
+    "eval_q": lambda pencil, z: tp.eval_q(pencil, 3, z),
+    "liouville_ostrogradsky_residual": lambda pencil, z: tp.liouville_ostrogradsky_residual(pencil, 3, z),
+    "right_components": tp.right_components,
+    "left_components": tp.left_components,
+    "right_components_with_derivative": tp.right_components_with_derivative,
+    "eigenvector_components": tp.eigenvector_components,
+    "eigenvalue_margin": tp.eigenvalue_margin,
+    "m_function": lambda pencil, z: tp.m_function(pencil, 3, z),
+    "m_table": tp.m_table,
+    "resolvent_matrix": tp.resolvent_matrix,
+    "ldu_factors": tp.ldu_factors,
+    "trailing_inverse": lambda pencil, z: tp.trailing_inverse(pencil, 2, z),
+    "reconstruct_from_m": _m_route_at,
+    "trace_identity_residuals": lambda pencil, z: tp.trace_identity_residuals(pencil, 2, z, 0.5),
+    "positivity_witness": lambda pencil, z: tp.positivity_witness(pencil, 2, z),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)], ids=["nan", "inf", "1+nan*i"])
+@pytest.mark.parametrize("name", sorted(POINT_OPERATIONS))
+def test_a_non_finite_point_raises(name, z):
+    # no sweep has a value there: a ValueError that names the point, not a table of NaNs
+    with pytest.raises(ValueError, match=r"^the point z = .* is not finite$"):
+        POINT_OPERATIONS[name](seeded_pencil(2, 6), z)
+
