@@ -66,10 +66,9 @@ class GiepInstance:
         object.__setattr__(self, "tail_p", _finite_complexes(self.tail_p, "tail_p"))
         object.__setattr__(self, "tail_s", _finite_complexes(self.tail_s, "tail_s"))
         for name in ("lam", "mu"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} = {value!r} is not finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(getattr(self, name)))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not finite")
         if self.lam == self.mu:
             raise ValueError("the two eigenvalues must be distinct")
         if len(self.head_a) != self.k + 1:
@@ -216,12 +215,8 @@ def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
                  components_mu: Sequence[complex]) -> tuple[PairSystem, ...]:
     """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu.
 
-    Each reads the neighbour ratios rho_j = p_{j+1}/p_j and sigma_j =
-    s_{j+1}/s_j: the products alpha_j and beta_j over |p_j|^2 and |s_j|^2,
-    which give the same system (PairSystem) and never span more decades
-    than the tails do between neighbours.  Where p_j is zero, or so small
-    against p_{j+1} that the ratio overflows, the product over |p_{j+1}|^2
-    rounds to 0 and stands in for it, so that system is singular.
+    They read the neighbour ratios rho_j = p_{j+1}/p_j and sigma_j = s_{j+1}/s_j; where
+    p_j is zero against p_{j+1}, 0 stands in, as alpha_j/|p_{j+1}|^2: that system is singular.
     """
     k, n = instance.k, instance.n
     p, s = np.asarray(components_lambda, dtype=complex), np.asarray(components_mu, dtype=complex)
@@ -237,15 +232,11 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
                   components_lambda: Sequence[complex]) -> tuple[float, ...]:
     """Recover the real diagonal entries a_{k+1}..a_n from the lam-eigenpair.
 
-    b_full holds b_k..b_{n-1}; components_lambda holds p_k..p_n at lam.  Each
-    a_i comes out of the three-term relation at row i solved for the
-    diagonal entry, in the neighbour ratios rho_t = p_{t+1}/p_t:
-    a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1} + (lam d_i - b_i) rho_i,
-    with 1/rho_{i-1} formed as p_{i-1}/p_i.  Row i divides by p_i alone, so
-    VanishingComponentError(i) is raised where p_i is no more than
-    COMPONENT_RTOL times the larger of its neighbours p_{i-1}, p_{i+1}
-    (zero included), however far the tail spans; a non-negligible
-    imaginary part of a_i means the data is inconsistent.
+    b_full holds b_k..b_{n-1}; components_lambda holds p_k..p_n at lam.  Row i
+    of the three-term relation gives a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1}
+    + (lam d_i - b_i) rho_i in the neighbour ratios rho_t = p_{t+1}/p_t.  It divides by
+    p_i alone: VanishingComponentError(i) where p_i is at most COMPONENT_RTOL times
+    its larger neighbour.  A non-negligible imaginary part means inconsistent data.
     """
     k, n = instance.k, instance.n
     c, d = instance.J.c, instance.J.d
@@ -258,8 +249,7 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     out: list[float] = []
     for i in range(k + 1, n + 1):
         t = i - k
-        near = abs(p[t - 1]) if i == n else max(abs(p[t - 1]), abs(p[t + 1]))
-        if abs(p[t]) <= COMPONENT_RTOL * near:
+        if abs(p[t]) <= COMPONENT_RTOL * max(abs(p[t - 1]), abs(p[t + 1]) if i < n else 0.0):
             raise VanishingComponentError(i)
         val = lam * c[i] + (lam * d[i - 1] - b_at(i - 1).conjugate()) * (p[t - 1] / p[t])
         if i <= n - 1:
@@ -370,13 +360,11 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
 
 
 def _solver_heads(sweep: PivotSweep) -> tuple[PivotSweep, PivotSweep]:
-    """The pivot sweeps of head(k - 1) and head(k), from the sweep of rows 0..k (k = len(sweep.pivots) - 1).
+    """The pivot sweeps of head(k - 1) and head(k), from the sweep of rows 0..k.
 
-    These two heads are the only ones whose spectrum solve needs lam and mu
-    to avoid: it raises on their twisted margins, in this order
-    (check_spectrum), and the instance generator admits a draw by the same
-    margins, so both decide on the same numbers.  Each test is one O(k)
-    scalar pass, and rows past k are not read.
+    solve needs lam and mu off the spectra of these two heads alone: it raises
+    on their twisted margins in this order (check_spectrum), and the generator
+    admits a draw by the same margins.  Each is one O(k) pass.
     """
     return sweep.prefix(len(sweep.pivots) - 1), sweep
 
@@ -387,13 +375,9 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
-    pivots = []
-    for z in (lam, mu):
-        sweep = pivot_sweep(head, k + 1, z)
-        for part in _solver_heads(sweep):
-            check_spectrum(head, part)
-        pivots.append(sweep.pivots)
-    pivots_lam, pivots_mu = pivots
+    sweep_lam, sweep_mu = (pivot_sweep(head, k + 1, z) for z in (lam, mu))
+    for part in (*_solver_heads(sweep_lam), *_solver_heads(sweep_mu)):
+        check_spectrum(head, part)
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)
@@ -405,8 +389,8 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
 
     # p_0..p_{k-1} upwards from p_{k+1}, through the head pivots and the recovered b_k
     b_head = instance.head_b + (b_rec[0],)
-    head_p = instance.tail_p[1] * _rows_above(lam, instance.J.d, b_head, pivots_lam)[:k]
-    head_s = instance.tail_s[1] * _rows_above(mu, instance.J.d, b_head, pivots_mu)[:k]
+    head_p = instance.tail_p[1] * _rows_above(lam, instance.J.d, b_head, sweep_lam.pivots)[:k]
+    head_s = instance.tail_s[1] * _rows_above(mu, instance.J.d, b_head, sweep_mu.pivots)[:k]
 
     p_full = np.concatenate([head_p, np.asarray(instance.tail_p, dtype=complex)])
     s_full = np.concatenate([head_s, np.asarray(instance.tail_s, dtype=complex)])

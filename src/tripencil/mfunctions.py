@@ -27,8 +27,8 @@ Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil (head_margins),
 m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
 full pencil (recurrence.check_spectrum, one scalar pass per head tested;
-resolvent_matrix takes its diagonal from the pass it tested).  Next to a sub-pencil eigenvalue
-the m-values, the Schur pivot and the resolvent stay within a small
+resolvent_matrix takes its diagonal from that pass).  Next to a sub-pencil
+eigenvalue the m-values, the Schur pivot and the resolvent stay within a small
 multiple of their own conditioning (against dense inversion), so a small
 pivot elsewhere costs them no accuracy.  The product of the unit factors
 does not, and ldu_factors also raises at a pivot margin below FACTOR_RTOL.
@@ -101,14 +101,11 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """All values m(w, 0)..m(w, n+1) and their differences in one pivot pass.
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
-    Raises SpectrumCollisionError(t) at the first t whose head(t) margin
-    (head_margins) is below SPECTRUM_RTOL.
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     margins = head_margins(pencil, sweep)
-    hit = np.flatnonzero(margins < SPECTRUM_RTOL)
-    if hit.size:
-        t = int(hit[0])
+    if margins.min() < SPECTRUM_RTOL:
+        t = int(np.argmax(margins < SPECTRUM_RTOL))
         raise SpectrumCollisionError(t, sweep.z, float(margins[t]), SPECTRUM_RTOL)
     D = np.asarray(sweep.pivots)
     ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])

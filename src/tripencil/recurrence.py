@@ -40,16 +40,14 @@ conj(b_t); unit_factors turns them into the inverses of the unit factors of
 z*J - H = L D U.  Joined with the pivots taken from the bottom up, by a
 pass that reads the forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
-their margin min_r |gamma_r|/(its terms) is the spectrum guard.  A test
-of one head, the leading sub-pencil a sweep ends at, is one scalar pass:
-check_spectrum raises on it, and eigenvalue_margin reads it for the full
-pencil.  head_margins gives the margins of all heads at once, which only
-m_table needs.  The margin has one formula in one arithmetic:
-twisted_pivots runs the bottom-up pass of one head on numpy scalars,
-head_margins those of all heads together as one vector step per row, and
-both give the same bits.  head_margins stops once the passes have joined,
-bit for bit, which off the spectrum they do within a few dozen rows: O(n)
-work per row reached, not O(n^2) per point.
+their margin min_r |gamma_r|/(its terms) is the spectrum guard: one pass
+tests the head a sweep ends at (check_spectrum; eigenvalue_margin for the
+full pencil), and head_margins gives all heads at once, for m_table.  The
+margin has one formula in one arithmetic: twisted_pivots runs the bottom-up
+pass of one head on numpy scalars, head_margins those of all heads as one
+vector step per row, with the same bits.  head_margins stops once the passes
+have joined, bit for bit, which off the spectrum they do within a few dozen
+rows: O(n) work per row reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -146,10 +144,9 @@ class PivotSweep:
     z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
     would read 1 at every inexact root of z c_0 - a_0.  values[t] =
     Q_{t+1}/P_{t+1} = m(z, t+1), and weights holds the w_0, w_1, ... that
-    entered the pivots.  Whether z is in the spectrum of a leading
-    sub-pencil is the twisted margin's decision, not the pivot margin's: the
-    pivot misses an eigenvalue whose eigenvector nearly vanishes at the last
-    row.
+    entered the pivots.  Whether z is in the spectrum of a leading sub-pencil
+    is the twisted margin's decision, not the pivot margin's: the pivot
+    misses an eigenvalue whose eigenvector nearly vanishes at the last row.
     """
 
     z: complex
@@ -360,7 +357,6 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
     head are those the shorter heads have just read, and the loop stops
     with the margins of all N heads: O(N L) flops in L steps.  Near an
     eigenvalue of a sub-pencil the passes may not join, and it takes all N.
-    A test of one head is one scalar pass (check_spectrum).
     """
     N = len(sweep.pivots)
     u, w, ux, own, sx = _row_terms(pencil, sweep)
@@ -387,11 +383,7 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
 
 
 def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
-    """The twisted_pivots pass of head(N - 1), N = len(sweep.pivots), checked against SPECTRUM_RTOL.
-
-    Raises SpectrumCollisionError(N - 1) where its margin is below the
-    tolerance, and returns the pass (gamma, margin, backward pivots).
-    """
+    """twisted_pivots of head(N - 1), N = len(sweep.pivots); SpectrumCollisionError(N - 1) below SPECTRUM_RTOL."""
     twisted = twisted_pivots(pencil, sweep)
     if twisted[1] < SPECTRUM_RTOL:
         raise SpectrumCollisionError(len(sweep.pivots) - 1, sweep.z, twisted[1], SPECTRUM_RTOL)
