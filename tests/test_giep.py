@@ -140,15 +140,13 @@ class TestReconstructA:
 
     def test_component_guard_reads_the_neighbours(self, rng):
         truth, inst = make_case(rng, 5, 1)
-        for factor, raises in ((1e-11, False), (1e-13, True)):
-            tail = list(inst.tail_p)
-            tail[2] *= factor  # p_3 against p_2 and p_4
-            if raises:
-                with pytest.raises(tp.VanishingComponentError) as info:
-                    tp.reconstruct_a(inst, truth.H.b[1:], tail)
-                assert info.value.index == 3
-            else:
-                tp.reconstruct_a(inst, truth.H.b[1:], tail)
+        tail = list(inst.tail_p)
+        tail[2] *= 1e-11  # p_3 against p_2 and p_4: above COMPONENT_RTOL, divided by
+        tp.reconstruct_a(inst, truth.H.b[1:], tail)
+        tail[2] *= 1e-2
+        with pytest.raises(tp.VanishingComponentError) as info:
+            tp.reconstruct_a(inst, truth.H.b[1:], tail)
+        assert info.value.index == 3
 
 
 class TestHeadComponents:
