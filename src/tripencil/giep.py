@@ -232,32 +232,31 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
                   components_lambda: Sequence[complex]) -> tuple[float, ...]:
     """Recover the real diagonal entries a_{k+1}..a_n from the lam-eigenpair.
 
-    b_full holds b_k..b_{n-1}; components_lambda holds p_k..p_n at lam.  Row i
-    of the three-term relation gives a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1}
-    + (lam d_i - b_i) rho_i in the neighbour ratios rho_t = p_{t+1}/p_t.  It divides by
-    p_i alone: VanishingComponentError(i) where p_i is at most COMPONENT_RTOL times
-    its larger neighbour.  A non-negligible imaginary part means inconsistent data.
+    b_full holds b_k..b_{n-1}; components_lambda holds p_k..p_n at lam.  Row i of
+    the three-term relation gives, in the neighbour ratios rho_t = p_{t+1}/p_t,
+    a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1} + (lam d_i - b_i) rho_i.
+    It divides by p_i alone: VanishingComponentError(i) where p_i is at most
+    COMPONENT_RTOL times its larger neighbour; NonRealDiagonalError(i) where a_i
+    has a non-negligible imaginary part (inconsistent data), at the first row.
     """
-    k, n = instance.k, instance.n
-    c, d = instance.J.c, instance.J.d
-    lam = instance.lam
-    p = [complex(x) for x in components_lambda]
-
-    def b_at(j: int) -> complex:
-        return complex(b_full[j - k])
-
-    out: list[float] = []
-    for i in range(k + 1, n + 1):
-        t = i - k
-        if abs(p[t]) <= COMPONENT_RTOL * max(abs(p[t - 1]), abs(p[t + 1]) if i < n else 0.0):
-            raise VanishingComponentError(i)
-        val = lam * c[i] + (lam * d[i - 1] - b_at(i - 1).conjugate()) * (p[t - 1] / p[t])
-        if i <= n - 1:
-            val += (lam * d[i] - b_at(i)) * (p[t + 1] / p[t])
-        if abs(val.imag) > IMAG_RTOL * (1.0 + abs(val)):
-            raise NonRealDiagonalError(i, val.imag)
-        out.append(val.real)
-    return tuple(out)
+    k, lam = instance.k, instance.lam
+    c, d = np.asarray(instance.J.c[k + 1:]), np.asarray(instance.J.d[k:])
+    b, p = np.asarray(b_full, dtype=complex), np.asarray(components_lambda, dtype=complex)
+    mag = np.abs(p)
+    near = mag[:-1].copy()  # max(|p_{i-1}|, |p_{i+1}|) on rows i = k+1..n, |p_{n-1}| on row n
+    near[:-1] = np.maximum(near[:-1], mag[2:])
+    vanish = mag[1:] <= COMPONENT_RTOL * near
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # on the rows that raise
+        val = lam * c + (lam * d - b.conj()) * (p[:-1] / p[1:])
+        val[:-1] += (lam * d[1:] - b[1:]) * (p[2:] / p[1:-1])
+    # the first row that fails, its component tested before its imaginary part
+    bad = vanish | (np.abs(val.imag) > IMAG_RTOL * (1.0 + np.abs(val)))
+    if bad.any():
+        t = int(np.argmax(bad))
+        if vanish[t]:
+            raise VanishingComponentError(k + 1 + t)
+        raise NonRealDiagonalError(k + 1 + t, float(val[t].imag))
+    return tuple(val.real.tolist())
 
 
 def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> tuple[float, float]:
