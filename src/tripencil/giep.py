@@ -24,6 +24,7 @@ eigenvectors at lam and mu: both read the twisted eigenvector.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,10 +35,12 @@ from .errors import (
     HermitianInconsistentError,
     NonRealDiagonalError,
     SingularDeltaError,
+    SpectrumCollisionError,
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import PivotSweep, _rows_above, _twisted_eigenvector, check_spectrum, pivot_sweep
+from .recurrence import (PivotSweep, _row_terms, _rows_above, _twisted_eigenvector, _twisted_pass, check_spectrum,
+                         pivot_sweep)
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -109,7 +112,11 @@ class ReconstructionResult:
     """Recovered H, leading eigenvector components and diagnostics.
 
     Residuals are relative: ||(z*J - H) v|| / (||z*J - H||_F ||v||) over the
-    assembled full eigenvectors.
+    assembled full eigenvectors.  deltas holds Delta_j/(|alpha_j| |beta_j|)
+    for j = k..n-1, the determinant of each 2x2 system against its scale
+    (PairSystem): 2i sin(arg beta_j - arg alpha_j), which no rescaling of
+    the tails changes.  The system is singular where its magnitude is at
+    most DELTA_RTOL.
     """
 
     H: HermitianTridiagonal
@@ -215,17 +222,18 @@ def pair_systems(instance: GiepInstance, components_lambda: Sequence[complex],
                  components_mu: Sequence[complex]) -> tuple[PairSystem, ...]:
     """The systems for j = k..n-1 from right components p_k..p_n at lam and s_k..s_n at mu.
 
-    They read the neighbour ratios rho_j = p_{j+1}/p_j and sigma_j = s_{j+1}/s_j; where
-    p_j is zero against p_{j+1}, 0 stands in, as alpha_j/|p_{j+1}|^2: that system is singular.
+    They read the neighbour ratios rho_j = p_{j+1}/p_j and sigma_j = s_{j+1}/s_j.
     """
-    k, n = instance.k, instance.n
-    p, s = np.asarray(components_lambda, dtype=complex), np.asarray(components_mu, dtype=complex)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho, sigma = p[1:] / p[:-1], s[1:] / s[:-1]
-    rho[~np.isfinite(rho)] = 0
-    sigma[~np.isfinite(sigma)] = 0
-    return tuple(PairSystem(j, d_j, instance.lam, instance.mu, r, q)
-                 for j, d_j, r, q in zip(range(k, n), instance.J.d[k:], rho.tolist(), sigma.tolist()))
+    k, lam, mu = instance.k, instance.lam, instance.mu
+    return tuple(PairSystem(j, d_j, lam, mu, r, q) for j, d_j, r, q in
+                 zip(range(k, instance.n), instance.J.d[k:], _ratios(components_lambda), _ratios(components_mu)))
+
+
+def _ratios(v: Sequence[complex]) -> list[complex]:
+    """v_{j+1}/v_j; 0 where that is not finite (v_j zero, or too small to divide by): that system is singular."""
+    v = [complex(x) for x in v]
+    out = [v1 / v0 if v0 else 0j for v0, v1 in zip(v, v[1:])]
+    return [r if cmath.isfinite(r) else 0j for r in out]
 
 
 def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
@@ -237,26 +245,24 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1} + (lam d_i - b_i) rho_i.
     It divides by p_i alone: VanishingComponentError(i) where p_i is at most
     COMPONENT_RTOL times its larger neighbour; NonRealDiagonalError(i) where a_i
-    has a non-negligible imaginary part (inconsistent data), at the first row.
+    has a non-negligible imaginary part (inconsistent data).
     """
-    k, lam = instance.k, instance.lam
-    c, d = np.asarray(instance.J.c[k + 1:]), np.asarray(instance.J.d[k:])
-    b, p = np.asarray(b_full, dtype=complex), np.asarray(components_lambda, dtype=complex)
-    mag = np.abs(p)
-    near = mag[:-1].copy()  # max(|p_{i-1}|, |p_{i+1}|) on rows i = k+1..n, |p_{n-1}| on row n
-    near[:-1] = np.maximum(near[:-1], mag[2:])
-    vanish = mag[1:] <= COMPONENT_RTOL * near
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # on the rows that raise
-        val = lam * c + (lam * d - b.conj()) * (p[:-1] / p[1:])
-        val[:-1] += (lam * d[1:] - b[1:]) * (p[2:] / p[1:-1])
-    # the first row that fails, its component tested before its imaginary part
-    bad = vanish | (np.abs(val.imag) > IMAG_RTOL * (1.0 + np.abs(val)))
-    if bad.any():
-        t = int(np.argmax(bad))
-        if vanish[t]:
-            raise VanishingComponentError(k + 1 + t)
-        raise NonRealDiagonalError(k + 1 + t, float(val[t].imag))
-    return tuple(val.real.tolist())
+    k, n, lam = instance.k, instance.n, instance.lam
+    c, d = instance.J.c, instance.J.d
+    b = [complex(x) for x in b_full]
+    p = [complex(x) for x in components_lambda] + [0j]  # p_{n+1} = 0 ends the last row
+    out: list[float] = []
+    for i in range(k + 1, n + 1):
+        t = i - k
+        if abs(p[t]) <= COMPONENT_RTOL * max(abs(p[t - 1]), abs(p[t + 1])):
+            raise VanishingComponentError(i)
+        val = lam * c[i] + (lam * d[i - 1] - b[t - 1].conjugate()) * (p[t - 1] / p[t])
+        if i < n:
+            val += (lam * d[i] - b[t]) * (p[t + 1] / p[t])
+        if abs(val.imag) > IMAG_RTOL * (1.0 + abs(val)):
+            raise NonRealDiagonalError(i, val.imag)
+        out.append(val.real)
+    return tuple(out)
 
 
 def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> tuple[float, float]:
@@ -283,8 +289,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     vectors = []
     for z, name in ((lam, "lam"), (mu, "mu")):
         sweep = pivot_sweep(pencil, n + 1, z)
-        for part in _solver_heads(sweep.prefix(k + 1)):
-            check_spectrum(pencil, part)
+        for rows in (k, k + 1):  # head(k - 1), head(k)
+            check_spectrum(pencil, sweep.prefix(rows))
         vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
@@ -358,14 +364,21 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
-def _solver_heads(sweep: PivotSweep) -> tuple[PivotSweep, PivotSweep]:
-    """The pivot sweeps of head(k - 1) and head(k), from the sweep of rows 0..k.
+def _solver_heads(pencil: Pencil, k: int, z: float, tol: float) -> PivotSweep:
+    """The pivot sweep of rows 0..k at z, once z is off the spectra of head(k - 1) and head(k).
 
-    solve needs lam and mu off the spectra of these two heads alone: it raises
-    on their twisted margins in this order (check_spectrum), and the generator
-    admits a draw by the same margins.  Each is one O(k) pass.
+    These are the only heads whose spectrum solve needs z to avoid.  It raises
+    SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where the
+    twisted margin is below tol: SPECTRUM_RTOL in solve, the admission margin
+    in the generator.  The two O(k) passes read one set of row terms.
     """
-    return sweep.prefix(len(sweep.pivots) - 1), sweep
+    sweep = pivot_sweep(pencil, k + 1, z)
+    terms = _row_terms(pencil, sweep)
+    for head in (sweep.prefix(k), sweep):
+        margin = _twisted_pass(head, terms)[1]
+        if margin < tol:
+            raise SpectrumCollisionError(len(head.pivots) - 1, sweep.z, margin, tol)
+    return sweep
 
 
 def solve(instance: GiepInstance) -> ReconstructionResult:
@@ -374,9 +387,7 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
-    sweep_lam, sweep_mu = (pivot_sweep(head, k + 1, z) for z in (lam, mu))
-    for part in (*_solver_heads(sweep_lam), *_solver_heads(sweep_mu)):
-        check_spectrum(head, part)
+    sweep_lam, sweep_mu = (_solver_heads(head, k, z, SPECTRUM_RTOL) for z in (lam, mu))
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)
@@ -400,7 +411,7 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
         H=H,
         head_p=tuple(head_p.tolist()),
         head_s=tuple(head_s.tolist()),
-        deltas=tuple(system.det for system in systems),
+        deltas=tuple(system.det / system.scale for system in systems),
         residual_lambda=res_l,
         residual_mu=res_m,
         imaginary_flags=flags,

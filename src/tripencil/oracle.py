@@ -20,11 +20,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegreeDropError, GenerationFailedError, NearSingularError, VanishingComponentError
+from .errors import (DegreeDropError, GenerationFailedError, NearSingularError, SpectrumCollisionError,
+                     VanishingComponentError)
 from .giep import GiepInstance, ReconstructionResult, _solver_heads, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eigenvector_components, pivot_sweep, twisted_pivots
+from .recurrence import eigenvector_components, pivot_sweep
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
                          EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
@@ -174,8 +175,10 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
 
         # stay clearly outside the spectra solve tests, those of head(k - 1) and head(k) (rows 0..k),
         # on the margins it reads
-        if any(twisted_pivots(truth, head)[1] < ADMIT_SPECTRUM_MARGIN
-               for z in (lam, mu) for head in _solver_heads(pivot_sweep(truth, k + 1, z))):
+        try:
+            for z in (lam, mu):
+                _solver_heads(truth, k, z, ADMIT_SPECTRUM_MARGIN)
+        except SpectrumCollisionError:
             rejected["head spectrum"] += 1
             continue
 

@@ -300,7 +300,17 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
     operations do (Python's complex division and abs() do not).  The
     backward pivots D-_r are returned as well.
     """
-    u, w, ux, own, sx = _row_terms(pencil, sweep)
+    return _twisted_pass(sweep, _row_terms(pencil, sweep))
+
+
+def _twisted_pass(sweep: PivotSweep, terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float, np.ndarray]:
+    """twisted_pivots of sweep from the _row_terms of it or of a longer sweep at the same point.
+
+    Rows 0..N-1 of the longer sweep's terms are those of sweep, but for sx on row N - 1, which the pass does not read.
+    """
+    N = len(sweep.pivots)
+    u, w, ux, own, sx = terms
+    u, w, own, sx = u[:N], w[:N - 1], own[:N], sx[:N]
     Y = u[-1] or np.complex128(_stand_in(own[-1]))
     backward = [Y]
     for ur, wr in zip(list(u[-2::-1]), list(w[::-1])):
@@ -311,7 +321,7 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
         backward.append(Y)
     backward = np.array(backward[::-1])
     y = w / backward[1:]
-    gamma = ux  # u - x - y, with y_{N-1} = 0
+    gamma = ux[:N].copy()  # u - x - y, with y_{N-1} = 0
     gamma[:-1] -= y
     above = np.abs(gamma[:-1]) / (sx[:-1] + np.abs(y))
     return gamma, float(above.min(initial=sweep.margins[-1])), backward

@@ -222,7 +222,7 @@ def first_singular(systems):
 
 
 def product_systems(inst):
-    """PairSystem at j = k..n-1 from the neighbour products alpha_j = conj(p_j) p_{j+1} and beta_j = conj(s_j) s_{j+1}."""
+    """PairSystem at j = k..n-1 on the neighbour products alpha_j = conj(p_j) p_{j+1}, beta_j = conj(s_j) s_{j+1}."""
     p, s, k = inst.tail_p, inst.tail_s, inst.k
     return [tp.PairSystem(j, inst.J.d[j], inst.lam, inst.mu, p[j - k].conjugate() * p[j - k + 1],
                           s[j - k].conjugate() * s[j - k + 1]) for j in range(k, inst.n)]

@@ -54,6 +54,26 @@ class TestMFunction:
         with pytest.raises(tp.SpectrumCollisionError):
             tp.m_table(pencil, omega)
 
+    def test_table_reports_the_first_head_below_the_tolerance(self):
+        # a_3 puts z at about 3e-11 of the terms of head(3), a_9 exactly on the spectrum of head(9):
+        # m_table reports head(3), whose margin is not the smallest
+        pencil, z = seeded_pencil(5, 12), 0.3
+        a = list(pencil.H.a)
+        for m, offset in ((3, 3e-11), (9, 0.0)):
+            sweep = recurrence.pivot_sweep(tp.Pencil(pencil.J, tp.HermitianTridiagonal(tuple(a), pencil.H.b)),
+                                           m + 1, z)
+            x = sweep.weights[-1] / sweep.pivots[-2]
+            a[m] = (z * pencil.J.c[m] - x).real  # D_m = 0
+            a[m] += offset * (abs(z * pencil.J.c[m]) + abs(a[m]) + abs(x))
+        pencil = tp.Pencil(pencil.J, tp.HermitianTridiagonal(tuple(a), pencil.H.b))
+        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z))
+        assert np.flatnonzero(margins < SPECTRUM_RTOL).tolist() == [3, 9]
+        assert margins[9] < margins[3]
+        with pytest.raises(tp.SpectrumCollisionError) as info:
+            tp.m_table(pencil, z)
+        assert (info.value.order, info.value.value, info.value.tol) == (3, margins[3], SPECTRUM_RTOL)
+        assert f"margin {margins[3]:.3e} < tol {SPECTRUM_RTOL:.1e}" in str(info.value)
+
     def test_real_table_for_real_point(self, rng):
         pencil = build_pencil(rng, 4)
         omega = resolvent_point(pencil, rng)

@@ -162,15 +162,15 @@ class TestGenerateInstance:
             assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
 
     def test_admits_by_the_margins_solve_tests(self, monkeypatch):
-        """Admission reads heads k - 1 and k at lam and mu: bit for bit the sweeps solve then raises on."""
+        """Admission tests heads k - 1 and k at lam and mu by solve's own helper, on the same sweeps, at its margin."""
         admitted, tested = [], []
         solver_heads = giep._solver_heads
 
         def recorder(log):
-            def record(sweep):
-                heads = solver_heads(sweep)
-                log.append(heads)
-                return heads
+            def record(pencil, k, z, tol):
+                sweep = solver_heads(pencil, k, z, tol)
+                log.append((k, tol, sweep))
+                return sweep
             return record
 
         monkeypatch.setattr(oracle, "_solver_heads", recorder(admitted))
@@ -181,43 +181,55 @@ class TestGenerateInstance:
             tested.clear()
             truth, inst = tp.generate_instance(config)
             tp.solve(inst)
-            # the admitted attempt is the last, and it computed both points, lam then mu
+            # the admitted attempt is the last, and it passed both points, lam then mu
             assert len(tested) == 2 and len(admitted) >= 2
-            for ours, theirs in zip(admitted[-2:], tested):
-                assert [len(head.pivots) for head in ours] == [inst.k, inst.k + 1]
-                assert [sweep_bits(head) for head in ours] == [sweep_bits(head) for head in theirs]
-                assert min(recurrence.twisted_pivots(truth, head)[1] for head in ours) >= ADMIT_SPECTRUM_MARGIN
+            assert [sweep.z for _, _, sweep in tested] == [inst.lam, inst.mu]
+            for (k, tol, ours), theirs in zip(admitted[-2:], tested):
+                assert (k, tol) == (inst.k, ADMIT_SPECTRUM_MARGIN) and theirs[:2] == (inst.k, SPECTRUM_RTOL)
+                assert sweep_bits(ours) == sweep_bits(theirs[2])
+                assert min(recurrence.twisted_pivots(truth, ours.prefix(rows))[1]
+                           for rows in (k, k + 1)) >= ADMIT_SPECTRUM_MARGIN
 
     def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
-        """Heads k - 1 and k are tested by one twisted pass each at lam and mu; the all-heads loop never runs."""
-        passes = []  # (caller, z, rows) of every twisted pass over rows 0..k at most
+        """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one set of row terms.
 
-        def recorder(caller, twisted):
-            def record(pencil, sweep):
-                passes.append((caller, sweep.z, len(sweep.pivots)))
-                return twisted(pencil, sweep)
-            return record
+        The all-heads loop never runs.
+        """
+        calls = []  # ("terms", z, rows) for each set of row terms, ("pass", z, rows) for each twisted pass
+        row_terms, twisted_pass = giep._row_terms, giep._twisted_pass
+
+        def record_terms(pencil, sweep):
+            calls.append(("terms", sweep.z, len(sweep.pivots)))
+            return row_terms(pencil, sweep)
+
+        def record_pass(sweep, terms):
+            calls.append(("pass", sweep.z, len(sweep.pivots)))
+            return twisted_pass(sweep, terms)
 
         def all_heads(*args):
             raise AssertionError("head_margins runs")
 
-        monkeypatch.setattr(oracle, "twisted_pivots", recorder("admit", oracle.twisted_pivots))
-        monkeypatch.setattr(recurrence, "twisted_pivots", recorder("solve", recurrence.twisted_pivots))
+        monkeypatch.setattr(giep, "_row_terms", record_terms)
+        monkeypatch.setattr(giep, "_twisted_pass", record_pass)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)
         for config in (tp.GeneratorConfig(n=6, k=1, seed=3), tp.GeneratorConfig(n=9, k=8, seed=4), CANARY):
-            passes.clear()
+            calls.clear()
             _, inst = tp.generate_instance(config)
             k = inst.k
-            heads = [p for p in passes if p[2] <= k + 1]  # the tails come from passes over all n + 1 rows
-            assert all(p[0] == "admit" for p in heads)
-            # head(k - 1), then head(k) at the same point unless head(k - 1) rejected the draw
-            assert all(p[2] == k or (p[2] == k + 1 and q[1:] == (p[1], k)) for q, p in zip([()] + heads, heads))
-            assert heads[-4:] == [("admit", z, rows) for z in (inst.lam, inst.mu) for rows in (k, k + 1)]
-            passes.clear()
+
+            def point(z, heads=(k, k + 1)):
+                return [("terms", z, k + 1)] + [("pass", z, rows) for rows in heads]
+
+            # per point tested: head(k - 1), then head(k) unless head(k - 1) rejected the draw
+            starts = [i for i, call in enumerate(calls) if call[0] == "terms"] + [len(calls)]
+            for lo, hi in zip(starts, starts[1:]):
+                assert calls[lo:hi] in (point(calls[lo][1]), point(calls[lo][1], (k,)))
+            assert calls[-6:] == point(inst.lam) + point(inst.mu)
+            calls.clear()
             tp.solve(inst)
-            assert passes == [("solve", z, rows) for z in (inst.lam, inst.mu) for rows in (k, k + 1)]
+            assert calls == point(inst.lam) + point(inst.mu)
 
     def test_canary_admits_a_draw_with_a_near_collision_on_an_unread_head(self):
         """Solve never reads the heads past k; a draw that comes close to their spectra still solves."""

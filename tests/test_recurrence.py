@@ -247,9 +247,18 @@ def _all_steps_margins(pencil, sweep, first):
 
 
 def _assert_twisted_pivots_match_head_margins(pencil, sweep):
-    """twisted_pivots' margin of each head, on its prefix of the sweep, equals head_margins' bit for bit."""
-    alone = [recurrence.twisted_pivots(pencil, sweep.prefix(t + 1))[1] for t in range(len(sweep.pivots))]
-    assert np.array_equal(recurrence.head_margins(pencil, sweep), alone), sweep.z
+    """twisted_pivots' margin of each head, on its prefix of the sweep, equals head_margins' bit for bit.
+
+    The pass of each head on the row terms of the whole sweep, one set that every head reads in turn as solve's
+    head test shares it, gives all three outputs of twisted_pivots bit for bit.
+    """
+    heads = [sweep.prefix(t + 1) for t in range(len(sweep.pivots))]
+    alone = [recurrence.twisted_pivots(pencil, head) for head in heads]
+    assert np.array_equal(recurrence.head_margins(pencil, sweep), [margin for _, margin, _ in alone]), sweep.z
+    terms = recurrence._row_terms(pencil, sweep)
+    for head, own in zip(heads, alone):
+        shared = recurrence._twisted_pass(head, terms)
+        assert [np.asarray(x).tobytes() for x in shared] == [np.asarray(x).tobytes() for x in own], sweep.z
 
 
 def _assert_margins_match_all_steps(pencil, points, firsts):
@@ -356,10 +365,13 @@ def test_check_spectrum_error_carries_the_margin():
         sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
         margins = recurrence.head_margins(pencil, sweep)
         t = int(np.flatnonzero(margins < SPECTRUM_RTOL)[0])
-        with pytest.raises(tp.SpectrumCollisionError) as info:
-            recurrence.check_spectrum(pencil, sweep.prefix(t + 1))
-        assert (info.value.order, info.value.value, info.value.tol) == (t, margins[t], SPECTRUM_RTOL)
-        assert f"margin {margins[t]:.3e} < tol {SPECTRUM_RTOL:.1e}" in str(info.value)
+        # check_spectrum on the one head, m_table on all: both report head(t), the first below the tolerance
+        for guarded in (lambda: recurrence.check_spectrum(pencil, sweep.prefix(t + 1)),
+                        lambda: tp.m_table(pencil, z)):
+            with pytest.raises(tp.SpectrumCollisionError) as info:
+                guarded()
+            assert (info.value.order, info.value.value, info.value.tol) == (t, margins[t], SPECTRUM_RTOL)
+            assert f"margin {margins[t]:.3e} < tol {SPECTRUM_RTOL:.1e}" in str(info.value)
 
 
 def test_head_margins_of_a_pencil_shorter_than_the_join_depth():
