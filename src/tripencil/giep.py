@@ -39,8 +39,7 @@ from .errors import (
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import (PivotSweep, _row_terms, _rows_above, _twisted_eigenvector, _twisted_pass, check_spectrum,
-                         pivot_sweep)
+from .recurrence import PivotSweep, _row_terms, _rows_above, _twisted_eigenvector, _twisted_pass, pivot_sweep
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -112,11 +111,8 @@ class ReconstructionResult:
     """Recovered H, leading eigenvector components and diagnostics.
 
     Residuals are relative: ||(z*J - H) v|| / (||z*J - H||_F ||v||) over the
-    assembled full eigenvectors.  deltas holds Delta_j/(|alpha_j| |beta_j|)
-    for j = k..n-1, the determinant of each 2x2 system against its scale
-    (PairSystem): 2i sin(arg beta_j - arg alpha_j), which no rescaling of
-    the tails changes.  The system is singular where its magnitude is at
-    most DELTA_RTOL.
+    assembled full eigenvectors.  deltas holds Delta_j/(|alpha_j| |beta_j|), j = k..n-1, each system's
+    determinant against its scale: 2i sin(arg beta_j - arg alpha_j), which no rescaling of the tails changes.
     """
 
     H: HermitianTridiagonal
@@ -276,8 +272,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     evaluation.  p^R and s^R are the eigenvectors at lam and mu
     (eigenvector_components), the left ones their conjugates.  Each residual
     is relative to the terms of its identity, |lam - mu| |x^L| |J| |y^R| +
-    |t_1| + |t_2|: roundoff on exact data, also where the lhs cancels.  One
-    pivot pass per point raises SpectrumCollisionError on the spectrum of
+    |t_1| + |t_2|: roundoff on exact data, also where the lhs cancels.  Per
+    point, solve's head test raises SpectrumCollisionError on the spectrum of
     head(k - 1) or head(k), then ValueError off the spectrum of the pencil;
     ValueError too where the terms leave the double range under v_0 = 1.
     """
@@ -288,10 +284,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
         raise ValueError(f"split index {k} out of range 1..{n - 1}")
     vectors = []
     for z, name in ((lam, "lam"), (mu, "mu")):
-        sweep = pivot_sweep(pencil, n + 1, z)
-        for rows in (k, k + 1):  # head(k - 1), head(k)
-            check_spectrum(pencil, sweep.prefix(rows))
-        vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
+        _solver_heads(pencil, k, z, SPECTRUM_RTOL)
+        vectors.append(_eigenvector(pencil, pivot_sweep(pencil, n + 1, z), f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
     d_k, b_k = pencil.J.d[k], pencil.H.b[k]
@@ -365,12 +359,10 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
 
 
 def _solver_heads(pencil: Pencil, k: int, z: float, tol: float) -> PivotSweep:
-    """The pivot sweep of rows 0..k at z, once z is off the spectra of head(k - 1) and head(k).
+    """The pivot sweep of rows 0..k at z, once z is off the spectra of head(k - 1) and head(k), the heads solve reads.
 
-    These are the only heads whose spectrum solve needs z to avoid.  It raises
-    SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where the
-    twisted margin is below tol: SPECTRUM_RTOL in solve, the admission margin
-    in the generator.  The two O(k) passes read one set of row terms.
+    SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where its twisted margin is below tol
+    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read one set of row terms.
     """
     sweep = pivot_sweep(pencil, k + 1, z)
     terms = _row_terms(pencil, sweep)

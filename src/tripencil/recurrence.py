@@ -304,10 +304,7 @@ def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
 
 
 def _twisted_pass(sweep: PivotSweep, terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float, np.ndarray]:
-    """twisted_pivots of sweep from the _row_terms of it or of a longer sweep at the same point.
-
-    Rows 0..N-1 of the longer sweep's terms are those of sweep, but for sx on row N - 1, which the pass does not read.
-    """
+    """twisted_pivots of sweep from the _row_terms of it, or of a longer sweep at the same point: their rows 0..N-1."""
     N = len(sweep.pivots)
     u, w, ux, own, sx = terms
     u, w, own, sx = u[:N], w[:N - 1], own[:N], sx[:N]
