@@ -13,13 +13,14 @@ rule and the overall sign were fixed empirically against dense inversion on
 1x1 and 2x2 pencils and are locked by regression tests.
 
 Every direct operation here reads one pivot pass (recurrence.pivot_sweep)
-and forms nothing that can overflow.  With D_t = P_{t+1}/P_t the LDL^T pivots
-of w*J - H,
+and forms nothing that can overflow; only m_table and m_function ask it for
+the m-values.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
 
     g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
 
 so the staircase is the unit LDU form R = U^-1 diag(1/D) L^-1 (ldu_factors),
-whose unit factors hold the component ratios p_i^R/p_t^R and p_j^L/p_t^L.
+whose unit factors hold the component ratios p_i^R/p_t^R and p_j^L/p_t^L;
+at a real w, where R is Hermitian, L^-1 is the conjugate transpose of U^-1.
 The g_t themselves decay geometrically and underflow by n ~ 300.  The
 diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 
@@ -38,7 +39,9 @@ w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
 m-function data its diagonals are built from 1/(g_t p^L_t p^R_t) = D_t and
 neighbouring components, which is what makes reconstruction of H from
 m-function data possible (reconstruct_from_m reads the diagonal and the
-superdiagonal in one guarded pass, with no dense array).
+superdiagonal in one guarded pass, with no dense array).  The formulas
+read the components only through neighbour ratios, and the pass tests each
+component against its neighbours, as giep.reconstruct_a does.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    sweep = pivot_sweep(pencil, j, omega)
+    sweep = pivot_sweep(pencil, j, omega, values=True)
     check_spectrum(pencil, sweep)
     return sweep.values[-1]
 
@@ -102,7 +105,7 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega, values=True)
     margins = head_margins(pencil, sweep)
     if margins.min() < SPECTRUM_RTOL:
         t = int(np.argmax(margins < SPECTRUM_RTOL))
@@ -130,9 +133,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     diag = 1.0 / check_spectrum(pencil, sweep)[0]
     right, left = _unit_steps(pencil, sweep)
-    R = _unit_upper(right, diag)
-    _unit_upper(left, diag, R.T)
-    return R
+    return _unit_upper(right, diag, left)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,9 @@ class ResolventFactors:
     staircase form of the paper, with constant rows p_i^R and the
     m-differences g_t on its diagonal, is F * diag(p_t^R) with diagonal
     diag_t/(p_t^R p_t^L); it is not stored because g_t underflows by n ~ 300.
-    For real w, G is exactly the conjugate transpose of F.
+    For real w, G is the conjugate transpose of F, and ldu_factors forms it
+    so: G == conj(F).T holds entry for entry, and a zero imaginary part may
+    carry either sign.
     """
 
     omega: complex
@@ -165,7 +168,8 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     the factors then outgrow R about 1/margin times, and their product
     would lose that much accuracy.  Then DegenerateDifferenceError(t) where
     w_{t-1} vanishes (m(w, t+1) = m(w, t)), before the PoleCollisionError
-    that the same point gives for the components.
+    that the same point gives for the components.  At a real w (w.imag == 0)
+    G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     check_spectrum(pencil, sweep)
@@ -211,16 +215,21 @@ def _trailing_diagonals(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
     """T's diagonal and superdiagonal over rows k+1..n, and e_k, in one pass.
 
     With e_t = g_t p^L_t p^R_t (= 1/D_t), T[i, i] = 1/e_i + 1/(g_{i-1} p^L_i p^R_i)
-    (from i = k+2 on) and T[i, i+1] = -1/(g_i p^L_i p^R_{i+1}).  Each t = k+1..n
-    is tested once: VanishingComponentError(t), then DegenerateDifferenceError(t)
-    for a small e_t (g_t alone decays with the components); e_k is tested last.
+    (from i = k+2 on) and T[i, i+1] = -1/(g_i p^L_i p^R_{i+1}).  In ratios these
+    read e_{i-1} (p^L_i/p^L_{i-1})(p^R_i/p^R_{i-1}) and e_i p^R_{i+1}/p^R_i, so each
+    t = k+1..n is tested once, against its neighbours as giep.reconstruct_a
+    does: VanishingComponentError(t) where |p^L_t| or |p^R_t| is at most
+    COMPONENT_RTOL times its larger neighbour (zero included, p_{n+1} = 0),
+    then DegenerateDifferenceError(t) for a small e_t (g_t alone decays with
+    the components); e_k is tested last.
     """
     g, m = table.diffs, table.values
-    floor = COMPONENT_RTOL * (1.0 + float(np.max(np.abs(pr)) + np.max(np.abs(pl))))
+    al, ar = np.abs(pl).tolist() + [0.0], np.abs(pr).tolist() + [0.0]  # |p_{n+1}| = 0 ends the last row
     pr, pl = pr.tolist(), pl.tolist()
     diag, upper = [], []
     for t in (*range(k + 1, len(pr)), k):  # e_k is tested after every row of T
-        if t > k and (abs(pl[t]) < floor or abs(pr[t]) < floor):
+        if t > k and (al[t] <= COMPONENT_RTOL * max(al[t - 1], al[t + 1])
+                      or ar[t] <= COMPONENT_RTOL * max(ar[t - 1], ar[t + 1])):
             raise VanishingComponentError(t)
         e = g[t] * pl[t] * pr[t]
         if abs(e) < DIFFERENCE_RTOL * (1.0 + abs(m[t]) + abs(m[t + 1])):

@@ -32,13 +32,17 @@ the operations and their order are those of the per-step form, bit for bit.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
-pass that never overflows: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H,
-the m-values Q_t/P_t, and a relative margin per pivot.  Every direct
-operation of mfunctions reads this pass.  The component ratios follow from
-the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the same with
-conj(b_t); unit_factors turns them into the inverses of the unit factors of
-z*J - H = L D U.  Joined with the pivots taken from the bottom up, by a
-pass that reads the forward weights and carries only the pivots, they give
+pass that never overflows: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H
+and a relative margin per pivot, and the m-values Q_t/P_t only where they
+are asked for (m_table, m_function): the other callers run the P
+recurrence alone.  Every direct operation of mfunctions reads this pass.
+The component ratios follow from the pivots, p^R_{t+1}/p^R_t =
+D_t/(b_t - z d_t) and p^L the same with conj(b_t); unit_factors turns them
+into the inverses of the unit factors of z*J - H = L D U (_unit_upper,
+which writes an entry twice only below the diagonal of its blocks), and at
+a real z takes the lower one as the conjugate transpose of the upper.
+Joined with the pivots taken from the bottom up, by a pass that reads the
+forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: one pass
 tests the head a sweep ends at (check_spectrum; eigenvalue_margin for the
@@ -134,7 +138,7 @@ def eval_q(pencil: Pencil, m: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class PivotSweep:
-    """LDL^T pivots of z*J - H up to some order, their margins and the m-values.
+    """LDL^T pivots of z*J - H up to some order, their margins and, on request, the m-values.
 
     pivots[t] = P_{t+1}(z)/P_t(z) is the t-th pivot D_t of z*J - H = L D U
     (D_t = u_t - w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
@@ -143,8 +147,9 @@ class PivotSweep:
     the pivot are from cancelling; it bounds how much the unit factors of
     z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
     would read 1 at every inexact root of z c_0 - a_0.  values[t] =
-    Q_{t+1}/P_{t+1} = m(z, t+1), and weights holds the w_0, w_1, ... that
-    entered the pivots.  Whether z is in the spectrum of a leading sub-pencil
+    Q_{t+1}/P_{t+1} = m(z, t+1) where the sweep was asked for them
+    (m_table, m_function), else None, and weights holds the w_0, w_1, ...
+    that entered the pivots.  Whether z is in the spectrum of a leading sub-pencil
     is the twisted margin's decision, not the pivot margin's: the pivot
     misses an eigenvalue whose eigenvector nearly vanishes at the last row.
     """
@@ -152,30 +157,32 @@ class PivotSweep:
     z: complex
     pivots: tuple[complex, ...]
     margins: tuple[float, ...]
-    values: tuple[complex, ...]
+    values: tuple[complex, ...] | None
     weights: tuple[complex, ...]
 
     def prefix(self, rows: int) -> "PivotSweep":
         """The sweep of the leading sub-pencil over rows 0..rows-1."""
         return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows],
-                          self.values[:rows], self.weights[:max(rows - 1, 0)])
+                          None if self.values is None else self.values[:rows], self.weights[:max(rows - 1, 0)])
 
 
-def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
-    """Pivots, margins and m-values of P_1..P_upto at z in one O(upto) pass.
+def pivot_sweep(pencil: Pencil, upto: int, z: complex, *, values: bool = False) -> PivotSweep:
+    """Pivots and margins of P_1..P_upto at z in one O(upto) pass, and the m-values if asked for.
 
-    Runs the P/Q recurrence of pq_sweep on values rescaled by powers of two
-    whenever |P| leaves [2^-256, 2^256], so nothing overflows and every
-    ratio is the one pq_sweep would give where its values are representable.
-    Where P_{t+1} is exactly zero (margin 0) the pivots and values use a
-    stand-in of 2^-52 times its terms, as LAPACK's pivmin does, so they stay
-    finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the recurrence and
-    the margins use the true zero.
+    Runs the P recurrence of pq_sweep, and with values its Q recurrence too,
+    on values rescaled by powers of two whenever |P| leaves [2^-256, 2^256],
+    so nothing overflows and every ratio is the one pq_sweep would give
+    where its values are representable.  The pivots, margins and weights
+    are the same bits with and without values; without, the sweep holds
+    values = None.  Where P_{t+1} is exactly zero (margin 0) the pivots and
+    values use a stand-in of 2^-52 times its terms, as LAPACK's pivmin does,
+    so they stay finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the
+    recurrence and the margins use the true zero.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
     c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
-    pivots, margins, values, weights = [], [], [], []
+    pivots, margins, ms, weights = [], [], [], []
     # P_{-1} = 0, P_0 = 1, and Q_{-1} = -1, Q_0 = 0 with w_{-1} = 1, which gives Q_1 = 1;
     # den is P_t, or its stand-in where P_t is exactly zero
     p0, p1, q0, q1, w, den = 0j, 1 + 0j, -1 + 0j, 0j, 1 + 0j, 1 + 0j
@@ -183,21 +190,24 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
         zc = z * c[t]
         u = zc - a[t]
         if t:
-            w = _weight(d[t - 1], b[t - 1], z)
+            zd, bl = z * d[t - 1], b[t - 1]
+            w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}: _weight, inlined
             weights.append(w)
         up, wp = u * p1, w * p0
-        p2, q2 = up - wp, u * q1 - w * q0
-        scale = (abs(zc) + abs(a[t])) * abs(p1) + abs(wp)
-        margins.append(abs(p2) / scale if scale else 0.0)
-        stand = p2 or _EPS * (scale or abs(den))
+        p0, p1 = p1, up - wp
+        scale = (abs(zc) + abs(a[t])) * abs(p0) + abs(wp)
+        margins.append(abs(p1) / scale if scale else 0.0)
+        stand = p1 or _EPS * (scale or abs(den))
         pivots.append(stand / den)
-        values.append(q2 / stand)
+        if values:
+            q0, q1 = q1, u * q1 - w * q0
+            ms.append(q1 / stand)
+        den = stand
         size = abs(stand)
         if not _TINY < size < _HUGE:
             s = math.ldexp(1.0, -math.frexp(size)[1])
-            p2, p1, q2, q1, stand = p2 * s, p1 * s, q2 * s, q1 * s, stand * s
-        p0, p1, q0, q1, den = p1, p2, q1, q2, stand
-    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(values), tuple(weights))
+            p0, p1, q0, q1, den = p0 * s, p1 * s, q0 * s, q1 * s, den * s
+    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(ms) if values else None, tuple(weights))
 
 
 def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
@@ -206,11 +216,15 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
     (unit lower triangular); sweep must hold the pivots of the full order.
+    At a real z the pivots are real and each step of G is the conjugate of
+    that of F, to the sign of a zero imaginary part, so G is taken as
+    conj(F)^T there (the inverse of a Hermitian matrix is Hermitian).
     Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
     vanishes, as the component sweeps do.
     """
     right, left = _unit_steps(pencil, sweep)
-    return _unit_upper(right), _unit_upper(left).T
+    F = _unit_upper(right)
+    return F, (F.conj() if sweep.z.imag == 0 else _unit_upper(left)).T
 
 
 def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex]]:
@@ -238,24 +252,54 @@ def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
 
 
 def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+                lower: list[complex] | None = None) -> np.ndarray:
     """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
-    No scale means ones.  With out, S goes into the diagonal and the upper
-    triangle of out, which is returned, and the rest of out is left as it
-    is: out = R.T puts S^T into the lower triangle of R.  The prefix
-    products C_t are carried as
-    mantissa * 2^exponent, and the exponent changes only where the mantissa
-    is rescaled, so the indices fall into runs of one exponent (a dozen at
-    n = 640).  Each run of rows i is one outer product of 2^64/M_i with the
-    column mantissas M_t scale[t] shifted by 2^(E_t - E_run - 64): S[i, t] =
-    C_t/C_i with no n^2 exponent matrix, and only the diagonal block of the
-    run is written through a mask of its upper triangle.  The mantissas lie in
-    [2^-64, 2^63), so the row factor lies in (2, 2^128] and the column
-    factor never outgrows its entry: every entry below the overflow
-    threshold comes back finite, and every entry above 2^-894 (~1e-269)
-    with full relative accuracy.
+    No scale means ones.  With lower, steps of the same length, the part
+    below the diagonal is that of _unit_upper(lower, scale).T instead:
+    S[t, i] = lower[i] * ... * lower[t-1] * scale[t] for i < t, which is how
+    resolvent_matrix forms R in one array.  The prefix products C_t are
+    carried as mantissa * 2^exponent, and the exponent changes only where
+    the mantissa is rescaled, so the indices fall into runs of one exponent
+    (a dozen at n = 640).  Each run of rows i is one outer product of
+    2^64/M_i with the column mantissas M_t scale[t] shifted by
+    2^(E_t - E_run - 64) (_runs): S[i, t] = C_t/C_i with no n^2 exponent
+    matrix.  The mantissas lie in [2^-64, 2^63), so the row factor lies in
+    (2, 2^128] and the column factor never outgrows its entry: every entry
+    below the overflow threshold comes back finite, and every entry above
+    2^-894 (~1e-269) with full relative accuracy.
+
+    S is allocated empty.  Each run's outer product goes in place into its
+    rows from the diagonal on, so its diagonal block is written whole; below
+    the block's diagonal that writes C_t/C_i, t < i in one run, which is
+    below 2^128 |scale[t]| and so finite.  Without lower, the rows are then
+    zeroed left of the block and the block below its diagonal.  With lower,
+    the runs of lower write the strictly lower part of S over them, each
+    diagonal block through a mask of its lower triangle, so that the upper
+    triangle of S stays as written.
     """
+    size = len(steps) + 1
+    S = np.empty((size, size), dtype=complex)
+    runs = _runs(steps, scale)
+    masked = runs if lower is None else _runs(lower, scale)  # the runs whose blocks are cut at the diagonal
+    below = np.tri(max(hi - lo for lo, hi, _, _ in masked), k=-1, dtype=bool)
+    for lo, hi, lift, shifted in runs:
+        np.multiply.outer(lift, shifted, out=S[lo:hi, lo:])
+        if lower is None:
+            S[lo:hi, :lo] = 0
+            np.copyto(S[lo:hi, lo:hi], 0, where=below[:hi - lo, :hi - lo])
+    if lower is not None:
+        T = S.T
+        for lo, hi, lift, shifted in masked:
+            width = hi - lo
+            np.multiply.outer(lift, shifted[width:], out=T[lo:hi, hi:])
+            np.copyto(T[lo:hi, lo:hi], np.multiply.outer(lift, shifted[:width]), where=below[:width, :width].T)
+    np.fill_diagonal(S, 1.0 if scale is None else scale)
+    return S
+
+
+def _runs(steps: list[complex], scale: np.ndarray | None) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(lo, hi, 2^64/M_i for i in lo..hi-1, M_t scale[t] 2^(E_t - E_lo - 64) for t >= lo) of each run (_unit_upper)."""
     mant, expo, runs = [1 + 0j], [0], [0]
     m, e = 1 + 0j, 0
     for t, q in enumerate(steps, start=1):
@@ -270,18 +314,8 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     # ldexp on the (real, imaginary) rows of the column mantissas shifts them exactly
     cols = (M if scale is None else M * scale).view(float).reshape(-1, 2)
     shifts = np.asarray(expo)[:, None] - 64
-    size = len(mant)
-    bounds = list(zip(runs, runs[1:] + [size]))
-    index = np.arange(max(hi - lo for lo, hi in bounds))
-    above = index[:, None] < index  # the part of a diagonal block to write
-    S = np.zeros((size, size), dtype=complex) if out is None else out
-    for lo, hi in bounds:
-        shifted = np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0]
-        lift, width = _LIFT / M[lo:hi], hi - lo
-        np.multiply.outer(lift, shifted[width:], out=S[lo:hi, hi:])
-        np.copyto(S[lo:hi, lo:hi], np.multiply.outer(lift, shifted[:width]), where=above[:width, :width])
-    np.fill_diagonal(S, 1.0 if scale is None else scale)
-    return S
+    return [(lo, hi, _LIFT / M[lo:hi], np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0])
+            for lo, hi in zip(runs, runs[1:] + [len(mant)])]
 
 
 def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:

@@ -12,7 +12,7 @@ SPECTRUM_RTOL = 1e-10       # twisted margin below this: z is in the (sub-)penci
 # Eigenpair reconstruction (giep.py)
 DELTA_RTOL = 1e-10          # tails with ~1e-14 relative error smear a zero Delta_j to ~1e-11 of scale
 HERMITIAN_RTOL = 1e-8       # the solved conjugate unknown must match conj(b_j) this closely
-COMPONENT_RTOL = 1e-12      # a component this far below its neighbours (m-route: the largest one) is not divided by
+COMPONENT_RTOL = 1e-12      # a component this far below its neighbours is not divided by (both routes)
 IMAG_RTOL = 1e-8            # a larger imaginary part of a recovered a_j means inconsistent data
 RATIO_RTOL = 1e-8           # lam/mu matches the determinant ratio that forces Re(b_j) = 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,17 @@ def toeplitz_pencil(n, c, d, a, b):
                      tp.HermitianTridiagonal((a,) * (n + 1), (b,) * n))
 
 
+def delocalised_pencil(seed, n, eps=1e-3):
+    """c = 2.5, d = 1, a = 0.3, b = 0.4+0.3i, each entry times 1 + eps u, u uniform on [-1, 1]: eigenvectors spread over all rows."""
+    rng = np.random.default_rng(seed)
+
+    def jitter(base, size):
+        return tuple(base * (1.0 + eps * rng.uniform(-1.0, 1.0, size)))
+
+    return tp.Pencil(tp.SymmetricTridiagonal(jitter(2.5, n + 1), jitter(1.0, n)),
+                     tp.HermitianTridiagonal(jitter(0.3, n + 1), jitter(0.4 + 0.3j, n)))
+
+
 def extreme_pair(pencil):
     """Largest and smallest real eigenvalue of a PD-J pencil."""
     w, _ = dense_eigenpairs(pencil)
@@ -117,6 +129,45 @@ def max_normalized(v):
     return v / v[np.argmax(np.abs(v))]
 
 
+def bits(values):
+    """The uint64 words of a float or complex array or sequence: equal only where every bit is."""
+    return np.ascontiguousarray(np.asarray(values)).view(np.uint64)
+
+
+def reference_unit_upper(steps, scale=None, out=None):
+    """The zero-filled, masked assembly of recurrence._unit_upper, kept as the reference for its bits.
+
+    S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal, from a zeroed
+    array whose diagonal blocks go in through a mask of their upper triangle; with out, S goes into the
+    diagonal and the upper triangle of out and the rest of out is left as it is.
+    """
+    mant, expo, runs = [1 + 0j], [0], [0]
+    m, e = 1 + 0j, 0
+    for t, q in enumerate(steps, start=1):
+        m *= q
+        k = math.frexp(abs(m))[1]
+        if not -64 < k < 64:
+            m, e = m * math.ldexp(1.0, -k), e + k
+            runs.append(t)
+        mant.append(m)
+        expo.append(e)
+    M = np.asarray(mant)
+    cols = (M if scale is None else M * scale).view(float).reshape(-1, 2)
+    shifts = np.asarray(expo)[:, None] - 64
+    size = len(mant)
+    bounds = list(zip(runs, runs[1:] + [size]))
+    index = np.arange(max(hi - lo for lo, hi in bounds))
+    above = index[:, None] < index
+    S = np.zeros((size, size), dtype=complex) if out is None else out
+    for lo, hi in bounds:
+        shifted = np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0]
+        lift, width = 2.0 ** 64 / M[lo:hi], hi - lo
+        np.multiply.outer(lift, shifted[width:], out=S[lo:hi, hi:])
+        np.copyto(S[lo:hi, lo:hi], np.multiply.outer(lift, shifted[:width]), where=above[:width, :width])
+    np.fill_diagonal(S, 1.0 if scale is None else scale)
+    return S
+
+
 def _reference_difference(table, t, pl_t, pr_t):
     g = table.diffs[t]
     if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
@@ -124,9 +175,11 @@ def _reference_difference(table, t, pl_t, pr_t):
     return g
 
 
-def _reference_component(values, i, scale):
+def _reference_component(values, i):
+    """values[i], or VanishingComponentError(i) where it is at most COMPONENT_RTOL times its larger neighbour."""
     v = values[i]
-    if abs(v) < COMPONENT_RTOL * (1.0 + scale):
+    after = abs(values[i + 1]) if i + 1 < len(values) else 0.0
+    if abs(v) <= COMPONENT_RTOL * max(abs(values[i - 1]), after):
         raise tp.VanishingComponentError(i)
     return v
 
@@ -138,10 +191,9 @@ def reference_trailing_inverse_from(table, pr, pl, k, n):
     """
     size = n - k
     out = np.zeros((size, size), dtype=complex)
-    scale = float(np.max(np.abs(pr)) + np.max(np.abs(pl)))
     for i in range(k + 1, n + 1):
-        pli = _reference_component(pl, i, scale)
-        pri = _reference_component(pr, i, scale)
+        pli = _reference_component(pl, i)
+        pri = _reference_component(pr, i)
         gi = _reference_difference(table, i, pli, pri)
         io = i - (k + 1)
         out[io, io] += 1.0 / (gi * pli * pri)
@@ -149,8 +201,8 @@ def reference_trailing_inverse_from(table, pr, pl, k, n):
             gprev = _reference_difference(table, i - 1, pl[i - 1], pr[i - 1])
             out[io, io] += 1.0 / (gprev * pli * pri)
         if i < n:
-            out[io, io + 1] = -1.0 / (gi * pli * _reference_component(pr, i + 1, scale))
-            out[io + 1, io] = -1.0 / (gi * _reference_component(pl, i + 1, scale) * pri)
+            out[io, io + 1] = -1.0 / (gi * pli * _reference_component(pr, i + 1))
+            out[io + 1, io] = -1.0 / (gi * _reference_component(pl, i + 1) * pri)
     return out
 
 

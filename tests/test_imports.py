@@ -1,6 +1,10 @@
-"""Static checks on the library source, with the standard library's ast only."""
+"""Static checks on the library source, with the standard library's ast only, and what importing it loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,19 @@ def test_unread_definitions_are_found():
 def test_no_unread_definitions():
     package = Path(tripencil.__file__).parent
     assert unread_definitions({p.name: p.read_text() for p in sorted(package.glob("*.py"))}) == []
+
+
+def test_importing_the_package_loads_only_the_standard_library_and_numpy():
+    """A fresh interpreter that imports tripencil and its CLI loads no other third-party module.
+
+    Import time is most of a short run's setup, and one heavy import (scipy, say) would double it.
+    What the interpreter loads before the import (site hooks) does not count.
+    """
+    script = ("import json, sys; before = set(sys.modules); import tripencil, tripencil.cli; "
+              "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(Path(tripencil.__file__).parents[1]),
+                                                                     os.environ.get("PYTHONPATH")))))
+    loaded = json.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                                       check=True).stdout)
+    assert {"numpy", "tripencil"} <= set(loaded)
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "tripencil")] == []

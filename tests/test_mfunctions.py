@@ -9,8 +9,8 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
-from support import (build_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points, reference_m_route, rel_err,
-                     seeded_pencil, toeplitz_pencil, two_pole_pencil)
+from support import (bits, build_pencil, delocalised_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points,
+                     reference_m_route, reference_unit_upper, rel_err, seeded_pencil, toeplitz_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -369,10 +369,15 @@ def test_resolvent_is_exactly_hermitian_at_real_points(n):
 
 @pytest.mark.parametrize("n", [40, 640])
 def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
-    """F diag(1/gamma) above the diagonal and diag(1/gamma) G below it, formed in one array."""
+    """F diag(1/gamma) above the diagonal and diag(1/gamma) G below it, formed in one array.
+
+    R and the factors of ldu_factors are also pinned to the zero-filled, masked assembly
+    (reference_unit_upper): R and F bit for bit, G in value, as at a real point it is conj(F)^T, where
+    only the sign of a zero imaginary part may differ.
+    """
     pencil = seeded_pencil(n, n)
     upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)
-    for omega in far_points(pencil)[::2]:
+    for omega in far_points(pencil):
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
         diag = 1.0 / recurrence.twisted_pivots(pencil, sweep)[0]
         right, left = recurrence._unit_steps(pencil, sweep)
@@ -381,6 +386,14 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
         assert np.array_equal(R[upper], F[upper])
         assert np.array_equal(R.T[upper], G.T[upper])
         assert np.array_equal(np.diagonal(R), diag)
+        reference = reference_unit_upper(right, diag)
+        reference_unit_upper(left, diag, reference.T)
+        assert np.array_equal(bits(R), bits(reference))
+        factors, G = tp.ldu_factors(pencil, omega), reference_unit_upper(left).T
+        assert np.array_equal(bits(factors.F), bits(reference_unit_upper(right)))
+        assert np.array_equal(factors.G, G) and np.array_equal(bits(factors.G.real), bits(G.real))
+        if complex(omega).imag:
+            assert np.array_equal(bits(factors.G), bits(G))
 
 
 class TestReconstructFromM:
@@ -447,6 +460,40 @@ class TestReconstructFromM:
         with pytest.raises(tp.VanishingComponentError):
             tp.reconstruct_from_m(pencil.J, 1, omega, table, pr, pl, pencil.H.b[1])
 
+    def _top_point_errors(self, truth, k):
+        omega = float(tp.pencil_eigenvalues(truth).real.max()) + 1.5
+        entries = self._route(truth, k, omega)
+        errors = [rel_err(entries.b_at(j), truth.H.b[j]) for j in range(k + 1, truth.n)]
+        return errors + [rel_err(entries.a_at(j), truth.H.a[j]) for j in range(k + 1, truth.n + 1)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_order_80_draws_at_the_top_point(self, seed):
+        """Components across many decades: each is tested against its neighbours, not against the largest."""
+        truth, _ = tp.generate_instance(tp.GeneratorConfig(n=80, k=40, seed=seed))
+        assert max(self._top_point_errors(truth, 40)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_delocalised_order_160_at_the_top_point(self, seed):
+        assert max(self._top_point_errors(delocalised_pencil(seed, 160), 80)) <= 1e-12
+
+    def test_component_guard_reads_the_neighbours(self):
+        pencil = seeded_pencil(10, 10)
+        omega = dense_spectrum(pencil)[-1] + 1.5
+        table = tp.m_table(pencil, omega)
+        pr, pl = tp.right_components(pencil, omega), tp.left_components(pencil, omega)
+        assert max(abs(pl).max(), abs(pr).max()) > 100 * abs(pl[3])
+        # p^L_2 against p^L_1 and p^L_3: above COMPONENT_RTOL, divided by (the data is then inconsistent),
+        # though below COMPONENT_RTOL times the largest component
+        pl[2] = 1e-11 * abs(pl[3])
+        for route in (tp.reconstruct_from_m, reference_m_route):
+            with pytest.raises(tp.NonRealDiagonalError):
+                route(pencil.J, 1, omega, table, pr, pl, pencil.H.b[1])
+        pl[2] *= 1e-2
+        for route in (tp.reconstruct_from_m, reference_m_route):
+            with pytest.raises(tp.VanishingComponentError) as info:
+                route(pencil.J, 1, omega, table, pr, pl, pencil.H.b[1])
+            assert info.value.index == 2
+
     @pytest.mark.parametrize("n", [4, 10, 40])
     def test_entries_match_the_dense_reference(self, n):
         """The diagonals read in one pass give the entries of the dense (n-k)^2 formula, to roundoff.
@@ -456,7 +503,7 @@ class TestReconstructFromM:
         """
         pencil = seeded_pencil(n, n)
         for omega in far_points(pencil)[::2]:
-            for k in (n // 2, n - 1):  # below n/2, n = 40 components fail the guard scaled by max|p|
+            for k in (1, n // 2, n - 1):
                 data = (tp.m_table(pencil, omega), tp.right_components(pencil, omega),
                         tp.left_components(pencil, omega), pencil.H.b[k])
                 entries = tp.reconstruct_from_m(pencil.J, k, omega, *data)

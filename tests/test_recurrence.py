@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import build_pencil, dense_spectrum, far_points, hand_pencil, seeded_pencil, toeplitz_pencil
+from support import bits, build_pencil, dense_spectrum, far_points, hand_pencil, seeded_pencil, toeplitz_pencil
 
 
 def test_eval_p_initial_condition(rng):
@@ -171,6 +171,21 @@ class TestLiouvilleOstrogradsky:
             for zr, zi in zs for m in range(6)
         )
         assert worst < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 160, 640])
+def test_pivot_sweep_is_the_same_pass_with_and_without_m_values(n):
+    """The Q recurrence rides along on request: the pivots, margins and weights do not see it, bit for bit."""
+    pencil = seeded_pencil(n, n)
+    eigs = dense_spectrum(pencil)
+    for z in (eigs[-1], eigs[0], *far_points(pencil)):
+        for upto in sorted({0, 1, n // 2, n + 1}):
+            bare = recurrence.pivot_sweep(pencil, upto, z)
+            full = recurrence.pivot_sweep(pencil, upto, z, values=True)
+            assert bare.values is None and bare.prefix(upto // 2).values is None
+            assert len(full.values) == upto and full.prefix(upto // 2).values == full.values[:upto // 2]
+            for field in ("pivots", "margins", "weights"):
+                assert np.array_equal(bits(getattr(bare, field)), bits(getattr(full, field))), field
 
 
 class TestKappa:
