@@ -68,7 +68,10 @@ def toeplitz_pencil(n, c, d, a, b):
 
 
 def delocalised_pencil(seed, n, eps=1e-3):
-    """c = 2.5, d = 1, a = 0.3, b = 0.4+0.3i, each entry times 1 + eps u, u uniform on [-1, 1]: eigenvectors spread over all rows."""
+    """c = 2.5, d = 1, a = 0.3, b = 0.4+0.3i, each entry times 1 + eps u, u uniform on [-1, 1].
+
+    Near-constant coefficients: the eigenvectors spread over all rows.
+    """
     rng = np.random.default_rng(seed)
 
     def jitter(base, size):
