@@ -1,8 +1,8 @@
 """m-functions, the closed-form resolvent and its factorization.
 
-The m-function of the order-(j-1) leading sub-pencil is m(w, j) = Q_j(w)/P_j(w),
-with m(w, 0) = 0.  Writing g_t = m(w, t+1) - m(w, t) for the consecutive
-differences, the inverse R(w) of (w*J - H) has entries
+The m-function of head(j-1), rows 0..j-1, is m(w, j) = Q_j(w)/P_j(w) = 1/gamma_0
+of its twisted factorization, m(w, 0) = 0.  With g_t = m(w, t+1) - m(w, t) the
+consecutive differences, the inverse R(w) of (w*J - H) has entries
 
     R[i, j] = p_j^L * (m(w, n+1) - m(w, max(i, j))) * p_i^R
 
@@ -13,8 +13,8 @@ rule and the overall sign were fixed empirically against dense inversion on
 1x1 and 2x2 pencils and are locked by regression tests.
 
 Every direct operation here reads one pivot pass (recurrence.pivot_sweep)
-and forms nothing that can overflow; only m_table and m_function ask it for
-the m-values.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
+and forms nothing that can overflow; the m-values come from the twisted
+passes that guard them.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
 
     g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
 
@@ -68,6 +68,7 @@ class MFunctionTable:
     them in the cancellation-free product form
     g_t = prod_{s<t} w_s / (P_t P_{t+1}) that the Wronskian identity gives,
     which m_table takes from the pivots as g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
+    values[j] = 1/gamma_0 of head(j-1) (head_margins), so top is R[0, 0] of resolvent_matrix, bit for bit.
     """
 
     omega: complex
@@ -87,7 +88,7 @@ class MFunctionTable:
 
 
 def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
-    """m(w, j) = Q_j(w)/P_j(w); zero for j = 0 by convention.
+    """m(w, j) = R_head(j-1)[0, 0] = 1/gamma_0 of check_spectrum's pass, m_table's values[j]; 0 for j = 0.
 
     Raises SpectrumCollisionError(j-1) on the spectrum of rows 0..j-1 only.
     """
@@ -95,25 +96,23 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    sweep = pivot_sweep(pencil, j, omega, values=True)
-    check_spectrum(pencil, sweep)
-    return sweep.values[-1]
+    return complex(1.0 / check_spectrum(pencil, pivot_sweep(pencil, j, omega))[0][0])
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
-    """All values m(w, 0)..m(w, n+1) and their differences in one pivot pass.
+    """All values m(w, 0)..m(w, n+1), 1/gamma_0 of each head (head_margins), and their differences in one pivot pass.
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega, values=True)
-    margins = head_margins(pencil, sweep)
+    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    margins, corners = head_margins(pencil, sweep)
     if margins.min() < SPECTRUM_RTOL:
         t = int(np.argmax(margins < SPECTRUM_RTOL))
         raise SpectrumCollisionError(t, sweep.z, float(margins[t]), SPECTRUM_RTOL)
     D = np.asarray(sweep.pivots)
     ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
-    return MFunctionTable(sweep.z, (0j,) + sweep.values, tuple(diffs.tolist()))
+    return MFunctionTable(sweep.z, (0j, *(1.0 / corners).tolist()), tuple(diffs.tolist()))
 
 
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:

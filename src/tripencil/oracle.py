@@ -197,13 +197,15 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
 
 
 def verify(truth: Pencil, result: ReconstructionResult | MRouteEntries) -> VerificationReport:
-    """Compare a reconstruction against its ground truth, entry by entry."""
+    """Compare a reconstruction against its ground truth, entry by entry; ValueError where its shape does not fit."""
     n = truth.n
+    k = result.k
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"split index {k} out of range 1..{n - 1}")
     errors: dict[str, float] = {}
     if isinstance(result, ReconstructionResult):
         if result.H.n != n:
             raise ValueError("result order does not match truth")
-        k = result.k
         for j in range(k, n):
             errors[f"b_{j}"] = _relative(result.H.b[j], truth.H.b[j])
         for j in range(k + 1, n + 1):
@@ -212,9 +214,9 @@ def verify(truth: Pencil, result: ReconstructionResult | MRouteEntries) -> Verif
         deltas = tuple(abs(x) for x in result.deltas)
         pipeline = "eigenpair"
     else:
-        k = result.k
-        if k + len(result.a) != n:
-            raise ValueError("m-route result shape does not match truth")
+        if (len(result.a), len(result.b)) != (n - k, n - k - 1):
+            raise ValueError(f"m-route result of split {k} holds {len(result.a)} a and {len(result.b)} b entries: "
+                             f"{n - k} and {n - k - 1} expected for order {n}")
         for j in range(k + 1, n):
             errors[f"b_{j}"] = _relative(result.b_at(j), truth.H.b[j])
         for j in range(k + 1, n + 1):

@@ -32,11 +32,10 @@ the operations and their order are those of the per-step form, bit for bit.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
-pass that never overflows: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H
-and a relative margin per pivot, and the m-values Q_t/P_t only where they
-are asked for (m_table, m_function): the other callers run the P
-recurrence alone.  Every direct operation of mfunctions reads this pass.
-The component ratios follow from the pivots, p^R_{t+1}/p^R_t =
+pass of the P recurrence that never overflows: the LDL^T pivots
+D_t = P_{t+1}/P_t of z*J - H and a relative margin per pivot.  Every direct
+operation of mfunctions reads this pass; pq_sweep keeps the P and Q point
+values.  The component ratios follow from the pivots, p^R_{t+1}/p^R_t =
 D_t/(b_t - z d_t) and p^L the same with conj(b_t); unit_factors turns them
 into the inverses of the unit factors of z*J - H = L D U (_unit_upper,
 which writes an entry twice only below the diagonal of its blocks), and at
@@ -47,11 +46,12 @@ the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: one pass
 tests the head a sweep ends at (check_spectrum; eigenvalue_margin for the
 full pencil), and head_margins gives all heads at once, for m_table.  The
-margin has one formula in one arithmetic: twisted_pivots runs the bottom-up
-pass of one head on numpy scalars, head_margins those of all heads as one
-vector step per row, with the same bits.  head_margins stops once the passes
-have joined, bit for bit, which off the spectrum they do within a few dozen
-rows: O(n) work per row reached, not O(n^2) per point.
+corner gamma_0 of head(j-1) is 1/m(z, j), so the same passes give the
+m-values.  The margin has one formula in one arithmetic: twisted_pivots
+runs the bottom-up pass of one head on numpy scalars, head_margins those of
+all heads as one vector step per row, with the same bits.  head_margins
+stops once the passes have joined, bit for bit, which off the spectrum they
+do within a few dozen rows: O(n) work per row reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import PoleCollisionError, SpectrumCollisionError, VanishingCompone
 from .pencil import Pencil
 from .tolerances import POLE_RTOL, SPECTRUM_RTOL
 
-_TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P and Q outside this range
+_TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P outside this range
 _EPS = 2.0 ** -52  # pivot_sweep stands in this much of its terms for an exactly zero minor
 _LIFT = 2.0 ** 64  # _unit_upper's row factor 2^64/M_i, M_i in [2^-64, 2^63), lies in (2, 2^128]
 
@@ -138,7 +138,7 @@ def eval_q(pencil: Pencil, m: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class PivotSweep:
-    """LDL^T pivots of z*J - H up to some order, their margins and, on request, the m-values.
+    """LDL^T pivots of z*J - H up to some order and their margins.
 
     pivots[t] = P_{t+1}(z)/P_t(z) is the t-th pivot D_t of z*J - H = L D U
     (D_t = u_t - w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
@@ -146,46 +146,41 @@ class PivotSweep:
     |D_t| / (|z c_t| + |a_t| + |w_{t-1}/D_{t-1}|) says how far the terms of
     the pivot are from cancelling; it bounds how much the unit factors of
     z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
-    would read 1 at every inexact root of z c_0 - a_0.  values[t] =
-    Q_{t+1}/P_{t+1} = m(z, t+1) where the sweep was asked for them
-    (m_table, m_function), else None, and weights holds the w_0, w_1, ...
-    that entered the pivots.  Whether z is in the spectrum of a leading sub-pencil
-    is the twisted margin's decision, not the pivot margin's: the pivot
-    misses an eigenvalue whose eigenvector nearly vanishes at the last row.
+    would read 1 at every inexact root of z c_0 - a_0.  weights holds the
+    w_0, w_1, ... that entered the pivots.  m(z, t+1) = R_head(t)[0, 0] is
+    1/gamma_0 of the twisted pass of head(t) (check_spectrum, head_margins),
+    which also decides whether z is in the spectrum of a leading sub-pencil:
+    the pivot misses an eigenvalue whose eigenvector nearly vanishes at the
+    last row.
     """
 
     z: complex
     pivots: tuple[complex, ...]
     margins: tuple[float, ...]
-    values: tuple[complex, ...] | None
     weights: tuple[complex, ...]
 
     def prefix(self, rows: int) -> "PivotSweep":
         """The sweep of the leading sub-pencil over rows 0..rows-1."""
-        return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows],
-                          None if self.values is None else self.values[:rows], self.weights[:max(rows - 1, 0)])
+        return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows], self.weights[:max(rows - 1, 0)])
 
 
-def pivot_sweep(pencil: Pencil, upto: int, z: complex, *, values: bool = False) -> PivotSweep:
-    """Pivots and margins of P_1..P_upto at z in one O(upto) pass, and the m-values if asked for.
+def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
+    """Pivots and margins of P_1..P_upto at z in one O(upto) pass.
 
-    Runs the P recurrence of pq_sweep, and with values its Q recurrence too,
-    on values rescaled by powers of two whenever |P| leaves [2^-256, 2^256],
-    so nothing overflows and every ratio is the one pq_sweep would give
-    where its values are representable.  The pivots, margins and weights
-    are the same bits with and without values; without, the sweep holds
-    values = None.  Where P_{t+1} is exactly zero (margin 0) the pivots and
-    values use a stand-in of 2^-52 times its terms, as LAPACK's pivmin does,
-    so they stay finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the
+    Runs the P recurrence of pq_sweep on values rescaled by powers of two
+    whenever |P| leaves [2^-256, 2^256], so nothing overflows and every
+    ratio is the one pq_sweep would give where its values are
+    representable.  Where P_{t+1} is exactly zero (margin 0) the pivots use
+    a stand-in of 2^-52 times its terms, as LAPACK's pivmin does, so they
+    stay finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the
     recurrence and the margins use the true zero.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
     c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
-    pivots, margins, ms, weights = [], [], [], []
-    # P_{-1} = 0, P_0 = 1, and Q_{-1} = -1, Q_0 = 0 with w_{-1} = 1, which gives Q_1 = 1;
-    # den is P_t, or its stand-in where P_t is exactly zero
-    p0, p1, q0, q1, w, den = 0j, 1 + 0j, -1 + 0j, 0j, 1 + 0j, 1 + 0j
+    pivots, margins, weights = [], [], []
+    # P_{-1} = 0, P_0 = 1, so w_{-1} does not enter; den is P_t, or its stand-in where P_t is exactly zero
+    p0, p1, w, den = 0j, 1 + 0j, 0j, 1 + 0j
     for t in range(upto):
         zc = z * c[t]
         u = zc - a[t]
@@ -199,15 +194,12 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex, *, values: bool = False) 
         margins.append(abs(p1) / scale if scale else 0.0)
         stand = p1 or _EPS * (scale or abs(den))
         pivots.append(stand / den)
-        if values:
-            q0, q1 = q1, u * q1 - w * q0
-            ms.append(q1 / stand)
         den = stand
         size = abs(stand)
         if not _TINY < size < _HUGE:
             s = math.ldexp(1.0, -math.frexp(size)[1])
-            p0, p1, q0, q1, den = p0 * s, p1 * s, q0 * s, q1 * s, den * s
-    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(ms) if values else None, tuple(weights))
+            p0, p1, den = p0 * s, p1 * s, den * s
+    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(weights))
 
 
 def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
@@ -381,8 +373,8 @@ def _stand_in(terms):
     return _EPS * np.where(terms > 0, terms, 1.0)
 
 
-def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
-    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1.
+def head_margins(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1, and their gamma_0.
 
     N = len(sweep.pivots).  Entry t is twisted_pivots' margin of head(t),
     rows 0..t, bit for bit: 0 at one of its eigenvalues, whichever row the
@@ -398,10 +390,14 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
     head are those the shorter heads have just read, and the loop stops
     with the margins of all N heads: O(N L) flops in L steps.  Near an
     eigenvalue of a sub-pencil the passes may not join, and it takes all N.
+    Entry t of the second array is twisted_pivots' gamma_0 = 1/m(z, t + 1) of
+    head(t), bit for bit: head s reaches row 0 at step s, and the longer heads
+    that have joined it there read its rows above the join.
     """
     N = len(sweep.pivots)
     u, w, ux, own, sx = _row_terms(pencil, sweep)
     best = np.asarray(sweep.margins)
+    corners = u.copy()  # corners[s]: gamma_0 of head(s), set at step s; head(0) is row 0 alone
     Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
         Y = np.where(Y == 0, _stand_in(own), Y)
@@ -411,16 +407,18 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> np.ndarray:
         ay = np.abs(y)
         step = np.abs(ux[rows] - y) / (sx[rows] + ay)
         new = u[rows] - y
+        corners[s] = new[0]
         if not new.all():
             new = np.where(new == 0, _stand_in(own[rows] + ay), new)
         # head s is on row 0 and every longer head has joined the next shorter one:
         # the rows j - 1..0 left to head s + j are those heads s + j - 1..s have just read
         if new[-1] == Y[-2] and np.array_equal(new[1:], Y[s:-1]):
             best[s:] = np.minimum(best[s:], np.minimum.accumulate(step))
-            return best
+            corners[s + 1:] = corners[s]
+            return best, corners
         best[s:] = np.minimum(best[s:], step)
         Y[s:] = new
-    return best
+    return best, corners
 
 
 def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:

@@ -192,3 +192,15 @@ class TestSerializationRoundTrip:
         serialize.save_json(workdir / "p.json", serialize.encode_pencil(pencil))
         again = serialize.decode_pencil(serialize.load_json(workdir / "p.json"))
         assert again == pencil
+
+
+def test_result_with_no_entry_to_check_exits_1(workdir, capsys):
+    # head_p of n entries puts the split at k = n, where no entry of H is left to compare
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "11", "--out", str(workdir)]) == 0
+    assert main(["solve", str(workdir / "instance.json"), "--out", str(workdir / "result.json")]) == 0
+    doc = json.loads((workdir / "result.json").read_text())
+    doc["head_p"] += [[1.0, 0.0]] * 2
+    (workdir / "result.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--truth", str(workdir / "truth.json"), "--result", str(workdir / "result.json")]) == 1
+    assert "split index 3 out of range 1..2" in capsys.readouterr().err

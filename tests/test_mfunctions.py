@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,7 +67,7 @@ class TestMFunction:
             a[m] = (z * pencil.J.c[m] - x).real  # D_m = 0
             a[m] += offset * (abs(z * pencil.J.c[m]) + abs(a[m]) + abs(x))
         pencil = tp.Pencil(pencil.J, tp.HermitianTridiagonal(tuple(a), pencil.H.b))
-        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z))
+        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z))[0]
         assert np.flatnonzero(margins < SPECTRUM_RTOL).tolist() == [3, 9]
         assert margins[9] < margins[3]
         with pytest.raises(tp.SpectrumCollisionError) as info:
@@ -308,6 +309,47 @@ def test_direct_operations_match_dense_inverse(n):
         assert np.abs(tp.ldu_factors(pencil, omega).product() - X).max() <= 1e-12 * scale
         T = np.linalg.inv(X[k + 1:, k + 1:])
         assert np.abs(tp.trailing_inverse(pencil, k, omega) - T).max() <= 1e-12 * np.abs(T).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 160, 640])
+def test_every_m_value_is_the_corner_of_its_head_inverse(n):
+    """m(w, j) has one formula, 1/gamma_0 of head(j - 1): m_table, m_function and R[0, 0] give the same bits."""
+    pencil = seeded_pencil(n, n)
+    eigs = dense_spectrum(pencil)
+    orders = range(n + 2) if n <= 40 else (1, 2, n // 2, n, n + 1)
+    gap = (0.5 * (eigs[n // 2 - 1] + eigs[n // 2]),) if n > 1 else ()
+    for omega in (*far_points(pencil), *gap):
+        table = tp.m_table(pencil, omega)
+        assert np.array_equal(bits([table.values[j] for j in orders]),
+                              bits([tp.m_function(pencil, j, omega) for j in orders])), omega
+        assert np.array_equal(bits(table.top), bits(tp.resolvent_matrix(pencil, omega)[0, 0])), omega
+
+
+def _mpmath_m_values(pencil, z):
+    """m(z, 1)..m(z, n+1) as Q_j/P_j from the forward recurrence in 60 digits."""
+    with mpmath.workdps(60):
+        z = mpmath.mpc(complex(z).real, complex(z).imag)
+        c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
+        b = [mpmath.mpc(x.real, x.imag) for x in pencil.H.b]
+        p0, p1, q0, q1 = mpmath.mpc(1), z * c[0] - a[0], mpmath.mpc(0), mpmath.mpc(1)
+        values = [q1 / p1]
+        for m in range(1, pencil.n + 1):
+            u, w = z * c[m] - a[m], (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - mpmath.conj(b[m - 1]))
+            p0, p1, q0, q1 = p1, u * p1 - w * p0, q1, u * q1 - w * q0
+            values.append(q1 / p1)
+        return values
+
+
+@pytest.mark.parametrize("n", [40, 160, 640])
+def test_m_values_match_a_60_digit_recurrence_at_far_points(n):
+    for seed in range(3):
+        pencil = seeded_pencil(seed, n)
+        for omega in far_points(pencil)[:2]:
+            values = tp.m_table(pencil, omega).values[1:]
+            with mpmath.workdps(60):
+                worst = max(float(abs(mpmath.mpc(v.real, v.imag) - r) / abs(r))
+                            for v, r in zip(values, _mpmath_m_values(pencil, omega)))
+            assert worst <= 2e-15, (seed, omega)
 
 
 def _accurate_or_raises(op, pencil, omega, reference, rtol):

@@ -1,5 +1,6 @@
 """Ground-truth machinery: eigenvalues, dense inversion, instance generation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,7 @@ from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenve
 
 def sweep_bits(sweep):
     """The exact bytes of every field of a pivot sweep."""
-    return [np.asarray(field).tobytes() for field in (sweep.z, sweep.pivots, sweep.margins, sweep.values,
-                                                       sweep.weights)]
+    return [np.asarray(field).tobytes() for field in (sweep.z, sweep.pivots, sweep.margins, sweep.weights)]
 
 CANARY = tp.GeneratorConfig(n=40, k=20, seed=0)  # the fixed n = 40 draw of the benchmark's roundtrip workload
 
@@ -234,7 +234,7 @@ class TestGenerateInstance:
     def test_canary_admits_a_draw_with_a_near_collision_on_an_unread_head(self):
         """Solve never reads the heads past k; a draw that comes close to their spectra still solves."""
         truth, inst = tp.generate_instance(CANARY)
-        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z))[inst.k + 1:].min()
+        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z))[0][inst.k + 1:].min()
                      for z in (inst.lam, inst.mu))
         assert unread < ADMIT_SPECTRUM_MARGIN
         report = tp.verify(truth, tp.solve(inst))
@@ -262,7 +262,7 @@ class TestGenerateInstance:
             truth = oracle._draw_truth(CANARY, np.random.default_rng([CANARY.seed, attempt]))
             eigs = tp.pencil_eigenvalues(truth)
             head += any(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, CANARY.k + 1, z.real))
-                        [CANARY.k - 1:].min() < ADMIT_SPECTRUM_MARGIN
+                        [0][CANARY.k - 1:].min() < ADMIT_SPECTRUM_MARGIN
                         for z in (eigs[-1], eigs[0]))
         assert head == 52
         expected = {"degree drop": 0, "eigenvalue gap": 0, "head spectrum": head, "v_0": 0, "Delta_j": 100 - head}
@@ -323,3 +323,21 @@ class TestVerify:
         recomputed = np.linalg.norm(matrix @ full_p) / (
             np.linalg.norm(matrix) * np.linalg.norm(full_p))
         assert abs(report.residual_lambda - recomputed) <= 1e-12
+
+    def test_a_split_outside_1_to_n_minus_1_raises(self):
+        # k = n would check no entry at all and pass: verify refuses it, and k = 0, instead
+        truth, inst = tp.generate_instance(tp.GeneratorConfig(n=5, k=2, seed=23))
+        result = tp.solve(inst)
+        for head in (result.head_p + (1j,) * 3, ()):
+            with pytest.raises(ValueError, match=r"split index \d out of range 1\.\.4"):
+                tp.verify(truth, dataclasses.replace(result, head_p=head))
+
+    def test_an_m_route_result_of_the_wrong_shape_raises(self):
+        truth, _ = tp.generate_instance(tp.GeneratorConfig(n=5, k=2, seed=23))
+        good = tp.MRouteEntries(2, truth.H.b[3:], truth.H.a[3:])
+        assert tp.verify(truth, good).passed
+        for bad in (tp.MRouteEntries(2, truth.H.b[4:], truth.H.a[3:]),
+                    tp.MRouteEntries(2, truth.H.b[3:], truth.H.a[2:]),
+                    tp.MRouteEntries(5, (), ())):
+            with pytest.raises(ValueError):
+                tp.verify(truth, bad)
