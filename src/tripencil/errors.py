@@ -33,14 +33,13 @@ class PoleCollisionError(_IndexedError):
     """Evaluation point hits a component pole b_j/d_j (or its conjugate).
 
     value is |b_j - z d_j| (or the smaller of it and |conj(b_j) - z d_j|),
-    scale is 1 + |b_j| + |z d_j| and tol the relative tolerance that
-    value < tol * scale failed.
+    scale is |b_j| + |z d_j| and tol the relative tolerance: value <= tol * scale.
     """
 
     def __init__(self, index: int, value: float, scale: float, tol: float):
         self.value, self.scale, self.tol = value, scale, tol
         super().__init__(index, f"evaluation point collides with pole at off-diagonal index {index}: "
-                                f"|b_j - z d_j| = {value:.3e} < tol {tol:.1e} x scale {scale:.3e}")
+                                f"|b_j - z d_j| = {value:.3e} <= tol {tol:.1e} x scale {scale:.3e}")
 
 
 class SpectrumCollisionError(MathPreconditionError):

@@ -35,11 +35,10 @@ from .errors import (
     HermitianInconsistentError,
     NonRealDiagonalError,
     SingularDeltaError,
-    SpectrumCollisionError,
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import PivotSweep, _row_terms, _rows_above, _twisted_eigenvector, _twisted_pass, pivot_sweep
+from .recurrence import PivotSweep, _check_heads, _rows_above, _twisted_eigenvector, pivot_sweep
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -365,11 +364,7 @@ def _solver_heads(pencil: Pencil, k: int, z: float, tol: float) -> PivotSweep:
     (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read one set of row terms.
     """
     sweep = pivot_sweep(pencil, k + 1, z)
-    terms = _row_terms(pencil, sweep)
-    for head in (sweep.prefix(k), sweep):
-        margin = _twisted_pass(head, terms)[1]
-        if margin < tol:
-            raise SpectrumCollisionError(len(head.pivots) - 1, sweep.z, margin, tol)
+    _check_heads(pencil, sweep, (k - 1, k), tol)
     return sweep
 
 

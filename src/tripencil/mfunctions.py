@@ -53,8 +53,8 @@ import numpy as np
 from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
                      VanishingComponentError)
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_finite_point, _unit_steps, _unit_upper, check_spectrum, head_margins, pivot_sweep,
-                         unit_factors)
+from .recurrence import (_check_heads, _finite_point, _unit_steps, _unit_upper, check_spectrum, head_margins,
+                         pivot_sweep, unit_factors)
 from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
 
 
@@ -124,7 +124,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors: the diagonal is folded into the pass
     that forms each factor, and G is formed straight into the lower
-    triangle of the array that holds F.
+    triangle of the array that holds F.  At a real w the exponent runs of
+    G are the conjugates of those of F and are not formed again
+    (recurrence._unit_upper).
     Both pivot passes are exact for coefficients perturbed by a few ulps, so
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
@@ -132,7 +134,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     diag = 1.0 / check_spectrum(pencil, sweep)[0]
     right, left = _unit_steps(pencil, sweep)
-    return _unit_upper(right, diag, left)
+    return _unit_upper(right, diag, left, hermitian=sweep.z.imag == 0)
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,13 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     It is the Schur complement of the leading block in w*J - H: the trailing
     block of w*J - H with its corner replaced by the pivot D_{k+1}.  Raises
     SpectrumCollisionError on the spectrum of that leading block (index k),
-    where the pivot does not exist, and of the full pencil (index n).
+    where the pivot does not exist, and of the full pencil (index n): two
+    twisted passes on one set of row terms (recurrence._check_heads).
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    check_spectrum(pencil, sweep.prefix(k + 1))
-    check_spectrum(pencil, sweep)
+    _check_heads(pencil, sweep, (k, pencil.n))
     z = sweep.z
     c, d, a, b = (x[k + 1:] for x in pencil._diagonals)
     size = pencil.n - k

@@ -32,26 +32,31 @@ the operations and their order are those of the per-step form, bit for bit.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
-pass of the P recurrence that never overflows: the LDL^T pivots
-D_t = P_{t+1}/P_t of z*J - H and a relative margin per pivot.  Every direct
-operation of mfunctions reads this pass; pq_sweep keeps the P and Q point
-values.  The component ratios follow from the pivots, p^R_{t+1}/p^R_t =
-D_t/(b_t - z d_t) and p^L the same with conj(b_t); unit_factors turns them
-into the inverses of the unit factors of z*J - H = L D U (_unit_upper,
-which writes an entry twice only below the diagonal of its blocks), and at
-a real z takes the lower one as the conjugate transpose of the upper.
+pass of the pivot recurrence D_t = u_t - w_{t-1}/D_{t-1}, the standard form
+of the LDL^T and twisted factorizations (Parlett & Dhillon, LAA 267, 1997),
+which needs no rescaling: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H and
+a relative margin per pivot.  Every direct operation of mfunctions reads
+this pass; pq_sweep keeps the P and Q point values.  The component ratios
+follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the
+same with conj(b_t); unit_factors turns them into the inverses of the unit
+factors of z*J - H = L D U (_unit_upper, which writes an entry twice only
+below the diagonal of its blocks), and at a real z takes the lower one as
+the conjugate transpose of the upper.
 Joined with the pivots taken from the bottom up, by a pass that reads the
 forward weights and carries only the pivots, they give
 the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
 their margin min_r |gamma_r|/(its terms) is the spectrum guard: one pass
 tests the head a sweep ends at (check_spectrum; eigenvalue_margin for the
-full pencil), and head_margins gives all heads at once, for m_table.  The
-corner gamma_0 of head(j-1) is 1/m(z, j), so the same passes give the
-m-values.  The margin has one formula in one arithmetic: twisted_pivots
-runs the bottom-up pass of one head on numpy scalars, head_margins those of
-all heads as one vector step per row, with the same bits.  head_margins
-stops once the passes have joined, bit for bit, which off the spectrum they
-do within a few dozen rows: O(n) work per row reached, not O(n^2) per point.
+full pencil), _check_heads two heads on one set of row terms (solve, the
+generator and trailing_inverse), and head_margins gives all heads at once,
+for m_table.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the same
+passes give the m-values.  The margin has one formula in one arithmetic:
+twisted_pivots runs the bottom-up pass of one head on numpy scalars,
+head_margins those of all heads as one vector step per row, and takes the
+margins of every step in one array pass after the loop, with the same
+bits.  head_margins stops once the passes have joined, bit for bit, which
+off the spectrum they do within a few dozen rows: O(n) work per row
+reached, not O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ from .errors import PoleCollisionError, SpectrumCollisionError, VanishingCompone
 from .pencil import Pencil
 from .tolerances import POLE_RTOL, SPECTRUM_RTOL
 
-_TINY, _HUGE = 2.0 ** -256, 2.0 ** 256  # pivot_sweep rescales P outside this range
-_EPS = 2.0 ** -52  # pivot_sweep stands in this much of its terms for an exactly zero minor
+_EPS = 2.0 ** -52  # an exactly zero forward or backward pivot takes this much of its terms as a stand-in
 _LIFT = 2.0 ** 64  # _unit_upper's row factor 2^64/M_i, M_i in [2^-64, 2^63), lies in (2, 2^128]
+_STEPS_HELD = 64  # head_margins lowers the margins every this many steps: O(n) memory where heads do not join
 
 
 def _check_index(pencil: Pencil, m: int) -> None:
@@ -141,12 +146,14 @@ class PivotSweep:
     """LDL^T pivots of z*J - H up to some order and their margins.
 
     pivots[t] = P_{t+1}(z)/P_t(z) is the t-th pivot D_t of z*J - H = L D U
-    (D_t = u_t - w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
+    (D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
     w_t = (z d_t - b_t)(z d_t - conj(b_t))).  margins[t] =
-    |D_t| / (|z c_t| + |a_t| + |w_{t-1}/D_{t-1}|) says how far the terms of
+    |D_t| / (|z c_t| + |a_t| + |x_t|) says how far the terms of
     the pivot are from cancelling; it bounds how much the unit factors of
     z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
-    would read 1 at every inexact root of z c_0 - a_0.  weights holds the
+    would read 1 at every inexact root of z c_0 - a_0.  An exactly zero
+    pivot reads margin 0 and holds a stand-in, and the two rows after it
+    read the true zero minor (pivot_sweep).  weights holds the
     w_0, w_1, ... that entered the pivots.  m(z, t+1) = R_head(t)[0, 0] is
     1/gamma_0 of the twisted pass of head(t) (check_spectrum, head_margins),
     which also decides whether z is in the spectrum of a leading sub-pencil:
@@ -167,39 +174,62 @@ class PivotSweep:
 def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     """Pivots and margins of P_1..P_upto at z in one O(upto) pass.
 
-    Runs the P recurrence of pq_sweep on values rescaled by powers of two
-    whenever |P| leaves [2^-256, 2^256], so nothing overflows and every
-    ratio is the one pq_sweep would give where its values are
-    representable.  Where P_{t+1} is exactly zero (margin 0) the pivots use
-    a stand-in of 2^-52 times its terms, as LAPACK's pivmin does, so they
-    stay finite and D_t D_{t+1} = P_{t+2}/P_t keeps its value; the
-    recurrence and the margins use the true zero.
+    Runs the pivot recurrence D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}
+    (x_0 = 0), the LDL^T form of the P recurrence: it carries ratios only,
+    so nothing overflows at any order, and D_t = P_{t+1}/P_t wherever
+    pq_sweep's values are representable, to rounding.  The loop steps plain
+    Python complex numbers over the coefficient tuples; w stays their
+    product, which is real at a real z.  Where D_t is exactly zero (margin
+    0) the pivot is a stand-in of 2^-52 times its terms, or 2^-52 where
+    they vanish, as LAPACK's pivmin does, so the pivots stay finite; the
+    recurrence and the margins use the true zero P_{t+1} = 0 (_pivot_row).
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
+    if not upto:
+        return PivotSweep(z, (), (), ())
     c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
-    pivots, margins, weights = [], [], []
-    # P_{-1} = 0, P_0 = 1, so w_{-1} does not enter; den is P_t, or its stand-in where P_t is exactly zero
-    p0, p1, w, den = 0j, 1 + 0j, 0j, 1 + 0j
-    for t in range(upto):
-        zc = z * c[t]
-        u = zc - a[t]
-        if t:
-            zd, bl = z * d[t - 1], b[t - 1]
-            w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}: _weight, inlined
-            weights.append(w)
-        up, wp = u * p1, w * p0
-        p0, p1 = p1, up - wp
-        scale = (abs(zc) + abs(a[t])) * abs(p0) + abs(wp)
-        margins.append(abs(p1) / scale if scale else 0.0)
-        stand = p1 or _EPS * (scale or abs(den))
-        pivots.append(stand / den)
-        den = stand
-        size = abs(stand)
-        if not _TINY < size < _HUGE:
-            s = math.ldexp(1.0, -math.frexp(size)[1])
-            p0, p1, den = p0 * s, p1 * s, den * s
+    zc = z * c[0]
+    u = zc - a[0]
+    D, margin, after = _pivot_row(0, u, u, 0j, abs(zc) + abs(a[0]))
+    pivots, margins, weights = [D], [margin], []
+    for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
+        zc, zd = z * cm, z * dl
+        u = zc - am
+        w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}: _weight, inlined
+        x = w / D
+        D = u - x
+        if after or not D:
+            D, margin, after = _pivot_row(after, D, u, x, abs(zc) + abs(am))
+        else:
+            margin = abs(D) / (abs(zc) + abs(am) + abs(x))
+        weights.append(w)
+        pivots.append(D)
+        margins.append(margin)
     return PivotSweep(z, tuple(pivots), tuple(margins), tuple(weights))
+
+
+def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tuple[complex, float, int]:
+    """(pivot, margin, after) of a pivot_sweep row on or past an exactly zero pivot, own = |z c_t| + |a_t|.
+
+    after counts the rows since the last exactly zero pivot D_s that still
+    see the true zero P_{s+1} = 0: on row s + 1 (after = 1) u P_{s+1} drops
+    out, so D = -x and only |x| counts in the margin; on row s + 2
+    (after = 2) x = 0 and D = u exactly.  Two zero minors in a row make
+    every later one zero (after = 3): margin 0 from there on.  An exactly
+    zero pivot reads margin 0, and its stand-in is 2^-52 times its terms.
+    """
+    if after == 1:
+        D, terms = -x, abs(x)
+    elif after == 2:
+        D, terms = u, own
+    elif after == 3:
+        D, terms = 0j, 0.0
+    else:
+        terms = own + abs(x)
+    if D:
+        return D, abs(D) / terms, 2 if after == 1 else 0
+    return complex(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
 
 
 def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
@@ -235,16 +265,19 @@ def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[
 
 
 def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
-    """Raise PoleCollisionError(s) at the first s with value[s] < POLE_RTOL (1 + |b_s| + |z d_s|)."""
-    scale = 1.0 + np.abs(b) + np.abs(zd)
-    poles = value < POLE_RTOL * scale
+    """Raise PoleCollisionError(s) at the first s with value[s] <= POLE_RTOL (|b_s| + |z d_s|); an exact zero too.
+
+    The test is scale-free: 2^s (J, H) has its poles where (J, H) has them.
+    """
+    scale = np.abs(b) + np.abs(zd)
+    poles = value <= POLE_RTOL * scale
     if np.count_nonzero(poles):
         s = int(np.argmax(poles))
         raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
 
 
 def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
-                lower: list[complex] | None = None) -> np.ndarray:
+                lower: list[complex] | None = None, hermitian: bool = False) -> np.ndarray:
     """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
     No scale means ones.  With lower, steps of the same length, the part
@@ -268,12 +301,21 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     zeroed left of the block and the block below its diagonal.  With lower,
     the runs of lower write the strictly lower part of S over them, each
     diagonal block through a mask of its lower triangle, so that the upper
-    triangle of S stays as written.
+    triangle of S stays as written.  hermitian says that lower is
+    conj(steps) and scale real, as at a real z: the runs of lower are then
+    the conjugates of those of steps (conjugation commutes with each
+    rounded product and quotient and keeps every modulus, so only the sign
+    of a zero imaginary part may differ), and are not formed again.
     """
     size = len(steps) + 1
     S = np.empty((size, size), dtype=complex)
     runs = _runs(steps, scale)
-    masked = runs if lower is None else _runs(lower, scale)  # the runs whose blocks are cut at the diagonal
+    if lower is None:
+        masked = runs  # the runs whose blocks are cut at the diagonal
+    elif hermitian:
+        masked = [(lo, hi, lift.conj(), shifted.conj()) for lo, hi, lift, shifted in runs]
+    else:
+        masked = _runs(lower, scale)
     below = np.tri(max(hi - lo for lo, hi, _, _ in masked), k=-1, dtype=bool)
     for lo, hi, lift, shifted in runs:
         np.multiply.outer(lift, shifted, out=S[lo:hi, lo:])
@@ -390,35 +432,62 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
     head are those the shorter heads have just read, and the loop stops
     with the margins of all N heads: O(N L) flops in L steps.  Near an
     eigenvalue of a sub-pencil the passes may not join, and it takes all N.
-    Entry t of the second array is twisted_pivots' gamma_0 = 1/m(z, t + 1) of
-    head(t), bit for bit: head s reaches row 0 at step s, and the longer heads
-    that have joined it there read its rows above the join.
+    The loop carries the backward pivots, the corners and the join test
+    alone; the margins of its steps follow in one array pass per
+    _STEPS_HELD steps (_lower_margins).  Entry t of the second array is
+    twisted_pivots' gamma_0 = 1/m(z, t + 1) of head(t), bit for bit: head s
+    reaches row 0 at step s, and the longer heads that have joined it there
+    read its rows above the join.
     """
     N = len(sweep.pivots)
     u, w, ux, own, sx = _row_terms(pencil, sweep)
-    best = np.asarray(sweep.margins)
     corners = u.copy()  # corners[s]: gamma_0 of head(s), set at step s; head(0) is row 0 alone
     Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
         Y = np.where(Y == 0, _stand_in(own), Y)
+    best = np.array(sweep.margins)
+    ys = []  # the backward terms y of the steps since the margins were last lowered, ys[-1] that of step s
     for s in range(1, N):
-        rows = slice(0, N - s)  # heads s..N-1 have a row s above their last one
-        y = w[rows] / Y[s:]
-        ay = np.abs(y)
-        step = np.abs(ux[rows] - y) / (sx[rows] + ay)
-        new = u[rows] - y
+        rows = N - s  # heads s..N-1 have a row s above their last one, rows 0..N-1-s
+        y = w[:rows] / Y[s:]
+        ys.append(y)
+        new = u[:rows] - y
         corners[s] = new[0]
-        if not new.all():
-            new = np.where(new == 0, _stand_in(own[rows] + ay), new)
-        # head s is on row 0 and every longer head has joined the next shorter one:
+        if np.count_nonzero(new) < rows:
+            new = np.where(new == 0, _stand_in(own[:rows] + np.abs(y)), new)
+        # head s is on row 0 and every longer head has joined the next shorter one, bit for bit:
         # the rows j - 1..0 left to head s + j are those heads s + j - 1..s have just read
-        if new[-1] == Y[-2] and np.array_equal(new[1:], Y[s:-1]):
-            best[s:] = np.minimum(best[s:], np.minimum.accumulate(step))
+        if new[-1] == Y[-2] and new[1:].tobytes() == Y[s:-1].tobytes():
             corners[s + 1:] = corners[s]
+            _lower_margins(best, ys, s, ux, sx, joined=True)
             return best, corners
-        best[s:] = np.minimum(best[s:], step)
+        if len(ys) == _STEPS_HELD:
+            _lower_margins(best, ys, s, ux, sx, joined=False)
+            ys = []
         Y[s:] = new
+    _lower_margins(best, ys, N - 1, ux, sx, joined=False)
     return best, corners
+
+
+def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.ndarray, sx: np.ndarray,
+                   joined: bool) -> None:
+    """Lower head_margins' best by |u - x - y|/(|z c| + |a| + |x| + |y|) of steps last-len(ys)+1..last, in place.
+
+    Step s reads its y on rows 0..N-1-s, for heads s..N-1, and all the
+    steps held take one array pass.  At the step the heads joined (joined,
+    the last), head s + j takes the least of heads s..s + j, whose rows it
+    reads.
+    """
+    if not ys:
+        return
+    lengths = [len(y) for y in ys]
+    y = np.concatenate(ys)
+    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
+    rows = np.arange(len(y)) - starts
+    step = np.abs(ux[rows] - y) / (sx[rows] + np.abs(y))
+    if joined:
+        step[starts[-1]:] = np.minimum.accumulate(step[starts[-1]:])
+    np.minimum.at(best, rows + np.repeat(np.arange(last - len(ys) + 1, last + 1), lengths), step)
 
 
 def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
@@ -427,6 +496,19 @@ def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float
     if twisted[1] < SPECTRUM_RTOL:
         raise SpectrumCollisionError(len(sweep.pivots) - 1, sweep.z, twisted[1], SPECTRUM_RTOL)
     return twisted
+
+
+def _check_heads(pencil: Pencil, sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> None:
+    """Test head(t) for each t in heads, in order, by one twisted pass each on one set of row terms of sweep.
+
+    SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; the
+    margins are those of check_spectrum on sweep.prefix(t + 1), bit for bit.
+    """
+    terms = _row_terms(pencil, sweep)
+    for t in heads:
+        margin = _twisted_pass(sweep.prefix(t + 1), terms)[1]
+        if margin < tol:
+            raise SpectrumCollisionError(t, sweep.z, margin, tol)
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:

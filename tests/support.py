@@ -287,8 +287,8 @@ def reference_components(pencil, z):
     for m, (cm, dm, am, bm) in enumerate(zip(pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b)):
         zd = z * dm
         den = bm - zd
-        scale = 1.0 + abs(bm) + abs(zd)
-        if abs(den) < POLE_RTOL * scale:
+        scale = float(np.abs(bm) + np.abs(zd))  # numpy's complex abs, as the array pass takes it
+        if abs(den) <= POLE_RTOL * scale:
             raise tp.PoleCollisionError(m, abs(den), scale, POLE_RTOL)
         u = z * cm - am
         p2 = (u * p1 + f * p0) / den

@@ -94,8 +94,8 @@ def test_every_component_sweep_raises_at_the_first_pole_with_its_numbers():
             op(pencil, z)
         err = exc.value
         assert err.index == 1
-        assert err.tol == POLE_RTOL and err.value < err.tol * err.scale
-        assert err.scale == 1.0 + abs(pencil.H.b[1]) + abs(z * pencil.J.d[1])
+        assert err.tol == POLE_RTOL and err.value <= err.tol * err.scale
+        assert err.scale == abs(pencil.H.b[1]) + abs(z * pencil.J.d[1])
         for number in (f"{err.value:.3e}", f"{err.tol:.1e}", f"{err.scale:.3e}"):
             assert number in str(err)
 

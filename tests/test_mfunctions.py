@@ -1,5 +1,6 @@
 """Resolvent, factorization, trailing inverse and m-function reconstruction."""
 
+import math
 import warnings
 
 import mpmath
@@ -592,3 +593,67 @@ class TestReconstructFromM:
             with pytest.raises(ValueError, match="order 4"):
                 tp.reconstruct_from_m(head.J, 2, omega, *data, head.H.b[2])
         tp.reconstruct_from_m(head.J, 2, omega, *short, head.H.b[2])
+
+
+def _times_power_of_2(values, s):
+    """values * 2^s, on the real and imaginary parts apart: exact, and the sign of a zero is kept."""
+    return np.ldexp(np.array(values, dtype=complex).view(float), s).view(complex)
+
+
+def _scaled_pencil(pencil, s):
+    """2^s (J, H), exact in binary floating point."""
+    def times(values):
+        return tuple(math.ldexp(x, s) for x in values)
+    b = tuple(complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in pencil.H.b)
+    return tp.Pencil(tp.SymmetricTridiagonal(times(pencil.J.c), times(pencil.J.d)),
+                     tp.HermitianTridiagonal(times(pencil.H.a), b))
+
+
+@pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (10, 2), (40, 0)])
+def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
+    """On 2^s (J, H) each output of the direct operations is that of (J, H) times its power of 2, bit for bit.
+
+    R, the LDU diagonal 1/D, the m-values and their differences scale by 2^-s, the trailing inverse by 2^s,
+    and the unit factors F and G do not move, at the top, the bottom and a complex point.
+    """
+    truth, _ = tp.generate_instance(tp.GeneratorConfig(n=n, k=n // 2, seed=seed))
+    for omega in far_points(truth):
+        R, factors = tp.resolvent_matrix(truth, omega), tp.ldu_factors(truth, omega)
+        T, table = tp.trailing_inverse(truth, n // 2, omega), tp.m_table(truth, omega)
+        for s in (-200, -40, 40, 200):
+            pencil = _scaled_pencil(truth, s)
+            assert np.array_equal(bits(tp.resolvent_matrix(pencil, omega)), bits(_times_power_of_2(R, -s))), (s, omega)
+            scaled = tp.ldu_factors(pencil, omega)
+            assert np.array_equal(bits(scaled.F), bits(factors.F)) and np.array_equal(bits(scaled.G), bits(factors.G))
+            assert np.array_equal(bits(scaled.diag), bits(_times_power_of_2(factors.diag, -s))), (s, omega)
+            assert np.array_equal(bits(tp.trailing_inverse(pencil, n // 2, omega)), bits(_times_power_of_2(T, s)))
+            got = tp.m_table(pencil, omega)
+            for field in ("values", "diffs"):
+                assert np.array_equal(bits(getattr(got, field)), bits(_times_power_of_2(getattr(table, field), -s)))
+
+
+def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
+    """trailing_inverse tests heads k and n on one set of row terms; resolvent_matrix forms the exponent runs
+    of its two triangles once at a real point (the lower ones are their conjugates) and twice at a complex one."""
+    calls = []
+    row_terms, twisted_pass, runs = recurrence._row_terms, recurrence._twisted_pass, recurrence._runs
+
+    def count(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(recurrence, "_row_terms", count("terms", row_terms))
+    monkeypatch.setattr(recurrence, "_twisted_pass", count("pass", twisted_pass))
+    monkeypatch.setattr(recurrence, "_runs", count("runs", runs))
+    pencil = seeded_pencil(2, 40)
+    top, _, middle = far_points(pencil)
+    for omega in (top, middle):
+        calls.clear()
+        tp.trailing_inverse(pencil, 20, omega)
+        assert calls == ["terms", "pass", "pass"]
+    for omega, passes in ((top, 1), (middle, 2)):
+        calls.clear()
+        tp.resolvent_matrix(pencil, omega)
+        assert calls == ["terms", "pass"] + ["runs"] * passes, omega

@@ -193,10 +193,11 @@ class TestGenerateInstance:
     def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
         """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one set of row terms.
 
-        The all-heads loop never runs.
+        The all-heads loop never runs.  The generator's only other passes are the full-order ones of the
+        eigenvectors it takes the tails from (instance_from_truth).
         """
         calls = []  # ("terms", z, rows) for each set of row terms, ("pass", z, rows) for each twisted pass
-        row_terms, twisted_pass = giep._row_terms, giep._twisted_pass
+        row_terms, twisted_pass = recurrence._row_terms, recurrence._twisted_pass
 
         def record_terms(pencil, sweep):
             calls.append(("terms", sweep.z, len(sweep.pivots)))
@@ -209,8 +210,8 @@ class TestGenerateInstance:
         def all_heads(*args):
             raise AssertionError("head_margins runs")
 
-        monkeypatch.setattr(giep, "_row_terms", record_terms)
-        monkeypatch.setattr(giep, "_twisted_pass", record_pass)
+        monkeypatch.setattr(recurrence, "_row_terms", record_terms)
+        monkeypatch.setattr(recurrence, "_twisted_pass", record_pass)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)
@@ -222,11 +223,14 @@ class TestGenerateInstance:
             def point(z, heads=(k, k + 1)):
                 return [("terms", z, k + 1)] + [("pass", z, rows) for rows in heads]
 
+            def eigenvector(z, n=inst.J.n):
+                return [("terms", z, n + 1), ("pass", z, n + 1)]
+
             # per point tested: head(k - 1), then head(k) unless head(k - 1) rejected the draw
             starts = [i for i, call in enumerate(calls) if call[0] == "terms"] + [len(calls)]
             for lo, hi in zip(starts, starts[1:]):
-                assert calls[lo:hi] in (point(calls[lo][1]), point(calls[lo][1], (k,)))
-            assert calls[-6:] == point(inst.lam) + point(inst.mu)
+                assert calls[lo:hi] in (point(calls[lo][1]), point(calls[lo][1], (k,)), eigenvector(calls[lo][1]))
+            assert calls[-10:] == point(inst.lam) + point(inst.mu) + eigenvector(inst.lam) + eigenvector(inst.mu)
             calls.clear()
             tp.solve(inst)
             assert calls == point(inst.lam) + point(inst.mu)
