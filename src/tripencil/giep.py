@@ -60,8 +60,7 @@ class GiepInstance:
 
     def __post_init__(self):
         n = self.J.n
-        if not 1 <= self.k <= n - 1:
-            raise ValueError(f"split index k={self.k} must satisfy 1 <= k <= n-1 with n={n}")
+        _check_split(self.k, n)
         object.__setattr__(self, "head_a", _finite_floats(self.head_a, "head_a"))
         object.__setattr__(self, "head_b", _finite_complexes(self.head_b, "head_b"))
         object.__setattr__(self, "tail_p", _finite_complexes(self.tail_p, "tail_p"))
@@ -231,6 +230,24 @@ def _ratios(v: Sequence[complex]) -> list[complex]:
     return [r if cmath.isfinite(r) else 0j for r in out]
 
 
+def _check_split(k: int, n: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"split index {k} out of range 1..{n - 1}")
+
+
+def _check_component(index: int, magnitudes: Sequence[float], t: int) -> None:
+    """VanishingComponentError(index) where magnitudes[t] <= COMPONENT_RTOL times its larger neighbour; both routes."""
+    if magnitudes[t] <= COMPONENT_RTOL * max(magnitudes[t - 1], magnitudes[t + 1]):
+        raise VanishingComponentError(index)
+
+
+def _real_part(index: int, value: complex) -> float:
+    """The real part of a recovered a_index; NonRealDiagonalError where its imaginary part is not negligible."""
+    if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value)):
+        raise NonRealDiagonalError(index, value.imag)
+    return value.real
+
+
 def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
                   components_lambda: Sequence[complex]) -> tuple[float, ...]:
     """Recover the real diagonal entries a_{k+1}..a_n from the lam-eigenpair.
@@ -246,17 +263,15 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     c, d = instance.J.c, instance.J.d
     b = [complex(x) for x in b_full]
     p = [complex(x) for x in components_lambda] + [0j]  # p_{n+1} = 0 ends the last row
+    ap = [abs(x) for x in p]
     out: list[float] = []
     for i in range(k + 1, n + 1):
         t = i - k
-        if abs(p[t]) <= COMPONENT_RTOL * max(abs(p[t - 1]), abs(p[t + 1])):
-            raise VanishingComponentError(i)
+        _check_component(i, ap, t)
         val = lam * c[i] + (lam * d[i - 1] - b[t - 1].conjugate()) * (p[t - 1] / p[t])
         if i < n:
             val += (lam * d[i] - b[t]) * (p[t + 1] / p[t])
-        if abs(val.imag) > IMAG_RTOL * (1.0 + abs(val)):
-            raise NonRealDiagonalError(i, val.imag)
-        out.append(val.real)
+        out.append(_real_part(i, val))
     return tuple(out)
 
 
@@ -279,12 +294,12 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     if lam == mu:
         raise ValueError("the identities degenerate at lam == mu")
     n = pencil.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index {k} out of range 1..{n - 1}")
+    _check_split(k, n)
     vectors = []
     for z, name in ((lam, "lam"), (mu, "mu")):
-        _solver_heads(pencil, k, z, SPECTRUM_RTOL)
-        vectors.append(_eigenvector(pencil, pivot_sweep(pencil, n + 1, z), f"{name} = {z!r}"))
+        sweep = pivot_sweep(pencil, n + 1, z)
+        _check_heads(pencil, sweep, (k - 1, k))
+        vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
     d_k, b_k = pencil.J.d[k], pencil.H.b[k]
@@ -320,8 +335,7 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     eigenvalue, or where the value leaves the double range.
     """
     n = pencil.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index {k} out of range 1..{n - 1}")
+    _check_split(k, n)
     s = _eigenvector(pencil, pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
     c, d, _, _ = pencil._diagonals
     with np.errstate(over="ignore", invalid="ignore"):

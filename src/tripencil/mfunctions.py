@@ -27,7 +27,7 @@ diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil (head_margins),
 m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
-full pencil (recurrence.check_spectrum, one scalar pass per head tested;
+full pencil (recurrence._check_heads, one scalar pass per head tested;
 resolvent_matrix takes its diagonal from that pass).  Next to a sub-pencil
 eigenvalue the m-values, the Schur pivot and the resolvent stay within a small
 multiple of their own conditioning (against dense inversion), so a small
@@ -40,8 +40,8 @@ m-function data its diagonals are built from 1/(g_t p^L_t p^R_t) = D_t and
 neighbouring components, which is what makes reconstruction of H from
 m-function data possible (reconstruct_from_m reads the diagonal and the
 superdiagonal in one guarded pass, with no dense array).  The formulas
-read the components only through neighbour ratios, and the pass tests each
-component against its neighbours, as giep.reconstruct_a does.
+read the components only through neighbour ratios; the pass tests each
+component against its neighbours and each a_j for a real value by giep's guards.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDifferenceError, NonRealDiagonalError, SpectrumCollisionError,
-                     VanishingComponentError)
+from .errors import DegenerateDifferenceError
+from .giep import _check_component, _check_split, _real_part
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_check_heads, _finite_point, _unit_steps, _unit_upper, check_spectrum, head_margins,
+from .recurrence import (_check_heads, _check_margins, _finite_point, _unit_steps, _unit_upper, head_margins,
                          pivot_sweep, unit_factors)
-from .tolerances import COMPONENT_RTOL, DIFFERENCE_RTOL, FACTOR_RTOL, IMAG_RTOL, SPECTRUM_RTOL
+from .tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class MFunctionTable:
 
 
 def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
-    """m(w, j) = R_head(j-1)[0, 0] = 1/gamma_0 of check_spectrum's pass, m_table's values[j]; 0 for j = 0.
+    """m(w, j) = R_head(j-1)[0, 0] = 1/gamma_0 of the head test's pass, m_table's values[j]; 0 for j = 0.
 
     Raises SpectrumCollisionError(j-1) on the spectrum of rows 0..j-1 only.
     """
@@ -96,7 +96,7 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    return complex(1.0 / check_spectrum(pencil, pivot_sweep(pencil, j, omega))[0][0])
+    return complex(1.0 / _check_heads(pencil, pivot_sweep(pencil, j, omega), (j - 1,))[0][0])
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
@@ -106,9 +106,7 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     margins, corners = head_margins(pencil, sweep)
-    if margins.min() < SPECTRUM_RTOL:
-        t = int(np.argmax(margins < SPECTRUM_RTOL))
-        raise SpectrumCollisionError(t, sweep.z, float(margins[t]), SPECTRUM_RTOL)
+    _check_margins(sweep.z, margins.tolist(), SPECTRUM_RTOL)
     D = np.asarray(sweep.pivots)
     ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
@@ -118,9 +116,9 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """Dense inverse of (w*J - H) from the forward and the twisted pivots.
 
-    The diagonal is R[t, t] = 1/gamma_t from the twisted_pivots pass of
-    check_spectrum, which raises SpectrumCollisionError(n) on the spectrum
-    of the full pencil.  Off the diagonal
+    The diagonal is R[t, t] = 1/gamma_t from the twisted pass of the head
+    test, which raises SpectrumCollisionError(n) on the spectrum of the
+    full pencil.  Off the diagonal
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors: the diagonal is folded into the pass
     that forms each factor, and G is formed straight into the lower
@@ -132,9 +130,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     w*J - H.
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    diag = 1.0 / check_spectrum(pencil, sweep)[0]
-    right, left = _unit_steps(pencil, sweep)
-    return _unit_upper(right, diag, left, hermitian=sweep.z.imag == 0)
+    diag = 1.0 / _check_heads(pencil, sweep, (pencil.n,))[0]
+    right, left = _unit_steps(pencil, sweep, hermitian=True)
+    return _unit_upper(right, diag, left, hermitian=left is None)
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,9 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    check_spectrum(pencil, sweep)
+    _check_heads(pencil, sweep, (pencil.n,))
     z = sweep.z
-    low = np.flatnonzero(np.asarray(sweep.margins) < FACTOR_RTOL)
-    if low.size:
-        raise SpectrumCollisionError(int(low[0]), z, sweep.margins[low[0]], FACTOR_RTOL)
+    _check_margins(z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
     terms = np.abs(z * d) + np.abs(b)
     flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
@@ -218,22 +214,22 @@ def _trailing_diagonals(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
     With e_t = g_t p^L_t p^R_t (= 1/D_t), T[i, i] = 1/e_i + 1/(g_{i-1} p^L_i p^R_i)
     (from i = k+2 on) and T[i, i+1] = -1/(g_i p^L_i p^R_{i+1}).  In ratios these
     read e_{i-1} (p^L_i/p^L_{i-1})(p^R_i/p^R_{i-1}) and e_i p^R_{i+1}/p^R_i, so each
-    t = k+1..n is tested once, against its neighbours as giep.reconstruct_a
-    does: VanishingComponentError(t) where |p^L_t| or |p^R_t| is at most
+    t = k+1..n is tested once, against its neighbours by giep._check_component:
+    VanishingComponentError(t) where |p^L_t| or |p^R_t| is at most
     COMPONENT_RTOL times its larger neighbour (zero included, p_{n+1} = 0),
-    then DegenerateDifferenceError(t) for a small e_t (g_t alone decays with
-    the components); e_k is tested last.
+    then DegenerateDifferenceError(t) where |e_t| <= DIFFERENCE_RTOL (|m_t| + |m_{t+1}|),
+    scale-free (g_t alone decays with the components); e_k is tested last.
     """
     g, m = table.diffs, table.values
     al, ar = np.abs(pl).tolist() + [0.0], np.abs(pr).tolist() + [0.0]  # |p_{n+1}| = 0 ends the last row
     pr, pl = pr.tolist(), pl.tolist()
     diag, upper = [], []
     for t in (*range(k + 1, len(pr)), k):  # e_k is tested after every row of T
-        if t > k and (al[t] <= COMPONENT_RTOL * max(al[t - 1], al[t + 1])
-                      or ar[t] <= COMPONENT_RTOL * max(ar[t - 1], ar[t + 1])):
-            raise VanishingComponentError(t)
+        if t > k:
+            _check_component(t, al, t)
+            _check_component(t, ar, t)
         e = g[t] * pl[t] * pr[t]
-        if abs(e) < DIFFERENCE_RTOL * (1.0 + abs(m[t]) + abs(m[t + 1])):
+        if abs(e) <= DIFFERENCE_RTOL * (abs(m[t]) + abs(m[t + 1])):
             raise DegenerateDifferenceError(t)
         if t == k + 1:
             diag.append(1.0 / e)
@@ -274,8 +270,7 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     m-values and n+1 components each.
     """
     n = J.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index {k} out of range 1..{n - 1}")
+    _check_split(k, n)
     if not (len(table.values) == n + 2 and len(right_comp) == len(left_comp) == n + 1):
         raise ValueError(f"{len(table.values)} m-values and {len(right_comp)}, {len(left_comp)} components "
                          f"do not fit J of order {n}: {n + 2} and {n + 1} expected")
@@ -286,10 +281,5 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], diag)]
     b_k = complex(b_k)
     a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * e_k
-
-    reals = []
-    for j, v in zip(range(k + 1, n + 1), a_out):
-        if abs(v.imag) > IMAG_RTOL * (1.0 + abs(v)):
-            raise NonRealDiagonalError(j, v.imag)
-        reals.append(v.real)
-    return MRouteEntries(k, tuple(b_out), tuple(reals))
+    reals = tuple(_real_part(j, v) for j, v in zip(range(k + 1, n + 1), a_out))
+    return MRouteEntries(k, tuple(b_out), reals)

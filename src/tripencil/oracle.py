@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegreeDropError, GenerationFailedError, NearSingularError, SpectrumCollisionError,
                      VanishingComponentError)
-from .giep import GiepInstance, ReconstructionResult, _solver_heads, pair_systems
+from .giep import GiepInstance, ReconstructionResult, _check_split, _solver_heads, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
 from .recurrence import eigenvector_components, pivot_sweep
@@ -47,8 +47,7 @@ class GeneratorConfig:
     min_im_ratio: float = 0.1
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"split index k={self.k} must satisfy 1 <= k <= n-1")
+        _check_split(self.k, self.n)
         if not self.min_im_ratio > 0:
             raise ValueError("min_im_ratio must be positive")
 
@@ -200,8 +199,7 @@ def verify(truth: Pencil, result: ReconstructionResult | MRouteEntries) -> Verif
     """Compare a reconstruction against its ground truth, entry by entry; ValueError where its shape does not fit."""
     n = truth.n
     k = result.k
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index {k} out of range 1..{n - 1}")
+    _check_split(k, n)
     errors: dict[str, float] = {}
     if isinstance(result, ReconstructionResult):
         if result.H.n != n:

@@ -43,14 +43,13 @@ factors of z*J - H = L D U (_unit_upper, which writes an entry twice only
 below the diagonal of its blocks), and at a real z takes the lower one as
 the conjugate transpose of the upper.
 Joined with the pivots taken from the bottom up, by a pass that reads the
-forward weights and carries only the pivots, they give
-the twisted pivots gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and
-their margin min_r |gamma_r|/(its terms) is the spectrum guard: one pass
-tests the head a sweep ends at (check_spectrum; eigenvalue_margin for the
-full pencil), _check_heads two heads on one set of row terms (solve, the
-generator and trailing_inverse), and head_margins gives all heads at once,
-for m_table.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the same
-passes give the m-values.  The margin has one formula in one arithmetic:
+forward weights and carries only the pivots, they give the twisted pivots
+gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and their margin
+min_r |gamma_r|/(its terms) is the spectrum guard: _check_heads tests heads
+by one pass each on one set of row terms and returns the last pass,
+head_margins gives all heads at once, for m_table, and _check_margins
+raises for both.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the
+same passes give the m-values.  The margin has one formula in one arithmetic:
 twisted_pivots runs the bottom-up pass of one head on numpy scalars,
 head_margins those of all heads as one vector step per row, and takes the
 margins of every step in one array pass after the loop, with the same
@@ -102,11 +101,6 @@ def _check_finite(**sequences) -> None:
                              "the unscaled recurrence leaves the double range at this point")
 
 
-def _weight(d: float, b: complex, z: complex) -> complex:
-    """(z d - b)(z d - conj(b)); real coefficients as a polynomial in z."""
-    return (z * d - b) * (z * d - b.conjugate())
-
-
 def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list[complex]]:
     """Values P_0..P_upto and Q_0..Q_upto at z in one pass; ValueError where they leave the double range."""
     _check_index(pencil, upto)
@@ -122,7 +116,7 @@ def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list
     for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
         u = z * cm - am
         zd = z * dl
-        w = (zd - bl) * (zd - bl.conjugate())  # w_{m-1}: _weight, inlined
+        w = (zd - bl) * (zd - bl.conjugate())  # w_{m-1}
         p0, p1 = p1, u * p1 - w * p0
         q0, q1 = q1, u * q1 - w * q0
         P.append(p1)
@@ -155,7 +149,7 @@ class PivotSweep:
     pivot reads margin 0 and holds a stand-in, and the two rows after it
     read the true zero minor (pivot_sweep).  weights holds the
     w_0, w_1, ... that entered the pivots.  m(z, t+1) = R_head(t)[0, 0] is
-    1/gamma_0 of the twisted pass of head(t) (check_spectrum, head_margins),
+    1/gamma_0 of the twisted pass of head(t) (_check_heads, head_margins),
     which also decides whether z is in the spectrum of a leading sub-pencil:
     the pivot misses an eigenvalue whose eigenvector nearly vanishes at the
     last row.
@@ -196,7 +190,7 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
         zc, zd = z * cm, z * dl
         u = zc - am
-        w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}: _weight, inlined
+        w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}
         x = w / D
         D = u - x
         if after or not D:
@@ -244,24 +238,27 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
     Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
     vanishes, as the component sweeps do.
     """
-    right, left = _unit_steps(pencil, sweep)
+    right, left = _unit_steps(pencil, sweep, hermitian=True)
     F = _unit_upper(right)
-    return F, (F.conj() if sweep.z.imag == 0 else _unit_upper(left)).T
+    return F, (F.conj() if left is None else _unit_upper(left)).T
 
 
-def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex]]:
+def _unit_steps(pencil: Pencil, sweep: PivotSweep,
+                hermitian: bool = False) -> tuple[list[complex], list[complex] | None]:
     """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
 
     One array pass: the pole test of the component sweeps on every s at
     once, raising PoleCollisionError(s) at the first s that fails it, then
-    the two divisions.
+    the divisions.  hermitian says that L^-1 is read as conj(U^-1)^T at a
+    real z: there the left steps are None, and the pole test reads
+    |b_s - z d_s|, which equals |conj(b_s) - z d_s| there bit for bit.
     """
     _, d, _, b = pencil._diagonals
     zd = sweep.z * d
-    right, left = b - zd, b.conj() - zd
-    _check_poles(np.minimum(np.abs(right), np.abs(left)), b, zd)
-    D = np.asarray(sweep.pivots[:len(b)])
-    return (right / D).tolist(), (left / D).tolist()
+    right, D = b - zd, np.asarray(sweep.pivots[:len(b)])
+    left = None if hermitian and sweep.z.imag == 0 else b.conj() - zd
+    _check_poles(np.abs(right) if left is None else np.minimum(np.abs(right), np.abs(left)), b, zd)
+    return (right / D).tolist(), None if left is None else (left / D).tolist()
 
 
 def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
@@ -302,15 +299,16 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     the runs of lower write the strictly lower part of S over them, each
     diagonal block through a mask of its lower triangle, so that the upper
     triangle of S stays as written.  hermitian says that lower is
-    conj(steps) and scale real, as at a real z: the runs of lower are then
-    the conjugates of those of steps (conjugation commutes with each
-    rounded product and quotient and keeps every modulus, so only the sign
-    of a zero imaginary part may differ), and are not formed again.
+    conj(steps), unread and may be None, and scale real, as at a real z:
+    its runs are the conjugates of those of steps (conjugation commutes
+    with each rounded product and quotient and keeps every modulus, so only
+    the sign of a zero imaginary part may differ), not formed again.
     """
     size = len(steps) + 1
     S = np.empty((size, size), dtype=complex)
     runs = _runs(steps, scale)
-    if lower is None:
+    upper_only = lower is None and not hermitian
+    if upper_only:
         masked = runs  # the runs whose blocks are cut at the diagonal
     elif hermitian:
         masked = [(lo, hi, lift.conj(), shifted.conj()) for lo, hi, lift, shifted in runs]
@@ -319,10 +317,10 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     below = np.tri(max(hi - lo for lo, hi, _, _ in masked), k=-1, dtype=bool)
     for lo, hi, lift, shifted in runs:
         np.multiply.outer(lift, shifted, out=S[lo:hi, lo:])
-        if lower is None:
+        if upper_only:
             S[lo:hi, :lo] = 0
             np.copyto(S[lo:hi, lo:hi], 0, where=below[:hi - lo, :hi - lo])
-    if lower is not None:
+    if not upper_only:
         T = S.T
         for lo, hi, lift, shifted in masked:
             width = hi - lo
@@ -490,25 +488,25 @@ def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.nda
     np.minimum.at(best, rows + np.repeat(np.arange(last - len(ys) + 1, last + 1), lengths), step)
 
 
-def check_spectrum(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
-    """twisted_pivots of head(N - 1), N = len(sweep.pivots); SpectrumCollisionError(N - 1) below SPECTRUM_RTOL."""
-    twisted = twisted_pivots(pencil, sweep)
-    if twisted[1] < SPECTRUM_RTOL:
-        raise SpectrumCollisionError(len(sweep.pivots) - 1, sweep.z, twisted[1], SPECTRUM_RTOL)
-    return twisted
-
-
-def _check_heads(pencil: Pencil, sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> None:
+def _check_heads(pencil: Pencil, sweep: PivotSweep, heads: tuple[int, ...],
+                 tol: float = SPECTRUM_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
     """Test head(t) for each t in heads, in order, by one twisted pass each on one set of row terms of sweep.
 
-    SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; the
-    margins are those of check_spectrum on sweep.prefix(t + 1), bit for bit.
+    SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; each
+    pass is twisted_pivots of sweep.prefix(t + 1), bit for bit, and that of the last head is returned.
     """
     terms = _row_terms(pencil, sweep)
     for t in heads:
-        margin = _twisted_pass(sweep.prefix(t + 1), terms)[1]
+        twisted = _twisted_pass(sweep.prefix(t + 1), terms)
+        _check_margins(sweep.z, (twisted[1],), tol, first=t)
+    return twisted
+
+
+def _check_margins(z: complex, margins, tol: float, first: int = 0) -> None:
+    """SpectrumCollisionError(first + t, z, margins[t], tol) at the first t with margins[t] < tol."""
+    for t, margin in enumerate(margins):  # a loop: one numpy call costs more on the one margin of a head test
         if margin < tol:
-            raise SpectrumCollisionError(t, sweep.z, margin, tol)
+            raise SpectrumCollisionError(first + t, z, float(margin), tol)
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
@@ -530,8 +528,8 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
     P, Q = pq_sweep(pencil, m + 1, z)
     lhs = P[m + 1] * Q[m] - P[m] * Q[m + 1]
     rhs = -1.0 + 0j
-    for j in range(m):
-        rhs *= _weight(pencil.J.d[j], pencil.H.b[j], z)
+    for d, b in zip(pencil.J.d[:m], pencil.H.b[:m]):
+        rhs *= (z * d - b) * (z * d - b.conjugate())
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 

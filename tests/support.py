@@ -173,7 +173,7 @@ def reference_unit_upper(steps, scale=None, out=None):
 
 def _reference_difference(table, t, pl_t, pr_t):
     g = table.diffs[t]
-    if abs(g * pl_t * pr_t) < DIFFERENCE_RTOL * (1.0 + abs(table.values[t]) + abs(table.values[t + 1])):
+    if abs(g * pl_t * pr_t) <= DIFFERENCE_RTOL * (abs(table.values[t]) + abs(table.values[t + 1])):
         raise tp.DegenerateDifferenceError(t)
     return g
 

@@ -92,6 +92,50 @@ def test_no_unread_definitions():
     assert unread_definitions({p.name: p.read_text() for p in sorted(package.glob("*.py"))}) == []
 
 
+def raising_functions(source: str, classes: set[str]) -> dict[str, list[str]]:
+    """Each class of classes that a module raises, mapped to the functions whose bodies raise it, in source order.
+
+    A raise counts for the innermost function that encloses it; one at module level counts for "<module>".
+    """
+    found: dict[str, list[str]] = {}
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id in classes and function not in found.get(exc.id, []):
+                    found.setdefault(exc.id, []).append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_raising_functions_are_found():
+    source = ("def f(x):\n    if x:\n        raise A(1)\n    raise B\n"
+              "class C:\n    def g(self):\n        def h():\n            raise A(2)\n        raise A(3)\n"
+              "raise A(4)\ndef k():\n    raise ValueError\n    raise A(5)\n")
+    assert raising_functions(source, {"A", "B"}) == {"A": ["f", "h", "g", "<module>", "k"], "B": ["f"]}
+
+
+def test_each_precondition_is_raised_by_one_guard():
+    """SpectrumCollisionError and NonRealDiagonalError each have one function that raises them, and
+    VanishingComponentError two: the v_0 test of the twisted eigenvector and the neighbour guard of both
+    inverse routes.  Another raise site would be a second place that decides the same hypothesis."""
+    classes = {name for name, value in vars(tripencil.errors).items()
+               if isinstance(value, type) and issubclass(value, tripencil.MathPreconditionError)}
+    raisers: dict[str, list[str]] = {}
+    for module in MODULES:
+        for name, functions in raising_functions(module.read_text(), classes).items():
+            raisers.setdefault(name, []).extend(f"{module.stem}.{f}" for f in functions)
+    assert raisers["SpectrumCollisionError"] == ["recurrence._check_margins"]
+    assert raisers["NonRealDiagonalError"] == ["giep._real_part"]
+    assert sorted(raisers["VanishingComponentError"]) == ["giep._check_component", "recurrence._twisted_eigenvector"]
+
+
 def test_importing_the_package_loads_only_the_standard_library_and_numpy():
     """A fresh interpreter that imports tripencil and its CLI loads no other third-party module.
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -614,22 +615,39 @@ def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
     """On 2^s (J, H) each output of the direct operations is that of (J, H) times its power of 2, bit for bit.
 
     R, the LDU diagonal 1/D, the m-values and their differences scale by 2^-s, the trailing inverse by 2^s,
-    and the unit factors F and G do not move, at the top, the bottom and a complex point.
+    and the unit factors F and G do not move, at the top, the bottom and a complex point.  So do both
+    inverse routes: the m-route on the scaled table and solve on the scaled instance recover 2^s H, and the
+    components, which do not move, come back as they were.
     """
-    truth, _ = tp.generate_instance(tp.GeneratorConfig(n=n, k=n // 2, seed=seed))
+    k = n // 2
+    truth, instance = tp.generate_instance(tp.GeneratorConfig(n=n, k=k, seed=seed))
+    solved = tp.solve(instance)
+    for s in (-200, -40, 40, 200):
+        pencil = _scaled_pencil(truth, s)
+        scaled = tp.solve(replace(instance, J=pencil.J, head_a=pencil.H.a[:k + 1], head_b=pencil.H.b[:k]))
+        assert np.array_equal(bits(scaled.H.a), bits(np.ldexp(solved.H.a, s))), s
+        assert np.array_equal(bits(scaled.H.b), bits(_times_power_of_2(solved.H.b, s))), s
+        assert np.array_equal(bits(scaled.head_p + scaled.head_s), bits(solved.head_p + solved.head_s)), s
     for omega in far_points(truth):
         R, factors = tp.resolvent_matrix(truth, omega), tp.ldu_factors(truth, omega)
-        T, table = tp.trailing_inverse(truth, n // 2, omega), tp.m_table(truth, omega)
+        T, table = tp.trailing_inverse(truth, k, omega), tp.m_table(truth, omega)
+        pr, pl = tp.right_components(truth, omega), tp.left_components(truth, omega)
+        entries = tp.reconstruct_from_m(truth.J, k, omega, table, pr, pl, truth.H.b[k])
         for s in (-200, -40, 40, 200):
             pencil = _scaled_pencil(truth, s)
             assert np.array_equal(bits(tp.resolvent_matrix(pencil, omega)), bits(_times_power_of_2(R, -s))), (s, omega)
             scaled = tp.ldu_factors(pencil, omega)
             assert np.array_equal(bits(scaled.F), bits(factors.F)) and np.array_equal(bits(scaled.G), bits(factors.G))
             assert np.array_equal(bits(scaled.diag), bits(_times_power_of_2(factors.diag, -s))), (s, omega)
-            assert np.array_equal(bits(tp.trailing_inverse(pencil, n // 2, omega)), bits(_times_power_of_2(T, s)))
+            assert np.array_equal(bits(tp.trailing_inverse(pencil, k, omega)), bits(_times_power_of_2(T, s)))
             got = tp.m_table(pencil, omega)
             for field in ("values", "diffs"):
                 assert np.array_equal(bits(getattr(got, field)), bits(_times_power_of_2(getattr(table, field), -s)))
+            scaled_pr, scaled_pl = tp.right_components(pencil, omega), tp.left_components(pencil, omega)
+            assert np.array_equal(bits(scaled_pr), bits(pr)) and np.array_equal(bits(scaled_pl), bits(pl))
+            route = tp.reconstruct_from_m(pencil.J, k, omega, got, scaled_pr, scaled_pl, pencil.H.b[k])
+            assert np.array_equal(bits(route.a), bits(np.ldexp(entries.a, s))), (s, omega)
+            assert np.array_equal(bits(route.b), bits(_times_power_of_2(entries.b, s))), (s, omega)
 
 
 def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):

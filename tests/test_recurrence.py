@@ -291,8 +291,8 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         assert np.array_equal(together, alone)
         # fewer heads stop the loop elsewhere: the same bits
         assert np.array_equal(recurrence.head_margins(pencil, sweep.prefix(28))[0], together[:28])
-        # the last head alone takes the scalar pass of check_spectrum, all heads the vector loop: the same bits
-        assert recurrence.check_spectrum(pencil, sweep)[1] == together[-1]
+        # the last head alone takes the scalar pass of the head test, all heads the vector loop: the same bits
+        assert recurrence._check_heads(pencil, sweep, (pencil.n,))[1] == together[-1]
 
 
 def _all_steps_margins(pencil, sweep, first):
@@ -410,7 +410,7 @@ def test_several_heads_through_an_exactly_zero_bottom_pivot():
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
     assert np.array_equal(recurrence.head_margins(pencil, sweep)[0][11:], [1.0, 0.0])
     with pytest.raises(tp.SpectrumCollisionError) as info:
-        recurrence.check_spectrum(pencil, sweep)
+        recurrence._check_heads(pencil, sweep, (12,))
     assert info.value.order == 12
     assert (info.value.value, info.value.tol) == (0.0, SPECTRUM_RTOL)
     assert "margin 0.000e+00 < tol 1.0e-10" in str(info.value)
@@ -434,15 +434,15 @@ def test_a_row_whose_terms_all_vanish_reads_margin_0():
     assert info.value.order == 1
 
 
-def test_check_spectrum_error_carries_the_margin():
+def test_head_test_error_carries_the_margin():
     pencil = seeded_pencil(5, 20)
     for m in (4, 11):
         z = dense_spectrum(pencil.head(m))[1]
         sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
         margins = recurrence.head_margins(pencil, sweep)[0]
         t = int(np.flatnonzero(margins < SPECTRUM_RTOL)[0])
-        # check_spectrum on the one head, m_table on all: both report head(t), the first below the tolerance
-        for guarded in (lambda: recurrence.check_spectrum(pencil, sweep.prefix(t + 1)),
+        # the head test on the one head, m_table on all: both report head(t), the first below the tolerance
+        for guarded in (lambda: recurrence._check_heads(pencil, sweep, (t,)),
                         lambda: tp.m_table(pencil, z)):
             with pytest.raises(tp.SpectrumCollisionError) as info:
                 guarded()
