@@ -298,7 +298,7 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     vectors = []
     for z, name in ((lam, "lam"), (mu, "mu")):
         sweep = pivot_sweep(pencil, n + 1, z)
-        _check_heads(pencil, sweep, (k - 1, k))
+        _check_heads(pencil, sweep.prefix(k + 1), (k - 1, k))
         vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()

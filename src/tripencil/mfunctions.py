@@ -106,7 +106,7 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     margins, corners = head_margins(pencil, sweep)
-    _check_margins(sweep.z, margins.tolist(), SPECTRUM_RTOL)
+    _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = np.asarray(sweep.pivots)
     ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
@@ -131,7 +131,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     diag = 1.0 / _check_heads(pencil, sweep, (pencil.n,))[0]
-    right, left = _unit_steps(pencil, sweep, hermitian=True)
+    right, left = _unit_steps(pencil, sweep)
     return _unit_upper(right, diag, left, hermitian=left is None)
 
 
@@ -172,15 +172,14 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
     _check_heads(pencil, sweep, (pencil.n,))
-    z = sweep.z
-    _check_margins(z, sweep.margins, FACTOR_RTOL)
+    _check_margins(sweep.z, np.asarray(sweep.margins), FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
-    terms = np.abs(z * d) + np.abs(b)
+    terms = np.abs(sweep.z * d) + np.abs(b)
     flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
     F, G = unit_factors(pencil, sweep)
-    return ResolventFactors(z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
+    return ResolventFactors(sweep.z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
 
 
 def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:

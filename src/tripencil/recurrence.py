@@ -161,7 +161,9 @@ class PivotSweep:
     weights: tuple[complex, ...]
 
     def prefix(self, rows: int) -> "PivotSweep":
-        """The sweep of the leading sub-pencil over rows 0..rows-1."""
+        """The sweep of the leading sub-pencil over rows 0..rows-1; the sweep itself where that is all of it."""
+        if rows >= len(self.pivots):
+            return self
         return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows], self.weights[:max(rows - 1, 0)])
 
 
@@ -238,25 +240,23 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
     Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
     vanishes, as the component sweeps do.
     """
-    right, left = _unit_steps(pencil, sweep, hermitian=True)
+    right, left = _unit_steps(pencil, sweep)
     F = _unit_upper(right)
     return F, (F.conj() if left is None else _unit_upper(left)).T
 
 
-def _unit_steps(pencil: Pencil, sweep: PivotSweep,
-                hermitian: bool = False) -> tuple[list[complex], list[complex] | None]:
+def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
     """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
 
     One array pass: the pole test of the component sweeps on every s at
     once, raising PoleCollisionError(s) at the first s that fails it, then
-    the divisions.  hermitian says that L^-1 is read as conj(U^-1)^T at a
-    real z: there the left steps are None, and the pole test reads
-    |b_s - z d_s|, which equals |conj(b_s) - z d_s| there bit for bit.
+    the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left steps
+    are None and the pole test reads |b_s - z d_s|, bit for bit |conj(b_s) - z d_s| there.
     """
     _, d, _, b = pencil._diagonals
     zd = sweep.z * d
     right, D = b - zd, np.asarray(sweep.pivots[:len(b)])
-    left = None if hermitian and sweep.z.imag == 0 else b.conj() - zd
+    left = None if sweep.z.imag == 0 else b.conj() - zd
     _check_poles(np.abs(right) if left is None else np.minimum(np.abs(right), np.abs(left)), b, zd)
     return (right / D).tolist(), None if left is None else (left / D).tolist()
 
@@ -504,9 +504,10 @@ def _check_heads(pencil: Pencil, sweep: PivotSweep, heads: tuple[int, ...],
 
 def _check_margins(z: complex, margins, tol: float, first: int = 0) -> None:
     """SpectrumCollisionError(first + t, z, margins[t], tol) at the first t with margins[t] < tol."""
-    for t, margin in enumerate(margins):  # a loop: one numpy call costs more on the one margin of a head test
-        if margin < tol:
-            raise SpectrumCollisionError(first + t, z, float(margin), tol)
+    low = (np.flatnonzero(margins < tol) if isinstance(margins, np.ndarray)  # an array in one pass
+           else [t for t, margin in enumerate(margins) if margin < tol])  # a loop on a head test's one margin
+    if len(low):
+        raise SpectrumCollisionError(first + int(low[0]), z, float(margins[low[0]]), tol)
 
 
 def eigenvalue_margin(pencil: Pencil, z: complex) -> float:

@@ -171,6 +171,12 @@ def reference_unit_upper(steps, scale=None, out=None):
     return S
 
 
+def reference_left_steps(pencil, sweep):
+    """The steps (conj(b_s) - z d_s)/D_s of L^-1 at every point; recurrence._unit_steps skips them at a real z."""
+    _, d, _, b = pencil._diagonals
+    return ((b.conj() - sweep.z * d) / np.asarray(sweep.pivots[:len(b)])).tolist()
+
+
 def _reference_difference(table, t, pl_t, pr_t):
     g = table.diffs[t]
     if abs(g * pl_t * pr_t) <= DIFFERENCE_RTOL * (abs(table.values[t]) + abs(table.values[t + 1])):

@@ -13,7 +13,8 @@ from tripencil import recurrence
 from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, delocalised_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points,
-                     reference_m_route, reference_unit_upper, rel_err, seeded_pencil, toeplitz_pencil, two_pole_pencil)
+                     reference_left_steps, reference_m_route, reference_unit_upper, rel_err, seeded_pencil,
+                     toeplitz_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -289,6 +290,18 @@ def test_exact_one_row_head_eigenvalue_raises():
         assert (exc.value.order, exc.value.value) == (0, 0.0)
 
 
+def test_m_table_tests_each_head_margin_past_a_nan_one():
+    # z = 1 is a root of z c_0 - a_0 (margin 0); w_1 overflows, so the margins of heads 2 and 3 are NaN
+    pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+                       tp.HermitianTridiagonal((1.0, 0.0, 0.0, 0.0), (0.5 + 0.5j, 1e200 + 1e200j, 0.5 + 0.5j)))
+    with np.errstate(all="ignore"):
+        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, 1.0))[0]
+        assert margins[0] == 0.0 and np.isnan(margins[2:]).all()
+        with pytest.raises(tp.SpectrumCollisionError) as exc:
+            tp.m_table(pencil, 1.0)
+    assert (exc.value.order, exc.value.value, exc.value.tol) == (0, 0.0, SPECTRUM_RTOL)
+
+
 def test_m_table_through_exactly_zero_bottom_pivots_raises_without_a_warning():
     # u = 0 at z = 0: the bottom pivot of every head is exactly zero and takes its stand-in, not a division by 0
     with warnings.catch_warnings():
@@ -424,7 +437,7 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
     for omega in far_points(pencil):
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
         diag = 1.0 / recurrence.twisted_pivots(pencil, sweep)[0]
-        right, left = recurrence._unit_steps(pencil, sweep)
+        right, left = recurrence._unit_steps(pencil, sweep)[0], reference_left_steps(pencil, sweep)
         F, G = recurrence._unit_upper(right, diag), recurrence._unit_upper(left, diag).T
         R = tp.resolvent_matrix(pencil, omega)
         assert np.array_equal(R[upper], F[upper])
