@@ -241,9 +241,10 @@ def _check_component(index: int, magnitudes: Sequence[float], t: int) -> None:
         raise VanishingComponentError(index)
 
 
-def _real_part(index: int, value: complex) -> float:
-    """The real part of a recovered a_index; NonRealDiagonalError where its imaginary part is not negligible."""
-    if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value)):
+def _real_part(index: int, value: complex, scale: float) -> float:
+    """The real part of a recovered a_index; NonRealDiagonalError where its imaginary part is not negligible
+    against scale, the magnitudes of the terms that formed it: scale-free, 2^s (J, H) raises where (J, H) does."""
+    if abs(value.imag) > IMAG_RTOL * scale:
         raise NonRealDiagonalError(index, value.imag)
     return value.real
 
@@ -257,7 +258,7 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     a_i = lam c_i + (lam d_{i-1} - conj(b_{i-1}))/rho_{i-1} + (lam d_i - b_i) rho_i.
     It divides by p_i alone: VanishingComponentError(i) where p_i is at most
     COMPONENT_RTOL times its larger neighbour; NonRealDiagonalError(i) where a_i
-    has a non-negligible imaginary part (inconsistent data).
+    has an imaginary part that is not negligible against its three terms (inconsistent data).
     """
     k, n, lam = instance.k, instance.n, instance.lam
     c, d = instance.J.c, instance.J.d
@@ -268,10 +269,10 @@ def reconstruct_a(instance: GiepInstance, b_full: Sequence[complex],
     for i in range(k + 1, n + 1):
         t = i - k
         _check_component(i, ap, t)
-        val = lam * c[i] + (lam * d[i - 1] - b[t - 1].conjugate()) * (p[t - 1] / p[t])
-        if i < n:
-            val += (lam * d[i] - b[t]) * (p[t + 1] / p[t])
-        out.append(_real_part(i, val))
+        own = lam * c[i]
+        above = (lam * d[i - 1] - b[t - 1].conjugate()) * (p[t - 1] / p[t])
+        below = (lam * d[i] - b[t]) * (p[t + 1] / p[t]) if i < n else 0j
+        out.append(_real_part(i, own + above + below, abs(own) + abs(above) + abs(below)))
     return tuple(out)
 
 
@@ -295,14 +296,15 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
         raise ValueError("the identities degenerate at lam == mu")
     n = pencil.n
     _check_split(k, n)
-    vectors = []
+    sweeps, vectors = [], []
     for z, name in ((lam, "lam"), (mu, "mu")):
-        sweep = pivot_sweep(pencil, n + 1, z)
-        _check_heads(pencil, sweep.prefix(k + 1), (k - 1, k))
-        vectors.append(_eigenvector(pencil, sweep, f"{name} = {z!r}"))
+        sweeps.append(pivot_sweep(pencil, n + 1, z))
+        _check_heads(sweeps[-1], (k - 1, k))
+        vectors.append(_eigenvector(sweeps[-1], f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
-    d_k, b_k = pencil.J.d[k], pencil.H.b[k]
+    # b_k - lam d_k and conj(b_k) - mu d_k: off-diagonal entries of the two sweeps, negated
+    right, left = -sweeps[0].upper[k], -sweeps[1].lower[k]
     c, d, _, _ = pencil._diagonals
 
     def residual(rows: slice, left: np.ndarray, right: np.ndarray, t1: complex, t2: complex) -> float:
@@ -316,10 +318,8 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
         return float(abs(lhs - (t1 - t2)) / terms)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        res1 = residual(slice(k + 1, None), pl, s,
-                        (b_k - lam * d_k) * pl[k] * s[k + 1], (b_k.conjugate() - mu * d_k) * pl[k + 1] * s[k])
-        res2 = residual(slice(0, k + 1), sl, p,
-                        (b_k - lam * d_k) * sl[k] * p[k + 1], (b_k.conjugate() - mu * d_k) * sl[k + 1] * p[k])
+        res1 = residual(slice(k + 1, None), pl, s, right * pl[k] * s[k + 1], left * pl[k + 1] * s[k])
+        res2 = residual(slice(0, k + 1), sl, p, right * sl[k] * p[k + 1], left * sl[k + 1] * p[k])
     return res1, res2
 
 
@@ -336,7 +336,7 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     """
     n = pencil.n
     _check_split(k, n)
-    s = _eigenvector(pencil, pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
+    s = _eigenvector(pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
     c, d, _, _ = pencil._diagonals
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(c[:k + 1] @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d[:k] @ (s[:-1].conj() * s[1:]).real))
@@ -345,9 +345,9 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     return val
 
 
-def _eigenvector(pencil: Pencil, sweep: PivotSweep, point: str) -> np.ndarray:
+def _eigenvector(sweep: PivotSweep, point: str) -> np.ndarray:
     """The eigenvector at sweep.z, v_0 = 1, from its full-order pivot sweep; ValueError where it is no eigenvalue."""
-    v, margin = _twisted_eigenvector(pencil, sweep)
+    v, margin = _twisted_eigenvector(sweep)
     if not margin < SPECTRUM_RTOL:
         raise ValueError(f"{point} must be an eigenvalue of the full pencil: its twisted margin "
                          f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")
@@ -375,10 +375,10 @@ def _solver_heads(pencil: Pencil, k: int, z: float, tol: float) -> PivotSweep:
     """The pivot sweep of rows 0..k at z, once z is off the spectra of head(k - 1) and head(k), the heads solve reads.
 
     SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where its twisted margin is below tol
-    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read one set of row terms.
+    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read the terms of the sweep.
     """
     sweep = pivot_sweep(pencil, k + 1, z)
-    _check_heads(pencil, sweep, (k - 1, k), tol)
+    _check_heads(sweep, (k - 1, k), tol)
     return sweep
 
 
@@ -398,10 +398,10 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     full = Pencil(instance.J, H)
     flags = tuple(system.classify() for system in systems)
 
-    # p_0..p_{k-1} upwards from p_{k+1}, through the head pivots and the recovered b_k
-    b_head = instance.head_b + (b_rec[0],)
-    head_p = instance.tail_p[1] * _rows_above(lam, instance.J.d, b_head, sweep_lam.pivots)[:k]
-    head_s = instance.tail_s[1] * _rows_above(mu, instance.J.d, b_head, sweep_mu.pivots)[:k]
+    # p_0..p_{k-1} upwards from p_{k+1}, through the head pivots and the entry z d_k - b_k of the recovered b_k
+    d_k, b_k = instance.J.d[k], b_rec[0]
+    head_p, head_s = (tail[1] * _rows_above(np.concatenate((sweep.upper, [sweep.z * d_k - b_k])), sweep.pivots)[:k]
+                      for tail, sweep in ((instance.tail_p, sweep_lam), (instance.tail_s, sweep_mu)))
 
     p_full = np.concatenate([head_p, np.asarray(instance.tail_p, dtype=complex)])
     s_full = np.concatenate([head_s, np.asarray(instance.tail_s, dtype=complex)])

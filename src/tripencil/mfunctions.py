@@ -12,9 +12,10 @@ constant p_j^L.  The orientation of the staircase, the max() in the entry
 rule and the overall sign were fixed empirically against dense inversion on
 1x1 and 2x2 pencils and are locked by regression tests.
 
-Every direct operation here reads one pivot pass (recurrence.pivot_sweep)
-and forms nothing that can overflow; the m-values come from the twisted
-passes that guard them.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
+Every direct operation here reads one pivot pass (recurrence.pivot_sweep),
+which holds the entries of w*J - H at w with its pivots, and forms nothing
+that can overflow; the m-values come from the twisted passes that guard
+them.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
 
     g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
 
@@ -27,12 +28,13 @@ diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil (head_margins),
 m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
-full pencil (recurrence._check_heads, one scalar pass per head tested;
-resolvent_matrix takes its diagonal from that pass).  Next to a sub-pencil
-eigenvalue the m-values, the Schur pivot and the resolvent stay within a small
-multiple of their own conditioning (against dense inversion), so a small
-pivot elsewhere costs them no accuracy.  The product of the unit factors
-does not, and ldu_factors also raises at a pivot margin below FACTOR_RTOL.
+full pencil (recurrence._check_heads, one scalar pass per head tested on
+the terms of the sweep; resolvent_matrix takes its diagonal from that pass).
+Next to a sub-pencil eigenvalue the m-values, the Schur pivot and the
+resolvent stay within a small multiple of their own conditioning (against
+dense inversion), so a small pivot elsewhere costs them no accuracy.  The
+product of the unit factors does not, and ldu_factors also raises at a
+pivot margin below FACTOR_RTOL.
 
 The inverse of a trailing block of R is tridiagonal: the trailing block of
 w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
@@ -96,7 +98,7 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    return complex(1.0 / _check_heads(pencil, pivot_sweep(pencil, j, omega), (j - 1,))[0][0])
+    return complex(1.0 / _check_heads(pivot_sweep(pencil, j, omega), (j - 1,))[0][0])
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
@@ -105,11 +107,10 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    margins, corners = head_margins(pencil, sweep)
+    margins, corners = head_margins(sweep)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
-    D = np.asarray(sweep.pivots)
-    ratios = np.asarray(sweep.weights, dtype=complex) / (D[:-1] * D[1:])
-    diffs = np.cumprod(np.concatenate(([1.0 / D[0]], ratios)))
+    D = sweep.pivots
+    diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))))
     return MFunctionTable(sweep.z, (0j, *(1.0 / corners).tolist()), tuple(diffs.tolist()))
 
 
@@ -130,7 +131,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     w*J - H.
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    diag = 1.0 / _check_heads(pencil, sweep, (pencil.n,))[0]
+    diag = 1.0 / _check_heads(sweep, (pencil.n,))[0]
     right, left = _unit_steps(pencil, sweep)
     return _unit_upper(right, diag, left, hermitian=left is None)
 
@@ -171,15 +172,15 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    _check_heads(pencil, sweep, (pencil.n,))
-    _check_margins(sweep.z, np.asarray(sweep.margins), FACTOR_RTOL)
+    _check_heads(sweep, (pencil.n,))
+    _check_margins(sweep.z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
     terms = np.abs(sweep.z * d) + np.abs(b)
-    flat = np.flatnonzero(np.abs(np.asarray(sweep.weights, dtype=complex)) < DIFFERENCE_RTOL * terms ** 2)
+    flat = np.flatnonzero(np.abs(sweep.weights) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
     F, G = unit_factors(pencil, sweep)
-    return ResolventFactors(sweep.z, F, tuple((1.0 / np.asarray(sweep.pivots)).tolist()), G)
+    return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).tolist()), G)
 
 
 def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
@@ -189,19 +190,17 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     block of w*J - H with its corner replaced by the pivot D_{k+1}.  Raises
     SpectrumCollisionError on the spectrum of that leading block (index k),
     where the pivot does not exist, and of the full pencil (index n): two
-    twisted passes on one set of row terms (recurrence._check_heads).
+    twisted passes on one pivot sweep, which holds the block's entries too.
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
     sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    _check_heads(pencil, sweep, (k, pencil.n))
-    z = sweep.z
-    c, d, a, b = (x[k + 1:] for x in pencil._diagonals)
+    _check_heads(sweep, (k, pencil.n))
     size = pencil.n - k
     out = np.zeros((size, size), dtype=complex)
-    out.flat[::size + 1] = z * c - a
-    out.flat[1::size + 1] = z * d - b
-    out.flat[size::size + 1] = z * d - b.conj()
+    out.flat[::size + 1] = sweep.u[k + 1:]
+    out.flat[1::size + 1] = sweep.upper[k + 1:]
+    out.flat[size::size + 1] = sweep.lower[k + 1:]
     out[0, 0] = sweep.pivots[k + 1]
     return out
 
@@ -265,8 +264,8 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     a_j = w c_j - T[j, j], less (w d_k - conj(b_k))(w d_k - b_k) e_k at
     j = k+1.  T's two diagonals and e_k come from _trailing_diagonals, with
     no dense array.  Imaginary parts of the recovered diagonal entries are
-    checked and discarded.  The data must be of the order n of J: n+2
-    m-values and n+1 components each.
+    checked against the terms that form them and discarded.  The data must
+    be of the order n of J: n+2 m-values and n+1 components each.
     """
     n = J.n
     _check_split(k, n)
@@ -277,8 +276,12 @@ def reconstruct_from_m(J: SymmetricTridiagonal, k: int, omega: complex,
     pr, pl = np.asarray(right_comp, dtype=complex), np.asarray(left_comp, dtype=complex)
     diag, upper, e_k = _trailing_diagonals(table, pr, pl, k)
     b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], upper)]
-    a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], diag)]
+    zc = [omega * c_j for c_j in J.c[k + 1:]]
+    a_out = [v - t for v, t in zip(zc, diag)]
+    scales = [abs(v) + abs(t) for v, t in zip(zc, diag)]
     b_k = complex(b_k)
-    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * e_k
-    reals = tuple(_real_part(j, v) for j, v in zip(range(k + 1, n + 1), a_out))
+    coupling = (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * e_k
+    a_out[0] -= coupling
+    scales[0] += abs(coupling)
+    reals = tuple(_real_part(j, v, scale) for j, v, scale in zip(range(k + 1, n + 1), a_out, scales))
     return MRouteEntries(k, tuple(b_out), reals)

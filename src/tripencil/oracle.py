@@ -80,9 +80,9 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
     """
     n = pencil.n
     minors = Pencil(pencil.J, HermitianTridiagonal((0.0,) * (n + 1), (0j,) * n))
-    for t, margin in enumerate(pivot_sweep(minors, n + 1, 1.0).margins):
-        if margin <= DEGREE_DROP_RTOL:
-            raise DegreeDropError(t + 1)
+    low = (pivot_sweep(minors, n + 1, 1.0).margins <= DEGREE_DROP_RTOL).nonzero()[0]
+    if low.size:
+        raise DegreeDropError(int(low[0]) + 1)
     J, H = pencil.J.dense(), pencil.H.dense()
     try:
         L = np.linalg.cholesky(J)

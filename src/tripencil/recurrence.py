@@ -34,19 +34,22 @@ The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
 pass of the pivot recurrence D_t = u_t - w_{t-1}/D_{t-1}, the standard form
 of the LDL^T and twisted factorizations (Parlett & Dhillon, LAA 267, 1997),
-which needs no rescaling: the LDL^T pivots D_t = P_{t+1}/P_t of z*J - H and
-a relative margin per pivot.  Every direct operation of mfunctions reads
-this pass; pq_sweep keeps the P and Q point values.  The component ratios
-follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L the
-same with conj(b_t); unit_factors turns them into the inverses of the unit
-factors of z*J - H = L D U (_unit_upper, which writes an entry twice only
-below the diagonal of its blocks), and at a real z takes the lower one as
-the conjugate transpose of the upper.
+which needs no rescaling.  Its PivotSweep is z*J - H at z: every entry of
+it, formed once in one array pass, with the LDL^T pivots D_t = P_{t+1}/P_t,
+the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
+Every direct operation of mfunctions and giep reads the terms from this
+pass and forms none of them again; pq_sweep, the component sweeps and
+liouville_ostrogradsky_residual keep their own loops.  The component
+ratios follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L
+the same with conj(b_t); unit_factors turns them into the inverses of the
+unit factors of z*J - H = L D U (_unit_upper, which writes an entry twice
+only below the diagonal of its blocks), and at a real z takes the lower
+one as the conjugate transpose of the upper.
 Joined with the pivots taken from the bottom up, by a pass that reads the
 forward weights and carries only the pivots, they give the twisted pivots
 gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and their margin
 min_r |gamma_r|/(its terms) is the spectrum guard: _check_heads tests heads
-by one pass each on one set of row terms and returns the last pass,
+by one pass each on prefixes of one sweep and returns the last pass,
 head_margins gives all heads at once, for m_table, and _check_margins
 raises for both.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the
 same passes give the m-values.  The margin has one formula in one arithmetic:
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,74 +138,89 @@ def eval_q(pencil: Pencil, m: int, z: complex) -> complex:
     return pq_sweep(pencil, m, z)[1][m]
 
 
-@dataclass(frozen=True)
-class PivotSweep:
-    """LDL^T pivots of z*J - H up to some order and their margins.
+class PivotSweep(NamedTuple):
+    """z*J - H at the point z over rows 0..N-1, with its LDL^T pivots and their margins.
 
-    pivots[t] = P_{t+1}(z)/P_t(z) is the t-th pivot D_t of z*J - H = L D U
-    (D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}, with u_t = z c_t - a_t and
-    w_t = (z d_t - b_t)(z d_t - conj(b_t))).  margins[t] =
-    |D_t| / (|z c_t| + |a_t| + |x_t|) says how far the terms of
-    the pivot are from cancelling; it bounds how much the unit factors of
-    z*J - H outgrow it.  The terms of u_t count apart, or the order-0 margin
-    would read 1 at every inexact root of z c_0 - a_0.  An exactly zero
-    pivot reads margin 0 and holds a stand-in, and the two rows after it
-    read the true zero minor (pivot_sweep).  weights holds the
-    w_0, w_1, ... that entered the pivots.  m(z, t+1) = R_head(t)[0, 0] is
-    1/gamma_0 of the twisted pass of head(t) (_check_heads, head_margins),
-    which also decides whether z is in the spectrum of a leading sub-pencil:
-    the pivot misses an eigenvalue whose eigenvector nearly vanishes at the
-    last row.
+    The entries of z*J - H: the diagonal u_t = z c_t - a_t, the
+    off-diagonals upper_t = z d_t - b_t (row t, column t+1) and lower_t =
+    z d_t - conj(b_t), their product weights_t = w_t, real at a real z, and
+    own_t = |z c_t| + |a_t|.  pivots[t] = P_{t+1}(z)/P_t(z) is the t-th
+    pivot D_t of z*J - H = L D U: D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}
+    (x_0 = 0).  margins[t] = |D_t| / terms_t, terms_t = own_t + |x_t|, says
+    how far the terms of the pivot are from cancelling; it bounds how much
+    the unit factors of z*J - H outgrow it.  The terms of u_t count apart,
+    or the order-0 margin would read 1 at every inexact root of z c_0 - a_0.
+    An exactly zero pivot reads margin 0 and holds a stand-in, and the two
+    rows after it read the true zero minor (pivot_sweep).  m(z, t+1) =
+    R_head(t)[0, 0] is 1/gamma_0 of the twisted pass of head(t)
+    (_check_heads, head_margins), which also decides whether z is in the
+    spectrum of a leading sub-pencil: the pivot misses an eigenvalue whose
+    eigenvector nearly vanishes at the last row.  Every field but z is a
+    numpy array; a named tuple builds in a fraction of a frozen dataclass's time.
     """
 
     z: complex
-    pivots: tuple[complex, ...]
-    margins: tuple[float, ...]
-    weights: tuple[complex, ...]
+    u: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    weights: np.ndarray
+    own: np.ndarray
+    x: np.ndarray
+    terms: np.ndarray
+    pivots: np.ndarray
+    margins: np.ndarray
 
     def prefix(self, rows: int) -> "PivotSweep":
-        """The sweep of the leading sub-pencil over rows 0..rows-1; the sweep itself where that is all of it."""
+        """The sweep of the leading sub-pencil over rows 0..rows-1, in views; the sweep itself if that is all of it."""
         if rows >= len(self.pivots):
             return self
-        return PivotSweep(self.z, self.pivots[:rows], self.margins[:rows], self.weights[:max(rows - 1, 0)])
+        cut = max(rows - 1, 0)
+        return PivotSweep(self.z, self.u[:rows], self.upper[:cut], self.lower[:cut], self.weights[:cut],
+                          self.own[:rows], self.x[:rows], self.terms[:rows], self.pivots[:rows], self.margins[:rows])
 
 
 def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
-    """Pivots and margins of P_1..P_upto at z in one O(upto) pass.
+    """z*J - H at z over rows 0..upto-1, and the pivots and margins of P_1..P_upto, in one O(upto) pass.
 
-    Runs the pivot recurrence D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}
-    (x_0 = 0), the LDL^T form of the P recurrence: it carries ratios only,
-    so nothing overflows at any order, and D_t = P_{t+1}/P_t wherever
-    pq_sweep's values are representable, to rounding.  The loop steps plain
-    Python complex numbers over the coefficient tuples; w stays their
-    product, which is real at a real z.  Where D_t is exactly zero (margin
-    0) the pivot is a stand-in of 2^-52 times its terms, or 2^-52 where
-    they vanish, as LAPACK's pivmin does, so the pivots stay finite; the
-    recurrence and the margins use the true zero P_{t+1} = 0 (_pivot_row).
+    One array pass forms every entry of z*J - H and w.  The loop then
+    steps x_t and D_t alone on plain Python complex numbers: the pivot
+    recurrence D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1} (x_0 = 0), the LDL^T
+    form of the P recurrence, carries ratios only, so nothing overflows at
+    any order, and D_t = P_{t+1}/P_t wherever pq_sweep's values are
+    representable, to rounding.  At a real z, w is |z d - b|^2 in real
+    arithmetic, exactly real, so that R is exactly Hermitian: numpy's complex
+    product leaves a rounding error in its imaginary part.  Where D_t is
+    exactly zero (margin 0) the pivot is a stand-in of 2^-52 times its terms,
+    or 2^-52 where they vanish, as LAPACK's pivmin does; the recurrence and
+    the margins use the true zero P_{t+1} = 0 (_pivot_row), whose margins
+    replace those of the array pass after the loop.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
-    if not upto:
-        return PivotSweep(z, (), (), ())
-    c, d, a, b = pencil.J.c, pencil.J.d, pencil.H.a, pencil.H.b
-    zc = z * c[0]
-    u = zc - a[0]
-    D, margin, after = _pivot_row(0, u, u, 0j, abs(zc) + abs(a[0]))
-    pivots, margins, weights = [D], [margin], []
-    for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
-        zc, zd = z * cm, z * dl
-        u = zc - am
-        w = (zd - bl) * (zd - bl.conjugate())  # w_{t-1}
-        x = w / D
-        D = u - x
+    c, d, a, b = pencil._diagonals
+    cut = max(upto - 1, 0)
+    zc, zd, a, b = z * c[:upto], z * d[:cut], a[:upto], b[:cut]
+    u, upper, lower = zc - a, zd - b, zd - b.conj()
+    weights = (upper.real ** 2 + upper.imag ** 2).astype(complex) if z.imag == 0 else upper * lower
+    own = np.abs(zc) + np.abs(a)
+    D, after, pivots, xs, rows, recorded = 1.0, 0, [], [], [], []
+    for ut, wt in zip(u.tolist(), [0.0, *weights.tolist()]):
+        x = wt / D
+        D = ut - x
         if after or not D:
-            D, margin, after = _pivot_row(after, D, u, x, abs(zc) + abs(am))
-        else:
-            margin = abs(D) / (abs(zc) + abs(am) + abs(x))
-        weights.append(w)
+            rows.append(len(pivots))
+            D, margin, after = _pivot_row(after, D, ut, x, own[rows[-1]])
+            recorded.append(margin)
+        xs.append(x)
         pivots.append(D)
-        margins.append(margin)
-    return PivotSweep(z, tuple(pivots), tuple(margins), tuple(weights))
+    x, pivots = np.fromiter(xs, complex, upto), np.fromiter(pivots, complex, upto)
+    terms = own + np.abs(x)
+    if rows:  # the terms vanish only where the pivot is exactly zero, on a recorded row
+        margins = np.abs(pivots) / np.where(terms > 0, terms, 1.0)
+        margins[rows] = recorded
+    else:
+        margins = np.abs(pivots) / terms
+    return PivotSweep(z, u, upper, lower, weights, own, x, terms, pivots, margins)
 
 
 def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tuple[complex, float, int]:
@@ -248,17 +266,18 @@ def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
 def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
     """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
 
-    One array pass: the pole test of the component sweeps on every s at
-    once, raising PoleCollisionError(s) at the first s that fails it, then
-    the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left steps
-    are None and the pole test reads |b_s - z d_s|, bit for bit |conj(b_s) - z d_s| there.
+    One array pass on the sweep's off-diagonals: the pole test of the
+    component sweeps on every s at once, raising PoleCollisionError(s) at
+    the first s that fails it (its scale |b_s| + |z d_s| reads the pencil),
+    then the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left
+    steps are None and the pole test reads |z d_s - b_s|, bit for bit
+    |z d_s - conj(b_s)| there.
     """
     _, d, _, b = pencil._diagonals
-    zd = sweep.z * d
-    right, D = b - zd, np.asarray(sweep.pivots[:len(b)])
-    left = None if sweep.z.imag == 0 else b.conj() - zd
-    _check_poles(np.abs(right) if left is None else np.minimum(np.abs(right), np.abs(left)), b, zd)
-    return (right / D).tolist(), None if left is None else (left / D).tolist()
+    upper, lower, real = sweep.upper, sweep.lower, sweep.z.imag == 0
+    _check_poles(np.abs(upper) if real else np.minimum(np.abs(upper), np.abs(lower)), b, sweep.z * d)
+    D = -sweep.pivots[:-1]  # (b_s - z d_s)/D_s = upper_s/(-D_s)
+    return (upper / D).tolist(), None if real else (lower / D).tolist()
 
 
 def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
@@ -350,30 +369,23 @@ def _runs(steps: list[complex], scale: np.ndarray | None) -> list[tuple[int, int
             for lo, hi in zip(runs, runs[1:] + [len(mant)])]
 
 
-def twisted_pivots(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
+def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     """gamma_r = 1/(z*J - H)^-1[r, r] over rows 0..N-1, N = len(sweep.pivots), their margin and D-_r.
 
     gamma_r = u_r - x_r - y_r joins the forward term x_r = w_{r-1}/D_{r-1}
-    (x_0 = 0) with the backward term y_r = w_r/D-_{r+1} (y_{N-1} = 0) of the
-    pivots taken from row N-1 up, as in a twisted factorization: D-_{N-1} =
-    u_{N-1} and D-_r = u_r - y_r, each exactly zero one replaced by
-    _stand_in.  The margin is the pivot margin on row N-1, which sees a true
-    zero minor, and min_r |gamma_r| / (|z c_r| + |a_r| + |x_r| + |y_r|) above
-    it (0 on a row whose terms all vanish): 0 at an eigenvalue of the
-    order-(N-1) leading sub-pencil, whichever row its eigenvector lives on.
-    It is head_margins' margin of head(N-1), bit for bit: the pass is its
-    vector step on numpy complex128 scalars, which round as its array
-    operations do (Python's complex division and abs() do not).  The
+    (x_0 = 0) of the sweep with the backward term y_r = w_r/D-_{r+1}
+    (y_{N-1} = 0) of the pivots taken from row N-1 up, as in a twisted
+    factorization: D-_{N-1} = u_{N-1} and D-_r = u_r - y_r, each exactly
+    zero one replaced by _stand_in.  The margin is the pivot margin on row
+    N-1, which sees a true zero minor, and min_r |gamma_r| / (|z c_r| +
+    |a_r| + |x_r| + |y_r|) above it (_twisted_margins): 0 at an eigenvalue
+    of the order-(N-1) leading sub-pencil, whichever row its eigenvector
+    lives on.  It is head_margins' margin of head(N-1), bit for bit: the
+    pass is its vector step on numpy complex128 scalars, which round as its
+    array operations do (Python's complex division and abs() do not).  The
     backward pivots D-_r are returned as well.
     """
-    return _twisted_pass(sweep, _row_terms(pencil, sweep))
-
-
-def _twisted_pass(sweep: PivotSweep, terms: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float, np.ndarray]:
-    """twisted_pivots of sweep from the _row_terms of it, or of a longer sweep at the same point: their rows 0..N-1."""
-    N = len(sweep.pivots)
-    u, w, ux, own, sx = terms
-    u, w, own, sx = u[:N], w[:N - 1], own[:N], sx[:N]
+    u, w, own = sweep.u, sweep.weights, sweep.own
     Y = u[-1] or np.complex128(_stand_in(own[-1]))
     backward = [Y]
     for ur, wr in zip(list(u[-2::-1]), list(w[::-1])):
@@ -384,28 +396,18 @@ def _twisted_pass(sweep: PivotSweep, terms: tuple[np.ndarray, ...]) -> tuple[np.
         backward.append(Y)
     backward = np.array(backward[::-1])
     y = w / backward[1:]
-    gamma = ux[:N].copy()  # u - x - y, with y_{N-1} = 0
+    gamma = u - sweep.x  # u - x - y, with y_{N-1} = 0
     gamma[:-1] -= y
-    above = np.abs(gamma[:-1]) / (sx[:-1] + np.abs(y))
+    above = _twisted_margins(gamma[:-1], sweep.terms[:-1], y)
     return gamma, float(above.min(initial=sweep.margins[-1])), backward
 
 
-def _row_terms(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, ...]:
-    """u = z c - a, w, u - x, |z c| + |a| and |z c| + |a| + |x| on rows 0..N-1, x_r = w_{r-1}/D_{r-1}, x_0 = 0.
-
-    The last is 1 on a row above the bottom whose terms are all zero (w_r = 0 too), so its margin reads 0, not 0/0.
-    """
-    N = len(sweep.pivots)
-    c, _, a, _ = pencil._diagonals
-    zc, av = sweep.z * c[:N], a[:N]
-    u = zc - av
-    w = np.asarray(sweep.weights, dtype=complex)
-    x = np.concatenate(([0j], w / np.asarray(sweep.pivots[:-1])))
-    own = np.abs(zc) + np.abs(av)
-    sx = own + np.abs(x)
-    if not sx.all():
-        sx[:-1][(sx[:-1] == 0) & (w == 0)] = 1.0
-    return u, w, u - x, own, sx
+def _twisted_margins(gamma: np.ndarray, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|gamma_r|/(terms_r + |y_r|) on rows above a head's last; 0, not 0/0, on a row whose terms all vanish."""
+    scale = terms + np.abs(y)
+    if not scale.all():
+        scale[scale == 0] = 1.0
+    return np.abs(gamma) / scale
 
 
 def _stand_in(terms):
@@ -413,7 +415,7 @@ def _stand_in(terms):
     return _EPS * np.where(terms > 0, terms, 1.0)
 
 
-def head_margins(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
     """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1, and their gamma_0.
 
     N = len(sweep.pivots).  Entry t is twisted_pivots' margin of head(t),
@@ -438,12 +440,13 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
     read its rows above the join.
     """
     N = len(sweep.pivots)
-    u, w, ux, own, sx = _row_terms(pencil, sweep)
+    u, w, own, terms = sweep.u, sweep.weights, sweep.own, sweep.terms
+    ux = u - sweep.x
     corners = u.copy()  # corners[s]: gamma_0 of head(s), set at step s; head(0) is row 0 alone
     Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
         Y = np.where(Y == 0, _stand_in(own), Y)
-    best = np.array(sweep.margins)
+    best = sweep.margins.copy()
     ys = []  # the backward terms y of the steps since the margins were last lowered, ys[-1] that of step s
     for s in range(1, N):
         rows = N - s  # heads s..N-1 have a row s above their last one, rows 0..N-1-s
@@ -457,17 +460,17 @@ def head_margins(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndar
         # the rows j - 1..0 left to head s + j are those heads s + j - 1..s have just read
         if new[-1] == Y[-2] and new[1:].tobytes() == Y[s:-1].tobytes():
             corners[s + 1:] = corners[s]
-            _lower_margins(best, ys, s, ux, sx, joined=True)
+            _lower_margins(best, ys, s, ux, terms, joined=True)
             return best, corners
         if len(ys) == _STEPS_HELD:
-            _lower_margins(best, ys, s, ux, sx, joined=False)
+            _lower_margins(best, ys, s, ux, terms, joined=False)
             ys = []
         Y[s:] = new
-    _lower_margins(best, ys, N - 1, ux, sx, joined=False)
+    _lower_margins(best, ys, N - 1, ux, terms, joined=False)
     return best, corners
 
 
-def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.ndarray, sx: np.ndarray,
+def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.ndarray, terms: np.ndarray,
                    joined: bool) -> None:
     """Lower head_margins' best by |u - x - y|/(|z c| + |a| + |x| + |y|) of steps last-len(ys)+1..last, in place.
 
@@ -482,31 +485,29 @@ def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.nda
     y = np.concatenate(ys)
     starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
     rows = np.arange(len(y)) - starts
-    step = np.abs(ux[rows] - y) / (sx[rows] + np.abs(y))
+    step = _twisted_margins(ux[rows] - y, terms[rows], y)
     if joined:
         step[starts[-1]:] = np.minimum.accumulate(step[starts[-1]:])
     np.minimum.at(best, rows + np.repeat(np.arange(last - len(ys) + 1, last + 1), lengths), step)
 
 
-def _check_heads(pencil: Pencil, sweep: PivotSweep, heads: tuple[int, ...],
+def _check_heads(sweep: PivotSweep, heads: tuple[int, ...],
                  tol: float = SPECTRUM_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
-    """Test head(t) for each t in heads, in order, by one twisted pass each on one set of row terms of sweep.
+    """Test head(t) for each t in heads, in order, by one twisted pass each on the terms of sweep.
 
     SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; each
-    pass is twisted_pivots of sweep.prefix(t + 1), bit for bit, and that of the last head is returned.
+    pass is twisted_pivots of sweep.prefix(t + 1), and that of the last head is returned.
     """
-    terms = _row_terms(pencil, sweep)
     for t in heads:
-        twisted = _twisted_pass(sweep.prefix(t + 1), terms)
-        _check_margins(sweep.z, (twisted[1],), tol, first=t)
+        twisted = twisted_pivots(sweep.prefix(t + 1))
+        _check_margins(sweep.z, np.array((twisted[1],)), tol, first=t)
     return twisted
 
 
-def _check_margins(z: complex, margins, tol: float, first: int = 0) -> None:
+def _check_margins(z: complex, margins: np.ndarray, tol: float, first: int = 0) -> None:
     """SpectrumCollisionError(first + t, z, margins[t], tol) at the first t with margins[t] < tol."""
-    low = (np.flatnonzero(margins < tol) if isinstance(margins, np.ndarray)  # an array in one pass
-           else [t for t, margin in enumerate(margins) if margin < tol])  # a loop on a head test's one margin
-    if len(low):
+    low = (margins < tol).nonzero()[0]
+    if low.size:
         raise SpectrumCollisionError(first + int(low[0]), z, float(margins[low[0]]), tol)
 
 
@@ -518,7 +519,7 @@ def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
     eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
     the leading sub-pencil over rows 0..m.
     """
-    return twisted_pivots(pencil, pivot_sweep(pencil, pencil.n + 1, z))[1]
+    return twisted_pivots(pivot_sweep(pencil, pencil.n + 1, z))[1]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:
@@ -594,18 +595,15 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     VanishingComponentError(0) where v_0 is zero in floating point or so
     small against the other entries that normalizing overflows them.
     """
-    return _twisted_eigenvector(pencil, pivot_sweep(pencil, pencil.n + 1, z))[0]
+    return _twisted_eigenvector(pivot_sweep(pencil, pencil.n + 1, z))[0]
 
 
-def _twisted_eigenvector(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, float]:
+def _twisted_eigenvector(sweep: PivotSweep) -> tuple[np.ndarray, float]:
     """eigenvector_components at sweep.z from its full-order sweep, and the twisted margin of that one pass."""
-    gamma, margin, backward = twisted_pivots(pencil, sweep)
-    z = sweep.z
+    gamma, margin, backward = twisted_pivots(sweep)
     r = int(np.argmin(np.abs(gamma)))
-    _, d, _, b = pencil._diagonals
-    # v_i/v_{i-1} below the twist
-    down = -(z * d[r:] - b[r:].conj()) / backward[r + 1:]
-    v = np.concatenate((_rows_above(z, d, b, sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))
+    down = -sweep.lower[r:] / backward[r + 1:]  # v_i/v_{i-1} below the twist
+    v = np.concatenate((_rows_above(sweep.upper[:r], sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))
     if v[0] == 0:
         raise VanishingComponentError(0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -617,11 +615,9 @@ def _twisted_eigenvector(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray,
     return v, margin
 
 
-def _rows_above(z: complex, d, b, pivots) -> np.ndarray:
-    """v_0/v_r..v_{r-1}/v_r, r = len(pivots): v_i = (b_i - z d_i) v_{i+1}/D_i, forward pivots D_0..D_{r-1}."""
-    r = len(pivots)
-    steps = (np.asarray(b[:r], dtype=complex) - z * np.asarray(d[:r])) / np.asarray(pivots)
-    return np.cumprod(steps[::-1])[::-1]
+def _rows_above(upper: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """v_0/v_r..v_{r-1}/v_r, r = len(pivots): v_i = (b_i - z d_i) v_{i+1}/D_i, from upper_i = z d_i - b_i and D_i."""
+    return np.cumprod((upper / -pivots)[::-1])[::-1]
 
 
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:

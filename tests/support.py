@@ -223,11 +223,14 @@ def reference_m_route(J, k, omega, table, right_comp, left_comp, b_k):
     T = reference_trailing_inverse_from(table, pr, pl, k, n)
     b_out = [omega * d_j - t for d_j, t in zip(J.d[k + 1:], np.diagonal(T, 1))]
     a_out = [omega * c_j - t for c_j, t in zip(J.c[k + 1:], np.diagonal(T))]
+    scales = [abs(omega * c_j) + abs(t) for c_j, t in zip(J.c[k + 1:], np.diagonal(T))]
     gk = _reference_difference(table, k, pl[k], pr[k])
     b_k = complex(b_k)
-    a_out[0] -= (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * pl[k] * gk * pr[k]
-    for j, v in zip(range(k + 1, n + 1), a_out):
-        if abs(v.imag) > IMAG_RTOL * (1.0 + abs(v)):
+    coupling = (omega * J.d[k] - b_k.conjugate()) * (omega * J.d[k] - b_k) * pl[k] * gk * pr[k]
+    a_out[0] -= coupling
+    scales[0] += abs(coupling)
+    for j, v, scale in zip(range(k + 1, n + 1), a_out, scales):
+        if abs(v.imag) > IMAG_RTOL * scale:  # against the terms that form a_j: scale-free
             raise tp.NonRealDiagonalError(j, v.imag)
     return b_out, [v.real for v in a_out]
 

@@ -70,7 +70,7 @@ class TestMFunction:
             a[m] = (z * pencil.J.c[m] - x).real  # D_m = 0
             a[m] += offset * (abs(z * pencil.J.c[m]) + abs(a[m]) + abs(x))
         pencil = tp.Pencil(pencil.J, tp.HermitianTridiagonal(tuple(a), pencil.H.b))
-        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, z))[0]
+        margins = recurrence.head_margins(recurrence.pivot_sweep(pencil, pencil.n + 1, z))[0]
         assert np.flatnonzero(margins < SPECTRUM_RTOL).tolist() == [3, 9]
         assert margins[9] < margins[3]
         with pytest.raises(tp.SpectrumCollisionError) as info:
@@ -295,7 +295,7 @@ def test_m_table_tests_each_head_margin_past_a_nan_one():
     pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
                        tp.HermitianTridiagonal((1.0, 0.0, 0.0, 0.0), (0.5 + 0.5j, 1e200 + 1e200j, 0.5 + 0.5j)))
     with np.errstate(all="ignore"):
-        margins = recurrence.head_margins(pencil, recurrence.pivot_sweep(pencil, pencil.n + 1, 1.0))[0]
+        margins = recurrence.head_margins(recurrence.pivot_sweep(pencil, pencil.n + 1, 1.0))[0]
         assert margins[0] == 0.0 and np.isnan(margins[2:]).all()
         with pytest.raises(tp.SpectrumCollisionError) as exc:
             tp.m_table(pencil, 1.0)
@@ -436,7 +436,7 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
     upper = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)
     for omega in far_points(pencil):
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
-        diag = 1.0 / recurrence.twisted_pivots(pencil, sweep)[0]
+        diag = 1.0 / recurrence.twisted_pivots(sweep)[0]
         right, left = recurrence._unit_steps(pencil, sweep)[0], reference_left_steps(pencil, sweep)
         F, G = recurrence._unit_upper(right, diag), recurrence._unit_upper(left, diag).T
         R = tp.resolvent_matrix(pencil, omega)
@@ -663,11 +663,36 @@ def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
             assert np.array_equal(bits(route.b), bits(_times_power_of_2(entries.b, s))), (s, omega)
 
 
+@pytest.mark.parametrize("s", [-200, 0, 200])
+def test_real_part_guards_are_scale_free(s):
+    """An imaginary part of 1e-6 relative in a component makes a recovered a_j non-real on 2^s (J, H) at every s.
+
+    Both routes test it against the terms that form a_j, the m-route against |w c_j| + |T[j, j]| (and the
+    coupling term at j = k+1), reconstruct_a against |lam c_j| and its two neighbour terms; a test against
+    1 + |a_j| let it pass at s = -200.
+    """
+    for seed in range(20):
+        truth = seeded_pencil(seed, 10)
+        omega = dense_spectrum(truth)[-1] + 1.5
+        pencil = _scaled_pencil(truth, s)
+        pr = tp.right_components(pencil, omega)
+        pr[7] *= 1 + 1e-6j
+        with pytest.raises(tp.NonRealDiagonalError):
+            tp.reconstruct_from_m(pencil.J, 5, omega, tp.m_table(pencil, omega), pr,
+                                  tp.left_components(pencil, omega), pencil.H.b[5])
+        truth, instance = tp.generate_instance(tp.GeneratorConfig(n=10, k=5, seed=seed))
+        pencil = _scaled_pencil(truth, s)
+        tail = list(instance.tail_p)
+        tail[3] *= 1 + 1e-6j
+        with pytest.raises(tp.NonRealDiagonalError):
+            tp.reconstruct_a(replace(instance, J=pencil.J), pencil.H.b[5:], tail)
+
+
 def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
-    """trailing_inverse tests heads k and n on one set of row terms; resolvent_matrix forms the exponent runs
+    """trailing_inverse tests heads k and n on one pivot sweep; resolvent_matrix forms the exponent runs
     of its two triangles once at a real point (the lower ones are their conjugates) and twice at a complex one."""
     calls = []
-    row_terms, twisted_pass, runs = recurrence._row_terms, recurrence._twisted_pass, recurrence._runs
+    pivot_sweep, twisted_pivots, runs = recurrence.pivot_sweep, recurrence.twisted_pivots, recurrence._runs
 
     def count(name, function):
         def counted(*args):
@@ -675,16 +700,16 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
             return function(*args)
         return counted
 
-    monkeypatch.setattr(recurrence, "_row_terms", count("terms", row_terms))
-    monkeypatch.setattr(recurrence, "_twisted_pass", count("pass", twisted_pass))
+    monkeypatch.setattr(tp.mfunctions, "pivot_sweep", count("sweep", pivot_sweep))
+    monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
     monkeypatch.setattr(recurrence, "_runs", count("runs", runs))
     pencil = seeded_pencil(2, 40)
     top, _, middle = far_points(pencil)
     for omega in (top, middle):
         calls.clear()
         tp.trailing_inverse(pencil, 20, omega)
-        assert calls == ["terms", "pass", "pass"]
+        assert calls == ["sweep", "pass", "pass"]
     for omega, passes in ((top, 1), (middle, 2)):
         calls.clear()
         tp.resolvent_matrix(pencil, omega)
-        assert calls == ["terms", "pass"] + ["runs"] * passes, omega
+        assert calls == ["sweep", "pass"] + ["runs"] * passes, omega

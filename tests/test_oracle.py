@@ -15,7 +15,7 @@ from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenve
 
 def sweep_bits(sweep):
     """The exact bytes of every field of a pivot sweep."""
-    return [np.asarray(field).tobytes() for field in (sweep.z, sweep.pivots, sweep.margins, sweep.weights)]
+    return [np.asarray(field).tobytes() for field in sweep]
 
 CANARY = tp.GeneratorConfig(n=40, k=20, seed=0)  # the fixed n = 40 draw of the benchmark's roundtrip workload
 
@@ -187,31 +187,33 @@ class TestGenerateInstance:
             for (k, tol, ours), theirs in zip(admitted[-2:], tested):
                 assert (k, tol) == (inst.k, ADMIT_SPECTRUM_MARGIN) and theirs[:2] == (inst.k, SPECTRUM_RTOL)
                 assert sweep_bits(ours) == sweep_bits(theirs[2])
-                assert min(recurrence.twisted_pivots(truth, ours.prefix(rows))[1]
+                assert min(recurrence.twisted_pivots(ours.prefix(rows))[1]
                            for rows in (k, k + 1)) >= ADMIT_SPECTRUM_MARGIN
 
     def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
-        """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one set of row terms.
+        """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one pivot sweep.
 
         The all-heads loop never runs.  The generator's only other passes are the full-order ones of the
-        eigenvectors it takes the tails from (instance_from_truth).
+        eigenvectors it takes the tails from (instance_from_truth).  The sweep of the minors of J in
+        pencil_eigenvalues, through oracle's own name of pivot_sweep, is not counted.
         """
-        calls = []  # ("terms", z, rows) for each set of row terms, ("pass", z, rows) for each twisted pass
-        row_terms, twisted_pass = recurrence._row_terms, recurrence._twisted_pass
+        calls = []  # ("sweep", z, rows) for each pivot sweep, ("pass", z, rows) for each twisted pass
+        pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
 
-        def record_terms(pencil, sweep):
-            calls.append(("terms", sweep.z, len(sweep.pivots)))
-            return row_terms(pencil, sweep)
+        def record_sweep(pencil, upto, z):
+            calls.append(("sweep", complex(z), upto))
+            return pivot_sweep(pencil, upto, z)
 
-        def record_pass(sweep, terms):
+        def record_pass(sweep):
             calls.append(("pass", sweep.z, len(sweep.pivots)))
-            return twisted_pass(sweep, terms)
+            return twisted_pivots(sweep)
 
         def all_heads(*args):
             raise AssertionError("head_margins runs")
 
-        monkeypatch.setattr(recurrence, "_row_terms", record_terms)
-        monkeypatch.setattr(recurrence, "_twisted_pass", record_pass)
+        for module in (recurrence, giep):
+            monkeypatch.setattr(module, "pivot_sweep", record_sweep)
+        monkeypatch.setattr(recurrence, "twisted_pivots", record_pass)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)
@@ -221,13 +223,13 @@ class TestGenerateInstance:
             k = inst.k
 
             def point(z, heads=(k, k + 1)):
-                return [("terms", z, k + 1)] + [("pass", z, rows) for rows in heads]
+                return [("sweep", z, k + 1)] + [("pass", z, rows) for rows in heads]
 
             def eigenvector(z, n=inst.J.n):
-                return [("terms", z, n + 1), ("pass", z, n + 1)]
+                return [("sweep", z, n + 1), ("pass", z, n + 1)]
 
             # per point tested: head(k - 1), then head(k) unless head(k - 1) rejected the draw
-            starts = [i for i, call in enumerate(calls) if call[0] == "terms"] + [len(calls)]
+            starts = [i for i, call in enumerate(calls) if call[0] == "sweep"] + [len(calls)]
             for lo, hi in zip(starts, starts[1:]):
                 assert calls[lo:hi] in (point(calls[lo][1]), point(calls[lo][1], (k,)), eigenvector(calls[lo][1]))
             assert calls[-10:] == point(inst.lam) + point(inst.mu) + eigenvector(inst.lam) + eigenvector(inst.mu)
@@ -238,7 +240,7 @@ class TestGenerateInstance:
     def test_canary_admits_a_draw_with_a_near_collision_on_an_unread_head(self):
         """Solve never reads the heads past k; a draw that comes close to their spectra still solves."""
         truth, inst = tp.generate_instance(CANARY)
-        unread = min(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, truth.n, z))[0][inst.k + 1:].min()
+        unread = min(recurrence.head_margins(recurrence.pivot_sweep(truth, truth.n, z))[0][inst.k + 1:].min()
                      for z in (inst.lam, inst.mu))
         assert unread < ADMIT_SPECTRUM_MARGIN
         report = tp.verify(truth, tp.solve(inst))
@@ -265,7 +267,7 @@ class TestGenerateInstance:
         for attempt in range(100):
             truth = oracle._draw_truth(CANARY, np.random.default_rng([CANARY.seed, attempt]))
             eigs = tp.pencil_eigenvalues(truth)
-            head += any(recurrence.head_margins(truth, recurrence.pivot_sweep(truth, CANARY.k + 1, z.real))
+            head += any(recurrence.head_margins(recurrence.pivot_sweep(truth, CANARY.k + 1, z.real))
                         [0][CANARY.k - 1:].min() < ADMIT_SPECTRUM_MARGIN
                         for z in (eigs[-1], eigs[0]))
         assert head == 52
