@@ -38,7 +38,7 @@ from .errors import (
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import PivotSweep, _check_heads, _rows_above, _twisted_eigenvector, pivot_sweep
+from .recurrence import PivotSweep, _at_point, _check_heads, _rows_above, _twisted_eigenvector, pivot_sweep
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -298,9 +298,9 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     _check_split(k, n)
     sweeps, vectors = [], []
     for z, name in ((lam, "lam"), (mu, "mu")):
-        sweeps.append(pivot_sweep(pencil, n + 1, z))
+        sweeps.append(_at_point(pencil, z)[0])
         _check_heads(sweeps[-1], (k - 1, k))
-        vectors.append(_eigenvector(sweeps[-1], f"{name} = {z!r}"))
+        vectors.append(_eigenvector(pencil, z, f"{name} = {z!r}"))
     p, s = vectors
     pl, sl = p.conj(), s.conj()
     # b_k - lam d_k and conj(b_k) - mu d_k: off-diagonal entries of the two sweeps, negated
@@ -336,7 +336,7 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     """
     n = pencil.n
     _check_split(k, n)
-    s = _eigenvector(pivot_sweep(pencil, n + 1, mu), f"mu = {mu!r}")[:k + 1]
+    s = _eigenvector(pencil, mu, f"mu = {mu!r}")[:k + 1]
     c, d, _, _ = pencil._diagonals
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(c[:k + 1] @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d[:k] @ (s[:-1].conj() * s[1:]).real))
@@ -345,9 +345,9 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     return val
 
 
-def _eigenvector(sweep: PivotSweep, point: str) -> np.ndarray:
-    """The eigenvector at sweep.z, v_0 = 1, from its full-order pivot sweep; ValueError where it is no eigenvalue."""
-    v, margin = _twisted_eigenvector(sweep)
+def _eigenvector(pencil: Pencil, z: float, point: str) -> np.ndarray:
+    """The eigenvector at z, v_0 = 1, from the full-order passes at z (_at_point); ValueError off the spectrum."""
+    v, margin = _twisted_eigenvector(*_at_point(pencil, z, twisted=True))
     if not margin < SPECTRUM_RTOL:
         raise ValueError(f"{point} must be an eigenvalue of the full pencil: its twisted margin "
                          f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")
@@ -371,15 +371,16 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
-def _solver_heads(pencil: Pencil, k: int, z: float, tol: float) -> PivotSweep:
-    """The pivot sweep of rows 0..k at z, once z is off the spectra of head(k - 1) and head(k), the heads solve reads.
+def _solver_heads(sweep: PivotSweep, k: int, tol: float) -> PivotSweep:
+    """The sweep's rows 0..k, once its point is off the spectra of head(k - 1) and head(k), the heads solve reads.
 
     SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where its twisted margin is below tol
-    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read the terms of the sweep.
+    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read the terms of the
+    sweep, which may run past row k: its prefix is the shorter sweep, bit for bit.
     """
-    sweep = pivot_sweep(pencil, k + 1, z)
-    _check_heads(sweep, (k - 1, k), tol)
-    return sweep
+    head = sweep.prefix(k + 1)
+    _check_heads(head, (k - 1, k), tol)
+    return head
 
 
 def solve(instance: GiepInstance) -> ReconstructionResult:
@@ -388,7 +389,7 @@ def solve(instance: GiepInstance) -> ReconstructionResult:
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
-    sweep_lam, sweep_mu = (_solver_heads(head, k, z, SPECTRUM_RTOL) for z in (lam, mu))
+    sweep_lam, sweep_mu = (_solver_heads(pivot_sweep(head, k + 1, z), k, SPECTRUM_RTOL) for z in (lam, mu))
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)

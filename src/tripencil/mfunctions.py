@@ -15,7 +15,11 @@ rule and the overall sign were fixed empirically against dense inversion on
 Every direct operation here reads one pivot pass (recurrence.pivot_sweep),
 which holds the entries of w*J - H at w with its pivots, and forms nothing
 that can overflow; the m-values come from the twisted passes that guard
-them.  With D_t = P_{t+1}/P_t the LDL^T pivots of w*J - H,
+them.  The operations at one (pencil, w) share the full-order sweep and
+the full-order twisted pass (recurrence._at_point): m_table,
+resolvent_matrix, ldu_factors and trailing_inverse back to back at one
+point run each O(n) loop once.  With D_t = P_{t+1}/P_t the LDL^T pivots
+of w*J - H,
 
     g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
 
@@ -55,8 +59,8 @@ import numpy as np
 from .errors import DegenerateDifferenceError
 from .giep import _check_component, _check_split, _real_part
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_check_heads, _check_margins, _finite_point, _unit_steps, _unit_upper, head_margins,
-                         pivot_sweep, unit_factors)
+from .recurrence import (_at_point, _check_heads, _check_margins, _finite_point, _unit_steps, _unit_upper,
+                         head_margins, pivot_sweep, unit_factors)
 from .tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 
 
@@ -106,7 +110,7 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
+    sweep, _ = _at_point(pencil, omega)
     margins, corners = head_margins(sweep)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = sweep.pivots
@@ -130,8 +134,8 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    diag = 1.0 / _check_heads(sweep, (pencil.n,))[0]
+    sweep, _ = _at_point(pencil, omega)
+    diag = 1.0 / _check_heads(sweep, (pencil.n,), pencil=pencil)[0]
     right, left = _unit_steps(pencil, sweep)
     return _unit_upper(right, diag, left, hermitian=left is None)
 
@@ -171,8 +175,8 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     that the same point gives for the components.  At a real w (w.imag == 0)
     G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    _check_heads(sweep, (pencil.n,))
+    sweep, _ = _at_point(pencil, omega)
+    _check_heads(sweep, (pencil.n,), pencil=pencil)
     _check_margins(sweep.z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
     terms = np.abs(sweep.z * d) + np.abs(b)
@@ -194,8 +198,8 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
-    sweep = pivot_sweep(pencil, pencil.n + 1, omega)
-    _check_heads(sweep, (k, pencil.n))
+    sweep, _ = _at_point(pencil, omega)
+    _check_heads(sweep, (k, pencil.n), pencil=pencil)
     size = pencil.n - k
     out = np.zeros((size, size), dtype=complex)
     out.flat[::size + 1] = sweep.u[k + 1:]

@@ -9,8 +9,10 @@ twisted factorization (eigenvector_components) and rejects draws that sit
 too close to a boundary of the tests solve applies.  Its head test is
 solve's own, the twisted margins of head(k - 1) and head(k) at lam and mu
 read through the same helper, held to the wider ADMIT_SPECTRUM_MARGIN;
-neither reads the heads past k.  So solver failures on generated data are
-bugs by definition.
+neither reads the heads past k.  It reads them on rows 0..k of one
+full-order sweep per eigenvalue, which is the shorter sweep bit for bit,
+and takes the tail at that eigenvalue from the same sweep.  So solver
+failures on generated data are bugs by definition.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (DegreeDropError, GenerationFailedError, NearSingularError, 
 from .giep import GiepInstance, ReconstructionResult, _check_split, _solver_heads, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import eigenvector_components, pivot_sweep
+from .recurrence import _at_point, _twisted_eigenvector, eigenvector_components, pivot_sweep, twisted_pivots
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
                          EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
@@ -76,11 +78,10 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
     DegreeDropError(t+1) where the order-(t+1) leading minor of J cancels:
     the minors of J are the P_m of the pencil z*J - 0 at z = 1, so the check
     is the pivot margin of that pencil (pivot_sweep), O(n), scale-invariant
-    and free of overflow.
+    and free of overflow.  J keeps that pencil, and the pencil its sweep at
+    z = 1 (recurrence._at_point), so a second call on the same J sweeps nothing.
     """
-    n = pencil.n
-    minors = Pencil(pencil.J, HermitianTridiagonal((0.0,) * (n + 1), (0j,) * n))
-    low = (pivot_sweep(minors, n + 1, 1.0).margins <= DEGREE_DROP_RTOL).nonzero()[0]
+    low = (_at_point(pencil.J._minors, 1.0)[0].margins <= DEGREE_DROP_RTOL).nonzero()[0]
     if low.size:
         raise DegreeDropError(int(low[0]) + 1)
     J, H = pencil.J.dense(), pencil.H.dense()
@@ -118,8 +119,11 @@ def instance_from_truth(truth: Pencil, k: int, lam: float, mu: float) -> GiepIns
     checks are performed here, so deliberately degenerate instances (for
     negative controls) can be constructed.
     """
-    p = eigenvector_components(truth, lam)
-    s = eigenvector_components(truth, mu)
+    return _instance(truth, k, lam, mu, eigenvector_components(truth, lam), eigenvector_components(truth, mu))
+
+
+def _instance(truth: Pencil, k: int, lam: float, mu: float, p: np.ndarray, s: np.ndarray) -> GiepInstance:
+    """instance_from_truth with the eigenvectors p at lam and s at mu, v_0 = 1, given."""
     return GiepInstance(
         J=truth.J,
         head_a=truth.H.a[:k + 1],
@@ -173,16 +177,18 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
             continue
 
         # stay clearly outside the spectra solve tests, those of head(k - 1) and head(k) (rows 0..k),
-        # on the margins it reads
+        # on the margins it reads, from the rows 0..k of the full-order sweeps the tails are then taken from
+        sweeps = []
         try:
             for z in (lam, mu):
-                _solver_heads(truth, k, z, ADMIT_SPECTRUM_MARGIN)
+                sweeps.append(pivot_sweep(truth, config.n + 1, z))
+                _solver_heads(sweeps[-1], k, ADMIT_SPECTRUM_MARGIN)
         except SpectrumCollisionError:
             rejected["head spectrum"] += 1
             continue
 
         try:
-            inst = instance_from_truth(truth, k, lam, mu)
+            inst = _instance(truth, k, lam, mu, *(_twisted_eigenvector(s, twisted_pivots(s))[0] for s in sweeps))
         except VanishingComponentError:
             rejected["v_0"] += 1
             continue

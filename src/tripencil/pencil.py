@@ -3,10 +3,16 @@
 J is real symmetric tridiagonal (diagonal c, off-diagonal d), H is Hermitian
 tridiagonal (real diagonal a, super-diagonal b, sub-diagonal conj(b)).  Both
 are stored as immutable coefficient tuples, which are the value: equality,
-hashing and repr read them alone.  A pencil also converts its four diagonals
-to read-only numpy arrays once, on first use, for the array passes to slice;
-all operations are pure functions, so every type here is safe to share
-across threads.
+hashing, repr, pickling and copies read them alone.  A pencil also converts
+its four diagonals to read-only numpy arrays once, on first use, for the
+array passes to slice, and keeps one memo slot: the full-order pivot sweep
+and twisted pass of the last point it was evaluated at
+(recurrence._at_point), so that the operations at one point share them.  J
+keeps the pencil z*J - 0 whose sweep at z = 1 gives its minors
+(oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
+Every type here is safe to share across threads: what is kept is
+read-only, the same bits as a fresh computation, and the slot is replaced
+whole in one assignment, so a reader sees one point's slot or another's.
 """
 
 from __future__ import annotations
@@ -61,6 +67,15 @@ class SymmetricTridiagonal:
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Dense principal block over rows/columns lo..hi inclusive."""
         return self.dense()[lo:hi + 1, lo:hi + 1]
+
+    @cached_property
+    def _minors(self) -> "Pencil":
+        """The pencil z*J - 0, whose pivots at z = 1 are the minor ratios of J; built on first use and kept."""
+        return Pencil(self, HermitianTridiagonal((0.0,) * len(self.c), (0j,) * len(self.d)))
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the value alone: a copy builds its own minors pencil."""
+        return {"c": self.c, "d": self.d}
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,12 @@ it, formed once in one array pass, with the LDL^T pivots D_t = P_{t+1}/P_t,
 the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
 Every direct operation of mfunctions and giep reads the terms from this
 pass and forms none of them again; pq_sweep, the component sweeps and
-liouville_ostrogradsky_residual keep their own loops.  The component
-ratios follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L
+liouville_ostrogradsky_residual keep their own loops.  The operations at
+one (pencil, z) share the pass: the full-order readers take the sweep and
+its full-order twisted pass from _at_point, which the pencil keeps for the
+last point it was evaluated at; pivot_sweep itself stays pure, and prefix
+sweeps are not kept.  The component ratios follow from the pivots,
+p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L
 the same with conj(b_t); unit_factors turns them into the inverses of the
 unit factors of z*J - H = L D U (_unit_upper, which writes an entry twice
 only below the diagonal of its blocks), and at a real z takes the lower
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -491,15 +496,55 @@ def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.nda
     np.minimum.at(best, rows + np.repeat(np.arange(last - len(ys) + 1, last + 1), lengths), step)
 
 
-def _check_heads(sweep: PivotSweep, heads: tuple[int, ...],
-                 tol: float = SPECTRUM_RTOL) -> tuple[np.ndarray, float, np.ndarray]:
+def _at_point(pencil: Pencil, z: complex,
+              twisted: bool = False) -> tuple[PivotSweep, tuple[np.ndarray, float, np.ndarray] | None]:
+    """The full-order pivot sweep of pencil at z and, with twisted, its twisted pass; kept for the last point.
+
+    Every full-order reader takes both from here, so the operations at one
+    (pencil, z) run each O(n) loop once.  The pencil holds one slot, (the
+    bits of z, the sweep, the pass or None), keyed on the exact bits so that
+    a signed zero in either part is a point of its own, and replaced whole
+    in one assignment: a pencil shared across threads sees one point's
+    slot or another's, never a mix.  The arrays are read-only; the pass is
+    taken on first demand.  Outside J and H, the slot is no part of the
+    value (Pencil.__getstate__, ==, hash).
+    """
+    z = _finite_point(z)
+    key = struct.pack("2d", z.real, z.imag)
+    slot = pencil.__dict__.get("_point")
+    if slot is None or slot[0] != key:
+        sweep = pivot_sweep(pencil, pencil.n + 1, z)
+        _read_only(sweep[1:])  # every field but z
+        slot = (key, sweep, None)
+    elif slot[2] is not None or not twisted:
+        return slot[1], slot[2]
+    if twisted:
+        gamma, margin, backward = full = twisted_pivots(slot[1])
+        _read_only((gamma, backward))
+        slot = (key, slot[1], full)
+    object.__setattr__(pencil, "_point", slot)
+    return slot[1], slot[2]
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> None:
+    """Make each array read-only in place (setflags costs half of assigning flags.writeable)."""
+    for x in arrays:
+        x.setflags(write=False)
+
+
+def _check_heads(sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL,
+                 pencil: Pencil | None = None) -> tuple[np.ndarray, float, np.ndarray]:
     """Test head(t) for each t in heads, in order, by one twisted pass each on the terms of sweep.
 
     SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; each
-    pass is twisted_pivots of sweep.prefix(t + 1), and that of the last head is returned.
+    pass is twisted_pivots of sweep.prefix(t + 1), and that of the last head is returned.  With pencil,
+    whose full-order sweep sweep is, the pass of head(n) is the one kept at its point (_at_point).
     """
     for t in heads:
-        twisted = twisted_pivots(sweep.prefix(t + 1))
+        if pencil is not None and t == pencil.n:
+            twisted = _at_point(pencil, sweep.z, twisted=True)[1]
+        else:
+            twisted = twisted_pivots(sweep.prefix(t + 1))
         _check_margins(sweep.z, np.array((twisted[1],)), tol, first=t)
     return twisted
 
@@ -519,7 +564,7 @@ def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
     eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
     the leading sub-pencil over rows 0..m.
     """
-    return twisted_pivots(pivot_sweep(pencil, pencil.n + 1, z))[1]
+    return _at_point(pencil, z, twisted=True)[1][1]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:
@@ -595,12 +640,12 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     VanishingComponentError(0) where v_0 is zero in floating point or so
     small against the other entries that normalizing overflows them.
     """
-    return _twisted_eigenvector(pivot_sweep(pencil, pencil.n + 1, z))[0]
+    return _twisted_eigenvector(*_at_point(pencil, z, twisted=True))[0]
 
 
-def _twisted_eigenvector(sweep: PivotSweep) -> tuple[np.ndarray, float]:
-    """eigenvector_components at sweep.z from its full-order sweep, and the twisted margin of that one pass."""
-    gamma, margin, backward = twisted_pivots(sweep)
+def _twisted_eigenvector(sweep: PivotSweep, twisted: tuple[np.ndarray, float, np.ndarray]) -> tuple[np.ndarray, float]:
+    """eigenvector_components at sweep.z from its full-order sweep and twisted pass, and the margin of that pass."""
+    gamma, margin, backward = twisted
     r = int(np.argmin(np.abs(gamma)))
     down = -sweep.lower[r:] / backward[r + 1:]  # v_i/v_{i-1} below the twist
     v = np.concatenate((_rows_above(sweep.upper[:r], sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))

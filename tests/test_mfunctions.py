@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath
@@ -700,7 +701,7 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
             return function(*args)
         return counted
 
-    monkeypatch.setattr(tp.mfunctions, "pivot_sweep", count("sweep", pivot_sweep))
+    monkeypatch.setattr(recurrence, "pivot_sweep", count("sweep", pivot_sweep))
     monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
     monkeypatch.setattr(recurrence, "_runs", count("runs", runs))
     pencil = seeded_pencil(2, 40)
@@ -713,3 +714,101 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
         calls.clear()
         tp.resolvent_matrix(pencil, omega)
         assert calls == ["sweep", "pass"] + ["runs"] * passes, omega
+
+
+def _at_one_point(pencil, z):
+    """The direct operations of the benchmark's rotation, then the two twisted readers, at one (pencil, z)."""
+    return [lambda: tp.m_table(pencil, z), lambda: tp.resolvent_matrix(pencil, z),
+            lambda: tp.ldu_factors(pencil, z), lambda: tp.trailing_inverse(pencil, pencil.n // 2, z),
+            lambda: tp.eigenvalue_margin(pencil, z), lambda: tp.eigenvector_components(pencil, z)]
+
+
+def _outcome(op):
+    """What an operation gives, in exact bytes, or the class and every attribute of what it raises."""
+    try:
+        out = op()
+    except (tp.PencilError, ValueError) as exc:
+        return repr((type(exc).__name__, exc.args, sorted(vars(exc).items())))
+    if isinstance(out, tp.MFunctionTable):
+        out = (out.omega, out.values, out.diffs)
+    elif isinstance(out, tp.ResolventFactors):
+        out = (out.omega, out.F, out.diag, out.G)
+    return [bits(x).tobytes() for x in (out if isinstance(out, tuple) else (out,))]
+
+
+def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeypatch):
+    """At one (pencil, z) the direct operations, eigenvalue_margin and eigenvector_components run the pivot
+    loop once and the full-order twisted pass once; only trailing_inverse's head k takes a pass of its own.
+    A new z, the other signed zero of a part of z, or an equal but distinct pencil runs them again."""
+    calls = []
+    pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
+
+    def sweep(pencil, upto, z):
+        calls.append(("sweep", upto))
+        return pivot_sweep(pencil, upto, z)
+
+    def twisted(sweep):
+        calls.append(("pass", len(sweep.pivots)))
+        return twisted_pivots(sweep)
+
+    monkeypatch.setattr(recurrence, "pivot_sweep", sweep)
+    monkeypatch.setattr(recurrence, "twisted_pivots", twisted)
+    pencil = seeded_pencil(2, 40)
+    top, bottom, middle = far_points(pencil)
+    once = [("sweep", 41), ("pass", 41), ("pass", 21)]
+    for owner, z in ((pencil, top), (pencil, middle), (pencil, complex(middle.real, -0.5)), (pencil, bottom),
+                     (pencil, complex(bottom, -0.0)), (tp.Pencil(pencil.J, pencil.H), complex(bottom, -0.0))):
+        calls.clear()
+        for op in _at_one_point(owner, z):
+            op()
+        assert calls == once, z
+    calls.clear()
+    for op in _at_one_point(pencil, complex(bottom, -0.0)):
+        op()
+    assert calls == [("pass", 21)]
+
+
+def _memo_points(pencil):
+    """Far real, complex, eigenvalue and sub-pencil-eigenvalue points, and one real point with either signed zero."""
+    top, bottom, middle = far_points(pencil)
+    eigs, sub = dense_spectrum(pencil), dense_spectrum(pencil.head(pencil.n // 2))
+    return [top, middle, middle.conjugate(), float(eigs[0].real), float(eigs[len(eigs) // 2].real),
+            float(sub[len(sub) // 2].real), complex(bottom, 0.0), complex(bottom, -0.0)]
+
+
+@pytest.mark.parametrize("seed,n", [(0, 5), (2, 40), (5, 160)])
+def test_each_operation_on_a_warm_pencil_is_that_on_a_fresh_one_bit_for_bit(seed, n):
+    """After the others ran at the same point, each operation gives what it gives on a fresh pencil: the same
+    bytes, or the same error with the same index and value (resolvent_matrix at an eigenvalue included).
+    So do the positivity witness and the trace identities, which read the eigenvectors at their points."""
+    pencil = seeded_pencil(seed, n)
+    warm, raised, signed = tp.Pencil(pencil.J, pencil.H), 0, []
+    for z in _memo_points(pencil):  # on one warm pencil, so that x - 0j follows x + 0j
+        ops = _at_one_point(warm, z)
+        fresh = [_outcome(_at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]) for i in range(len(ops))]
+        assert [_outcome(op) for op in ops] == fresh, z
+        assert [_outcome(op) for op in reversed(ops)] == fresh[::-1], z
+        raised += "SpectrumCollisionError" in fresh[1]
+        signed.append(fresh)
+    assert raised >= 2  # at the two eigenvalues of the full pencil, a second call raises the same index and value
+    assert signed[-1] != signed[-2]  # x + 0j and x - 0j give different signed zeros
+    lam, mu = (float(x.real) for x in dense_spectrum(pencil)[[-1, 0]])
+    for k in (1, n // 2):
+        for op in (lambda p: tp.positivity_witness(p, k, mu), lambda p: tp.trace_identity_residuals(p, k, lam, mu)):
+            tp.eigenvector_components(warm, mu)
+            assert _outcome(lambda: op(warm)) == _outcome(lambda: op(tp.Pencil(pencil.J, pencil.H)))
+
+
+def test_a_pencil_shared_across_threads_gives_each_point_its_own_bits():
+    """Two threads that evaluate one pencil at two points, turn about, replace its slot under each other;
+    every result is still that of a fresh pencil at its own point."""
+    pencil = seeded_pencil(2, 40)
+    top, _, middle = far_points(pencil)
+    expected = {z: [_outcome(_at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]) for i in range(6)]
+                for z in (top, middle)}
+
+    def run(z):
+        return all([_outcome(op) for op in _at_one_point(pencil, z)] == expected[z] for _ in range(20))
+
+    with ThreadPoolExecutor(2) as pool:
+        assert all(pool.map(run, [top, middle] * 4))

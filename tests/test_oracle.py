@@ -161,16 +161,43 @@ class TestGenerateInstance:
         for tail, x in ((inst.tail_p, X[:, -1]), (inst.tail_s, X[:, 0])):
             assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
 
+    def test_degree_drop_margins_are_taken_once_per_J(self, monkeypatch):
+        """pencil_eigenvalues sweeps the minors of J once per J: again on the same J, also under another H,
+        it reads the kept sweep, with the same DegreeDropError index; a copy of J sweeps its own."""
+        rows = []
+        pivot_sweep = recurrence.pivot_sweep
+
+        def record(pencil, upto, z):
+            rows.append(upto)
+            return pivot_sweep(pencil, upto, z)
+
+        monkeypatch.setattr(recurrence, "pivot_sweep", record)
+        pencil = seeded_pencil(4, 8)
+        first = tp.pencil_eigenvalues(pencil)
+        other = tp.Pencil(pencil.J, tp.HermitianTridiagonal(pencil.H.a, pencil.H.b[::-1]))
+        assert np.array_equal(tp.pencil_eigenvalues(pencil), first) and rows == [9]
+        tp.pencil_eigenvalues(other)
+        assert rows == [9]
+        tp.pencil_eigenvalues(tp.Pencil(tp.SymmetricTridiagonal(pencil.J.c, pencil.J.d), pencil.H))
+        assert rows == [9, 9]
+        drop = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0, 3.0), (1.0, 1.0)),
+                         tp.HermitianTridiagonal((0.0,) * 3, (1j,) * 2))
+        for _ in range(2):
+            with pytest.raises(tp.DegreeDropError) as info:
+                tp.pencil_eigenvalues(drop)
+            assert info.value.index == 2
+        assert rows == [9, 9, 3]
+
     def test_admits_by_the_margins_solve_tests(self, monkeypatch):
         """Admission tests heads k - 1 and k at lam and mu by solve's own helper, on the same sweeps, at its margin."""
         admitted, tested = [], []
         solver_heads = giep._solver_heads
 
         def recorder(log):
-            def record(pencil, k, z, tol):
-                sweep = solver_heads(pencil, k, z, tol)
-                log.append((k, tol, sweep))
-                return sweep
+            def record(sweep, k, tol):
+                head = solver_heads(sweep, k, tol)
+                log.append((k, tol, head))
+                return head
             return record
 
         monkeypatch.setattr(oracle, "_solver_heads", recorder(admitted))
@@ -193,15 +220,17 @@ class TestGenerateInstance:
     def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
         """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one pivot sweep.
 
-        The all-heads loop never runs.  The generator's only other passes are the full-order ones of the
-        eigenvectors it takes the tails from (instance_from_truth).  The sweep of the minors of J in
-        pencil_eigenvalues, through oracle's own name of pivot_sweep, is not counted.
+        The all-heads loop never runs.  The generator sweeps the full order once per point and tests the
+        heads on its rows 0..k; its only other passes are the full-order ones of the eigenvectors it takes
+        the tails from, on the same sweeps.  The sweep of the minors of J (H = 0) in pencil_eigenvalues
+        is not counted.
         """
         calls = []  # ("sweep", z, rows) for each pivot sweep, ("pass", z, rows) for each twisted pass
         pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
 
         def record_sweep(pencil, upto, z):
-            calls.append(("sweep", complex(z), upto))
+            if any(pencil.H.a) or any(pencil.H.b):
+                calls.append(("sweep", complex(z), upto))
             return pivot_sweep(pencil, upto, z)
 
         def record_pass(sweep):
@@ -211,9 +240,10 @@ class TestGenerateInstance:
         def all_heads(*args):
             raise AssertionError("head_margins runs")
 
-        for module in (recurrence, giep):
+        for module in (recurrence, giep, oracle):
             monkeypatch.setattr(module, "pivot_sweep", record_sweep)
-        monkeypatch.setattr(recurrence, "twisted_pivots", record_pass)
+        for module in (recurrence, oracle):
+            monkeypatch.setattr(module, "twisted_pivots", record_pass)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)
@@ -222,17 +252,22 @@ class TestGenerateInstance:
             _, inst = tp.generate_instance(config)
             k = inst.k
 
-            def point(z, heads=(k, k + 1)):
-                return [("sweep", z, k + 1)] + [("pass", z, rows) for rows in heads]
+            def point(z, heads=(k, k + 1), rows=k + 1):
+                return [("sweep", z, rows)] + [("pass", z, rows) for rows in heads]
 
             def eigenvector(z, n=inst.J.n):
-                return [("sweep", z, n + 1), ("pass", z, n + 1)]
+                return [("pass", z, n + 1)]
 
-            # per point tested: head(k - 1), then head(k) unless head(k - 1) rejected the draw
+            # per point tested: a full-order sweep, head(k - 1), then head(k) unless head(k - 1) rejected the draw;
+            # the eigenvectors of an admitted draw follow the second point's heads
+            n = inst.J.n
             starts = [i for i, call in enumerate(calls) if call[0] == "sweep"] + [len(calls)]
             for lo, hi in zip(starts, starts[1:]):
-                assert calls[lo:hi] in (point(calls[lo][1]), point(calls[lo][1], (k,)), eigenvector(calls[lo][1]))
-            assert calls[-10:] == point(inst.lam) + point(inst.mu) + eigenvector(inst.lam) + eigenvector(inst.mu)
+                z = calls[lo][1]
+                assert calls[lo:hi] in (point(z, rows=n + 1), point(z, (k,), rows=n + 1),
+                                        point(z, rows=n + 1) + eigenvector(inst.lam) + eigenvector(inst.mu))
+            assert calls[-8:] == (point(inst.lam, rows=n + 1) + point(inst.mu, rows=n + 1)
+                                  + eigenvector(inst.lam) + eigenvector(inst.mu))
             calls.clear()
             tp.solve(inst)
             assert calls == point(inst.lam) + point(inst.mu)

@@ -1,6 +1,8 @@
 """Recurrence-level tests: minors, convergents (via m_function), the pivot pass and its spectrum margins."""
 
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -533,3 +535,25 @@ def test_a_non_finite_point_raises(name, z):
     with pytest.raises(ValueError, match=r"^the point z = .* is not finite$"):
         POINT_OPERATIONS[name](seeded_pencil(2, 6), z)
 
+
+
+def test_the_point_slot_is_read_only_and_no_part_of_the_value():
+    """The sweep and twisted pass a pencil keeps for its last point are read-only; copy, pickle, == and hash
+    neither carry nor read them, nor the minors pencil that J keeps for pencil_eigenvalues."""
+    pencil = seeded_pencil(1, 10)
+    z = 0.3 + 0.5j
+    tp.resolvent_matrix(pencil, z)
+    tp.pencil_eigenvalues(pencil)
+    sweep, (gamma, margin, backward) = recurrence._at_point(pencil, z, twisted=True)
+    for x in (*sweep[1:], gamma, backward):
+        assert isinstance(x, np.ndarray) and not x.flags.writeable
+    with pytest.raises(ValueError):
+        sweep.pivots[0] = 0
+    assert recurrence._at_point(pencil, z)[0] is sweep
+    bare = tp.Pencil(pencil.J, pencil.H)
+    assert bare == pencil and hash(bare) == hash(pencil) and pickle.dumps(bare) == pickle.dumps(pencil)
+    for duplicate in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        twin = duplicate(pencil)
+        assert twin == pencil and hash(twin) == hash(pencil)
+        assert "_point" not in vars(twin) and (twin.J is pencil.J or "_minors" not in vars(twin.J))
+        assert "_point" in vars(pencil) and "_minors" in vars(pencil.J)
