@@ -298,7 +298,7 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
     _check_split(k, n)
     sweeps, vectors = [], []
     for z, name in ((lam, "lam"), (mu, "mu")):
-        sweeps.append(_at_point(pencil, z)[0])
+        sweeps.append(_at_point(pencil, z).sweep)
         _check_heads(sweeps[-1], (k - 1, k))
         vectors.append(_eigenvector(pencil, z, f"{name} = {z!r}"))
     p, s = vectors
@@ -347,7 +347,8 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
 
 def _eigenvector(pencil: Pencil, z: float, point: str) -> np.ndarray:
     """The eigenvector at z, v_0 = 1, from the full-order passes at z (_at_point); ValueError off the spectrum."""
-    v, margin = _twisted_eigenvector(*_at_point(pencil, z, twisted=True))
+    at = _at_point(pencil, z, twisted=True)
+    v, margin = _twisted_eigenvector(at.sweep, at.twisted)
     if not margin < SPECTRUM_RTOL:
         raise ValueError(f"{point} must be an eigenvalue of the full pencil: its twisted margin "
                          f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")

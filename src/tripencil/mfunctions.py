@@ -15,8 +15,11 @@ rule and the overall sign were fixed empirically against dense inversion on
 Every direct operation here reads one pivot pass (recurrence.pivot_sweep),
 which holds the entries of w*J - H at w with its pivots, and forms nothing
 that can overflow; the m-values come from the twisted passes that guard
-them.  The operations at one (pencil, w) share the full-order sweep and
-the full-order twisted pass (recurrence._at_point): m_table,
+them.  The operations at one (pencil, w) share the full-order sweep, the
+full-order twisted pass and the prefix products of the unit-factor steps
+(recurrence._at_point): m_table's head test hands the twisted pass over to
+the pencil's slot, and whichever of resolvent_matrix and ldu_factors runs
+second reads the prefix products the first formed, so m_table,
 resolvent_matrix, ldu_factors and trailing_inverse back to back at one
 point run each O(n) loop once.  With D_t = P_{t+1}/P_t the LDL^T pivots
 of w*J - H,
@@ -59,7 +62,7 @@ import numpy as np
 from .errors import DegenerateDifferenceError
 from .giep import _check_component, _check_split, _real_part
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_at_point, _check_heads, _check_margins, _finite_point, _unit_steps, _unit_upper,
+from .recurrence import (_at_point, _check_heads, _check_margins, _finite_point, _keep_twisted, _unit_upper,
                          head_margins, pivot_sweep, unit_factors)
 from .tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 
@@ -109,9 +112,15 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """All values m(w, 0)..m(w, n+1), 1/gamma_0 of each head (head_margins), and their differences in one pivot pass.
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
+    The head test steps the backward pivots of the full pencil too; they
+    and its margin give the full-order twisted pass, which the pencil keeps
+    for the operations that follow at w (recurrence._keep_twisted).
     """
-    sweep, _ = _at_point(pencil, omega)
-    margins, corners = head_margins(sweep)
+    point = _at_point(pencil, omega)
+    sweep = point.sweep
+    margins, corners, backward = head_margins(sweep)
+    if point.twisted is None:
+        _keep_twisted(pencil, point, margins[-1], backward)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = sweep.pivots
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))))
@@ -134,9 +143,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
     """
-    sweep, _ = _at_point(pencil, omega)
+    sweep = _at_point(pencil, omega).sweep
     diag = 1.0 / _check_heads(sweep, (pencil.n,), pencil=pencil)[0]
-    right, left = _unit_steps(pencil, sweep)
+    right, left = _at_point(pencil, sweep.z, unit=True).unit
     return _unit_upper(right, diag, left, hermitian=left is None)
 
 
@@ -175,7 +184,7 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     that the same point gives for the components.  At a real w (w.imag == 0)
     G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
-    sweep, _ = _at_point(pencil, omega)
+    sweep = _at_point(pencil, omega).sweep
     _check_heads(sweep, (pencil.n,), pencil=pencil)
     _check_margins(sweep.z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
@@ -183,7 +192,7 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     flat = np.flatnonzero(np.abs(sweep.weights) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
-    F, G = unit_factors(pencil, sweep)
+    F, G = unit_factors(*_at_point(pencil, sweep.z, unit=True).unit)
     return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).tolist()), G)
 
 
@@ -198,7 +207,7 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
-    sweep, _ = _at_point(pencil, omega)
+    sweep = _at_point(pencil, omega).sweep
     _check_heads(sweep, (k, pencil.n), pencil=pencil)
     size = pencil.n - k
     out = np.zeros((size, size), dtype=complex)

@@ -79,11 +79,24 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
     the minors of J are the P_m of the pencil z*J - 0 at z = 1, so the check
     is the pivot margin of that pencil (pivot_sweep), O(n), scale-invariant
     and free of overflow.  J keeps that pencil, and the pencil its sweep at
-    z = 1 (recurrence._at_point), so a second call on the same J sweeps nothing.
+    z = 1 (recurrence._at_point), so a second call on the same J sweeps
+    nothing.  The pencil keeps its eigenvalues, read-only and no part of its
+    value, and each call returns a fresh copy of them: a second call on the
+    same pencil does no dense work.  The error is not kept; it is raised again.
     """
-    low = (_at_point(pencil.J._minors, 1.0)[0].margins <= DEGREE_DROP_RTOL).nonzero()[0]
+    low = (_at_point(pencil.J._minors, 1.0).sweep.margins <= DEGREE_DROP_RTOL).nonzero()[0]
     if low.size:
         raise DegreeDropError(int(low[0]) + 1)
+    kept = pencil.__dict__.get("_eigenvalues")
+    if kept is None:
+        kept = _dense_eigenvalues(pencil)
+        kept.setflags(write=False)
+        object.__setattr__(pencil, "_eigenvalues", kept)
+    return kept.copy()
+
+
+def _dense_eigenvalues(pencil: Pencil) -> np.ndarray:
+    """pencil_eigenvalues by dense linear algebra, once its degree-drop check has passed."""
     J, H = pencil.J.dense(), pencil.H.dense()
     try:
         L = np.linalg.cholesky(J)

@@ -40,15 +40,20 @@ the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
 Every direct operation of mfunctions and giep reads the terms from this
 pass and forms none of them again; pq_sweep, the component sweeps and
 liouville_ostrogradsky_residual keep their own loops.  The operations at
-one (pencil, z) share the pass: the full-order readers take the sweep and
-its full-order twisted pass from _at_point, which the pencil keeps for the
-last point it was evaluated at; pivot_sweep itself stays pure, and prefix
+one (pencil, z) share the pass: the full-order readers take the sweep, its
+full-order twisted pass and the prefix products of its unit-factor steps
+from _at_point, which the pencil keeps in one slot (_Point) for the last
+point it was evaluated at, each part formed on first demand; m_table fills
+the twisted pass from its head test (_keep_twisted), which steps the full
+head's backward pivots anyway.  pivot_sweep itself stays pure, and prefix
 sweeps are not kept.  The component ratios follow from the pivots,
 p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L
 the same with conj(b_t); unit_factors turns them into the inverses of the
 unit factors of z*J - H = L D U (_unit_upper, which writes an entry twice
 only below the diagonal of its blocks), and at a real z takes the lower
-one as the conjugate transpose of the upper.
+one as the conjugate transpose of the upper.  Their prefix products are
+one scale-free loop (_prefix_products), which resolvent_matrix and
+ldu_factors share at a point; each scale then costs array passes alone (_runs).
 Joined with the pivots taken from the bottom up, by a pass that reads the
 forward weights and carries only the pivots, they give the twisted pivots
 gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and their margin
@@ -59,8 +64,8 @@ raises for both.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the
 same passes give the m-values.  The margin has one formula in one arithmetic:
 twisted_pivots runs the bottom-up pass of one head on numpy scalars,
 head_margins those of all heads as one vector step per row, and takes the
-margins of every step in one array pass after the loop, with the same
-bits.  head_margins stops once the passes have joined, bit for bit, which
+margins of every step in one array pass over a block after the loop, with
+the same bits, the backward pivots of the full head included.  head_margins stops once the passes have joined, bit for bit, which
 off the spectrum they do within a few dozen rows: O(n) work per row
 reached, not O(n^2) per point.
 """
@@ -251,21 +256,29 @@ def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tu
     return complex(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
 
 
-def unit_factors(pencil: Pencil, sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
+def unit_factors(right: _Prefix, left: _Prefix | None) -> tuple[np.ndarray, np.ndarray]:
     """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U, D = diag(pivots).
 
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
-    (unit lower triangular); sweep must hold the pivots of the full order.
-    At a real z the pivots are real and each step of G is the conjugate of
-    that of F, to the sign of a zero imaginary part, so G is taken as
-    conj(F)^T there (the inverse of a Hermitian matrix is Hermitian).
+    (unit lower triangular), from the prefix products of these steps over
+    the full order (_unit_prefixes).  At a real z the pivots are real and
+    each step of G is the conjugate of that of F, to the sign of a zero
+    imaginary part, so G is taken as conj(F)^T there (the inverse of a
+    Hermitian matrix is Hermitian), and left is None.
+    """
+    F = _unit_upper(right)
+    return F, (F.conj() if left is None else _unit_upper(left)).T
+
+
+def _unit_prefixes(pencil: Pencil, sweep: PivotSweep) -> tuple[_Prefix, _Prefix | None]:
+    """The prefix products of the steps of U^-1 and of L^-1 (_unit_steps), the left ones None at a real z.
+
     Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
     vanishes, as the component sweeps do.
     """
     right, left = _unit_steps(pencil, sweep)
-    F = _unit_upper(right)
-    return F, (F.conj() if left is None else _unit_upper(left)).T
+    return _prefix_products(right), None if left is None else _prefix_products(left)
 
 
 def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
@@ -297,10 +310,11 @@ def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
         raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
 
 
-def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
-                lower: list[complex] | None = None, hermitian: bool = False) -> np.ndarray:
+def _unit_upper(steps: _Prefix, scale: np.ndarray | None = None,
+                lower: _Prefix | None = None, hermitian: bool = False) -> np.ndarray:
     """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
+    steps and lower are given by their prefix products (_prefix_products).
     No scale means ones.  With lower, steps of the same length, the part
     below the diagonal is that of _unit_upper(lower, scale).T instead:
     S[t, i] = lower[i] * ... * lower[t-1] * scale[t] for i < t, which is how
@@ -328,7 +342,7 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     with each rounded product and quotient and keeps every modulus, so only
     the sign of a zero imaginary part may differ), not formed again.
     """
-    size = len(steps) + 1
+    size = len(steps.mantissas)
     S = np.empty((size, size), dtype=complex)
     runs = _runs(steps, scale)
     upper_only = lower is None and not hermitian
@@ -354,8 +368,20 @@ def _unit_upper(steps: list[complex], scale: np.ndarray | None = None,
     return S
 
 
-def _runs(steps: list[complex], scale: np.ndarray | None) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """(lo, hi, 2^64/M_i for i in lo..hi-1, M_t scale[t] 2^(E_t - E_lo - 64) for t >= lo) of each run (_unit_upper)."""
+class _Prefix(NamedTuple):
+    """The prefix products C_t = steps[0] * ... * steps[t-1], t = 0..N, as M_t 2^E_t (_prefix_products)."""
+
+    mantissas: np.ndarray  # M_t, in [2^-64, 2^63) in modulus
+    exponents: np.ndarray  # E_t, one per row of a column
+    bounds: tuple[int, ...]  # lo of each run of one exponent, then N + 1
+
+
+def _prefix_products(steps: list[complex]) -> _Prefix:
+    """The scale-free half of _runs, in one loop over the steps: the mantissas, exponents and runs of the C_t.
+
+    The mantissa is rescaled by a power of 2, exactly, where it leaves
+    [2^-64, 2^64), and a new run starts there.  The arrays are read-only.
+    """
     mant, expo, runs = [1 + 0j], [0], [0]
     m, e = 1 + 0j, 0
     for t, q in enumerate(steps, start=1):
@@ -366,12 +392,21 @@ def _runs(steps: list[complex], scale: np.ndarray | None) -> list[tuple[int, int
             runs.append(t)
         mant.append(m)
         expo.append(e)
-    M = np.asarray(mant)
+    M, E = np.asarray(mant), np.asarray(expo)[:, None]
+    _read_only((M, E))
+    return _Prefix(M, E, (*runs, len(mant)))
+
+
+def _runs(steps: _Prefix, scale: np.ndarray | None) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(lo, hi, 2^64/M_i for i in lo..hi-1, M_t scale[t] 2^(E_t - E_lo - 64) for t >= lo) of each run of steps.
+
+    The half of _unit_upper's runs that depends on the scale: array passes on the prefix products alone.
+    """
+    M, E, bounds = steps
     # ldexp on the (real, imaginary) rows of the column mantissas shifts them exactly
     cols = (M if scale is None else M * scale).view(float).reshape(-1, 2)
-    shifts = np.asarray(expo)[:, None] - 64
-    return [(lo, hi, _LIFT / M[lo:hi], np.ldexp(cols[lo:], shifts[lo:] - expo[lo]).view(complex)[:, 0])
-            for lo, hi in zip(runs, runs[1:] + [len(mant)])]
+    return [(lo, hi, _LIFT / M[lo:hi], np.ldexp(cols[lo:], E[lo:] - (E[lo] + 64)).view(complex)[:, 0])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
@@ -388,7 +423,7 @@ def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     lives on.  It is head_margins' margin of head(N-1), bit for bit: the
     pass is its vector step on numpy complex128 scalars, which round as its
     array operations do (Python's complex division and abs() do not).  The
-    backward pivots D-_r are returned as well.
+    backward pivots D-_r are returned as well, head_margins' third array.
     """
     u, w, own = sweep.u, sweep.weights, sweep.own
     Y = u[-1] or np.complex128(_stand_in(own[-1]))
@@ -400,19 +435,25 @@ def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
             Y = np.complex128(_stand_in(own[-1 - len(backward)] + np.abs(y)))
         backward.append(Y)
     backward = np.array(backward[::-1])
-    y = w / backward[1:]
-    gamma = u - sweep.x  # u - x - y, with y_{N-1} = 0
-    gamma[:-1] -= y
+    gamma, y = _joined(sweep, backward)
     above = _twisted_margins(gamma[:-1], sweep.terms[:-1], y)
     return gamma, float(above.min(initial=sweep.margins[-1])), backward
 
 
-def _twisted_margins(gamma: np.ndarray, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _joined(sweep: PivotSweep, backward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_r = u_r - x_r - y_r of twisted_pivots and y_r = w_r/D-_{r+1}, from the backward pivots D-_r."""
+    y = sweep.weights / backward[1:]
+    gamma = sweep.u - sweep.x  # u - x - y, with y_{N-1} = 0
+    gamma[:-1] -= y
+    return gamma, y
+
+
+def _twisted_margins(gamma: np.ndarray, terms: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|gamma_r|/(terms_r + |y_r|) on rows above a head's last; 0, not 0/0, on a row whose terms all vanish."""
     scale = terms + np.abs(y)
     if not scale.all():
         scale[scale == 0] = 1.0
-    return np.abs(gamma) / scale
+    return np.divide(np.abs(gamma), scale, out=out)
 
 
 def _stand_in(terms):
@@ -420,8 +461,8 @@ def _stand_in(terms):
     return _EPS * np.where(terms > 0, terms, 1.0)
 
 
-def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
-    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1, and their gamma_0.
+def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twisted margins at sweep.z of the leading sub-pencils head(t), t = 0..N-1, their gamma_0, and D-_r of head(N-1).
 
     N = len(sweep.pivots).  Entry t is twisted_pivots' margin of head(t),
     rows 0..t, bit for bit: 0 at one of its eigenvalues, whichever row the
@@ -438,11 +479,15 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
     with the margins of all N heads: O(N L) flops in L steps.  Near an
     eigenvalue of a sub-pencil the passes may not join, and it takes all N.
     The loop carries the backward pivots, the corners and the join test
-    alone; the margins of its steps follow in one array pass per
-    _STEPS_HELD steps (_lower_margins).  Entry t of the second array is
-    twisted_pivots' gamma_0 = 1/m(z, t + 1) of head(t), bit for bit: head s
-    reaches row 0 at step s, and the longer heads that have joined it there
-    read its rows above the join.
+    alone, and writes the y of each step into a row of one block; the
+    margins of the block follow in one array pass per _STEPS_HELD steps
+    (_lower_margins).  Entry t of the second array is twisted_pivots'
+    gamma_0 = 1/m(z, t + 1) of head(t), bit for bit: head s reaches row 0
+    at step s, and the longer heads that have joined it there read its rows
+    above the join.  The third array is twisted_pivots' backward pivots of
+    the full head(N-1), bit for bit, so that its twisted pass needs no loop
+    of its own (_keep_twisted): row N-1-s at step s, and at the join step
+    every row left, which each longer head reads as the shorter ones have.
     """
     N = len(sweep.pivots)
     u, w, own, terms = sweep.u, sweep.weights, sweep.own, sweep.terms
@@ -451,12 +496,14 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
     Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
         Y = np.where(Y == 0, _stand_in(own), Y)
+    back = np.empty(N, dtype=complex)  # D-_r of head(N-1)
+    back[-1] = Y[-1]
     best = sweep.margins.copy()
-    ys = []  # the backward terms y of the steps since the margins were last lowered, ys[-1] that of step s
+    held = np.zeros((min(_STEPS_HELD, N - 1), N), dtype=complex)  # row i: the y of step first + i, rows 0..N-1-first-i
+    first = 1  # the first step held
     for s in range(1, N):
         rows = N - s  # heads s..N-1 have a row s above their last one, rows 0..N-1-s
-        y = w[:rows] / Y[s:]
-        ys.append(y)
+        y = np.divide(w[:rows], Y[s:], out=held[s - first, :rows])
         new = u[:rows] - y
         corners[s] = new[0]
         if np.count_nonzero(new) < rows:
@@ -465,65 +512,95 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
         # the rows j - 1..0 left to head s + j are those heads s + j - 1..s have just read
         if new[-1] == Y[-2] and new[1:].tobytes() == Y[s:-1].tobytes():
             corners[s + 1:] = corners[s]
-            _lower_margins(best, ys, s, ux, terms, joined=True)
-            return best, corners
-        if len(ys) == _STEPS_HELD:
-            _lower_margins(best, ys, s, ux, terms, joined=False)
-            ys = []
+            back[:rows] = new
+            _lower_margins(best, held[:s + 1 - first], first, ux, terms, joined=True)
+            return best, corners, back
+        back[rows - 1] = new[-1]
+        if s + 1 - first == len(held):
+            _lower_margins(best, held, first, ux, terms, joined=False)
+            first = s + 1
         Y[s:] = new
-    _lower_margins(best, ys, N - 1, ux, terms, joined=False)
-    return best, corners
+    _lower_margins(best, held[:N - first], first, ux, terms, joined=False)
+    return best, corners, back
 
 
-def _lower_margins(best: np.ndarray, ys: list[np.ndarray], last: int, ux: np.ndarray, terms: np.ndarray,
+def _lower_margins(best: np.ndarray, held: np.ndarray, first: int, ux: np.ndarray, terms: np.ndarray,
                    joined: bool) -> None:
-    """Lower head_margins' best by |u - x - y|/(|z c| + |a| + |x| + |y|) of steps last-len(ys)+1..last, in place.
+    """Lower head_margins' best by |u - x - y|/(|z c| + |a| + |x| + |y|) of steps first..first+len(held)-1, in place.
 
-    Step s reads its y on rows 0..N-1-s, for heads s..N-1, and all the
-    steps held take one array pass.  At the step the heads joined (joined,
-    the last), head s + j takes the least of heads s..s + j, whose rows it
-    reads.
+    Row i of held is the y of step first + i on rows 0..N-1-first-i, for
+    heads first + i..N-1, and the block takes one array pass, with u - x and
+    the terms broadcast over its rows.  In the margins, row i is shifted i
+    columns right by its strides, so that column h holds the margins of
+    head first + h and the rest of the column reads +inf padding: the least
+    per head is one reduction.  At the step the heads joined (joined, the
+    last), head s + j takes the least of heads s..s + j, whose rows it reads.
     """
-    if not ys:
+    count = len(held)
+    if not count:
         return
-    lengths = [len(y) for y in ys]
-    y = np.concatenate(ys)
-    starts = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
-    rows = np.arange(len(y)) - starts
-    step = _twisted_margins(ux[rows] - y, terms[rows], y)
+    rows = len(best) - first  # those of step first, the most any step held reads
+    y = held[:, :rows]
+    margins = np.empty((count, rows + count))
+    margins[:, rows:] = np.inf
+    _twisted_margins(ux[:rows] - y, terms[:rows], y, out=margins[:, :rows])
     if joined:
-        step[starts[-1]:] = np.minimum.accumulate(step[starts[-1]:])
-    np.minimum.at(best, rows + np.repeat(np.arange(last - len(ys) + 1, last + 1), lengths), step)
+        last = margins[-1, :rows + 1 - count]
+        np.minimum.accumulate(last, out=last)
+    row, col = margins.strides
+    heads = np.ndarray((count, rows), float, margins, 0, (row - col, col))  # [i, h]: margins[i, h - i]
+    np.minimum(best[first:], heads.min(axis=0), out=best[first:])
 
 
-def _at_point(pencil: Pencil, z: complex,
-              twisted: bool = False) -> tuple[PivotSweep, tuple[np.ndarray, float, np.ndarray] | None]:
-    """The full-order pivot sweep of pencil at z and, with twisted, its twisted pass; kept for the last point.
+class _Point(NamedTuple):
+    """What a pencil keeps for the last point it was evaluated at (_at_point); None where not yet formed."""
 
-    Every full-order reader takes both from here, so the operations at one
-    (pencil, z) run each O(n) loop once.  The pencil holds one slot, (the
-    bits of z, the sweep, the pass or None), keyed on the exact bits so that
-    a signed zero in either part is a point of its own, and replaced whole
-    in one assignment: a pencil shared across threads sees one point's
-    slot or another's, never a mix.  The arrays are read-only; the pass is
-    taken on first demand.  Outside J and H, the slot is no part of the
-    value (Pencil.__getstate__, ==, hash).
+    key: bytes  # the bits of z
+    sweep: PivotSweep  # full order
+    twisted: tuple[np.ndarray, float, np.ndarray] | None = None  # twisted_pivots of the sweep
+    unit: tuple[_Prefix, _Prefix | None] | None = None  # _unit_prefixes of the sweep
+
+
+def _at_point(pencil: Pencil, z: complex, twisted: bool = False, unit: bool = False) -> _Point:
+    """The full-order pivot sweep of pencil at z and, with twisted or unit, its twisted pass or unit prefix products.
+
+    Every full-order reader takes them from here, so the operations at one
+    (pencil, z) run each O(n) loop once.  The pencil holds one slot, a
+    _Point keyed on the exact bits of z so that a signed zero in either part
+    is a point of its own, and replaced whole in one assignment: a pencil
+    shared across threads sees one point's slot or another's, never a mix.
+    The arrays are read-only; the pass and the prefix products are formed
+    on first demand, the pass by m_table's head test too (_keep_twisted).
+    Outside J and H, the slot is no part of the value (Pencil.__getstate__,
+    ==, hash).
     """
     z = _finite_point(z)
     key = struct.pack("2d", z.real, z.imag)
-    slot = pencil.__dict__.get("_point")
-    if slot is None or slot[0] != key:
+    kept = point = pencil.__dict__.get("_point")
+    if point is None or point.key != key:
         sweep = pivot_sweep(pencil, pencil.n + 1, z)
         _read_only(sweep[1:])  # every field but z
-        slot = (key, sweep, None)
-    elif slot[2] is not None or not twisted:
-        return slot[1], slot[2]
-    if twisted:
-        gamma, margin, backward = full = twisted_pivots(slot[1])
+        point = _Point(key, sweep)
+    if twisted and point.twisted is None:
+        gamma, margin, backward = full = twisted_pivots(point.sweep)
         _read_only((gamma, backward))
-        slot = (key, slot[1], full)
-    object.__setattr__(pencil, "_point", slot)
-    return slot[1], slot[2]
+        point = point._replace(twisted=full)
+    if unit and point.unit is None:
+        point = point._replace(unit=_unit_prefixes(pencil, point.sweep))
+    if point is not kept:
+        object.__setattr__(pencil, "_point", point)
+    return point
+
+
+def _keep_twisted(pencil: Pencil, point: _Point, margin: float, backward: np.ndarray) -> None:
+    """Keep at point the twisted pass of its sweep from head_margins' margin and backward pivots of head(n).
+
+    They are twisted_pivots' margin and backward pivots bit for bit, and
+    _joined forms its gamma from them as twisted_pivots does.
+    """
+    gamma, _ = _joined(point.sweep, backward)
+    _read_only((gamma, backward))
+    object.__setattr__(pencil, "_point", point._replace(twisted=(gamma, float(margin), backward)))
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> None:
@@ -542,7 +619,7 @@ def _check_heads(sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRU
     """
     for t in heads:
         if pencil is not None and t == pencil.n:
-            twisted = _at_point(pencil, sweep.z, twisted=True)[1]
+            twisted = _at_point(pencil, sweep.z, twisted=True).twisted
         else:
             twisted = twisted_pivots(sweep.prefix(t + 1))
         _check_margins(sweep.z, np.array((twisted[1],)), tol, first=t)
@@ -564,7 +641,7 @@ def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
     eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
     the leading sub-pencil over rows 0..m.
     """
-    return _at_point(pencil, z, twisted=True)[1][1]
+    return _at_point(pencil, z, twisted=True).twisted[1]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:
@@ -640,7 +717,8 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     VanishingComponentError(0) where v_0 is zero in floating point or so
     small against the other entries that normalizing overflows them.
     """
-    return _twisted_eigenvector(*_at_point(pencil, z, twisted=True))[0]
+    point = _at_point(pencil, z, twisted=True)
+    return _twisted_eigenvector(point.sweep, point.twisted)[0]
 
 
 def _twisted_eigenvector(sweep: PivotSweep, twisted: tuple[np.ndarray, float, np.ndarray]) -> tuple[np.ndarray, float]:

@@ -84,12 +84,12 @@ def test_left_pole_collision_reports_index(rng):
 
 
 def test_every_component_sweep_raises_at_the_first_pole_with_its_numbers():
-    """Poles at indices 1 and 3: each sweep and unit_factors stop at 1, and the error says by how much."""
+    """Poles at indices 1 and 3: each sweep and the steps of the unit factors stop at 1, and the error says by how much."""
     z = 0.5
     pencil = two_pole_pencil(z)
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
     for op in (tp.right_components, tp.left_components, tp.right_components_with_derivative,
-               lambda pencil, z: recurrence.unit_factors(pencil, sweep)):
+               lambda pencil, z: recurrence._unit_prefixes(pencil, sweep)):
         with pytest.raises(tp.PoleCollisionError) as exc:
             op(pencil, z)
         err = exc.value

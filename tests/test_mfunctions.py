@@ -239,7 +239,7 @@ def test_array_guards_raise_at_the_first_failing_index():
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
     # off the spectrum and clear of FACTOR_RTOL: only the poles and the vanishing weights fail
     assert recurrence.eigenvalue_margin(pencil, z) > 1e-3 and min(sweep.margins) > FACTOR_RTOL
-    for op in (lambda: tp.resolvent_matrix(pencil, z), lambda: recurrence.unit_factors(pencil, sweep)):
+    for op in (lambda: tp.resolvent_matrix(pencil, z), lambda: recurrence._unit_prefixes(pencil, sweep)):
         with pytest.raises(tp.PoleCollisionError) as exc:
             op()
         assert exc.value.index == 1
@@ -439,7 +439,8 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
         diag = 1.0 / recurrence.twisted_pivots(sweep)[0]
         right, left = recurrence._unit_steps(pencil, sweep)[0], reference_left_steps(pencil, sweep)
-        F, G = recurrence._unit_upper(right, diag), recurrence._unit_upper(left, diag).T
+        F = recurrence._unit_upper(recurrence._prefix_products(right), diag)
+        G = recurrence._unit_upper(recurrence._prefix_products(left), diag).T
         R = tp.resolvent_matrix(pencil, omega)
         assert np.array_equal(R[upper], F[upper])
         assert np.array_equal(R.T[upper], G.T[upper])
@@ -693,7 +694,7 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
     """trailing_inverse tests heads k and n on one pivot sweep; resolvent_matrix forms the exponent runs
     of its two triangles once at a real point (the lower ones are their conjugates) and twice at a complex one."""
     calls = []
-    pivot_sweep, twisted_pivots, runs = recurrence.pivot_sweep, recurrence.twisted_pivots, recurrence._runs
+    pivot_sweep, twisted_pivots, runs = recurrence.pivot_sweep, recurrence.twisted_pivots, recurrence._prefix_products
 
     def count(name, function):
         def counted(*args):
@@ -703,7 +704,7 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
 
     monkeypatch.setattr(recurrence, "pivot_sweep", count("sweep", pivot_sweep))
     monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
-    monkeypatch.setattr(recurrence, "_runs", count("runs", runs))
+    monkeypatch.setattr(recurrence, "_prefix_products", count("runs", runs))
     pencil = seeded_pencil(2, 40)
     top, _, middle = far_points(pencil)
     for omega in (top, middle):
@@ -738,8 +739,9 @@ def _outcome(op):
 
 def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeypatch):
     """At one (pencil, z) the direct operations, eigenvalue_margin and eigenvector_components run the pivot
-    loop once and the full-order twisted pass once; only trailing_inverse's head k takes a pass of its own.
-    A new z, the other signed zero of a part of z, or an equal but distinct pencil runs them again."""
+    loop once and, after m_table, whose head test hands over the full-order twisted pass, no full-order pass;
+    only trailing_inverse's head k takes a pass of its own.  A new z, the other signed zero of a part of z,
+    or an equal but distinct pencil runs them again."""
     calls = []
     pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
 
@@ -755,7 +757,7 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
     monkeypatch.setattr(recurrence, "twisted_pivots", twisted)
     pencil = seeded_pencil(2, 40)
     top, bottom, middle = far_points(pencil)
-    once = [("sweep", 41), ("pass", 41), ("pass", 21)]
+    once = [("sweep", 41), ("pass", 21)]
     for owner, z in ((pencil, top), (pencil, middle), (pencil, complex(middle.real, -0.5)), (pencil, bottom),
                      (pencil, complex(bottom, -0.0)), (tp.Pencil(pencil.J, pencil.H), complex(bottom, -0.0))):
         calls.clear()
@@ -768,47 +770,111 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
     assert calls == [("pass", 21)]
 
 
-def _memo_points(pencil):
-    """Far real, complex, eigenvalue and sub-pencil-eigenvalue points, and one real point with either signed zero."""
-    top, bottom, middle = far_points(pencil)
-    eigs, sub = dense_spectrum(pencil), dense_spectrum(pencil.head(pencil.n // 2))
+def _memo_points(pencil, eigs):
+    """Far real, complex, eigenvalue and sub-pencil-eigenvalue points, and one real point with either signed zero;
+    eigs is the spectrum of the pencil, from which the far points are those of far_points."""
+    top, bottom, middle = eigs[-1] + 1.5, eigs[0] - 1.5, complex(0.5 * (eigs[0] + eigs[-1]), 0.5)
+    sub = dense_spectrum(pencil.head(pencil.n // 2))
     return [top, middle, middle.conjugate(), float(eigs[0].real), float(eigs[len(eigs) // 2].real),
             float(sub[len(sub) // 2].real), complex(bottom, 0.0), complex(bottom, -0.0)]
 
 
-@pytest.mark.parametrize("seed,n", [(0, 5), (2, 40), (5, 160)])
+def _in_order(ops, order):
+    """The operations of _at_one_point with m_table first, as they come, or last, in reverse."""
+    return ops if order == "m_table first" else ops[::-1]
+
+
+def _warm_outcomes_are_fresh(pencil, points, order):
+    """At each point in turn, on one warm pencil, the operations in order and then in the other order give
+    what each gives on a fresh pencil; returns the fresh outcomes at each point, in _at_one_point's order."""
+    warm, outcomes = tp.Pencil(pencil.J, pencil.H), []
+    for z in points:  # on one warm pencil, so that x - 0j follows x + 0j
+        fresh = [_outcome(_at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]) for i in range(6)]
+        ops = _in_order(_at_one_point(warm, z), order)
+        assert [_outcome(op) for op in ops] == _in_order(fresh, order), z
+        assert [_outcome(op) for op in reversed(ops)] == _in_order(fresh, order)[::-1], z
+        outcomes.append(fresh)
+    return outcomes
+
+
+@pytest.mark.parametrize("seed,n", [(0, 5), (2, 40), (5, 160), (1, 640)])
 def test_each_operation_on_a_warm_pencil_is_that_on_a_fresh_one_bit_for_bit(seed, n):
-    """After the others ran at the same point, each operation gives what it gives on a fresh pencil: the same
-    bytes, or the same error with the same index and value (resolvent_matrix at an eigenvalue included).
-    So do the positivity witness and the trace identities, which read the eigenvectors at their points."""
+    """After the others ran at the same point, in either order, each operation gives what it gives on a fresh
+    pencil: the same bytes, or the same error with the same index and value (resolvent_matrix at an eigenvalue
+    included).  So do the positivity witness and the trace identities, which read the eigenvectors at their points."""
     pencil = seeded_pencil(seed, n)
-    warm, raised, signed = tp.Pencil(pencil.J, pencil.H), 0, []
-    for z in _memo_points(pencil):  # on one warm pencil, so that x - 0j follows x + 0j
-        ops = _at_one_point(warm, z)
-        fresh = [_outcome(_at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]) for i in range(len(ops))]
-        assert [_outcome(op) for op in ops] == fresh, z
-        assert [_outcome(op) for op in reversed(ops)] == fresh[::-1], z
-        raised += "SpectrumCollisionError" in fresh[1]
-        signed.append(fresh)
-    assert raised >= 2  # at the two eigenvalues of the full pencil, a second call raises the same index and value
-    assert signed[-1] != signed[-2]  # x + 0j and x - 0j give different signed zeros
-    lam, mu = (float(x.real) for x in dense_spectrum(pencil)[[-1, 0]])
+    eigs = dense_spectrum(pencil)
+    points = _memo_points(pencil, eigs)
+    fresh = _warm_outcomes_are_fresh(pencil, points, "m_table first")
+    assert _warm_outcomes_are_fresh(pencil, points, "m_table last") == fresh
+    # at the two eigenvalues of the full pencil, a second call raises the same index and value
+    assert sum("SpectrumCollisionError" in outcomes[1] for outcomes in fresh) >= 2
+    assert fresh[-1] != fresh[-2]  # x + 0j and x - 0j give different signed zeros
+    warm = tp.Pencil(pencil.J, pencil.H)
+    lam, mu = (float(x.real) for x in eigs[[-1, 0]])
     for k in (1, n // 2):
         for op in (lambda p: tp.positivity_witness(p, k, mu), lambda p: tp.trace_identity_residuals(p, k, lam, mu)):
             tp.eigenvector_components(warm, mu)
             assert _outcome(lambda: op(warm)) == _outcome(lambda: op(tp.Pencil(pencil.J, pencil.H)))
 
 
+def test_each_operation_on_a_warm_exact_zero_pencil_is_that_on_a_fresh_one_bit_for_bit():
+    """The pencils whose backward pivots are exactly zero at z = 0 (test_recurrence), where the stand-ins
+    enter the pass that m_table hands over, at 0, next to it and at a complex point, in either order."""
+    for pencil in (toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j), toeplitz_pencil(12, 1.0, 1.0, -2.0, 2j),
+                   toeplitz_pencil(11, 2.5, 1.0, 0.0, 1j), toeplitz_pencil(12, 2.5, 1.0, 0.0, 1j)):
+        for order in ("m_table first", "m_table last"):
+            _warm_outcomes_are_fresh(pencil, [0.0, 1e-17, 0.25j], order)
+
+
 def test_a_pencil_shared_across_threads_gives_each_point_its_own_bits():
     """Two threads that evaluate one pencil at two points, turn about, replace its slot under each other;
-    every result is still that of a fresh pencil at its own point."""
+    every result is still that of a fresh pencil at its own point.  Each thread runs resolvent_matrix and
+    ldu_factors after m_table, in either order."""
     pencil = seeded_pencil(2, 40)
     top, _, middle = far_points(pencil)
+    swap = [0, 2, 1, 3, 4, 5]  # ldu_factors before resolvent_matrix
     expected = {z: [_outcome(_at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]) for i in range(6)]
                 for z in (top, middle)}
 
     def run(z):
-        return all([_outcome(op) for op in _at_one_point(pencil, z)] == expected[z] for _ in range(20))
+        ops, same = _at_one_point(pencil, z), []
+        for i in range(20):
+            order = swap if i % 2 else range(6)
+            same.append([_outcome(ops[j]) for j in order] == [expected[z][j] for j in order])
+        return all(same)
 
     with ThreadPoolExecutor(2) as pool:
         assert all(pool.map(run, [top, middle] * 4))
+
+
+def test_resolvent_and_ldu_factors_share_the_unit_prefix_products(monkeypatch):
+    """After m_table at a point, resolvent_matrix and ldu_factors, in either order, run no full-order twisted
+    pass, take the steps of the unit factors once and their prefix products once per side: one side at a
+    real point, where L^-1 is conj(U^-1)^T, two at a complex one."""
+    calls = []
+    steps, prefix, twisted_pivots = recurrence._unit_steps, recurrence._prefix_products, recurrence.twisted_pivots
+
+    def count(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    def twisted(sweep):
+        calls.append(("pass", len(sweep.pivots)))
+        return twisted_pivots(sweep)
+
+    monkeypatch.setattr(recurrence, "_unit_steps", count("steps", steps))
+    monkeypatch.setattr(recurrence, "_prefix_products", count("prefix", prefix))
+    monkeypatch.setattr(recurrence, "twisted_pivots", twisted)
+    pencil = seeded_pencil(2, 40)
+    top, bottom, middle = far_points(pencil)
+    for z, sides in ((top, 1), (middle, 2), (complex(bottom, -0.0), 1)):
+        for ops in ((tp.resolvent_matrix, tp.ldu_factors), (tp.ldu_factors, tp.resolvent_matrix)):
+            fresh = tp.Pencil(pencil.J, pencil.H)
+            tp.m_table(fresh, z)
+            calls.clear()
+            for op in ops:
+                op(fresh, z)
+            assert calls == ["steps"] + ["prefix"] * sides, (z, ops)

@@ -188,6 +188,35 @@ class TestGenerateInstance:
             assert info.value.index == 2
         assert rows == [9, 9, 3]
 
+    def test_a_second_call_on_one_pencil_does_no_dense_work(self, monkeypatch):
+        """The pencil keeps its eigenvalues: a second call gives the same bits with no dense solve, in a fresh
+        array, so that mutating what a call returned leaves the next call's bits unchanged.  An equal but
+        distinct pencil solves its own, and DegreeDropError is raised again on every call."""
+        solves = []
+        dense = oracle._dense_eigenvalues
+
+        def record(pencil):
+            solves.append(pencil.n)
+            return dense(pencil)
+
+        monkeypatch.setattr(oracle, "_dense_eigenvalues", record)
+        pencil = seeded_pencil(4, 8)
+        first = tp.pencil_eigenvalues(pencil)
+        expected = first.tobytes()
+        first[:] = 0
+        for _ in range(2):
+            again = tp.pencil_eigenvalues(pencil)
+            assert again.tobytes() == expected and again.flags.writeable
+            again[0] = 1.0
+        assert solves == [8]
+        assert tp.pencil_eigenvalues(tp.Pencil(pencil.J, pencil.H)).tobytes() == expected and solves == [8, 8]
+        drop = tp.Pencil(tp.SymmetricTridiagonal((1.0, 1.0, 3.0), (1.0, 1.0)),
+                         tp.HermitianTridiagonal((0.0,) * 3, (1j,) * 2))
+        for _ in range(2):
+            with pytest.raises(tp.DegreeDropError):
+                tp.pencil_eigenvalues(drop)
+        assert solves == [8, 8] and "_eigenvalues" not in vars(drop)
+
     def test_admits_by_the_margins_solve_tests(self, monkeypatch):
         """Admission tests heads k - 1 and k at lam and mu by solve's own helper, on the same sweeps, at its margin."""
         admitted, tested = [], []

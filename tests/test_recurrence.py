@@ -302,7 +302,10 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
 
 
 def _all_steps_margins(pencil, sweep, first):
-    """head_margins as a plain N-step loop, with no early stop: the backward pivots of all heads, row by row."""
+    """head_margins as a plain N-step loop, with no early stop: the backward pivots of all heads, row by row.
+
+    Returns the margins of heads first..N-1 and the backward pivots of head(N-1), rows 0..N-1.
+    """
     N = len(sweep.pivots)
     z = sweep.z
     zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
@@ -315,6 +318,7 @@ def _all_steps_margins(pencil, sweep, first):
         return np.where(Y == 0, 2.0 ** -52 * np.where(terms > 0, terms, 1.0), Y)
 
     Y = stand_in(u[first:], np.abs(zc[first:]) + np.abs(av[first:]))
+    back = [Y[-1]]
     for s in range(1, N):
         h = max(s - first, 0)
         rows = slice(first + h - s, N - s)
@@ -322,30 +326,36 @@ def _all_steps_margins(pencil, sweep, first):
         ay = np.abs(y)
         best[h:] = np.minimum(best[h:], np.abs(ux[rows] - y) / (sx[rows] + ay))
         Y[h:] = stand_in(u[rows] - y, np.abs(zc[rows]) + np.abs(av[rows]) + ay)
-    return best
+        back.append(Y[-1])
+    return best, np.array(back[::-1])
 
 
 def _assert_twisted_pivots_match_head_margins(sweep):
-    """twisted_pivots' margin and gamma_0 of each head, on its prefix of the sweep, equal head_margins' bit for bit."""
+    """twisted_pivots' margin and gamma_0 of each head, on its prefix of the sweep, equal head_margins' bit for bit,
+    and so do the backward pivots of the full head."""
     heads = [sweep.prefix(t + 1) for t in range(len(sweep.pivots))]
     alone = [recurrence.twisted_pivots(head) for head in heads]
-    margins, corners = recurrence.head_margins(sweep)
+    margins, corners, back = recurrence.head_margins(sweep)
     assert np.array_equal(margins, [margin for _, margin, _ in alone]), sweep.z
     assert np.array_equal(bits(corners), bits([gamma[0] for gamma, _, _ in alone])), sweep.z
+    assert np.array_equal(bits(back), bits(alone[-1][2])), sweep.z
 
 
 def _assert_margins_match_all_steps(pencil, points, firsts):
     """head_margins equals the N-step loop and twisted_pivots bit for bit; returns {(point, first): guard fires}.
 
-    The N-step loop runs heads first..N-1 alone, and matches the slice of head_margins' heads 0..N-1.
+    The N-step loop runs heads first..N-1 alone, and matches the slice of head_margins' heads 0..N-1; the
+    backward pivots of head(N-1) that it steps are those of head_margins and of twisted_pivots.
     """
     fired = {}
     for z in points:
         sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
         _assert_twisted_pivots_match_head_margins(sweep)
-        margins = recurrence.head_margins(sweep)[0]
+        margins, _, back = recurrence.head_margins(sweep)
         for first in firsts:
-            assert np.array_equal(margins[first:], _all_steps_margins(pencil, sweep, first)), (z, first)
+            loop, loop_back = _all_steps_margins(pencil, sweep, first)
+            assert np.array_equal(margins[first:], loop), (z, first)
+            assert np.array_equal(bits(back), bits(loop_back)), (z, first)
             fired[z, first] = bool((margins[first:] < SPECTRUM_RTOL).any())
     return fired
 
@@ -485,7 +495,7 @@ def test_unit_upper_matches_mpmath_across_the_double_range(N, scaled):
     scale = np.exp2(rng.uniform(-10, 10, N + 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi, N + 1))
     base, E = _exact_ratios(steps, scale if scaled else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # entries past 2^1024 overflow, as they must
-        S = recurrence._unit_upper(list(steps), scale if scaled else None)
+        S = recurrence._unit_upper(recurrence._prefix_products(list(steps)), scale if scaled else None)
         back = np.ldexp(S.real, -E) + 1j * np.ldexp(S.imag, -E)  # S[i, t] / 2^E[i, t]
     assert E.max() > 1100  # the prefix products span more than 2^1100
     upper = np.triu(np.ones(S.shape, dtype=bool), 1)
@@ -538,22 +548,28 @@ def test_a_non_finite_point_raises(name, z):
 
 
 def test_the_point_slot_is_read_only_and_no_part_of_the_value():
-    """The sweep and twisted pass a pencil keeps for its last point are read-only; copy, pickle, == and hash
-    neither carry nor read them, nor the minors pencil that J keeps for pencil_eigenvalues."""
+    """The sweep, twisted pass and unit prefix products a pencil keeps for its last point are read-only,
+    whichever operation filled the pass; copy, pickle, == and hash neither carry nor read them, nor the
+    minors pencil and the eigenvalues that J and the pencil keep for pencil_eigenvalues."""
     pencil = seeded_pencil(1, 10)
     z = 0.3 + 0.5j
-    tp.resolvent_matrix(pencil, z)
+    for first in (tp.m_table, tp.resolvent_matrix):  # the pass handed over by the head test, or its own
+        pencil.__dict__.pop("_point", None)
+        first(pencil, z)
+        tp.ldu_factors(pencil, z)
+        point = recurrence._at_point(pencil, z)
+        (gamma, margin, backward), (right, left) = point.twisted, point.unit
+        for x in (*point.sweep[1:], gamma, backward, *right[:2], *left[:2]):
+            assert isinstance(x, np.ndarray) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            point.sweep.pivots[0] = 0
+        assert recurrence._at_point(pencil, z, twisted=True, unit=True) is point
     tp.pencil_eigenvalues(pencil)
-    sweep, (gamma, margin, backward) = recurrence._at_point(pencil, z, twisted=True)
-    for x in (*sweep[1:], gamma, backward):
-        assert isinstance(x, np.ndarray) and not x.flags.writeable
-    with pytest.raises(ValueError):
-        sweep.pivots[0] = 0
-    assert recurrence._at_point(pencil, z)[0] is sweep
     bare = tp.Pencil(pencil.J, pencil.H)
     assert bare == pencil and hash(bare) == hash(pencil) and pickle.dumps(bare) == pickle.dumps(pencil)
     for duplicate in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
         twin = duplicate(pencil)
         assert twin == pencil and hash(twin) == hash(pencil)
-        assert "_point" not in vars(twin) and (twin.J is pencil.J or "_minors" not in vars(twin.J))
-        assert "_point" in vars(pencil) and "_minors" in vars(pencil.J)
+        assert "_point" not in vars(twin) and "_eigenvalues" not in vars(twin)
+        assert twin.J is pencil.J or "_minors" not in vars(twin.J)
+        assert {"_point", "_eigenvalues"} <= set(vars(pencil)) and "_minors" in vars(pencil.J)
