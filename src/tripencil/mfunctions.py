@@ -17,8 +17,9 @@ which holds the entries of w*J - H at w with its pivots, and forms nothing
 that can overflow; the m-values come from the twisted passes that guard
 them.  The operations at one (pencil, w) share the full-order sweep, the
 full-order twisted pass and the prefix products of the unit-factor steps
-(recurrence._at_point): m_table's head test hands the twisted pass over to
-the pencil's slot, and whichever of resolvent_matrix and ldu_factors runs
+(recurrence._at_point): m_table's head test hands the twisted pass and the
+margin of every head over to the pencil's slot, which trailing_inverse's
+head-k test reads, and whichever of resolvent_matrix and ldu_factors runs
 second reads the prefix products the first formed, so m_table,
 resolvent_matrix, ldu_factors and trailing_inverse back to back at one
 point run each O(n) loop once.  With D_t = P_{t+1}/P_t the LDL^T pivots
@@ -114,13 +115,14 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
     The head test steps the backward pivots of the full pencil too; they
     and its margin give the full-order twisted pass, which the pencil keeps
-    for the operations that follow at w (recurrence._keep_twisted).
+    for the operations that follow at w with the margins of every head
+    (recurrence._keep_twisted).
     """
     point = _at_point(pencil, omega)
     sweep = point.sweep
     margins, corners, backward = head_margins(sweep)
-    if point.twisted is None:
-        _keep_twisted(pencil, point, margins[-1], backward)
+    if point.margins is None:
+        _keep_twisted(pencil, point, margins, backward)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = sweep.pivots
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))))
@@ -203,7 +205,8 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     block of w*J - H with its corner replaced by the pivot D_{k+1}.  Raises
     SpectrumCollisionError on the spectrum of that leading block (index k),
     where the pivot does not exist, and of the full pencil (index n): two
-    twisted passes on one pivot sweep, which holds the block's entries too.
+    twisted passes on one pivot sweep, which holds the block's entries too;
+    after m_table at w, the head margins and the pass it kept instead.
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")

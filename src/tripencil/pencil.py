@@ -9,9 +9,9 @@ array passes to slice, and keeps one memo slot: the full-order pivot sweep,
 twisted pass and unit-factor prefix products of the last point it was
 evaluated at (recurrence._at_point), so that the operations at one point
 share them; the readers form each part on first demand, and m_table hands
-over the twisted pass from its head test.  J keeps the pencil z*J - 0 whose
-sweep at z = 1 gives its minors, and a pencil keeps its eigenvalues
-(oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
+over the twisted pass and the margin of every head from its head test.  J
+keeps the pencil z*J - 0 whose sweep at z = 1 gives its minors, and a pencil
+keeps its eigenvalues (oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
 Every type here is safe to share across threads: what is kept is
 read-only, the same bits as a fresh computation, and the slot is replaced
 whole in one assignment, so a reader sees one point's slot or another's.

@@ -25,10 +25,17 @@ the library evaluates at an eigenvalue reads it; the sweep with
 z-derivatives has no caller left and stays for the benchmark.  pq_sweep and
 the component sweeps step on plain Python complex numbers, carrying the last
 two values in locals: numpy scalar arithmetic costs about twice as much per step.
-The component sweeps prepare their coefficients in one array pass over the
-pencil's diagonals (the pole test of every index, u_m = z c_m - a_m,
-b_m - z d_m and the sub-diagonal factor), so the loop does the step alone;
-the operations and their order are those of the per-step form, bit for bit.
+Each prepares its coefficients in one array pass over the pencil's
+diagonals, so that its loop does the step alone: pq_sweep u_m = z c_m - a_m
+and w_m, whose real and imaginary parts are formed by separate real
+operations as in Python's complex product (_pq_sweep; numpy's complex
+multiply rounds some products differently), and the component sweeps the
+pole test of every index, u_m, b_m - z d_m and the sub-diagonal factor.  The
+sweep with z-derivatives runs the value loop first, then forms the forcing
+terms c_m p_m, d_{m-1} p_{m-1} and d_m p_{m+1} in one array pass, each with
+one real factor, which numpy rounds as Python does, and steps the
+derivatives alone in a second loop.  The operations and their order are
+those of the per-step form, bit for bit.
 
 The minors and components grow or decay geometrically and leave the double
 range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
@@ -39,7 +46,8 @@ it, formed once in one array pass, with the LDL^T pivots D_t = P_{t+1}/P_t,
 the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
 Every direct operation of mfunctions and giep reads the terms from this
 pass and forms none of them again; pq_sweep, the component sweeps and
-liouville_ostrogradsky_residual keep their own loops.  The operations at
+liouville_ostrogradsky_residual keep their own loops; the residual reads
+pq_sweep's w.  The operations at
 one (pencil, z) share the pass: the full-order readers take the sweep, its
 full-order twisted pass and the prefix products of its unit-factor steps
 from _at_point, which the pencil keeps in one slot (_Point) for the last
@@ -65,9 +73,11 @@ same passes give the m-values.  The margin has one formula in one arithmetic:
 twisted_pivots runs the bottom-up pass of one head on numpy scalars,
 head_margins those of all heads as one vector step per row, and takes the
 margins of every step in one array pass over a block after the loop, with
-the same bits, the backward pivots of the full head included.  head_margins stops once the passes have joined, bit for bit, which
-off the spectrum they do within a few dozen rows: O(n) work per row
-reached, not O(n^2) per point.
+the same bits, the backward pivots of the full head included; m_table keeps
+its margins at the point, and the head tests that follow there read them.
+head_margins stops once the passes have joined, bit for bit, which off the
+spectrum they do within a few dozen rows: O(n) work per row reached, not
+O(n^2) per point.
 """
 
 from __future__ import annotations
@@ -117,25 +127,43 @@ def _check_finite(**sequences) -> None:
 def pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list[complex]]:
     """Values P_0..P_upto and Q_0..Q_upto at z in one pass; ValueError where they leave the double range."""
     _check_index(pencil, upto)
-    z = _finite_point(z)
-    c, d = pencil.J.c, pencil.J.d
-    a, b = pencil.H.a, pencil.H.b
+    return _pq_sweep(pencil, upto, _finite_point(z))[:2]
+
+
+def _pq_sweep(pencil: Pencil, upto: int, z: complex) -> tuple[list[complex], list[complex], list[complex]]:
+    """pq_sweep's P and Q, and the w_m = (z d_m - b_m)(z d_m - conj(b_m)), m < upto - 1, that it steps on.
+
+    One array pass forms u_m = z c_m - a_m and w_m, each w_m as Python's
+    complex product of its two factors: real part ur*lr - ui*li and
+    imaginary part ur*li + ui*lr, each by its own real operation, for
+    numpy's complex multiply rounds some products differently.  Entries past
+    the double range come out infinite or NaN there, without a warning, and
+    the check after the loop reports the first value they make non-finite.
+    """
+    c, d, a, b = pencil._diagonals
+    cut = max(upto - 1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = z * c[:upto] - a[:upto]
+        zd = z * d[:cut]
+        upper, lower = zd - b[:cut], zd - b[:cut].conj()
+        ur, ui, lr, li = upper.real, upper.imag, lower.real, lower.imag
+        w = np.empty(cut, dtype=complex)
+        w.real = ur * lr - ui * li
+        w.imag = ur * li + ui * lr
+    u, w = u.tolist(), w.tolist()
     P = [1.0 + 0j]
     Q = [0.0 + 0j]
-    if upto >= 1:
-        p0, p1, q0, q1 = P[0], z * c[0] - a[0], Q[0], 1.0 + 0j
+    if u:
+        p0, p1, q0, q1 = P[0], u[0], Q[0], 1.0 + 0j
         P.append(p1)
         Q.append(q1)
-    for cm, am, dl, bl in zip(c[1:upto], a[1:upto], d, b):
-        u = z * cm - am
-        zd = z * dl
-        w = (zd - bl) * (zd - bl.conjugate())  # w_{m-1}
-        p0, p1 = p1, u * p1 - w * p0
-        q0, q1 = q1, u * q1 - w * q0
+    for um, wl in zip(u[1:], w):  # w_{m-1}
+        p0, p1 = p1, um * p1 - wl * p0
+        q0, q1 = q1, um * q1 - wl * q0
         P.append(p1)
         Q.append(q1)
     _check_finite(P=P, Q=Q)
-    return P, Q
+    return P, Q, w
 
 
 def eval_p(pencil: Pencil, m: int, z: complex) -> complex:
@@ -559,6 +587,7 @@ class _Point(NamedTuple):
     sweep: PivotSweep  # full order
     twisted: tuple[np.ndarray, float, np.ndarray] | None = None  # twisted_pivots of the sweep
     unit: tuple[_Prefix, _Prefix | None] | None = None  # _unit_prefixes of the sweep
+    margins: np.ndarray | None = None  # head_margins' margins of the sweep, kept by m_table (_keep_twisted)
 
 
 def _at_point(pencil: Pencil, z: complex, twisted: bool = False, unit: bool = False) -> _Point:
@@ -570,7 +599,8 @@ def _at_point(pencil: Pencil, z: complex, twisted: bool = False, unit: bool = Fa
     is a point of its own, and replaced whole in one assignment: a pencil
     shared across threads sees one point's slot or another's, never a mix.
     The arrays are read-only; the pass and the prefix products are formed
-    on first demand, the pass by m_table's head test too (_keep_twisted).
+    on first demand, the pass by m_table's head test too, which keeps the
+    margins of every head with it (_keep_twisted).
     Outside J and H, the slot is no part of the value (Pencil.__getstate__,
     ==, hash).
     """
@@ -592,15 +622,21 @@ def _at_point(pencil: Pencil, z: complex, twisted: bool = False, unit: bool = Fa
     return point
 
 
-def _keep_twisted(pencil: Pencil, point: _Point, margin: float, backward: np.ndarray) -> None:
-    """Keep at point the twisted pass of its sweep from head_margins' margin and backward pivots of head(n).
+def _keep_twisted(pencil: Pencil, point: _Point, margins: np.ndarray, backward: np.ndarray) -> None:
+    """Keep at point head_margins' margins of its sweep and, where it has none, the twisted pass of head(n).
 
-    They are twisted_pivots' margin and backward pivots bit for bit, and
-    _joined forms its gamma from them as twisted_pivots does.
+    The pass comes from the margin of head(n) and its backward pivots,
+    twisted_pivots' margin and backward pivots bit for bit, and _joined
+    forms its gamma from them as twisted_pivots does.  Both go into the
+    slot in one assignment.
     """
-    gamma, _ = _joined(point.sweep, backward)
-    _read_only((gamma, backward))
-    object.__setattr__(pencil, "_point", point._replace(twisted=(gamma, float(margin), backward)))
+    twisted = point.twisted
+    if twisted is None:
+        gamma, _ = _joined(point.sweep, backward)
+        _read_only((gamma, backward))
+        twisted = (gamma, float(margins[-1]), backward)
+    _read_only((margins,))
+    object.__setattr__(pencil, "_point", point._replace(twisted=twisted, margins=margins))
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> None:
@@ -615,14 +651,21 @@ def _check_heads(sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRU
 
     SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; each
     pass is twisted_pivots of sweep.prefix(t + 1), and that of the last head is returned.  With pencil,
-    whose full-order sweep sweep is, the pass of head(n) is the one kept at its point (_at_point).
+    whose full-order sweep sweep is, the last head is n and its pass the one kept at its point
+    (_at_point), and a head before it is tested from the head margins kept there where m_table has
+    kept them, with no pass: they are the margins of those passes bit for bit.
     """
     for t in heads:
-        if pencil is not None and t == pencil.n:
-            twisted = _at_point(pencil, sweep.z, twisted=True).twisted
+        point = None if pencil is None else _at_point(pencil, sweep.z, twisted=t == pencil.n)
+        if point is not None and t == pencil.n:
+            twisted = point.twisted
+            margin = twisted[1]
+        elif point is not None and point.margins is not None:
+            margin = point.margins[t]
         else:
             twisted = twisted_pivots(sweep.prefix(t + 1))
-        _check_margins(sweep.z, np.array((twisted[1],)), tol, first=t)
+            margin = twisted[1]
+        _check_margins(sweep.z, np.array((margin,)), tol, first=t)
     return twisted
 
 
@@ -648,12 +691,11 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
     """Relative residual of P_{m+1} Q_m - P_m Q_{m+1} = -prod_{j<m} w_j(z)."""
     if not 0 <= m <= pencil.n:
         raise ValueError(f"index {m} out of range 0..{pencil.n}")
-    z = complex(z)
-    P, Q = pq_sweep(pencil, m + 1, z)
+    P, Q, w = _pq_sweep(pencil, m + 1, _finite_point(z))
     lhs = P[m + 1] * Q[m] - P[m] * Q[m + 1]
     rhs = -1.0 + 0j
-    for d, b in zip(pencil.J.d[:m], pencil.H.b[:m]):
-        rhs *= (z * d - b) * (z * d - b.conjugate())
+    for wj in w:
+        rhs *= wj
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
@@ -666,23 +708,27 @@ def _component_sweep(pencil: Pencil, z: complex,
     _check_poles(np.abs(den), b, zd)
     # step m is p_{m+1} = (u_m p_m + f_m p_{m-1})/den_m with u_m = z c_m - a_m, den_m = b_m - z d_m
     # and f_m = z d_{m-1} - conj(b_{m-1}), f_0 = 0; zip stops after the n steps of den
-    steps = zip((z * c - a).tolist(), [0j] + (zd - b.conj()).tolist(), den.tolist())
-    p, dp = [1 + 0j], [0j]
+    u, f, den = (z * c - a).tolist(), [0j] + (zd - b.conj()).tolist(), den.tolist()
+    p = [1 + 0j]
     p0, p1 = 0j, 1 + 0j  # p_{m-1}, p_m; p_{-1} = 0
-    if with_derivative:
-        dp0, dp1, dl = 0j, 0j, 0.0  # their derivatives and d_{m-1}
-        for cm, dm, (u, f, dn) in zip(pencil.J.c, pencil.J.d, steps):
-            p2 = (u * p1 + f * p0) / dn
-            dp2 = (cm * p1 + u * dp1 + (dl * p0 + f * dp0) + dm * p2) / dn
-            p.append(p2)
-            dp.append(dp2)
-            p0, p1, dp0, dp1, dl = p1, p2, dp1, dp2, dm
-    else:
-        for u, f, dn in steps:
-            p0, p1 = p1, (u * p1 + f * p0) / dn
-            p.append(p1)
-    _check_finite(components=p, derivatives=dp)
-    return np.array(p, dtype=complex), np.array(dp, dtype=complex) if with_derivative else None
+    for um, fm, dn in zip(u, f, den):
+        p0, p1 = p1, (um * p1 + fm * p0) / dn
+        p.append(p1)
+    _check_finite(components=p)
+    p = np.array(p, dtype=complex)
+    if not with_derivative:
+        return p, None
+    # step m is dp_{m+1} = (c_m p_m + u_m dp_m + (d_{m-1} p_{m-1} + f_m dp_{m-1}) + d_m p_{m+1})/den_m, d_{-1} = 0;
+    # each forcing term has one real factor, so numpy's product rounds as Python's does
+    with np.errstate(over="ignore", invalid="ignore"):
+        here, before, after = (c[:-1] * p[:-1]).tolist(), [0j] + (d[:-1] * p[:-2]).tolist(), (d * p[1:]).tolist()
+    dp = [0j]
+    dp0, dp1 = 0j, 0j  # dp_{m-1}, dp_m
+    for hm, bm, am, um, fm, dn in zip(here, before, after, u, f, den):
+        dp0, dp1 = dp1, (hm + um * dp1 + (bm + fm * dp0) + am) / dn
+        dp.append(dp1)
+    _check_finite(derivatives=dp)
+    return p, np.array(dp, dtype=complex)
 
 
 def right_components(pencil: Pencil, z: complex) -> np.ndarray:
@@ -760,6 +806,11 @@ def right_components_with_derivative(pencil: Pencil, z: complex) -> tuple[np.nda
     """Right components together with their z-derivatives.
 
     The derivative sequence is propagated through the differentiated
-    recurrence alongside the values, avoiding finite-difference step tuning.
+    recurrence, avoiding finite-difference step tuning.  The values come
+    from right_components' loop and are tested first, so an entry that
+    leaves the double range is named among the components; the forcing
+    terms c_m p_m, d_{m-1} p_{m-1} and d_m p_{m+1} are then formed in one
+    array pass, and a second loop steps p'_{m+1} = (c_m p_m + u_m p'_m +
+    (d_{m-1} p_{m-1} + f_m p'_{m-1}) + d_m p_{m+1})/(b_m - z d_m) alone.
     """
     return _component_sweep(pencil, z, with_derivative=True)

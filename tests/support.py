@@ -282,6 +282,38 @@ def reference_positivity_witness(pencil, k, mu):
             - d_k * sl[k] * s[k + 1])
 
 
+def reference_pq(pencil, upto, z):
+    """P_0..P_upto and Q_0..Q_upto indexed through their own lists, one step per index on the coefficient tuples.
+
+    pq_sweep's earlier loop, kept as the reference for the sweep on coefficients prepared by one array pass:
+    each step forms u_m and the product w_{m-1} = (z d_{m-1} - b_{m-1})(z d_{m-1} - conj(b_{m-1})) in Python
+    complex arithmetic.  The values are not checked for leaving the double range.
+    """
+    c, d = pencil.J.c, pencil.J.d
+    a, b = pencil.H.a, pencil.H.b
+    P, Q = [1.0 + 0j], [0.0 + 0j]
+    if upto >= 1:
+        P.append(z * c[0] - a[0])
+        Q.append(1.0 + 0j)
+    for m in range(1, upto):
+        u = z * c[m] - a[m]
+        w = (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - b[m - 1].conjugate())
+        P.append(u * P[m] - w * P[m - 1])
+        Q.append(u * Q[m] - w * Q[m - 1])
+    return P, Q
+
+
+def reference_liouville(pencil, m, z):
+    """liouville_ostrogradsky_residual's earlier form: reference_pq's values and the product of w_j, one j at a
+    time, re-formed from the coefficient tuples.  The values are not checked for leaving the double range."""
+    P, Q = reference_pq(pencil, m + 1, z)
+    lhs = P[m + 1] * Q[m] - P[m] * Q[m + 1]
+    rhs = -1.0 + 0j
+    for d, b in zip(pencil.J.d[:m], pencil.H.b[:m]):
+        rhs *= (z * d - b) * (z * d - b.conjugate())
+    return abs(lhs - rhs) / (1.0 + abs(rhs))
+
+
 def reference_components(pencil, z):
     """Right components p_0..p_n at z and their z-derivatives, one step per index on the coefficient tuples.
 

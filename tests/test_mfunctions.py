@@ -739,9 +739,9 @@ def _outcome(op):
 
 def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeypatch):
     """At one (pencil, z) the direct operations, eigenvalue_margin and eigenvector_components run the pivot
-    loop once and, after m_table, whose head test hands over the full-order twisted pass, no full-order pass;
-    only trailing_inverse's head k takes a pass of its own.  A new z, the other signed zero of a part of z,
-    or an equal but distinct pencil runs them again."""
+    loop once and, after m_table, whose head test hands over the full-order twisted pass and the margin of
+    every head, no twisted pass at all: trailing_inverse tests its head k from the kept margins.  A new z,
+    the other signed zero of a part of z, or an equal but distinct pencil runs the loop again."""
     calls = []
     pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
 
@@ -757,7 +757,7 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
     monkeypatch.setattr(recurrence, "twisted_pivots", twisted)
     pencil = seeded_pencil(2, 40)
     top, bottom, middle = far_points(pencil)
-    once = [("sweep", 41), ("pass", 21)]
+    once = [("sweep", 41)]
     for owner, z in ((pencil, top), (pencil, middle), (pencil, complex(middle.real, -0.5)), (pencil, bottom),
                      (pencil, complex(bottom, -0.0)), (tp.Pencil(pencil.J, pencil.H), complex(bottom, -0.0))):
         calls.clear()
@@ -767,7 +767,7 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
     calls.clear()
     for op in _at_one_point(pencil, complex(bottom, -0.0)):
         op()
-    assert calls == [("pass", 21)]
+    assert calls == []
 
 
 def _memo_points(pencil, eigs):

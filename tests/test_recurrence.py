@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import bits, build_pencil, dense_spectrum, far_points, hand_pencil, seeded_pencil, toeplitz_pencil
+from support import (bits, build_pencil, dense_spectrum, far_points, hand_pencil, reference_components,
+                     reference_liouville, reference_pq, seeded_pencil, toeplitz_pencil)
 
 
 def test_eval_p_initial_condition(rng):
@@ -74,34 +76,75 @@ def test_determinant_identity_random(seed, n):
     assert abs(tp.eval_p(pencil, n + 1, z) - dense) <= 1e-9 * (1 + abs(dense))
 
 
-def _pq_lists(pencil, upto, z):
-    """The P/Q recurrence indexed through its own lists, with the weight formula of the module docstring."""
-    c, d = pencil.J.c, pencil.J.d
-    a, b = pencil.H.a, pencil.H.b
-    P, Q = [1.0 + 0j], [0.0 + 0j]
-    if upto >= 1:
-        P.append(z * c[0] - a[0])
-        Q.append(1.0 + 0j)
-    for m in range(1, upto):
-        u = z * c[m] - a[m]
-        w = (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - b[m - 1].conjugate())
-        P.append(u * P[m] - w * P[m - 1])
-        Q.append(u * Q[m] - w * Q[m - 1])
-    return P, Q
+def _first_not_finite(**sequences):
+    """The ValueError text that the unscaled sweeps give for these values, or None where all are finite."""
+    try:
+        recurrence._check_finite(**sequences)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-@pytest.mark.parametrize("n", [10, 160, 640])
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 160, 640])
 def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
-    """pq_sweep carries the last two values in locals; every bit of P and Q stays that of the list loop."""
-    pencil = seeded_pencil(3, n)
-    for z in map(complex, far_points(pencil)):
-        P, Q = (np.asarray(x) for x in _pq_lists(pencil, n + 1, z))
-        finite = np.isfinite(P) & np.isfinite(Q)
-        upto = n + 1 if finite.all() else int(np.argmin(finite)) - 1
-        assert upto >= min(n + 1, 200)
-        got = [np.asarray(x) for x in recurrence.pq_sweep(pencil, upto, z)]
-        for mine, reference in zip(got, (P, Q)):
-            assert np.array_equal(mine.view(np.uint64), reference[:upto + 1].view(np.uint64))
+    """pq_sweep steps on coefficients formed by one array pass, its w by Python's product rule; every bit of P,
+    Q and the Liouville-Ostrogradsky residual stays that of the per-step list loop, and where the loop's values
+    leave the double range, the error names its first entry that is not finite.  Real points are taken with
+    either signed zero imaginary part."""
+    compared = 0
+    for seed in range(4):
+        pencil = seeded_pencil(seed, n)
+        top, bottom, middle = far_points(pencil)
+        for z in (complex(top, 0.0), complex(top, -0.0), complex(bottom, 0.0), complex(bottom, -0.0), middle):
+            P, Q = reference_pq(pencil, n + 1, z)
+            for upto in sorted({0, 1, 2, n // 2, n + 1}):
+                want = _first_not_finite(P=P[:upto + 1], Q=Q[:upto + 1])
+                if want is None:
+                    got = recurrence.pq_sweep(pencil, upto, z)
+                    for mine, reference in zip(got, (P, Q)):
+                        assert np.array_equal(bits(mine), bits(reference[:upto + 1]))
+                    compared += 1
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        recurrence.pq_sweep(pencil, upto, z)
+                    assert str(exc.value) == want
+            for m in sorted({0, 1, n // 2, n}):
+                if _first_not_finite(P=P[:m + 2], Q=Q[:m + 2]) is None:
+                    got = tp.liouville_ostrogradsky_residual(pencil, m, z)
+                    assert bits([got]) == bits([reference_liouville(pencil, m, z)])
+                else:
+                    with pytest.raises(ValueError, match=r"not finite"):
+                        tp.liouville_ostrogradsky_residual(pencil, m, z)
+    assert compared >= 40
+
+
+def _scaled(pencil, s):
+    """2^s (J, H), exactly."""
+    f = 2.0 ** s
+    return tp.Pencil(tp.SymmetricTridiagonal(tuple(f * x for x in pencil.J.c), tuple(f * x for x in pencil.J.d)),
+                     tp.HermitianTridiagonal(tuple(f * x for x in pencil.H.a), tuple(f * x for x in pencil.H.b)))
+
+
+@pytest.mark.parametrize("s", [520, 600])
+def test_unscaled_sweeps_on_entries_near_the_overflow_threshold_are_the_per_step_loop(s):
+    """On 2^s (J, H) each w overflows: the array pass warns of nothing, and each sweep raises the per-step
+    loop's error, with its index and value, or gives its bits; the components are scale-free and finite."""
+    pencil = _scaled(seeded_pencil(0, 10), s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0.7, complex(0.7, -0.0), 0.3 + 0.5j):
+            P, Q = reference_pq(pencil, 11, z)
+            want = _first_not_finite(P=P, Q=Q)
+            assert want is not None and want.startswith("P[2] = ")
+            for call in (lambda: recurrence.pq_sweep(pencil, 11, z), lambda: tp.eval_p(pencil, 11, z),
+                         lambda: tp.liouville_ostrogradsky_residual(pencil, 10, z)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == want
+            p, dp = reference_components(pencil, z)
+            assert _first_not_finite(components=p, derivatives=dp) is None
+            got, got_dp = tp.right_components_with_derivative(pencil, z)
+            assert np.array_equal(bits(got), bits(p)) and np.array_equal(bits(got_dp), bits(dp))
 
 
 _BIG, _TOEPLITZ = seeded_pencil(3, 640), toeplitz_pencil(60, 2.5, 1.0, 0.3, 0.4 + 1e-9j)
