@@ -85,19 +85,22 @@ def _first_not_finite(**sequences):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 40, 160, 640])
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 40, 160, 640])
 def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
     """pq_sweep steps on coefficients formed by one array pass, its w by Python's product rule; every bit of P,
     Q and the Liouville-Ostrogradsky residual stays that of the per-step list loop, and where the loop's values
     leave the double range, the error names its first entry that is not finite.  Real points are taken with
-    either signed zero imaginary part."""
+    either signed zero imaginary part, and each sweep also at the deepest order whose values are all finite."""
     compared = 0
     for seed in range(4):
         pencil = seeded_pencil(seed, n)
         top, bottom, middle = far_points(pencil)
         for z in (complex(top, 0.0), complex(top, -0.0), complex(bottom, 0.0), complex(bottom, -0.0), middle):
             P, Q = reference_pq(pencil, n + 1, z)
-            for upto in sorted({0, 1, 2, n // 2, n + 1}):
+            finite = np.isfinite(P) & np.isfinite(Q)
+            deepest = n + 1 if finite.all() else int(np.argmin(finite)) - 1
+            assert deepest >= min(n + 1, 200)
+            for upto in sorted({0, 1, 2, n // 2, n + 1, deepest}):
                 want = _first_not_finite(P=P[:upto + 1], Q=Q[:upto + 1])
                 if want is None:
                     got = recurrence.pq_sweep(pencil, upto, z)
@@ -108,7 +111,7 @@ def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
                     with pytest.raises(ValueError) as exc:
                         recurrence.pq_sweep(pencil, upto, z)
                     assert str(exc.value) == want
-            for m in sorted({0, 1, n // 2, n}):
+            for m in sorted({0, 1, n // 2, n, deepest - 1}):
                 if _first_not_finite(P=P[:m + 2], Q=Q[:m + 2]) is None:
                     got = tp.liouville_ostrogradsky_residual(pencil, m, z)
                     assert bits([got]) == bits([reference_liouville(pencil, m, z)])
@@ -591,18 +594,19 @@ def test_a_non_finite_point_raises(name, z):
 
 
 def test_the_point_slot_is_read_only_and_no_part_of_the_value():
-    """The sweep, twisted pass and unit prefix products a pencil keeps for its last point are read-only,
-    whichever operation filled the pass; copy, pickle, == and hash neither carry nor read them, nor the
-    minors pencil and the eigenvalues that J and the pencil keep for pencil_eigenvalues."""
+    """The sweep, twisted pass, head margins and unit prefix products a pencil keeps for its last point are
+    read-only, whichever operation filled the pass; copy, pickle, == and hash neither carry nor read them, nor
+    the minors pencil and the eigenvalues that J and the pencil keep for pencil_eigenvalues."""
     pencil = seeded_pencil(1, 10)
     z = 0.3 + 0.5j
     for first in (tp.m_table, tp.resolvent_matrix):  # the pass handed over by the head test, or its own
         pencil.__dict__.pop("_point", None)
         first(pencil, z)
         tp.ldu_factors(pencil, z)
+        tp.m_table(pencil, z)  # keeps the head margins, with the pass it finds or its own
         point = recurrence._at_point(pencil, z)
         (gamma, margin, backward), (right, left) = point.twisted, point.unit
-        for x in (*point.sweep[1:], gamma, backward, *right[:2], *left[:2]):
+        for x in (*point.sweep[1:], gamma, backward, point.margins, *right[:2], *left[:2]):
             assert isinstance(x, np.ndarray) and not x.flags.writeable
         with pytest.raises(ValueError):
             point.sweep.pivots[0] = 0
