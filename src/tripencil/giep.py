@@ -38,7 +38,7 @@ from .errors import (
     VanishingComponentError,
 )
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal, _finite_complexes, _finite_floats
-from .recurrence import PivotSweep, _at_point, _check_heads, _rows_above, _twisted_eigenvector, pivot_sweep
+from .recurrence import _at_point, _Point, _rows_above, _twisted_eigenvector, pivot_sweep
 from .tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, IMAG_RTOL, RATIO_RTOL, SPECTRUM_RTOL
 
 
@@ -296,15 +296,13 @@ def trace_identity_residuals(pencil: Pencil, k: int, lam: float, mu: float) -> t
         raise ValueError("the identities degenerate at lam == mu")
     n = pencil.n
     _check_split(k, n)
-    sweeps, vectors = [], []
-    for z, name in ((lam, "lam"), (mu, "mu")):
-        sweeps.append(_at_point(pencil, z).sweep)
-        _check_heads(sweeps[-1], (k - 1, k))
-        vectors.append(_eigenvector(pencil, z, f"{name} = {z!r}"))
-    p, s = vectors
+    points = [_at_point(pencil, lam).check((k - 1, k))]
+    p = _eigenvector(points[0], f"lam = {lam!r}")
+    points.append(_at_point(pencil, mu).check((k - 1, k)))
+    s = _eigenvector(points[1], f"mu = {mu!r}")
     pl, sl = p.conj(), s.conj()
     # b_k - lam d_k and conj(b_k) - mu d_k: off-diagonal entries of the two sweeps, negated
-    right, left = -sweeps[0].upper[k], -sweeps[1].lower[k]
+    right, left = -points[0].sweep.upper[k], -points[1].sweep.lower[k]
     c, d, _, _ = pencil._diagonals
 
     def residual(rows: slice, left: np.ndarray, right: np.ndarray, t1: complex, t2: complex) -> float:
@@ -336,7 +334,7 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     """
     n = pencil.n
     _check_split(k, n)
-    s = _eigenvector(pencil, mu, f"mu = {mu!r}")[:k + 1]
+    s = _eigenvector(_at_point(pencil, mu), f"mu = {mu!r}")[:k + 1]
     c, d, _, _ = pencil._diagonals
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(c[:k + 1] @ (s.real ** 2 + s.imag ** 2) + 2.0 * (d[:k] @ (s[:-1].conj() * s[1:]).real))
@@ -345,12 +343,11 @@ def positivity_witness(pencil: Pencil, k: int, mu: float) -> float:
     return val
 
 
-def _eigenvector(pencil: Pencil, z: float, point: str) -> np.ndarray:
-    """The eigenvector at z, v_0 = 1, from the full-order passes at z (_at_point); ValueError off the spectrum."""
-    at = _at_point(pencil, z, twisted=True)
-    v, margin = _twisted_eigenvector(at.sweep, at.twisted)
+def _eigenvector(point: _Point, name: str) -> np.ndarray:
+    """The eigenvector at a pencil's point, v_0 = 1, from its full-order passes; ValueError off the spectrum."""
+    v, margin = _twisted_eigenvector(point)
     if not margin < SPECTRUM_RTOL:
-        raise ValueError(f"{point} must be an eigenvalue of the full pencil: its twisted margin "
+        raise ValueError(f"{name} must be an eigenvalue of the full pencil: its twisted margin "
                          f"{margin:.3e} is not below SPECTRUM_RTOL = {SPECTRUM_RTOL:g}")
     return v
 
@@ -372,25 +369,13 @@ def _relative_residual(pencil: Pencil, z: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_tridiagonal_product(diag, upper, lower, vec)) / (denom + 1e-300))
 
 
-def _solver_heads(sweep: PivotSweep, k: int, tol: float) -> PivotSweep:
-    """The sweep's rows 0..k, once its point is off the spectra of head(k - 1) and head(k), the heads solve reads.
-
-    SpectrumCollisionError(t, z, margin, tol) on head(t), k - 1 first, where its twisted margin is below tol
-    (SPECTRUM_RTOL in solve, the admission margin in the generator).  Both O(k) passes read the terms of the
-    sweep, which may run past row k: its prefix is the shorter sweep, bit for bit.
-    """
-    head = sweep.prefix(k + 1)
-    _check_heads(head, (k - 1, k), tol)
-    return head
-
-
 def solve(instance: GiepInstance) -> ReconstructionResult:
     """Full reconstruction: entries of H, leading components, diagnostics."""
     k = instance.k
     lam, mu = instance.lam, instance.mu
     head = instance.head_pencil()
     # one head pass per eigenvalue: the spectrum test of head(k - 1) and head(k), then the leading components
-    sweep_lam, sweep_mu = (_solver_heads(pivot_sweep(head, k + 1, z), k, SPECTRUM_RTOL) for z in (lam, mu))
+    sweep_lam, sweep_mu = (_Point(pivot_sweep(head, k + 1, z)).check((k - 1, k)).sweep for z in (lam, mu))
 
     systems = pair_systems(instance, instance.tail_p, instance.tail_s)
     b_rec = tuple(system.solve()[0] for system in systems)

@@ -15,11 +15,14 @@ rule and the overall sign were fixed empirically against dense inversion on
 Every direct operation here reads one pivot pass (recurrence.pivot_sweep),
 which holds the entries of w*J - H at w with its pivots, and forms nothing
 that can overflow; the m-values come from the twisted passes that guard
-them.  The operations at one (pencil, w) share the full-order sweep, the
+them.  The operations at one (pencil, w) share one point object
+(recurrence._at_point), which holds the full-order sweep and forms the
 full-order twisted pass and the prefix products of the unit-factor steps
-(recurrence._at_point): m_table's head test hands the twisted pass and the
-margin of every head over to the pencil's slot, which trailing_inverse's
-head-k test reads, and whichever of resolvent_matrix and ldu_factors runs
+on first read.  m_table's head test hands the margin of every head and
+the backward pivots of the full head over to it; the head tests of
+ldu_factors and trailing_inverse then read the margins alone, and only
+resolvent_matrix, which reads the twisted pivots gamma, forms them from
+the backward pivots.  Whichever of resolvent_matrix and ldu_factors runs
 second reads the prefix products the first formed, so m_table,
 resolvent_matrix, ldu_factors and trailing_inverse back to back at one
 point run each O(n) loop once.  With D_t = P_{t+1}/P_t the LDL^T pivots
@@ -36,8 +39,9 @@ diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil (head_margins),
 m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
-full pencil (recurrence._check_heads, one scalar pass per head tested on
-the terms of the sweep; resolvent_matrix takes its diagonal from that pass).
+full pencil (the one head test, recurrence._Point.check: the kept margin,
+or one scalar pass per head tested on the terms of the sweep;
+resolvent_matrix takes its diagonal from the full pass).
 Next to a sub-pencil eigenvalue the m-values, the Schur pivot and the
 resolvent stay within a small multiple of their own conditioning (against
 dense inversion), so a small pivot elsewhere costs them no accuracy.  The
@@ -63,8 +67,8 @@ import numpy as np
 from .errors import DegenerateDifferenceError
 from .giep import _check_component, _check_split, _real_part
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_at_point, _check_heads, _check_margins, _finite_point, _keep_twisted, _unit_upper,
-                         head_margins, pivot_sweep, unit_factors)
+from .recurrence import (_at_point, _check_margins, _finite_point, _Point, _unit_upper, head_margins, pivot_sweep,
+                         unit_factors)
 from .tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 
 
@@ -106,23 +110,22 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    return complex(1.0 / _check_heads(pivot_sweep(pencil, j, omega), (j - 1,))[0][0])
+    return complex(1.0 / _Point(pivot_sweep(pencil, j, omega)).check((j - 1,)).twisted[0][0])
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     """All values m(w, 0)..m(w, n+1), 1/gamma_0 of each head (head_margins), and their differences in one pivot pass.
 
     The differences are g_0 = 1/D_0 and g_t = g_{t-1} w_{t-1}/(D_{t-1} D_t).
-    The head test steps the backward pivots of the full pencil too; they
-    and its margin give the full-order twisted pass, which the pencil keeps
-    for the operations that follow at w with the margins of every head
-    (recurrence._keep_twisted).
+    The head test steps the backward pivots of the full pencil too; the
+    point keeps them with the margins of every head for the operations that
+    follow at w (recurrence._Point.keep), which form the full-order twisted
+    pass from them only if they read it.
     """
     point = _at_point(pencil, omega)
     sweep = point.sweep
     margins, corners, backward = head_margins(sweep)
-    if point.margins is None:
-        _keep_twisted(pencil, point, margins, backward)
+    point.keep(margins, backward)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = sweep.pivots
     diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))))
@@ -145,9 +148,9 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
     """
-    sweep = _at_point(pencil, omega).sweep
-    diag = 1.0 / _check_heads(sweep, (pencil.n,), pencil=pencil)[0]
-    right, left = _at_point(pencil, sweep.z, unit=True).unit
+    point = _at_point(pencil, omega).check((pencil.n,))
+    diag = 1.0 / point.twisted[0]
+    right, left = point.unit
     return _unit_upper(right, diag, left, hermitian=left is None)
 
 
@@ -186,15 +189,15 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     that the same point gives for the components.  At a real w (w.imag == 0)
     G is taken as conj(F).T, not formed by a second pass (unit_factors).
     """
-    sweep = _at_point(pencil, omega).sweep
-    _check_heads(sweep, (pencil.n,), pencil=pencil)
+    point = _at_point(pencil, omega).check((pencil.n,))
+    sweep = point.sweep
     _check_margins(sweep.z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
     terms = np.abs(sweep.z * d) + np.abs(b)
     flat = np.flatnonzero(np.abs(sweep.weights) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
-    F, G = unit_factors(*_at_point(pencil, sweep.z, unit=True).unit)
+    F, G = unit_factors(*point.unit)
     return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).tolist()), G)
 
 
@@ -206,12 +209,11 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     SpectrumCollisionError on the spectrum of that leading block (index k),
     where the pivot does not exist, and of the full pencil (index n): two
     twisted passes on one pivot sweep, which holds the block's entries too;
-    after m_table at w, the head margins and the pass it kept instead.
+    after m_table at w, the head margins it kept instead.
     """
     if not 0 <= k <= pencil.n - 1:
         raise ValueError(f"trailing split {k} out of range 0..{pencil.n - 1}")
-    sweep = _at_point(pencil, omega).sweep
-    _check_heads(sweep, (k, pencil.n), pencil=pencil)
+    sweep = _at_point(pencil, omega).check((k, pencil.n)).sweep
     size = pencil.n - k
     out = np.zeros((size, size), dtype=complex)
     out.flat[::size + 1] = sweep.u[k + 1:]

@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import (DegreeDropError, GenerationFailedError, NearSingularError, SpectrumCollisionError,
                      VanishingComponentError)
-from .giep import GiepInstance, ReconstructionResult, _check_split, _solver_heads, pair_systems
+from .giep import GiepInstance, ReconstructionResult, _check_split, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import _at_point, _twisted_eigenvector, eigenvector_components, pivot_sweep, twisted_pivots
+from .recurrence import _at_point, _Point, _twisted_eigenvector, eigenvector_components, pivot_sweep
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
                          EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
@@ -191,17 +191,16 @@ def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:
 
         # stay clearly outside the spectra solve tests, those of head(k - 1) and head(k) (rows 0..k),
         # on the margins it reads, from the rows 0..k of the full-order sweeps the tails are then taken from
-        sweeps = []
+        points = []
         try:
             for z in (lam, mu):
-                sweeps.append(pivot_sweep(truth, config.n + 1, z))
-                _solver_heads(sweeps[-1], k, ADMIT_SPECTRUM_MARGIN)
+                points.append(_Point(pivot_sweep(truth, config.n + 1, z)).check((k - 1, k), ADMIT_SPECTRUM_MARGIN))
         except SpectrumCollisionError:
             rejected["head spectrum"] += 1
             continue
 
         try:
-            inst = _instance(truth, k, lam, mu, *(_twisted_eigenvector(s, twisted_pivots(s))[0] for s in sweeps))
+            inst = _instance(truth, k, lam, mu, *(_twisted_eigenvector(point)[0] for point in points))
         except VanishingComponentError:
             rejected["v_0"] += 1
             continue

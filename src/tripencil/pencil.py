@@ -5,16 +5,18 @@ tridiagonal (real diagonal a, super-diagonal b, sub-diagonal conj(b)).  Both
 are stored as immutable coefficient tuples, which are the value: equality,
 hashing, repr, pickling and copies read them alone.  A pencil also converts
 its four diagonals to read-only numpy arrays once, on first use, for the
-array passes to slice, and keeps one memo slot: the full-order pivot sweep,
-twisted pass and unit-factor prefix products of the last point it was
-evaluated at (recurrence._at_point), so that the operations at one point
-share them; the readers form each part on first demand, and m_table hands
-over the twisted pass and the margin of every head from its head test.  J
-keeps the pencil z*J - 0 whose sweep at z = 1 gives its minors, and a pencil
-keeps its eigenvalues (oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
+array passes to slice, and keeps one memo slot: the point object of the
+last point it was evaluated at (recurrence._at_point), so that the
+operations at one point share it.  The point holds the full-order pivot
+sweep and forms the twisted pass, gamma included, and the unit-factor
+prefix products on first read; m_table hands over the margin of every
+head and the backward pivots of the full head, and the one head test
+(recurrence._Point.check) reads them.  J keeps the pencil z*J - 0 whose
+sweep at z = 1 gives its minors, and a pencil keeps its eigenvalues
+(oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
 Every type here is safe to share across threads: what is kept is
-read-only, the same bits as a fresh computation, and the slot is replaced
-whole in one assignment, so a reader sees one point's slot or another's.
+read-only, the same bits as a fresh computation, and each part is set in
+one assignment, so a reader sees one point or another, each whole.
 """
 
 from __future__ import annotations

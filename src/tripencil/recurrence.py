@@ -47,16 +47,16 @@ the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
 Every direct operation of mfunctions and giep reads the terms from this
 pass and forms none of them again; pq_sweep, the component sweeps and
 liouville_ostrogradsky_residual keep their own loops; the residual reads
-pq_sweep's w.  The operations at
-one (pencil, z) share the pass: the full-order readers take the sweep, its
-full-order twisted pass and the prefix products of its unit-factor steps
-from _at_point, which the pencil keeps in one slot (_Point) for the last
-point it was evaluated at, each part formed on first demand; m_table fills
-the twisted pass from its head test (_keep_twisted), which steps the full
-head's backward pivots anyway.  pivot_sweep itself stays pure, and prefix
-sweeps are not kept.  The component ratios follow from the pivots,
-p^R_{t+1}/p^R_t = D_t/(b_t - z d_t) and p^L
-the same with conj(b_t); unit_factors turns them into the inverses of the
+pq_sweep's w.  The operations at one (pencil, z) share the pass: each
+reads one point object (_Point), which the pencil keeps in one slot for the
+last point it was evaluated at (_at_point).  It holds the full-order sweep
+and forms its full-order twisted pass and the prefix products of its
+unit-factor steps on first read; m_table hands over the margins of every
+head and the backward pivots of the full head (_Point.keep), from which the
+twisted pass, gamma included, is formed only where a reader asks for it.
+pivot_sweep itself stays pure, and prefix sweeps are not kept.  The
+component ratios follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t)
+and p^L the same with conj(b_t); unit_factors turns them into the inverses of the
 unit factors of z*J - H = L D U (_unit_upper, which writes an entry twice
 only below the diagonal of its blocks), and at a real z takes the lower
 one as the conjugate transpose of the upper.  Their prefix products are
@@ -65,12 +65,14 @@ ldu_factors share at a point; each scale then costs array passes alone (_runs).
 Joined with the pivots taken from the bottom up, by a pass that reads the
 forward weights and carries only the pivots, they give the twisted pivots
 gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and their margin
-min_r |gamma_r|/(its terms) is the spectrum guard: _check_heads tests heads
-by one pass each on prefixes of one sweep and returns the last pass,
-head_margins gives all heads at once, for m_table, and _check_margins
-raises for both.  The corner gamma_0 of head(j-1) is 1/m(z, j), so the
-same passes give the m-values.  The margin has one formula in one arithmetic:
-twisted_pivots runs the bottom-up pass of one head on numpy scalars,
+min_r |gamma_r|/(its terms) is the spectrum guard.  There is one head
+test, _Point.check: a head's margin is the one m_table kept, else that of
+the full pass for the last row, else that of one pass on a prefix of the
+sweep; head_margins gives all heads at once, for m_table, and _check_margins
+raises for both.  A bare sweep (m_function, solve, the generator) is a
+point object of its own, not kept.  The corner gamma_0 of head(j-1) is
+1/m(z, j), so the same passes give the m-values.  The margin has one
+formula in one arithmetic: twisted_pivots runs the bottom-up pass of one head on numpy scalars,
 head_margins those of all heads as one vector step per row, and takes the
 margins of every step in one array pass over a block after the loop, with
 the same bits, the backward pivots of the full head included; m_table keeps
@@ -191,7 +193,7 @@ class PivotSweep(NamedTuple):
     An exactly zero pivot reads margin 0 and holds a stand-in, and the two
     rows after it read the true zero minor (pivot_sweep).  m(z, t+1) =
     R_head(t)[0, 0] is 1/gamma_0 of the twisted pass of head(t)
-    (_check_heads, head_margins), which also decides whether z is in the
+    (_Point.check, head_margins), which also decides whether z is in the
     spectrum of a leading sub-pencil: the pivot misses an eigenvalue whose
     eigenvector nearly vanishes at the last row.  Every field but z is a
     numpy array; a named tuple builds in a fraction of a frozen dataclass's time.
@@ -221,17 +223,19 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     """z*J - H at z over rows 0..upto-1, and the pivots and margins of P_1..P_upto, in one O(upto) pass.
 
     One array pass forms every entry of z*J - H and w.  The loop then
-    steps x_t and D_t alone on plain Python complex numbers: the pivot
-    recurrence D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1} (x_0 = 0), the LDL^T
-    form of the P recurrence, carries ratios only, so nothing overflows at
-    any order, and D_t = P_{t+1}/P_t wherever pq_sweep's values are
-    representable, to rounding.  At a real z, w is |z d - b|^2 in real
-    arithmetic, exactly real, so that R is exactly Hermitian: numpy's complex
-    product leaves a rounding error in its imaginary part.  Where D_t is
-    exactly zero (margin 0) the pivot is a stand-in of 2^-52 times its terms,
-    or 2^-52 where they vanish, as LAPACK's pivmin does; the recurrence and
-    the margins use the true zero P_{t+1} = 0 (_pivot_row), whose margins
-    replace those of the array pass after the loop.
+    steps x_t alone on plain Python complex numbers: the pivot recurrence
+    D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1} (x_0 = 0), the LDL^T form of the
+    P recurrence, carries ratios only, so nothing overflows at any order,
+    and D_t = P_{t+1}/P_t wherever pq_sweep's values are representable, to
+    rounding.  The pivots follow in one array pass u - x, bit for bit the
+    loop's, for a complex difference rounds each part alone.  At a real z, w
+    is |z d - b|^2 in real arithmetic, exactly real, so that R is exactly
+    Hermitian: numpy's complex product leaves a rounding error in its
+    imaginary part.  Where D_t is exactly zero (margin 0) the pivot is a
+    stand-in of 2^-52 times its terms, or 2^-52 where they vanish, as
+    LAPACK's pivmin does; the recurrence and the margins use the true zero
+    P_{t+1} = 0 (_pivot_row), whose pivots and margins replace those of the
+    array passes after the loop.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
@@ -241,21 +245,21 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     u, upper, lower = zc - a, zd - b, zd - b.conj()
     weights = (upper.real ** 2 + upper.imag ** 2).astype(complex) if z.imag == 0 else upper * lower
     own = np.abs(zc) + np.abs(a)
-    D, after, pivots, xs, rows, recorded = 1.0, 0, [], [], [], []
+    D, after, xs, rows = 1.0, 0, [], {}
     for ut, wt in zip(u.tolist(), [0.0, *weights.tolist()]):
         x = wt / D
         D = ut - x
         if after or not D:
-            rows.append(len(pivots))
-            D, margin, after = _pivot_row(after, D, ut, x, own[rows[-1]])
-            recorded.append(margin)
+            t = len(xs)
+            D, margin, after = rows[t] = _pivot_row(after, D, ut, x, own[t])
         xs.append(x)
-        pivots.append(D)
-    x, pivots = np.fromiter(xs, complex, upto), np.fromiter(pivots, complex, upto)
-    terms = own + np.abs(x)
-    if rows:  # the terms vanish only where the pivot is exactly zero, on a recorded row
+    x = np.fromiter(xs, complex, upto)
+    pivots, terms = u - x, own + np.abs(x)
+    if rows:  # the terms vanish only where the pivot is exactly zero, on a patched row
+        index, (D, margin, _) = list(rows), zip(*rows.values())
+        pivots[index] = D
         margins = np.abs(pivots) / np.where(terms > 0, terms, 1.0)
-        margins[rows] = recorded
+        margins[index] = margin
     else:
         margins = np.abs(pivots) / terms
     return PivotSweep(z, u, upper, lower, weights, own, x, terms, pivots, margins)
@@ -290,7 +294,7 @@ def unit_factors(right: _Prefix, left: _Prefix | None) -> tuple[np.ndarray, np.n
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
     (unit lower triangular), from the prefix products of these steps over
-    the full order (_unit_prefixes).  At a real z the pivots are real and
+    the full order (_Point.unit).  At a real z the pivots are real and
     each step of G is the conjugate of that of F, to the sign of a zero
     imaginary part, so G is taken as conj(F)^T there (the inverse of a
     Hermitian matrix is Hermitian), and left is None.
@@ -299,27 +303,17 @@ def unit_factors(right: _Prefix, left: _Prefix | None) -> tuple[np.ndarray, np.n
     return F, (F.conj() if left is None else _unit_upper(left)).T
 
 
-def _unit_prefixes(pencil: Pencil, sweep: PivotSweep) -> tuple[_Prefix, _Prefix | None]:
-    """The prefix products of the steps of U^-1 and of L^-1 (_unit_steps), the left ones None at a real z.
-
-    Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
-    vanishes, as the component sweeps do.
-    """
-    right, left = _unit_steps(pencil, sweep)
-    return _prefix_products(right), None if left is None else _prefix_products(left)
-
-
-def _unit_steps(pencil: Pencil, sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
+def _unit_steps(diagonals: tuple[np.ndarray, ...], sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
     """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
 
     One array pass on the sweep's off-diagonals: the pole test of the
     component sweeps on every s at once, raising PoleCollisionError(s) at
-    the first s that fails it (its scale |b_s| + |z d_s| reads the pencil),
-    then the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left
+    the first s that fails it (its scale |b_s| + |z d_s| reads the pencil's
+    diagonals), then the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left
     steps are None and the pole test reads |z d_s - b_s|, bit for bit
     |z d_s - conj(b_s)| there.
     """
-    _, d, _, b = pencil._diagonals
+    _, d, _, b = diagonals
     upper, lower, real = sweep.upper, sweep.lower, sweep.z.imag == 0
     _check_poles(np.abs(upper) if real else np.minimum(np.abs(upper), np.abs(lower)), b, sweep.z * d)
     D = -sweep.pivots[:-1]  # (b_s - z d_s)/D_s = upper_s/(-D_s)
@@ -514,7 +508,7 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     at step s, and the longer heads that have joined it there read its rows
     above the join.  The third array is twisted_pivots' backward pivots of
     the full head(N-1), bit for bit, so that its twisted pass needs no loop
-    of its own (_keep_twisted): row N-1-s at step s, and at the join step
+    of its own (_Point.keep): row N-1-s at step s, and at the join step
     every row left, which each longer head reads as the shorter ones have.
     """
     N = len(sweep.pivots)
@@ -580,93 +574,100 @@ def _lower_margins(best: np.ndarray, held: np.ndarray, first: int, ux: np.ndarra
     np.minimum(best[first:], heads.min(axis=0), out=best[first:])
 
 
-class _Point(NamedTuple):
-    """What a pencil keeps for the last point it was evaluated at (_at_point); None where not yet formed."""
+class _Point:
+    """One point z of a pencil, or a bare sweep: its pivot sweep, the parts read from it, and its head test.
 
-    key: bytes  # the bits of z
-    sweep: PivotSweep  # full order
-    twisted: tuple[np.ndarray, float, np.ndarray] | None = None  # twisted_pivots of the sweep
-    unit: tuple[_Prefix, _Prefix | None] | None = None  # _unit_prefixes of the sweep
-    margins: np.ndarray | None = None  # head_margins' margins of the sweep, kept by m_table (_keep_twisted)
+    The pencil keeps one (_at_point).  twisted and unit are formed on first
+    read; m_table hands over its head margins and the backward pivots of
+    the full head in one assignment (keep), and twisted then takes them
+    rather than a loop of its own.  Each part is set in one assignment, to
+    the same bits whichever thread or order sets it, so a point shared
+    across threads reads as a fresh one.  Every array is read-only.
+    """
+
+    __slots__ = ("key", "sweep", "diagonals", "kept", "_twisted", "_unit")
+
+    def __init__(self, sweep: PivotSweep, key: bytes = b"", diagonals: tuple[np.ndarray, ...] = ()):
+        self.key, self.sweep, self.diagonals = key, sweep, diagonals  # the bits of z; the pencil's, for unit
+        self.kept = self._twisted = self._unit = None
+
+    def keep(self, margins: np.ndarray, backward: np.ndarray) -> None:
+        """Keep head_margins' margins of the sweep and the backward pivots of its full head, m_table's hand-over."""
+        _read_only((margins, backward))
+        self.kept = margins, backward
+
+    @property
+    def twisted(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """twisted_pivots of the sweep: from the margins and backward pivots kept, bit for bit, where there are some."""
+        twisted = self._twisted
+        if twisted is None:
+            kept = self.kept
+            if kept is None:
+                twisted = twisted_pivots(self.sweep)
+            else:
+                twisted = _joined(self.sweep, kept[1])[0], float(kept[0][-1]), kept[1]
+            _read_only(twisted[::2])
+            self._twisted = twisted
+        return twisted
+
+    @property
+    def unit(self) -> tuple[_Prefix, _Prefix | None]:
+        """The prefix products of the steps of U^-1 and of L^-1 (_unit_steps), the left ones None at a real z.
+
+        Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
+        vanishes, as the component sweeps do.
+        """
+        unit = self._unit
+        if unit is None:
+            right, left = _unit_steps(self.diagonals, self.sweep)
+            self._unit = unit = _prefix_products(right), None if left is None else _prefix_products(left)
+        return unit
+
+    def check(self, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> "_Point":
+        """The head test: SpectrumCollisionError(t, z, margin, tol) at the first t in heads with a margin below tol.
+
+        The margin of head(t) is the kept one where m_table has kept the
+        margins, else that of the full pass (twisted) for the sweep's last
+        row, else that of a fresh pass, twisted_pivots of sweep.prefix(t + 1):
+        the same bits each way.  Returns the point.
+        """
+        kept, last = self.kept, len(self.sweep.pivots) - 1
+        for t in heads:
+            if kept is not None:
+                margin = kept[0][t]
+            elif t == last:
+                margin = self.twisted[1]
+            else:
+                margin = twisted_pivots(self.sweep.prefix(t + 1))[1]
+            _check_margins(self.sweep.z, np.array((margin,)), tol, first=t)
+        return self
 
 
-def _at_point(pencil: Pencil, z: complex, twisted: bool = False, unit: bool = False) -> _Point:
-    """The full-order pivot sweep of pencil at z and, with twisted or unit, its twisted pass or unit prefix products.
+def _at_point(pencil: Pencil, z: complex) -> _Point:
+    """The point z of pencil: the full-order pivot sweep there, and what is read from it (_Point).
 
-    Every full-order reader takes them from here, so the operations at one
+    Every full-order reader takes it from here, so the operations at one
     (pencil, z) run each O(n) loop once.  The pencil holds one slot, a
     _Point keyed on the exact bits of z so that a signed zero in either part
     is a point of its own, and replaced whole in one assignment: a pencil
-    shared across threads sees one point's slot or another's, never a mix.
-    The arrays are read-only; the pass and the prefix products are formed
-    on first demand, the pass by m_table's head test too, which keeps the
-    margins of every head with it (_keep_twisted).
-    Outside J and H, the slot is no part of the value (Pencil.__getstate__,
-    ==, hash).
+    shared across threads sees one point or another, never a mix.  Outside
+    J and H, the slot is no part of the value (Pencil.__getstate__, ==, hash).
     """
     z = _finite_point(z)
     key = struct.pack("2d", z.real, z.imag)
-    kept = point = pencil.__dict__.get("_point")
+    point = pencil.__dict__.get("_point")
     if point is None or point.key != key:
         sweep = pivot_sweep(pencil, pencil.n + 1, z)
         _read_only(sweep[1:])  # every field but z
-        point = _Point(key, sweep)
-    if twisted and point.twisted is None:
-        gamma, margin, backward = full = twisted_pivots(point.sweep)
-        _read_only((gamma, backward))
-        point = point._replace(twisted=full)
-    if unit and point.unit is None:
-        point = point._replace(unit=_unit_prefixes(pencil, point.sweep))
-    if point is not kept:
+        point = _Point(sweep, key, pencil._diagonals)
         object.__setattr__(pencil, "_point", point)
     return point
-
-
-def _keep_twisted(pencil: Pencil, point: _Point, margins: np.ndarray, backward: np.ndarray) -> None:
-    """Keep at point head_margins' margins of its sweep and, where it has none, the twisted pass of head(n).
-
-    The pass comes from the margin of head(n) and its backward pivots,
-    twisted_pivots' margin and backward pivots bit for bit, and _joined
-    forms its gamma from them as twisted_pivots does.  Both go into the
-    slot in one assignment.
-    """
-    twisted = point.twisted
-    if twisted is None:
-        gamma, _ = _joined(point.sweep, backward)
-        _read_only((gamma, backward))
-        twisted = (gamma, float(margins[-1]), backward)
-    _read_only((margins,))
-    object.__setattr__(pencil, "_point", point._replace(twisted=twisted, margins=margins))
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> None:
     """Make each array read-only in place (setflags costs half of assigning flags.writeable)."""
     for x in arrays:
         x.setflags(write=False)
-
-
-def _check_heads(sweep: PivotSweep, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL,
-                 pencil: Pencil | None = None) -> tuple[np.ndarray, float, np.ndarray]:
-    """Test head(t) for each t in heads, in order, by one twisted pass each on the terms of sweep.
-
-    SpectrumCollisionError(t, z, margin, tol) at the first head whose twisted margin is below tol; each
-    pass is twisted_pivots of sweep.prefix(t + 1), and that of the last head is returned.  With pencil,
-    whose full-order sweep sweep is, the last head is n and its pass the one kept at its point
-    (_at_point), and a head before it is tested from the head margins kept there where m_table has
-    kept them, with no pass: they are the margins of those passes bit for bit.
-    """
-    for t in heads:
-        point = None if pencil is None else _at_point(pencil, sweep.z, twisted=t == pencil.n)
-        if point is not None and t == pencil.n:
-            twisted = point.twisted
-            margin = twisted[1]
-        elif point is not None and point.margins is not None:
-            margin = point.margins[t]
-        else:
-            twisted = twisted_pivots(sweep.prefix(t + 1))
-            margin = twisted[1]
-        _check_margins(sweep.z, np.array((margin,)), tol, first=t)
-    return twisted
 
 
 def _check_margins(z: complex, margins: np.ndarray, tol: float, first: int = 0) -> None:
@@ -684,7 +685,7 @@ def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
     eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
     the leading sub-pencil over rows 0..m.
     """
-    return _at_point(pencil, z, twisted=True).twisted[1]
+    return _at_point(pencil, z).twisted[1]
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:
@@ -763,13 +764,12 @@ def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
     VanishingComponentError(0) where v_0 is zero in floating point or so
     small against the other entries that normalizing overflows them.
     """
-    point = _at_point(pencil, z, twisted=True)
-    return _twisted_eigenvector(point.sweep, point.twisted)[0]
+    return _twisted_eigenvector(_at_point(pencil, z))[0]
 
 
-def _twisted_eigenvector(sweep: PivotSweep, twisted: tuple[np.ndarray, float, np.ndarray]) -> tuple[np.ndarray, float]:
-    """eigenvector_components at sweep.z from its full-order sweep and twisted pass, and the margin of that pass."""
-    gamma, margin, backward = twisted
+def _twisted_eigenvector(point: _Point) -> tuple[np.ndarray, float]:
+    """eigenvector_components at the point from its full-order sweep and twisted pass, and the margin of that pass."""
+    sweep, (gamma, margin, backward) = point.sweep, point.twisted
     r = int(np.argmin(np.abs(gamma)))
     down = -sweep.lower[r:] / backward[r + 1:]  # v_i/v_{i-1} below the twist
     v = np.concatenate((_rows_above(sweep.upper[:r], sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))

@@ -137,6 +137,15 @@ def bits(values):
     return np.ascontiguousarray(np.asarray(values)).view(np.uint64)
 
 
+def scaled_pencil(pencil, s):
+    """2^s (J, H), exact in binary floating point: each real and imaginary part is shifted, its sign kept."""
+    def times(values):
+        return tuple(math.ldexp(x, s) for x in values)
+    b = tuple(complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in pencil.H.b)
+    return tp.Pencil(tp.SymmetricTridiagonal(times(pencil.J.c), times(pencil.J.d)),
+                     tp.HermitianTridiagonal(times(pencil.H.a), b))
+
+
 def reference_unit_upper(steps, scale=None, out=None):
     """The zero-filled, masked assembly of recurrence._unit_upper, kept as the reference for its bits.
 

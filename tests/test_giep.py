@@ -10,8 +10,9 @@ import pytest
 import tripencil as tp
 from tripencil import serialize
 from tripencil.tolerances import SPECTRUM_RTOL
-from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum, extreme_pair,
-                     reference_pair_system, reference_positivity_witness, rel_err, seeded_pencil, toeplitz_pencil)
+from support import (bits, build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
+                     extreme_pair, reference_pair_system, reference_positivity_witness, rel_err, seeded_pencil,
+                     toeplitz_pencil)
 
 
 def make_case(rng, n, k, **kwargs):
@@ -206,11 +207,6 @@ def corpus_instances():
     return [tp.generate_instance(config)[1] for config in configs + [tp.GeneratorConfig(n=40, k=20, seed=0)]]
 
 
-def bits(*values):
-    """The exact bits of complex or real values, signed zeros included."""
-    return [float(x).hex() for value in values for x in (complex(value).real, complex(value).imag)]
-
-
 def first_singular(systems):
     """The index of the first system whose solve raises SingularDeltaError, as solve meets them."""
     for system in systems:
@@ -236,8 +232,9 @@ class TestNeighbourProducts:
                 ref = reference_pair_system(system.j, system.d_j, inst.lam, inst.mu,
                                             inst.tail_p[t:t + 2], inst.tail_s[t:t + 2])
                 flag = system.classify()
-                assert bits(system.det, *system.solve()) == bits(ref.det, ref.u, ref.v)
-                assert (bits(flag.x, flag.y), flag.wall_ratio_ok) == (bits(ref.x, ref.y), ref.ratio_ok)
+                assert bits([system.det, *system.solve()]).tolist() == bits([ref.det, ref.u, ref.v]).tolist()
+                assert (bits([flag.x, flag.y]).tolist(), flag.wall_ratio_ok) == (bits([ref.x, ref.y]).tolist(),
+                                                                                 ref.ratio_ok)
                 assert abs(system.scale - ref.scale) <= 4 * math.ulp(ref.scale)
                 assert max(rel_err(x, y) for x, y in zip(system.closed_form(), ref.closed)) <= 1e-15
 

@@ -136,6 +136,32 @@ def test_each_precondition_is_raised_by_one_guard():
     assert sorted(raisers["VanishingComponentError"]) == ["giep._check_component", "recurrence._twisted_eigenvector"]
 
 
+def identifiers(source: str) -> set[str]:
+    """Every name a module loads, binds, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_the_head_test_is_decided_in_recurrence_alone():
+    """Where a head's twisted margin comes from is the point object's decision: no module but recurrence names
+    twisted_pivots, and _at_point takes the pencil and the point, no flag that picks a part."""
+    package = Path(tripencil.__file__).parent
+    naming = [p.name for p in sorted(package.glob("*.py")) if "twisted_pivots" in identifiers(p.read_text())]
+    assert naming == ["recurrence.py"]
+    tree = ast.parse((package / "recurrence.py").read_text())
+    at_point = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_at_point")
+    args = at_point.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["pencil", "z"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+
+
 def test_importing_the_package_loads_only_the_standard_library_and_numpy():
     """A fresh interpreter that imports tripencil and its CLI loads no other third-party module.
 

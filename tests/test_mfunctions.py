@@ -1,6 +1,5 @@
 """Resolvent, factorization, trailing inverse and m-function reconstruction."""
 
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -14,8 +13,8 @@ from tripencil import recurrence
 from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, delocalised_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points,
-                     reference_left_steps, reference_m_route, reference_unit_upper, rel_err, seeded_pencil,
-                     toeplitz_pencil, two_pole_pencil)
+                     reference_left_steps, reference_m_route, reference_unit_upper, rel_err, scaled_pencil,
+                     seeded_pencil, toeplitz_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -239,7 +238,7 @@ def test_array_guards_raise_at_the_first_failing_index():
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, z)
     # off the spectrum and clear of FACTOR_RTOL: only the poles and the vanishing weights fail
     assert recurrence.eigenvalue_margin(pencil, z) > 1e-3 and min(sweep.margins) > FACTOR_RTOL
-    for op in (lambda: tp.resolvent_matrix(pencil, z), lambda: recurrence._unit_prefixes(pencil, sweep)):
+    for op in (lambda: tp.resolvent_matrix(pencil, z), lambda: recurrence._at_point(pencil, z).unit):
         with pytest.raises(tp.PoleCollisionError) as exc:
             op()
         assert exc.value.index == 1
@@ -438,7 +437,7 @@ def test_resolvent_holds_the_scaled_unit_factors_entry_for_entry(n):
     for omega in far_points(pencil):
         sweep = recurrence.pivot_sweep(pencil, n + 1, omega)
         diag = 1.0 / recurrence.twisted_pivots(sweep)[0]
-        right, left = recurrence._unit_steps(pencil, sweep)[0], reference_left_steps(pencil, sweep)
+        right, left = recurrence._unit_steps(pencil._diagonals, sweep)[0], reference_left_steps(pencil, sweep)
         F = recurrence._unit_upper(recurrence._prefix_products(right), diag)
         G = recurrence._unit_upper(recurrence._prefix_products(left), diag).T
         R = tp.resolvent_matrix(pencil, omega)
@@ -616,15 +615,6 @@ def _times_power_of_2(values, s):
     return np.ldexp(np.array(values, dtype=complex).view(float), s).view(complex)
 
 
-def _scaled_pencil(pencil, s):
-    """2^s (J, H), exact in binary floating point."""
-    def times(values):
-        return tuple(math.ldexp(x, s) for x in values)
-    b = tuple(complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in pencil.H.b)
-    return tp.Pencil(tp.SymmetricTridiagonal(times(pencil.J.c), times(pencil.J.d)),
-                     tp.HermitianTridiagonal(times(pencil.H.a), b))
-
-
 @pytest.mark.parametrize("n, seed", [(10, 0), (10, 1), (10, 2), (40, 0)])
 def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
     """On 2^s (J, H) each output of the direct operations is that of (J, H) times its power of 2, bit for bit.
@@ -638,7 +628,7 @@ def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
     truth, instance = tp.generate_instance(tp.GeneratorConfig(n=n, k=k, seed=seed))
     solved = tp.solve(instance)
     for s in (-200, -40, 40, 200):
-        pencil = _scaled_pencil(truth, s)
+        pencil = scaled_pencil(truth, s)
         scaled = tp.solve(replace(instance, J=pencil.J, head_a=pencil.H.a[:k + 1], head_b=pencil.H.b[:k]))
         assert np.array_equal(bits(scaled.H.a), bits(np.ldexp(solved.H.a, s))), s
         assert np.array_equal(bits(scaled.H.b), bits(_times_power_of_2(solved.H.b, s))), s
@@ -649,7 +639,7 @@ def test_direct_operations_scale_exactly_with_the_pencil(n, seed):
         pr, pl = tp.right_components(truth, omega), tp.left_components(truth, omega)
         entries = tp.reconstruct_from_m(truth.J, k, omega, table, pr, pl, truth.H.b[k])
         for s in (-200, -40, 40, 200):
-            pencil = _scaled_pencil(truth, s)
+            pencil = scaled_pencil(truth, s)
             assert np.array_equal(bits(tp.resolvent_matrix(pencil, omega)), bits(_times_power_of_2(R, -s))), (s, omega)
             scaled = tp.ldu_factors(pencil, omega)
             assert np.array_equal(bits(scaled.F), bits(factors.F)) and np.array_equal(bits(scaled.G), bits(factors.G))
@@ -676,14 +666,14 @@ def test_real_part_guards_are_scale_free(s):
     for seed in range(20):
         truth = seeded_pencil(seed, 10)
         omega = dense_spectrum(truth)[-1] + 1.5
-        pencil = _scaled_pencil(truth, s)
+        pencil = scaled_pencil(truth, s)
         pr = tp.right_components(pencil, omega)
         pr[7] *= 1 + 1e-6j
         with pytest.raises(tp.NonRealDiagonalError):
             tp.reconstruct_from_m(pencil.J, 5, omega, tp.m_table(pencil, omega), pr,
                                   tp.left_components(pencil, omega), pencil.H.b[5])
         truth, instance = tp.generate_instance(tp.GeneratorConfig(n=10, k=5, seed=seed))
-        pencil = _scaled_pencil(truth, s)
+        pencil = scaled_pencil(truth, s)
         tail = list(instance.tail_p)
         tail[3] *= 1 + 1e-6j
         with pytest.raises(tp.NonRealDiagonalError):
@@ -878,3 +868,31 @@ def test_resolvent_and_ldu_factors_share_the_unit_prefix_products(monkeypatch):
             for op in ops:
                 op(fresh, z)
             assert calls == ["steps"] + ["prefix"] * sides, (z, ops)
+
+
+def test_m_table_forms_the_twisted_pass_only_for_a_reader(monkeypatch):
+    """m_table keeps the backward pivots of the full head and joins no gamma from them; resolvent_matrix, whose
+    diagonal is 1/gamma, joins them once after it, while ldu_factors and trailing_inverse after it test their
+    heads from the kept margins: no join and no twisted pass."""
+    calls = []
+    joined, twisted_pivots = recurrence._joined, recurrence.twisted_pivots
+
+    def count(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(recurrence, "_joined", count("join", joined))
+    monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
+    pencil = seeded_pencil(2, 40)
+    top, _, middle = far_points(pencil)
+    for z in (top, middle):
+        for op, after in ((tp.resolvent_matrix, ["join"]), (tp.ldu_factors, []),
+                          (lambda p, z: tp.trailing_inverse(p, 20, z), [])):
+            fresh = tp.Pencil(pencil.J, pencil.H)
+            calls.clear()
+            tp.m_table(fresh, z)
+            assert calls == [], z
+            op(fresh, z)
+            assert calls == after, (z, op)

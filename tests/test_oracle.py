@@ -218,31 +218,30 @@ class TestGenerateInstance:
         assert solves == [8, 8] and "_eigenvalues" not in vars(drop)
 
     def test_admits_by_the_margins_solve_tests(self, monkeypatch):
-        """Admission tests heads k - 1 and k at lam and mu by solve's own helper, on the same sweeps, at its margin."""
-        admitted, tested = [], []
-        solver_heads = giep._solver_heads
+        """Admission tests heads k - 1 and k at lam and mu by solve's own head test, on the same rows, at its margin."""
+        calls = []
+        check = recurrence._Point.check
 
-        def recorder(log):
-            def record(sweep, k, tol):
-                head = solver_heads(sweep, k, tol)
-                log.append((k, tol, head))
-                return head
-            return record
+        def record(point, heads, tol=SPECTRUM_RTOL):
+            calls.append((heads, tol, point.sweep))
+            return check(point, heads, tol)
 
-        monkeypatch.setattr(oracle, "_solver_heads", recorder(admitted))
-        monkeypatch.setattr(giep, "_solver_heads", recorder(tested))
+        monkeypatch.setattr(recurrence._Point, "check", record)
         configs = [tp.GeneratorConfig(n=n, k=k, seed=seed) for seed in range(200) for n, k in [corpus_shape(seed)]]
         for config in configs + [CANARY]:
-            admitted.clear()
-            tested.clear()
+            calls.clear()
             truth, inst = tp.generate_instance(config)
+            admitted = calls[:]
+            calls.clear()
             tp.solve(inst)
+            tested, k = calls, inst.k
             # the admitted attempt is the last, and it passed both points, lam then mu
             assert len(tested) == 2 and len(admitted) >= 2
             assert [sweep.z for _, _, sweep in tested] == [inst.lam, inst.mu]
-            for (k, tol, ours), theirs in zip(admitted[-2:], tested):
-                assert (k, tol) == (inst.k, ADMIT_SPECTRUM_MARGIN) and theirs[:2] == (inst.k, SPECTRUM_RTOL)
-                assert sweep_bits(ours) == sweep_bits(theirs[2])
+            for (heads, tol, ours), theirs in zip(admitted[-2:], tested):
+                assert (heads, tol) == ((k - 1, k), ADMIT_SPECTRUM_MARGIN) and theirs[:2] == ((k - 1, k), SPECTRUM_RTOL)
+                # the generator's point holds the full-order sweep, solve's the head pencil's rows 0..k
+                assert sweep_bits(ours.prefix(k + 1)) == sweep_bits(theirs[2])
                 assert min(recurrence.twisted_pivots(ours.prefix(rows))[1]
                            for rows in (k, k + 1)) >= ADMIT_SPECTRUM_MARGIN
 
@@ -271,8 +270,7 @@ class TestGenerateInstance:
 
         for module in (recurrence, giep, oracle):
             monkeypatch.setattr(module, "pivot_sweep", record_sweep)
-        for module in (recurrence, oracle):
-            monkeypatch.setattr(module, "twisted_pivots", record_pass)
+        monkeypatch.setattr(recurrence, "twisted_pivots", record_pass)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)

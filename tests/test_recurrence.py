@@ -15,7 +15,7 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, dense_spectrum, far_points, hand_pencil, reference_components,
-                     reference_liouville, reference_pq, seeded_pencil, toeplitz_pencil)
+                     reference_liouville, reference_pq, scaled_pencil, seeded_pencil, toeplitz_pencil)
 
 
 def test_eval_p_initial_condition(rng):
@@ -121,18 +121,11 @@ def test_pq_sweep_is_the_list_recurrence_bit_for_bit(n):
     assert compared >= 40
 
 
-def _scaled(pencil, s):
-    """2^s (J, H), exactly."""
-    f = 2.0 ** s
-    return tp.Pencil(tp.SymmetricTridiagonal(tuple(f * x for x in pencil.J.c), tuple(f * x for x in pencil.J.d)),
-                     tp.HermitianTridiagonal(tuple(f * x for x in pencil.H.a), tuple(f * x for x in pencil.H.b)))
-
-
 @pytest.mark.parametrize("s", [520, 600])
 def test_unscaled_sweeps_on_entries_near_the_overflow_threshold_are_the_per_step_loop(s):
     """On 2^s (J, H) each w overflows: the array pass warns of nothing, and each sweep raises the per-step
     loop's error, with its index and value, or gives its bits; the components are scale-free and finite."""
-    pencil = _scaled(seeded_pencil(0, 10), s)
+    pencil = scaled_pencil(seeded_pencil(0, 10), s)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for z in (0.7, complex(0.7, -0.0), 0.3 + 0.5j):
@@ -344,7 +337,7 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         # fewer heads stop the loop elsewhere: the same bits
         assert np.array_equal(recurrence.head_margins(sweep.prefix(28))[0], together[:28])
         # the last head alone takes the scalar pass of the head test, all heads the vector loop: the same bits
-        assert recurrence._check_heads(sweep, (pencil.n,))[1] == together[-1]
+        assert recurrence._Point(sweep).check((pencil.n,)).twisted[1] == together[-1]
 
 
 def _all_steps_margins(pencil, sweep, first):
@@ -463,7 +456,7 @@ def test_several_heads_through_an_exactly_zero_bottom_pivot():
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
     assert np.array_equal(recurrence.head_margins(sweep)[0][11:], [1.0, 0.0])
     with pytest.raises(tp.SpectrumCollisionError) as info:
-        recurrence._check_heads(sweep, (12,))
+        recurrence._Point(sweep).check((12,))
     assert info.value.order == 12
     assert (info.value.value, info.value.tol) == (0.0, SPECTRUM_RTOL)
     assert "margin 0.000e+00 < tol 1.0e-10" in str(info.value)
@@ -495,7 +488,7 @@ def test_head_test_error_carries_the_margin():
         margins = recurrence.head_margins(sweep)[0]
         t = int(np.flatnonzero(margins < SPECTRUM_RTOL)[0])
         # the head test on the one head, m_table on all: both report head(t), the first below the tolerance
-        for guarded in (lambda: recurrence._check_heads(sweep, (t,)),
+        for guarded in (lambda: recurrence._Point(sweep).check((t,)),
                         lambda: tp.m_table(pencil, z)):
             with pytest.raises(tp.SpectrumCollisionError) as info:
                 guarded()
@@ -605,12 +598,13 @@ def test_the_point_slot_is_read_only_and_no_part_of_the_value():
         tp.ldu_factors(pencil, z)
         tp.m_table(pencil, z)  # keeps the head margins, with the pass it finds or its own
         point = recurrence._at_point(pencil, z)
-        (gamma, margin, backward), (right, left) = point.twisted, point.unit
-        for x in (*point.sweep[1:], gamma, backward, point.margins, *right[:2], *left[:2]):
+        twisted, unit = point.twisted, point.unit
+        (gamma, margin, backward), (right, left) = twisted, unit
+        for x in (*point.sweep[1:], gamma, backward, *point.kept, *right[:2], *left[:2]):
             assert isinstance(x, np.ndarray) and not x.flags.writeable
         with pytest.raises(ValueError):
             point.sweep.pivots[0] = 0
-        assert recurrence._at_point(pencil, z, twisted=True, unit=True) is point
+        assert recurrence._at_point(pencil, z) is point and point.twisted is twisted and point.unit is unit
     tp.pencil_eigenvalues(pencil)
     bare = tp.Pencil(pencil.J, pencil.H)
     assert bare == pencil and hash(bare) == hash(pencil) and pickle.dumps(bare) == pickle.dumps(pencil)
