@@ -10,52 +10,41 @@ and factorizes as the staircase F0 * diag(g) * G0, where F0 is upper
 triangular with row i constant p_i^R and G0 lower triangular with column j
 constant p_j^L.  The orientation of the staircase, the max() in the entry
 rule and the overall sign were fixed empirically against dense inversion on
-1x1 and 2x2 pencils and are locked by regression tests.
-
-Every direct operation here reads one pivot pass (recurrence.pivot_sweep),
-which holds the entries of w*J - H at w with its pivots, and forms nothing
-that can overflow; the m-values come from the twisted passes that guard
-them.  The operations at one (pencil, w) share one point object
-(recurrence._at_point), which holds the full-order sweep and forms the
-full-order twisted pass and the prefix products of the unit-factor steps
-on first read.  m_table's head test hands the margin of every head and
-the backward pivots of the full head over to it; the head tests of
-ldu_factors and trailing_inverse then read the margins alone, and only
-resolvent_matrix, which reads the twisted pivots gamma, forms them from
-the backward pivots.  Whichever of resolvent_matrix and ldu_factors runs
-second reads the prefix products the first formed, so m_table,
-resolvent_matrix, ldu_factors and trailing_inverse back to back at one
-point run each O(n) loop once.  With D_t = P_{t+1}/P_t the LDL^T pivots
-of w*J - H,
+1x1 and 2x2 pencils and are locked by regression tests.  With D_t = P_{t+1}/P_t
+the LDL^T pivots of w*J - H,
 
     g_0 = 1/D_0,   g_t = g_{t-1} w_{t-1} / (D_{t-1} D_t),   p_t^R g_t p_t^L = 1/D_t,
 
 so the staircase is the unit LDU form R = U^-1 diag(1/D) L^-1 (ldu_factors),
-whose unit factors hold the component ratios p_i^R/p_t^R and p_j^L/p_t^L;
-at a real w, where R is Hermitian, L^-1 is the conjugate transpose of U^-1.
+whose unit factors hold the component ratios p_i^R/p_t^R and p_j^L/p_t^L.
 The g_t themselves decay geometrically and underflow by n ~ 300.  The
 diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 
+Every direct operation here reads the point object of recurrence
+(_at_point) and forms nothing that can overflow.  Which of its parts are
+formed, kept or shared, and whether w is real, is decided there: this
+module tests neither.  m_table hands the margin of every head and the
+backward pivots of the full head over to the point, so that m_table,
+resolvent_matrix, ldu_factors and trailing_inverse back to back at one
+point run each O(n) loop once.
+
 Each operation raises SpectrumCollisionError where what it returns does not
-exist: m_table on the spectrum of any leading sub-pencil (head_margins),
-m_function(j) on that of rows 0..j-1 and resolvent_matrix on that of the
-full pencil (the one head test, recurrence._Point.check: the kept margin,
-or one scalar pass per head tested on the terms of the sweep;
-resolvent_matrix takes its diagonal from the full pass).
-Next to a sub-pencil eigenvalue the m-values, the Schur pivot and the
-resolvent stay within a small multiple of their own conditioning (against
-dense inversion), so a small pivot elsewhere costs them no accuracy.  The
-product of the unit factors does not, and ldu_factors also raises at a
-pivot margin below FACTOR_RTOL.
+exist: m_table on the spectrum of any leading sub-pencil, m_function(j) on
+that of rows 0..j-1, resolvent_matrix and ldu_factors on that of the full
+pencil, trailing_inverse on that of head(k) or of the full pencil.  Next to
+a sub-pencil eigenvalue the m-values, the Schur pivot and the resolvent
+stay within a small multiple of their own conditioning (against dense
+inversion), so a small pivot elsewhere costs them no accuracy.  The product
+of the unit factors does not, and ldu_factors also raises at a pivot margin
+below FACTOR_RTOL.  resolvent_matrix and ldu_factors raise
+PoleCollisionError where a step of the unit factors has a pole.
 
 The inverse of a trailing block of R is tridiagonal: the trailing block of
 w*J - H with its corner replaced by a pivot (trailing_inverse).  Written in
 m-function data its diagonals are built from 1/(g_t p^L_t p^R_t) = D_t and
 neighbouring components, which is what makes reconstruction of H from
-m-function data possible (reconstruct_from_m reads the diagonal and the
-superdiagonal in one guarded pass, with no dense array).  The formulas
-read the components only through neighbour ratios; the pass tests each
-component against its neighbours and each a_j for a real value by giep's guards.
+m-function data possible (reconstruct_from_m, one pass with no dense array,
+guarded by giep's guards on the components and on the real part of a_j).
 """
 
 from __future__ import annotations
@@ -141,9 +130,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors: the diagonal is folded into the pass
     that forms each factor, and G is formed straight into the lower
-    triangle of the array that holds F.  At a real w the exponent runs of
-    G are the conjugates of those of F and are not formed again
-    (recurrence._unit_upper).
+    triangle of the array that holds F (recurrence._unit_upper).
     Both pivot passes are exact for coefficients perturbed by a few ulps, so
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
@@ -151,7 +138,7 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     point = _at_point(pencil, omega).check((pencil.n,))
     diag = 1.0 / point.twisted[0]
     right, left = point.unit
-    return _unit_upper(right, diag, left, hermitian=left is None)
+    return _unit_upper(right, diag, left)
 
 
 @dataclass(frozen=True)
@@ -186,8 +173,7 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     the factors then outgrow R about 1/margin times, and their product
     would lose that much accuracy.  Then DegenerateDifferenceError(t) where
     w_{t-1} vanishes (m(w, t+1) = m(w, t)), before the PoleCollisionError
-    that the same point gives for the components.  At a real w (w.imag == 0)
-    G is taken as conj(F).T, not formed by a second pass (unit_factors).
+    that the same point gives for the components.
     """
     point = _at_point(pencil, omega).check((pencil.n,))
     sweep = point.sweep
@@ -197,7 +183,7 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     flat = np.flatnonzero(np.abs(sweep.weights) < DIFFERENCE_RTOL * terms ** 2)
     if flat.size:
         raise DegenerateDifferenceError(int(flat[0]) + 1)
-    F, G = unit_factors(*point.unit)
+    F, G = unit_factors(point)
     return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).tolist()), G)
 
 

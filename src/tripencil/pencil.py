@@ -3,19 +3,16 @@
 J is real symmetric tridiagonal (diagonal c, off-diagonal d), H is Hermitian
 tridiagonal (real diagonal a, super-diagonal b, sub-diagonal conj(b)).  Both
 are stored as immutable coefficient tuples, which are the value: equality,
-hashing, repr, pickling and copies read them alone.  A pencil also converts
-its four diagonals to read-only numpy arrays once, on first use, for the
-array passes to slice, and keeps one memo slot: the point object of the
-last point it was evaluated at (recurrence._at_point), so that the
-operations at one point share it.  The point holds the full-order pivot
-sweep and forms the twisted pass, gamma included, and the unit-factor
-prefix products on first read; m_table hands over the margin of every
-head and the backward pivots of the full head, and the one head test
-(recurrence._Point.check) reads them.  J keeps the pencil z*J - 0 whose
-sweep at z = 1 gives its minors, and a pencil keeps its eigenvalues
-(oracle.pencil_eigenvalues).  Every operation is otherwise a pure function.
-Every type here is safe to share across threads: what is kept is
-read-only, the same bits as a fresh computation, and each part is set in
+hashing, repr, pickling and copies read them alone.  The constructors raise
+ValueError on an entry that is not finite, on lengths that do not fit and on
+a zero d_j.  Outside the value, each formed on first use: a pencil keeps its
+four diagonals as read-only arrays for the array passes to slice, one slot
+for the point object of the last point it was evaluated at
+(recurrence._at_point, which says what the point holds), so that the
+operations at one point share it, and its eigenvalues
+(oracle.pencil_eigenvalues); J keeps the pencil z*J - 0 whose sweep at
+z = 1 gives its minors.  Every type here is safe to share across threads:
+what is kept is read-only, the same bits as a fresh computation, and set in
 one assignment, so a reader sees one point or another, each whole.
 """
 

@@ -9,77 +9,58 @@ the associated continued fraction:
 
 with P_{-1} = 0, P_0 = 1 and Q_0 = 0, Q_1 = 1.  The undefined m=0 coefficient
 multiplying X_{-1} is taken to be 1, which forces Q_1 = 1 and makes Q_1/P_1
-the first convergent 1/(z c_0 - a_0).
-
-Sign convention, fixed once against dense inversion and regression-tested:
-with these seeds the Wronskian-type identity reads
+the first convergent 1/(z c_0 - a_0).  Sign convention, fixed once against
+dense inversion and regression-tested: with these seeds
 
     P_{m+1} Q_m - P_m Q_{m+1} = - prod_{j<m} (z d_j - b_j)(z d_j - conj(b_j)).
 
-Component sequences p^R / p^L are the rational eigenvector solutions of the
-same recurrence, normalized to 1 at index 0; at a spectral point they are
-right/left eigenvectors of the pencil in exact arithmetic, while in floating
-point the forward recurrence loses them as n grows.  eigenvector_components
-takes the eigenvector from a twisted factorization instead, and whatever
-the library evaluates at an eigenvalue reads it; the sweep with
-z-derivatives has no caller left and stays for the benchmark.  pq_sweep and
-the component sweeps step on plain Python complex numbers, carrying the last
-two values in locals: numpy scalar arithmetic costs about twice as much per step.
-Each prepares its coefficients in one array pass over the pencil's
-diagonals, so that its loop does the step alone: pq_sweep u_m = z c_m - a_m
-and w_m, whose real and imaginary parts are formed by separate real
-operations as in Python's complex product (_pq_sweep; numpy's complex
-multiply rounds some products differently), and the component sweeps the
-pole test of every index, u_m, b_m - z d_m and the sub-diagonal factor.  The
-sweep with z-derivatives runs the value loop first, then forms the forcing
-terms c_m p_m, d_{m-1} p_{m-1} and d_m p_{m+1} in one array pass, each with
-one real factor, which numpy rounds as Python does, and steps the
-derivatives alone in a second loop.  The operations and their order are
-those of the per-step form, bit for bit.
+The component sequences p^R / p^L solve the same recurrence, normalized to 1
+at index 0: the right/left eigenvectors at an eigenvalue in exact arithmetic,
+which the forward recurrence loses in floating point as n grows, so
+eigenvector_components takes the eigenvector from a twisted factorization.
+pq_sweep and the component sweeps step on plain Python complex numbers, as
+numpy scalar arithmetic costs about twice as much per step, on coefficients
+formed in one array pass, so that each loop does the step alone.  Their
+values leave the double range by n ~ 300.
 
-The minors and components grow or decay geometrically and leave the double
-range by n ~ 300.  pivot_sweep carries their ratios instead, in one O(n)
-pass of the pivot recurrence D_t = u_t - w_{t-1}/D_{t-1}, the standard form
-of the LDL^T and twisted factorizations (Parlett & Dhillon, LAA 267, 1997),
-which needs no rescaling.  Its PivotSweep is z*J - H at z: every entry of
-it, formed once in one array pass, with the LDL^T pivots D_t = P_{t+1}/P_t,
-the forward terms x_t = w_{t-1}/D_{t-1} and a relative margin per pivot.
-Every direct operation of mfunctions and giep reads the terms from this
-pass and forms none of them again; pq_sweep, the component sweeps and
-liouville_ostrogradsky_residual keep their own loops; the residual reads
-pq_sweep's w.  The operations at one (pencil, z) share the pass: each
-reads one point object (_Point), which the pencil keeps in one slot for the
-last point it was evaluated at (_at_point).  It holds the full-order sweep
-and forms its full-order twisted pass and the prefix products of its
-unit-factor steps on first read; m_table hands over the margins of every
-head and the backward pivots of the full head (_Point.keep), from which the
-twisted pass, gamma included, is formed only where a reader asks for it.
-pivot_sweep itself stays pure, and prefix sweeps are not kept.  The
-component ratios follow from the pivots, p^R_{t+1}/p^R_t = D_t/(b_t - z d_t)
-and p^L the same with conj(b_t); unit_factors turns them into the inverses of the
-unit factors of z*J - H = L D U (_unit_upper, which writes an entry twice
-only below the diagonal of its blocks), and at a real z takes the lower
-one as the conjugate transpose of the upper.  Their prefix products are
-one scale-free loop (_prefix_products), which resolvent_matrix and
-ldu_factors share at a point; each scale then costs array passes alone (_runs).
-Joined with the pivots taken from the bottom up, by a pass that reads the
-forward weights and carries only the pivots, they give the twisted pivots
-gamma_r = 1/(z*J - H)^-1[r, r] (twisted_pivots), and their margin
-min_r |gamma_r|/(its terms) is the spectrum guard.  There is one head
-test, _Point.check: a head's margin is the one m_table kept, else that of
-the full pass for the last row, else that of one pass on a prefix of the
-sweep; head_margins gives all heads at once, for m_table, and _check_margins
-raises for both.  A bare sweep (m_function, solve, the generator) is a
-point object of its own, not kept.  The corner gamma_0 of head(j-1) is
-1/m(z, j), so the same passes give the m-values.  The margin has one
-formula in one arithmetic: twisted_pivots runs the bottom-up pass of one head on numpy scalars,
-head_margins those of all heads as one vector step per row, and takes the
-margins of every step in one array pass over a block after the loop, with
-the same bits, the backward pivots of the full head included; m_table keeps
-its margins at the point, and the head tests that follow there read them.
-head_margins stops once the passes have joined, bit for bit, which off the
-spectrum they do within a few dozen rows: O(n) work per row reached, not
-O(n^2) per point.
+Every other operation reads the pivot pass (pivot_sweep): z*J - H at z with
+its LDL^T pivots D_t = P_{t+1}/P_t, ratios that need no rescaling (Parlett &
+Dhillon, LAA 267, 1997).  The operations at one (pencil, z) share one point
+object (_Point), which the pencil keeps for the last point it was evaluated
+at (_at_point), so that each O(n) loop runs once per point; a bare sweep
+(m_function, solve, the generator) is a point of its own, not kept.  The
+point holds the full-order sweep and, each formed on first read:
+
+- the twisted pass (twisted_pivots): gamma_r = 1/(z*J - H)^-1[r, r], the
+  backward pivots and the margin min_r |gamma_r|/(its terms), which is 0 at
+  an eigenvalue whichever row its eigenvector lives on;
+- the margin of every head and the backward pivots of the full head, handed
+  over by m_table (_Point.keep), from which the twisted pass is then joined;
+- the prefix products of the steps of both unit factors U^-1 and L^-1 of
+  z*J - H = L D U (_Point.unit), one scale-free loop from which unit_factors
+  and mfunctions.resolvent_matrix form their arrays in array passes alone
+  (_unit_upper).
+
+Whether z is real is decided in this module alone.  pivot_sweep forms w
+exactly real there, so that R is exactly Hermitian; _Point.unit takes the
+left prefix products as the conjugates of the right ones, as
+L^-1 = conj(U^-1)^T; unit_factors takes G as conj(F)^T, which is cheaper
+than forming it.  A head's margin is read in one place, _Point.margin: the
+kept one, else the full pass for the last row, else a pass on a prefix of
+the sweep.  head_margins gives every head at once, for m_table, and stops
+once the bottom-up passes of neighbouring heads have joined, bit for bit,
+which off the spectrum they do within a few dozen rows: O(n) work per row
+reached, not O(n^2) per point.  twisted_pivots runs one head's pass on numpy
+scalars, which round as head_margins' array steps do, so a margin has the
+same bits whichever computes it.  The corner gamma_0 of head(j-1) is
+1/m(z, j), so the same passes give the m-values.
+
+The operations raise ValueError where z is not finite, an index is out of
+range or an unscaled sweep leaves the double range; SpectrumCollisionError(t)
+where the margin of head(t) falls below its tolerance (_check_margins);
+PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s vanishes against
+its terms (_check_poles), in the component sweeps and the unit factors; and
+VanishingComponentError(0) where the twisted eigenvector's v_0 vanishes.
 """
 
 from __future__ import annotations
@@ -288,36 +269,34 @@ def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tu
     return complex(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
 
 
-def unit_factors(right: _Prefix, left: _Prefix | None) -> tuple[np.ndarray, np.ndarray]:
-    """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U, D = diag(pivots).
+def unit_factors(point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """F = U^-1 and G = L^-1 for the unit factors of z*J - H = L D U at the point, D = diag(pivots).
 
     F[i, t] = p^R_i/p^R_t = prod_{s=i}^{t-1} (b_s - z d_s)/D_s for i <= t (unit
     upper triangular) and G[t, j] = p^L_j/p^L_t, the same with conj(b_s)
-    (unit lower triangular), from the prefix products of these steps over
-    the full order (_Point.unit).  At a real z the pivots are real and
-    each step of G is the conjugate of that of F, to the sign of a zero
-    imaginary part, so G is taken as conj(F)^T there (the inverse of a
-    Hermitian matrix is Hermitian), and left is None.
+    (unit lower triangular), from the point's prefix products (_Point.unit).
+    At a real z, G is taken as conj(F)^T, which costs less than forming it
+    by a second _unit_upper.
     """
+    right, left = point.unit
     F = _unit_upper(right)
-    return F, (F.conj() if left is None else _unit_upper(left)).T
+    return F, (F.conj() if point.sweep.z.imag == 0 else _unit_upper(left)).T
 
 
-def _unit_steps(diagonals: tuple[np.ndarray, ...], sweep: PivotSweep) -> tuple[list[complex], list[complex] | None]:
+def _unit_steps(diagonals: tuple[np.ndarray, ...], sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
     """The steps (b_s - z d_s)/D_s of U^-1 and (conj(b_s) - z d_s)/D_s of L^-1 (unit_factors).
 
     One array pass on the sweep's off-diagonals: the pole test of the
-    component sweeps on every s at once, raising PoleCollisionError(s) at
-    the first s that fails it (its scale |b_s| + |z d_s| reads the pencil's
-    diagonals), then the divisions.  At a real z, where L^-1 = conj(U^-1)^T, the left
-    steps are None and the pole test reads |z d_s - b_s|, bit for bit
-    |z d_s - conj(b_s)| there.
+    component sweeps on every s at once, on the smaller of the two moduli
+    (equal bit for bit at a real z), raising PoleCollisionError(s) at the
+    first s that fails it (its scale |b_s| + |z d_s| reads the pencil's
+    diagonals), then the divisions.
     """
     _, d, _, b = diagonals
-    upper, lower, real = sweep.upper, sweep.lower, sweep.z.imag == 0
-    _check_poles(np.abs(upper) if real else np.minimum(np.abs(upper), np.abs(lower)), b, sweep.z * d)
+    upper, lower = sweep.upper, sweep.lower
+    _check_poles(np.minimum(np.abs(upper), np.abs(lower)), b, sweep.z * d)
     D = -sweep.pivots[:-1]  # (b_s - z d_s)/D_s = upper_s/(-D_s)
-    return (upper / D).tolist(), None if real else (lower / D).tolist()
+    return upper / D, lower / D
 
 
 def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
@@ -332,13 +311,12 @@ def _check_poles(value: np.ndarray, b: np.ndarray, zd: np.ndarray) -> None:
         raise PoleCollisionError(s, float(value[s]), float(scale[s]), POLE_RTOL)
 
 
-def _unit_upper(steps: _Prefix, scale: np.ndarray | None = None,
-                lower: _Prefix | None = None, hermitian: bool = False) -> np.ndarray:
+def _unit_upper(steps: _Prefix, scale: np.ndarray | None = None, lower: _Prefix | None = None) -> np.ndarray:
     """S[i, t] = steps[i] * ... * steps[t-1] * scale[t] for i <= t, zero below the diagonal.
 
     steps and lower are given by their prefix products (_prefix_products).
-    No scale means ones.  With lower, steps of the same length, the part
-    below the diagonal is that of _unit_upper(lower, scale).T instead:
+    No scale means ones.  With lower, of the same length, the part below
+    the diagonal is that of _unit_upper(lower, scale).T instead:
     S[t, i] = lower[i] * ... * lower[t-1] * scale[t] for i < t, which is how
     resolvent_matrix forms R in one array.  The prefix products C_t are
     carried as mantissa * 2^exponent, and the exponent changes only where
@@ -358,29 +336,19 @@ def _unit_upper(steps: _Prefix, scale: np.ndarray | None = None,
     zeroed left of the block and the block below its diagonal.  With lower,
     the runs of lower write the strictly lower part of S over them, each
     diagonal block through a mask of its lower triangle, so that the upper
-    triangle of S stays as written.  hermitian says that lower is
-    conj(steps), unread and may be None, and scale real, as at a real z:
-    its runs are the conjugates of those of steps (conjugation commutes
-    with each rounded product and quotient and keeps every modulus, so only
-    the sign of a zero imaginary part may differ), not formed again.
+    triangle of S stays as written.
     """
     size = len(steps.mantissas)
     S = np.empty((size, size), dtype=complex)
     runs = _runs(steps, scale)
-    upper_only = lower is None and not hermitian
-    if upper_only:
-        masked = runs  # the runs whose blocks are cut at the diagonal
-    elif hermitian:
-        masked = [(lo, hi, lift.conj(), shifted.conj()) for lo, hi, lift, shifted in runs]
-    else:
-        masked = _runs(lower, scale)
+    masked = runs if lower is None else _runs(lower, scale)  # the runs whose blocks are cut at the diagonal
     below = np.tri(max(hi - lo for lo, hi, _, _ in masked), k=-1, dtype=bool)
     for lo, hi, lift, shifted in runs:
         np.multiply.outer(lift, shifted, out=S[lo:hi, lo:])
-        if upper_only:
+        if lower is None:
             S[lo:hi, :lo] = 0
             np.copyto(S[lo:hi, lo:hi], 0, where=below[:hi - lo, :hi - lo])
-    if not upper_only:
+    if lower is not None:
         T = S.T
         for lo, hi, lift, shifted in masked:
             width = hi - lo
@@ -398,15 +366,17 @@ class _Prefix(NamedTuple):
     bounds: tuple[int, ...]  # lo of each run of one exponent, then N + 1
 
 
-def _prefix_products(steps: list[complex]) -> _Prefix:
+def _prefix_products(steps: np.ndarray) -> _Prefix:
     """The scale-free half of _runs, in one loop over the steps: the mantissas, exponents and runs of the C_t.
 
-    The mantissa is rescaled by a power of 2, exactly, where it leaves
-    [2^-64, 2^64), and a new run starts there.  The arrays are read-only.
+    The loop multiplies plain Python complex numbers, as numpy's complex
+    multiply rounds some products differently.  The mantissa is rescaled by
+    a power of 2, exactly, where it leaves [2^-64, 2^64), and a new run
+    starts there.  The arrays are read-only.
     """
     mant, expo, runs = [1 + 0j], [0], [0]
     m, e = 1 + 0j, 0
-    for t, q in enumerate(steps, start=1):
+    for t, q in enumerate(steps.tolist(), start=1):
         m *= q
         k = math.frexp(abs(m))[1]
         if not -64 < k < 64:
@@ -579,10 +549,11 @@ class _Point:
 
     The pencil keeps one (_at_point).  twisted and unit are formed on first
     read; m_table hands over its head margins and the backward pivots of
-    the full head in one assignment (keep), and twisted then takes them
-    rather than a loop of its own.  Each part is set in one assignment, to
-    the same bits whichever thread or order sets it, so a point shared
-    across threads reads as a fresh one.  Every array is read-only.
+    the full head in one assignment (keep), which margin and twisted then
+    read rather than a loop of their own.  Each part is set in one
+    assignment, to the same bits whichever thread or order sets it, so a
+    point shared across threads reads as a fresh one.  Every array is
+    read-only.
     """
 
     __slots__ = ("key", "sweep", "diagonals", "kept", "_twisted", "_unit")
@@ -611,35 +582,42 @@ class _Point:
         return twisted
 
     @property
-    def unit(self) -> tuple[_Prefix, _Prefix | None]:
-        """The prefix products of the steps of U^-1 and of L^-1 (_unit_steps), the left ones None at a real z.
+    def unit(self) -> tuple[_Prefix, _Prefix]:
+        """The prefix products of the steps of U^-1 and of L^-1 (_unit_steps).
 
-        Raises PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
+        At a real z the left ones are the conjugates of the right ones, as
+        L^-1 = conj(U^-1)^T there: conjugation commutes with each rounded
+        product and keeps the modulus that frexp reads, so only the sign of a
+        zero imaginary part may differ from a loop of their own.  Raises
+        PoleCollisionError(s) where b_s - z d_s or conj(b_s) - z d_s
         vanishes, as the component sweeps do.
         """
         unit = self._unit
         if unit is None:
             right, left = _unit_steps(self.diagonals, self.sweep)
-            self._unit = unit = _prefix_products(right), None if left is None else _prefix_products(left)
+            right = _prefix_products(right)
+            left = _prefix_products(left) if self.sweep.z.imag else right._replace(mantissas=right.mantissas.conj())
+            _read_only((left.mantissas,))
+            self._unit = unit = right, left
         return unit
 
-    def check(self, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> "_Point":
-        """The head test: SpectrumCollisionError(t, z, margin, tol) at the first t in heads with a margin below tol.
+    def margin(self, t: int) -> float:
+        """The twisted margin of head(t), the one place a head's margin is read.
 
-        The margin of head(t) is the kept one where m_table has kept the
-        margins, else that of the full pass (twisted) for the sweep's last
-        row, else that of a fresh pass, twisted_pivots of sweep.prefix(t + 1):
-        the same bits each way.  Returns the point.
+        It is the margin m_table kept, else that of the full pass (twisted)
+        for the sweep's last row, else that of twisted_pivots on
+        sweep.prefix(t + 1): the same bits each way.
         """
-        kept, last = self.kept, len(self.sweep.pivots) - 1
+        if self.kept is not None:
+            return float(self.kept[0][t])
+        if t == len(self.sweep.pivots) - 1:
+            return self.twisted[1]
+        return twisted_pivots(self.sweep.prefix(t + 1))[1]
+
+    def check(self, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> "_Point":
+        """The head test: SpectrumCollisionError(t, z, margin(t), tol) at the first t in heads below tol; the point."""
         for t in heads:
-            if kept is not None:
-                margin = kept[0][t]
-            elif t == last:
-                margin = self.twisted[1]
-            else:
-                margin = twisted_pivots(self.sweep.prefix(t + 1))[1]
-            _check_margins(self.sweep.z, np.array((margin,)), tol, first=t)
+            _check_margins(self.sweep.z, np.array((self.margin(t),)), tol, first=t)
         return self
 
 
@@ -685,7 +663,7 @@ def eigenvalue_margin(pencil: Pencil, z: complex) -> float:
     eigenvector lives on.  eigenvalue_margin(pencil.head(m), z) is that of
     the leading sub-pencil over rows 0..m.
     """
-    return _at_point(pencil, z).twisted[1]
+    return _at_point(pencil, z).margin(pencil.n)
 
 
 def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float:

@@ -16,6 +16,9 @@ from .giep import GiepInstance, ImaginaryClassification, ReconstructionResult
 from .oracle import VerificationReport
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
 
+_KINDS = {int: "an integer", float: "a real number", bool: "true or false"}
+_FLAG_FIELDS = (("index", int), ("x", float), ("y", float), ("wall_ratio_ok", bool))  # ImaginaryClassification's
+
 
 def _cplx(z: complex) -> list[float]:
     z = complex(z)
@@ -26,9 +29,13 @@ def _cplx_list(xs) -> list[list[float]]:
     return [_cplx(z) for z in xs]
 
 
+def _is_real(v: Any) -> bool:
+    """A JSON number: int or float, and not a boolean, which Python counts as an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_cplx(doc: Any, name: str) -> complex:
-    if not (isinstance(doc, (list, tuple)) and len(doc) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc)):
+    if not (isinstance(doc, (list, tuple)) and len(doc) == 2 and all(_is_real(v) for v in doc)):
         raise SchemaError(f"{name} must be a two-element [re, im] array")
     return complex(float(doc[0]), float(doc[1]))
 
@@ -40,9 +47,20 @@ def _parse_cplx_list(doc: Any, name: str) -> tuple[complex, ...]:
 
 
 def _parse_real_list(doc: Any, name: str) -> tuple[float, ...]:
-    if not isinstance(doc, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in doc):
+    if not isinstance(doc, list) or not all(_is_real(v) for v in doc):
         raise SchemaError(f"{name} must be an array of numbers")
     return tuple(float(v) for v in doc)
+
+
+def _field(doc: dict, key: str, kind: type, where: str = "") -> Any:
+    """doc[key], of kind int, float or bool as JSON reads them: a boolean is no number, a float no integer.
+
+    The SchemaError names the field as where + key.
+    """
+    value = _require(doc, key)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise SchemaError(f"{where}{key} must be {_KINDS[kind]}")
+    return kind(value)
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -64,7 +82,7 @@ def encode_pencil(pencil: Pencil) -> dict:
 def decode_pencil(doc: Any) -> Pencil:
     if not isinstance(doc, dict):
         raise SchemaError("pencil document must be a JSON object")
-    n = _require(doc, "n")
+    n = _field(doc, "n", int)
     c = _parse_real_list(_require(doc, "c"), "c")
     d = _parse_real_list(_require(doc, "d"), "d")
     a = _parse_real_list(_require(doc, "a"), "a")
@@ -97,23 +115,17 @@ def decode_instance(doc: Any) -> GiepInstance:
     """The instance a document holds; other keys, such as the diagnostic poles of older files, are not read."""
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
-    n = _require(doc, "n")
-    k = _require(doc, "k")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise SchemaError("k must be an integer")
+    n = _field(doc, "n", int)
+    k = _field(doc, "k", int)
     c = _parse_real_list(_require(doc, "c"), "c")
     d = _parse_real_list(_require(doc, "d"), "d")
-    lam = _require(doc, "lambda")
-    mu = _require(doc, "mu")
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (lam, mu)):
-        raise SchemaError("lambda and mu must be real numbers")
     try:
         inst = GiepInstance(
             J=SymmetricTridiagonal(c, d),
             head_a=_parse_real_list(_require(doc, "a"), "a"),
             head_b=_parse_cplx_list(_require(doc, "b"), "b"),
-            lam=float(lam),
-            mu=float(mu),
+            lam=_field(doc, "lambda", float),
+            mu=_field(doc, "mu", float),
             tail_p=_parse_cplx_list(_require(doc, "tail_p"), "tail_p"),
             tail_s=_parse_cplx_list(_require(doc, "tail_s"), "tail_s"),
             k=k,
@@ -145,11 +157,10 @@ def encode_result(result: ReconstructionResult) -> dict:
 def decode_result(doc: Any) -> ReconstructionResult:
     if not isinstance(doc, dict):
         raise SchemaError("result document must be a JSON object")
+    flags = _require(doc, "imaginary_flags")
+    if not (isinstance(flags, list) and all(isinstance(f, dict) for f in flags)):
+        raise SchemaError("imaginary_flags must be an array of objects")
     try:
-        flags = tuple(
-            ImaginaryClassification(f["index"], float(f["x"]), float(f["y"]), bool(f["wall_ratio_ok"]))
-            for f in _require(doc, "imaginary_flags")
-        )
         return ReconstructionResult(
             H=HermitianTridiagonal(
                 _parse_real_list(_require(doc, "a"), "a"),
@@ -158,11 +169,13 @@ def decode_result(doc: Any) -> ReconstructionResult:
             head_p=_parse_cplx_list(_require(doc, "head_p"), "head_p"),
             head_s=_parse_cplx_list(_require(doc, "head_s"), "head_s"),
             deltas=_parse_cplx_list(_require(doc, "deltas"), "deltas"),
-            residual_lambda=float(_require(doc, "residual_lambda")),
-            residual_mu=float(_require(doc, "residual_mu")),
-            imaginary_flags=flags,
+            residual_lambda=_field(doc, "residual_lambda", float),
+            residual_mu=_field(doc, "residual_mu", float),
+            imaginary_flags=tuple(ImaginaryClassification(*(_field(f, key, kind, f"imaginary_flags[{i}].")
+                                                            for key, kind in _FLAG_FIELDS))
+                                  for i, f in enumerate(flags)),
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"malformed result document: {exc}") from exc
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -155,7 +156,7 @@ def reference_unit_upper(steps, scale=None, out=None):
     """
     mant, expo, runs = [1 + 0j], [0], [0]
     m, e = 1 + 0j, 0
-    for t, q in enumerate(steps, start=1):
+    for t, q in enumerate(np.asarray(steps).tolist(), start=1):  # in Python complex arithmetic
         m *= q
         k = math.frexp(abs(m))[1]
         if not -64 < k < 64:
@@ -181,9 +182,9 @@ def reference_unit_upper(steps, scale=None, out=None):
 
 
 def reference_left_steps(pencil, sweep):
-    """The steps (conj(b_s) - z d_s)/D_s of L^-1 at every point; recurrence._unit_steps skips them at a real z."""
+    """The steps (conj(b_s) - z d_s)/D_s of L^-1, formed apart from recurrence._unit_steps."""
     _, d, _, b = pencil._diagonals
-    return ((b.conj() - sweep.z * d) / np.asarray(sweep.pivots[:len(b)])).tolist()
+    return (b.conj() - sweep.z * d) / np.asarray(sweep.pivots[:len(b)])
 
 
 def _reference_difference(table, t, pl_t, pr_t):
@@ -347,3 +348,43 @@ def reference_components(pencil, z):
         dp.append(dp2)
         p0, p1, dp0, dp1, dl, f = p1, p2, dp1, dp2, dm, zd - bm.conjugate()
     return np.array(p), np.array(dp)
+
+
+def mpmath_reference(pencil, z, dps=60):
+    """Every value of the direct problem at z in dps-digit arithmetic, on the coefficients as given.
+
+    P_0..P_{n+1} and Q_0..Q_{n+1} of the three-term recurrence, the pivots D_t = P_{t+1}/P_t (t = 0..n), the
+    m-values m(z, j) = Q_j/P_j (j = 0..n+1, m(z, 0) = 0), and the right and left component sequences p_0..p_n
+    with their z-derivatives, the left ones from the recurrence with b conjugated.  Each is a list of mpc, to
+    be compared inside mpmath.workdps(dps): the exponent range of mpmath is unbounded, so nothing overflows.
+    """
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(complex(z).real, complex(z).imag)
+        c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
+        b = [mpmath.mpc(x.real, x.imag) for x in pencil.H.b]
+        u = [z * cm - am for cm, am in zip(c, a)]
+        P, Q = [mpmath.mpc(1), u[0]], [mpmath.mpc(0), mpmath.mpc(1)]
+        for m in range(1, pencil.n + 1):
+            w = (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - mpmath.conj(b[m - 1]))
+            P.append(u[m] * P[m] - w * P[m - 1])
+            Q.append(u[m] * Q[m] - w * Q[m - 1])
+        right = _mpmath_components(z, c, d, u, b)
+        left = _mpmath_components(z, c, d, u, [mpmath.conj(x) for x in b])
+        return SimpleNamespace(P=P, Q=Q, pivots=[P[t + 1] / P[t] for t in range(pencil.n + 1)],
+                               m=[mpmath.mpc(0)] + [Q[j] / P[j] for j in range(1, pencil.n + 2)],
+                               right=right[0], right_derivative=right[1], left=left[0], left_derivative=left[1])
+
+
+def _mpmath_components(z, c, d, u, b):
+    """p_0..p_n and p'_0..p'_n of p_{m+1} = (u_m p_m + (z d_{m-1} - conj(b_{m-1})) p_{m-1})/(b_m - z d_m), p_0 = 1."""
+    p, dp = [mpmath.mpc(1)], [mpmath.mpc(0)]
+    for m in range(len(b)):
+        num, dnum = u[m] * p[m], c[m] * p[m] + u[m] * dp[m]
+        if m:
+            f = z * d[m - 1] - mpmath.conj(b[m - 1])
+            num += f * p[m - 1]
+            dnum += d[m - 1] * p[m - 1] + f * dp[m - 1]
+        den = b[m] - z * d[m]
+        p.append(num / den)
+        dp.append((dnum + d[m] * p[m + 1]) / den)
+    return p, dp

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +193,53 @@ class TestSerializationRoundTrip:
         serialize.save_json(workdir / "p.json", serialize.encode_pencil(pencil))
         again = serialize.decode_pencil(serialize.load_json(workdir / "p.json"))
         assert again == pencil
+
+
+CODECS = {"pencil": (serialize.encode_pencil, serialize.decode_pencil),
+          "instance": (serialize.encode_instance, serialize.decode_instance),
+          "result": (serialize.encode_result, serialize.decode_result)}
+
+
+def _documents():
+    """A valid pencil of order 1, instance and result, as JSON documents; the CLI command that reads each."""
+    truth, inst = tp.generate_instance(tp.GeneratorConfig(n=4, k=1, seed=2))
+    order_one = tp.Pencil(tp.SymmetricTridiagonal((2.0, 1.5), (0.5,)), tp.HermitianTridiagonal((0.1, -0.3), (0.2j,)))
+    return {"pencil": serialize.encode_pencil(order_one), "instance": serialize.encode_instance(inst),
+            "result": serialize.encode_result(tp.solve(inst)), "truth": serialize.encode_pencil(truth)}
+
+
+@pytest.mark.parametrize("kind,path,value", [
+    ("pencil", ("n",), True), ("pencil", ("n",), 1.0), ("instance", ("n",), 4.0),
+    ("result", ("imaginary_flags", 0, "wall_ratio_ok"), "no"),
+    ("result", ("imaginary_flags", 0, "index"), "seven"),
+    ("result", ("residual_lambda",), "0.5"), ("result", ("residual_lambda",), True),
+    ("result", ("imaginary_flags", 1, "x"), "0.5"), ("result", ("imaginary_flags", 1, "x"), True),
+    ("result", ("imaginary_flags", 2, "y"), "-0.25"), ("result", ("imaginary_flags", 2, "y"), False),
+])
+def test_a_field_of_the_wrong_json_type_is_a_schema_error(workdir, capsys, kind, path, value):
+    """A boolean, string or float where the schema has a number, integer or boolean raises SchemaError naming
+    the field, and the CLI command that reads the document exits 1; the valid documents round-trip bitwise."""
+    docs = _documents()
+    for name in CODECS:  # encode(decode(doc)) is the document, byte for byte
+        encode, decode = CODECS[name]
+        assert json.dumps(encode(decode(json.loads(json.dumps(docs[name]))))) == json.dumps(docs[name])
+    doc = docs[kind]
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    field = f"imaginary_flags[{parents[1]}].{key}" if parents else key
+    with pytest.raises(tp.SchemaError, match=rf"^{re.escape(field)} must be "):
+        CODECS[kind][1](json.loads(json.dumps(doc)))
+    for name, written in docs.items():
+        serialize.save_json(workdir / f"{name}.json", written)
+    command = {"pencil": ["direct", str(workdir / "pencil.json"), "--at", "0.5"],
+               "instance": ["solve", str(workdir / "instance.json")],
+               "result": ["verify", "--truth", str(workdir / "truth.json"), "--result", str(workdir / "result.json")]}
+    capsys.readouterr()
+    assert main(command[kind]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_result_with_no_entry_to_check_exits_1(workdir, capsys):

@@ -10,7 +10,7 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import POLE_RTOL
 from support import (bits, build_pencil, dense_eigenpairs, dense_eigenvectors, dense_spectrum, far_points,
-                     max_normalized, reference_components, seeded_pencil, two_pole_pencil)
+                     max_normalized, mpmath_reference, reference_components, seeded_pencil, two_pole_pencil)
 
 
 def test_normalization(rng):
@@ -141,28 +141,8 @@ def test_component_sweeps_raise_the_pole_error_of_the_per_step_loop(pencil, z):
         assert str(got) == str(want)
 
 
-def _mp_components(pencil, z, conjugate_b=False):
-    """p and p' of the forward recurrence in 40-digit arithmetic, b conjugated for the left sequence."""
-    with mpmath.workdps(40):
-        z = mpmath.mpc(z)
-        c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
-        b = [mpmath.mpc(x.conjugate() if conjugate_b else x) for x in pencil.H.b]
-        p, dp = [mpmath.mpc(1)], [mpmath.mpc(0)]
-        for m in range(pencil.n):
-            u = z * c[m] - a[m]
-            num, dnum = u * p[m], c[m] * p[m] + u * dp[m]
-            if m:
-                f = z * d[m - 1] - mpmath.conj(b[m - 1])
-                num += f * p[m - 1]
-                dnum += d[m - 1] * p[m - 1] + f * dp[m - 1]
-            den = b[m] - z * d[m]
-            p.append(num / den)
-            dp.append((dnum + d[m] * p[m + 1]) / den)
-        return p, dp
-
-
 def _worst_relative(values, reference):
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
         return max(float(abs(mpmath.mpc(complex(v)) - r) / abs(r)) for v, r in zip(values, reference) if r)
 
 
@@ -172,8 +152,8 @@ def test_component_sweeps_match_mpmath(n):
     pencil = seeded_pencil(3, n)
     outside, _, complex_point = far_points(pencil)
     for z in (complex(outside), complex_point):
-        p, dp = _mp_components(pencil, z)
-        pl, _ = _mp_components(pencil, z, conjugate_b=True)
+        exact = mpmath_reference(pencil, z)
+        p, dp, pl = exact.right, exact.right_derivative, exact.left
         v, dv = tp.right_components_with_derivative(pencil, z)
         assert dv[0] == 0
         assert _worst_relative(tp.right_components(pencil, z), p) <= 1e-12

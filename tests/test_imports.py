@@ -137,7 +137,7 @@ def test_each_precondition_is_raised_by_one_guard():
 
 
 def identifiers(source: str) -> set[str]:
-    """Every name a module loads, binds, imports or reads as an attribute."""
+    """Every name a module loads, binds, imports or reads as an attribute, parameters and keywords included."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -146,7 +146,49 @@ def identifiers(source: str) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
     return names
+
+
+def real_point_tests(source: str) -> list[int]:
+    """Lines that decide whether a number is real: an .imag compared with 0, or an .imag read as a truth value."""
+    def is_imag(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "imag"
+
+    def is_zero(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float, complex) and node.value == 0
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_imag, operands)) and any(map(is_zero, operands)):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)) and is_imag(node.test):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and is_imag(node.operand):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BoolOp) and any(map(is_imag, node.values)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_real_point_tests_are_found():
+    source = ("if z.imag == 0:\n    pass\nx = a if w.imag else b\nok = not z.imag\nfine = abs(z.imag) > tol\n"
+              "same = 0.0 != p.imag\nalso = z.real == 0\nboth = z.imag and y\n")
+    assert real_point_tests(source) == [1, 3, 4, 6, 8]
+
+
+def test_the_real_point_symmetry_is_decided_in_recurrence_alone():
+    """At a real point the left unit factor is the conjugate of the right one; whether a point is real is
+    decided in recurrence alone (_Point.unit, unit_factors, pivot_sweep's weights), and no module names a
+    Hermitian mode."""
+    testing = [p.name for p in MODULES if real_point_tests(p.read_text())]
+    assert testing == ["recurrence.py"]
+    assert [p.name for p in MODULES if "hermitian" in identifiers(p.read_text())] == []
 
 
 def test_the_head_test_is_decided_in_recurrence_alone():

@@ -13,8 +13,8 @@ from tripencil import recurrence
 from tripencil.mfunctions import _trailing_diagonals
 from tripencil.tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, delocalised_pencil, dense_matrix, dense_spectrum, extreme_pair, far_points,
-                     reference_left_steps, reference_m_route, reference_unit_upper, rel_err, scaled_pencil,
-                     seeded_pencil, toeplitz_pencil, two_pole_pencil)
+                     mpmath_reference, reference_left_steps, reference_m_route, reference_unit_upper, rel_err,
+                     scaled_pencil, seeded_pencil, toeplitz_pencil, two_pole_pencil)
 
 
 def resolvent_point(pencil, rng, real=True):
@@ -340,21 +340,6 @@ def test_every_m_value_is_the_corner_of_its_head_inverse(n):
         assert np.array_equal(bits(table.top), bits(tp.resolvent_matrix(pencil, omega)[0, 0])), omega
 
 
-def _mpmath_m_values(pencil, z):
-    """m(z, 1)..m(z, n+1) as Q_j/P_j from the forward recurrence in 60 digits."""
-    with mpmath.workdps(60):
-        z = mpmath.mpc(complex(z).real, complex(z).imag)
-        c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
-        b = [mpmath.mpc(x.real, x.imag) for x in pencil.H.b]
-        p0, p1, q0, q1 = mpmath.mpc(1), z * c[0] - a[0], mpmath.mpc(0), mpmath.mpc(1)
-        values = [q1 / p1]
-        for m in range(1, pencil.n + 1):
-            u, w = z * c[m] - a[m], (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - mpmath.conj(b[m - 1]))
-            p0, p1, q0, q1 = p1, u * p1 - w * p0, q1, u * q1 - w * q0
-            values.append(q1 / p1)
-        return values
-
-
 @pytest.mark.parametrize("n", [40, 160, 640])
 def test_m_values_match_a_60_digit_recurrence_at_far_points(n):
     for seed in range(3):
@@ -363,7 +348,7 @@ def test_m_values_match_a_60_digit_recurrence_at_far_points(n):
             values = tp.m_table(pencil, omega).values[1:]
             with mpmath.workdps(60):
                 worst = max(float(abs(mpmath.mpc(v.real, v.imag) - r) / abs(r))
-                            for v, r in zip(values, _mpmath_m_values(pencil, omega)))
+                            for v, r in zip(values, mpmath_reference(pencil, omega).m[1:]))
             assert worst <= 2e-15, (seed, omega)
 
 
@@ -896,3 +881,33 @@ def test_m_table_forms_the_twisted_pass_only_for_a_reader(monkeypatch):
             assert calls == [], z
             op(fresh, z)
             assert calls == after, (z, op)
+
+
+def test_eigenvalue_margin_after_m_table_reads_the_kept_margin(monkeypatch):
+    """After m_table, eigenvalue_margin reads the margin the point kept for the full head (_Point.margin): no
+    join of the twisted pivots and no twisted pass, and the same bits as on a fresh pencil, also where m_table
+    raises at an eigenvalue."""
+    calls = []
+    joined, twisted_pivots = recurrence._joined, recurrence.twisted_pivots
+
+    def count(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    pencil = seeded_pencil(2, 40)
+    top, bottom, middle = far_points(pencil)
+    points = (top, middle, complex(bottom, -0.0), float(dense_spectrum(pencil)[3]))
+    fresh = [tp.eigenvalue_margin(tp.Pencil(pencil.J, pencil.H), z) for z in points]
+    monkeypatch.setattr(recurrence, "_joined", count("join", joined))
+    monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
+    for z, margin in zip(points, fresh):
+        warm = tp.Pencil(pencil.J, pencil.H)
+        try:
+            tp.m_table(warm, z)
+        except tp.SpectrumCollisionError:
+            assert margin < SPECTRUM_RTOL
+        calls.clear()
+        assert bits(tp.eigenvalue_margin(warm, z)) == bits(margin), z
+        assert calls == [], z

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import (bits, build_pencil, dense_spectrum, far_points, hand_pencil, reference_components,
-                     reference_liouville, reference_pq, scaled_pencil, seeded_pencil, toeplitz_pencil)
+from support import (bits, build_pencil, dense_spectrum, far_points, hand_pencil, mpmath_reference,
+                     reference_components, reference_liouville, reference_pq, scaled_pencil, seeded_pencil,
+                     toeplitz_pencil)
 
 
 def test_eval_p_initial_condition(rng):
@@ -259,17 +260,6 @@ def test_two_zero_minors_in_a_row_make_every_later_margin_0():
     assert np.array_equal(sweep.pivots[1:], [2.0 ** -52 * 2.0, 2.0 ** -52, 2.0 ** -52, 2.0 ** -52])
 
 
-def _mpmath_pivots(pencil, z):
-    """D_0..D_n from the pivot recurrence D_t = u_t - w_{t-1}/D_{t-1} in 60 digits, on the coefficients as given."""
-    with mpmath.workdps(60):
-        z = mpmath.mpc(complex(z).real, complex(z).imag)
-        D = [z * pencil.J.c[0] - pencil.H.a[0]]
-        for c, d, a, b in zip(pencil.J.c[1:], pencil.J.d, pencil.H.a[1:], pencil.H.b):
-            b = mpmath.mpc(b.real, b.imag)
-            D.append(z * c - a - (z * d - b) * (z * d - mpmath.conj(b)) / D[-1])
-        return D
-
-
 @pytest.mark.parametrize("n", [40, 160, 640])
 def test_pivots_match_a_60_digit_pivot_recurrence(n):
     """|D_t - D_t(60 digits)| <= C eps (|z c_t| + |a_t| + |x_t|) at the two far real points and the complex one, C = 2.
@@ -285,7 +275,7 @@ def test_pivots_match_a_60_digit_pivot_recurrence(n):
             D = np.asarray(sweep.pivots)
             x = np.concatenate(([0j], np.asarray(sweep.weights) / D[:-1]))
             terms = np.abs(z * c) + np.abs(a) + np.abs(x)
-            exact = _mpmath_pivots(pencil, z)
+            exact = mpmath_reference(pencil, z).pivots
             with mpmath.workdps(60):
                 error = np.array([float(abs(mpmath.mpc(d.real, d.imag) - e)) for d, e in zip(D, exact)])
             worst = max(worst, float((error / terms).max()) / np.finfo(float).eps)
@@ -534,7 +524,7 @@ def test_unit_upper_matches_mpmath_across_the_double_range(N, scaled):
     scale = np.exp2(rng.uniform(-10, 10, N + 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi, N + 1))
     base, E = _exact_ratios(steps, scale if scaled else 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # entries past 2^1024 overflow, as they must
-        S = recurrence._unit_upper(recurrence._prefix_products(list(steps)), scale if scaled else None)
+        S = recurrence._unit_upper(recurrence._prefix_products(steps), scale if scaled else None)
         back = np.ldexp(S.real, -E) + 1j * np.ldexp(S.imag, -E)  # S[i, t] / 2^E[i, t]
     assert E.max() > 1100  # the prefix products span more than 2^1100
     upper = np.triu(np.ones(S.shape, dtype=bool), 1)

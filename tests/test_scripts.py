@@ -102,3 +102,17 @@ def test_bench_pairs_reads_a_seed_per_workload():
 def test_bench_pairs_verdicts(old, new, better, expected):
     bound = 0.2 if better == "higher" else 0.25
     assert load_script("bench_pairs").verdict(old, new, better, bound) == expected
+
+
+def test_src_loc_counts_lines_and_code_lines(capsys, tmp_path):
+    """Each module's wc -l count and its code lines, docstrings, comments and blank lines left out, and totals."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text('"""Module.\n\nMore."""\n\nimport os  # why\n\n\ndef f(x):\n'
+                                  '    """One line."""\n    # a comment\n    return (x +\n            1)\n')
+    (package / "b.py").write_text('class C:\n    """Doc."""\n\n    y = """not a\ndocstring"""\n')
+    assert load_script("src_loc").main(["--src", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["pkg/a.py", "12", "4"], ["pkg/b.py", "5", "3"],
+                    ["total", "17", "7"]]
+
