@@ -14,7 +14,9 @@ The last output line of every run (its JSON result) is kept, entry i of each
 list being pair i, in the layout of BENCH_pivot_kernel.json.  Also prints,
 per workload and end-to-end metric, both sides' quartiles (q1/median/q3),
 the number of pairs the change wins and a verdict (see verdict()) against
-the metric's bound in BENCHMARK.json.
+the metric's bound in BENCHMARK.json; and per workload, each side's failed
+and attempted operations over its ten runs, flagged where the change fails
+a larger share of them (see failures()).
 """
 
 import argparse
@@ -132,6 +134,18 @@ def summary(doc: dict, metrics: list[dict]) -> list[dict]:
     return rows
 
 
+def failures(doc: dict) -> list[dict]:
+    """Per workload: each side's (failed, attempted) over its runs, and whether the change fails a larger share."""
+    rows = []
+    for workload in doc["parent"]:
+        counts = {side: (sum(run["failed"] for run in doc[side][workload]),
+                         sum(run["attempted"] for run in doc[side][workload])) for side in SIDES}
+        (old_failed, old_attempted), (new_failed, new_attempted) = counts["parent"], counts["change"]
+        rows.append({"workload": workload, **counts,
+                     "fails_more": new_failed * old_attempted > old_failed * new_attempted})
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -167,6 +181,11 @@ def main(argv=None) -> int:
         quartiles = {side: "/".join(f"{q:.6g}" for q in row[side]) for side in SIDES}
         print(f"{row['workload']:10s} {row['metric']:16s} parent {quartiles['parent']:28s} "
               f"change {quartiles['change']:28s} change wins {row['wins']}/{row['pairs']}  {row['verdict']}")
+    for row in failures(doc):
+        counts = {side: "/".join(map(str, row[side])) for side in SIDES}
+        flag = "the change fails a larger share" if row["fails_more"] else "no larger share fails"
+        print(f"{row['workload']:10s} {'failed/attempted':16s} parent {counts['parent']:28s} "
+              f"change {counts['change']:28s} {flag}")
     print(f"wrote {out}")
     return 0
 

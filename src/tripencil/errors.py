@@ -91,17 +91,29 @@ class NonRealDiagonalError(_IndexedError):
 
 
 class DegenerateDifferenceError(_IndexedError):
-    """Two m-function values that must differ coincide."""
+    """Two m-function values that must differ coincide.
 
-    def __init__(self, index: int):
-        super().__init__(index, f"degenerate m-function difference at index {index}")
+    value is what vanishes against scale at the relative tolerance tol: in
+    ldu_factors |w_{index-1}| against (|z d| + |b|)^2 of its terms, in the
+    m-route |e_index| against |m_index| + |m_{index+1}|.
+    """
+
+    def __init__(self, index: int, value: float, scale: float, tol: float):
+        self.value, self.scale, self.tol = value, scale, tol
+        super().__init__(index, f"degenerate m-function difference at index {index}: "
+                                f"{value:.3e} is within tol {tol:.1e} x scale {scale:.3e}")
 
 
 class DegreeDropError(_IndexedError):
-    """The order-m leading minor of J (the leading coefficient of P_m) cancels, so P_m drops degree."""
+    """The order-m leading minor of J (the leading coefficient of P_m) cancels, so P_m drops degree.
 
-    def __init__(self, index: int):
-        super().__init__(index, f"degree drop: the order-{index} leading minor of J vanishes")
+    value is the pivot margin of that minor, at most tol = DEGREE_DROP_RTOL.
+    """
+
+    def __init__(self, index: int, value: float, tol: float):
+        self.value, self.tol = value, tol
+        super().__init__(index, f"degree drop: the order-{index} leading minor of J vanishes: "
+                                f"pivot margin {value:.3e} <= tol {tol:.1e}")
 
 
 class NearSingularError(MathPreconditionError):

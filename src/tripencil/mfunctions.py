@@ -23,10 +23,12 @@ diagonal of R is 1/gamma_t, from the twisted pivots (resolvent_matrix).
 Every direct operation here reads the point object of recurrence
 (_at_point) and forms nothing that can overflow.  Which of its parts are
 formed, kept or shared, and whether w is real, is decided there: this
-module tests neither.  m_table hands the margin of every head and the
-backward pivots of the full head over to the point, so that m_table,
-resolvent_matrix, ldu_factors and trailing_inverse back to back at one
-point run each O(n) loop once.
+module tests neither.  At a real w the sweep's arrays are float64, so the
+m-values and differences are formed in real arithmetic; the tables and
+factors still hold Python complex numbers.  m_table hands the margin of
+every head and the backward pivots of the full head over to the point, so
+that m_table, resolvent_matrix, ldu_factors and trailing_inverse back to
+back at one point run each O(n) loop once.
 
 Each operation raises SpectrumCollisionError where what it returns does not
 exist: m_table on the spectrum of any leading sub-pencil, m_function(j) on
@@ -117,8 +119,8 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
     point.keep(margins, backward)
     _check_margins(sweep.z, margins, SPECTRUM_RTOL)
     D = sweep.pivots
-    diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))))
-    return MFunctionTable(sweep.z, (0j, *(1.0 / corners).tolist()), tuple(diffs.tolist()))
+    diffs = np.cumprod(np.concatenate(([1.0 / D[0]], sweep.weights / (D[:-1] * D[1:]))), dtype=complex)
+    return MFunctionTable(sweep.z, tuple(np.concatenate(([0j], 1.0 / corners)).tolist()), tuple(diffs.tolist()))
 
 
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
@@ -179,12 +181,13 @@ def ldu_factors(pencil: Pencil, omega: complex) -> ResolventFactors:
     sweep = point.sweep
     _check_margins(sweep.z, sweep.margins, FACTOR_RTOL)
     _, d, _, b = pencil._diagonals
-    terms = np.abs(sweep.z * d) + np.abs(b)
-    flat = np.flatnonzero(np.abs(sweep.weights) < DIFFERENCE_RTOL * terms ** 2)
+    weights, scale = np.abs(sweep.weights), (np.abs(sweep.z * d) + np.abs(b)) ** 2
+    flat = np.flatnonzero(weights < DIFFERENCE_RTOL * scale)
     if flat.size:
-        raise DegenerateDifferenceError(int(flat[0]) + 1)
+        t = int(flat[0])
+        raise DegenerateDifferenceError(t + 1, float(weights[t]), float(scale[t]), DIFFERENCE_RTOL)
     F, G = unit_factors(point)
-    return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).tolist()), G)
+    return ResolventFactors(sweep.z, F, tuple((1.0 / sweep.pivots).astype(complex).tolist()), G)
 
 
 def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
@@ -231,8 +234,9 @@ def _trailing_diagonals(table: MFunctionTable, pr: np.ndarray, pl: np.ndarray,
             _check_component(t, al, t)
             _check_component(t, ar, t)
         e = g[t] * pl[t] * pr[t]
-        if abs(e) <= DIFFERENCE_RTOL * (abs(m[t]) + abs(m[t + 1])):
-            raise DegenerateDifferenceError(t)
+        scale = abs(m[t]) + abs(m[t + 1])
+        if abs(e) <= DIFFERENCE_RTOL * scale:
+            raise DegenerateDifferenceError(t, abs(e), scale, DIFFERENCE_RTOL)
         if t == k + 1:
             diag.append(1.0 / e)
         elif t > k + 1:

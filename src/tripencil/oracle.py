@@ -84,9 +84,10 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
     value, and each call returns a fresh copy of them: a second call on the
     same pencil does no dense work.  The error is not kept; it is raised again.
     """
-    low = (_at_point(pencil.J._minors, 1.0).sweep.margins <= DEGREE_DROP_RTOL).nonzero()[0]
+    margins = _at_point(pencil.J._minors, 1.0).sweep.margins
+    low = (margins <= DEGREE_DROP_RTOL).nonzero()[0]
     if low.size:
-        raise DegreeDropError(int(low[0]) + 1)
+        raise DegreeDropError(int(low[0]) + 1, float(margins[low[0]]), DEGREE_DROP_RTOL)
     kept = pencil.__dict__.get("_eigenvalues")
     if kept is None:
         kept = _dense_eigenvalues(pencil)

@@ -41,16 +41,23 @@ point holds the full-order sweep and, each formed on first read:
   and mfunctions.resolvent_matrix form their arrays in array passes alone
   (_unit_upper).
 
-Whether z is real is decided in this module alone.  pivot_sweep forms w
-exactly real there, so that R is exactly Hermitian; _Point.unit takes the
-left prefix products as the conjugates of the right ones, as
-L^-1 = conj(U^-1)^T; unit_factors takes G as conj(F)^T, which is cheaper
-than forming it.  A head's margin is read in one place, _Point.margin: the
-kept one, else the full pass for the last row, else a pass on a prefix of
-the sweep.  head_margins gives every head at once, for m_table, and stops
-once the bottom-up passes of neighbouring heads have joined, bit for bit,
-which off the spectrum they do within a few dozen rows: O(n) work per row
-reached, not O(n^2) per point.  twisted_pivots runs one head's pass on numpy
+Whether z is real is decided once, in pivot_sweep.  At a real z (z.imag ==
+0, of either sign) z*J - H is Hermitian, and off the spectrum its pivots,
+twisted pivots and m-values are real: the sweep forms its arrays from
+z.real, so that u, w = |z d - b|^2, x, the pivots, terms and margins are
+float64 (the off-diagonals stay complex), and every pass that reads them
+steps in real arithmetic, the head test's divides and moduli included.
+R is then exactly Hermitian.  The other readers take the realness from the
+sweep's dtype: _Point.unit takes the left prefix products as the
+conjugates of the right ones, as L^-1 = conj(U^-1)^T, and unit_factors
+takes G as conj(F)^T, which is cheaper than forming it.
+
+A head's margin is read in one place, _Point.margin: the kept one, else
+the full pass for the last row, else a pass on a prefix of the sweep.
+head_margins gives every head at once, for m_table, and stops once the
+bottom-up passes of neighbouring heads have joined, bit for bit, which off
+the spectrum they do within a few dozen rows: O(n) work per row reached,
+not O(n^2) per point.  twisted_pivots runs one head's pass on numpy
 scalars, which round as head_margins' array steps do, so a margin has the
 same bits whichever computes it.  The corner gamma_0 of head(j-1) is
 1/m(z, j), so the same passes give the m-values.
@@ -164,9 +171,11 @@ class PivotSweep(NamedTuple):
 
     The entries of z*J - H: the diagonal u_t = z c_t - a_t, the
     off-diagonals upper_t = z d_t - b_t (row t, column t+1) and lower_t =
-    z d_t - conj(b_t), their product weights_t = w_t, real at a real z, and
-    own_t = |z c_t| + |a_t|.  pivots[t] = P_{t+1}(z)/P_t(z) is the t-th
-    pivot D_t of z*J - H = L D U: D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}
+    z d_t - conj(b_t), their product weights_t = w_t, and own_t = |z c_t| +
+    |a_t|.  At a real z, u, weights, x, terms, pivots and margins are
+    float64 and upper and lower complex128; elsewhere all but own, terms
+    and margins are complex128 (pivot_sweep).  pivots[t] = P_{t+1}(z)/P_t(z)
+    is the t-th pivot D_t of z*J - H = L D U: D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1}
     (x_0 = 0).  margins[t] = |D_t| / terms_t, terms_t = own_t + |x_t|, says
     how far the terms of the pivot are from cancelling; it bounds how much
     the unit factors of z*J - H outgrow it.  The terms of u_t count apart,
@@ -178,6 +187,7 @@ class PivotSweep(NamedTuple):
     spectrum of a leading sub-pencil: the pivot misses an eigenvalue whose
     eigenvector nearly vanishes at the last row.  Every field but z is a
     numpy array; a named tuple builds in a fraction of a frozen dataclass's time.
+    Readers take the dtype of u as the one test of whether z is real.
     """
 
     z: complex
@@ -204,17 +214,20 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     """z*J - H at z over rows 0..upto-1, and the pivots and margins of P_1..P_upto, in one O(upto) pass.
 
     One array pass forms every entry of z*J - H and w.  The loop then
-    steps x_t alone on plain Python complex numbers: the pivot recurrence
+    steps x_t alone on plain Python numbers: the pivot recurrence
     D_t = u_t - x_t, x_t = w_{t-1}/D_{t-1} (x_0 = 0), the LDL^T form of the
     P recurrence, carries ratios only, so nothing overflows at any order,
     and D_t = P_{t+1}/P_t wherever pq_sweep's values are representable, to
     rounding.  The pivots follow in one array pass u - x, bit for bit the
-    loop's, for a complex difference rounds each part alone.  At a real z, w
-    is |z d - b|^2 in real arithmetic, exactly real, so that R is exactly
-    Hermitian: numpy's complex product leaves a rounding error in its
-    imaginary part.  Where D_t is exactly zero (margin 0) the pivot is a
-    stand-in of 2^-52 times its terms, or 2^-52 where they vanish, as
-    LAPACK's pivmin does; the recurrence and the margins use the true zero
+    loop's, for a complex difference rounds each part alone.  At a real z
+    (z.imag == 0) every array but upper and lower is formed from z.real in
+    real arithmetic, w as |z d - b|^2, and the loop steps floats: the
+    real parts of complex arithmetic, bit for bit (Python's complex division
+    by a real-valued complex is the float division), with no imaginary parts
+    to carry; numpy's complex product would leave a rounding error in the
+    imaginary part of w, and R would not be exactly Hermitian.  Where D_t
+    is exactly zero (margin 0) the pivot is a stand-in of 2^-52 times its
+    terms, or 2^-52 where they vanish, as LAPACK's pivmin does; the recurrence and the margins use the true zero
     P_{t+1} = 0 (_pivot_row), whose pivots and margins replace those of the
     array passes after the loop.
     """
@@ -222,9 +235,11 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     z = _finite_point(z)
     c, d, a, b = pencil._diagonals
     cut = max(upto - 1, 0)
-    zc, zd, a, b = z * c[:upto], z * d[:cut], a[:upto], b[:cut]
+    real = z.imag == 0
+    at = z.real if real else z
+    zc, zd, a, b = at * c[:upto], at * d[:cut], a[:upto], b[:cut]
     u, upper, lower = zc - a, zd - b, zd - b.conj()
-    weights = (upper.real ** 2 + upper.imag ** 2).astype(complex) if z.imag == 0 else upper * lower
+    weights = upper.real ** 2 + upper.imag ** 2 if real else upper * lower
     own = np.abs(zc) + np.abs(a)
     D, after, xs, rows = 1.0, 0, [], {}
     for ut, wt in zip(u.tolist(), [0.0, *weights.tolist()]):
@@ -234,7 +249,7 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
             t = len(xs)
             D, margin, after = rows[t] = _pivot_row(after, D, ut, x, own[t])
         xs.append(x)
-    x = np.fromiter(xs, complex, upto)
+    x = np.fromiter(xs, u.dtype, upto)
     pivots, terms = u - x, own + np.abs(x)
     if rows:  # the terms vanish only where the pivot is exactly zero, on a patched row
         index, (D, margin, _) = list(rows), zip(*rows.values())
@@ -261,12 +276,12 @@ def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tu
     elif after == 2:
         D, terms = u, own
     elif after == 3:
-        D, terms = 0j, 0.0
+        D, terms = 0.0, 0.0
     else:
         terms = own + abs(x)
     if D:
         return D, abs(D) / terms, 2 if after == 1 else 0
-    return complex(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
+    return type(u)(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
 
 
 def unit_factors(point: _Point) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +295,7 @@ def unit_factors(point: _Point) -> tuple[np.ndarray, np.ndarray]:
     """
     right, left = point.unit
     F = _unit_upper(right)
-    return F, (F.conj() if point.sweep.z.imag == 0 else _unit_upper(left)).T
+    return F, (_unit_upper(left) if np.iscomplexobj(point.sweep.u) else F.conj()).T
 
 
 def _unit_steps(diagonals: tuple[np.ndarray, ...], sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray]:
@@ -413,18 +428,20 @@ def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     |a_r| + |x_r| + |y_r|) above it (_twisted_margins): 0 at an eigenvalue
     of the order-(N-1) leading sub-pencil, whichever row its eigenvector
     lives on.  It is head_margins' margin of head(N-1), bit for bit: the
-    pass is its vector step on numpy complex128 scalars, which round as its
-    array operations do (Python's complex division and abs() do not).  The
-    backward pivots D-_r are returned as well, head_margins' third array.
+    pass is its vector step on numpy scalars of the sweep's dtype, float64 at
+    a real z and complex128 elsewhere, which round as its array operations
+    do (Python's complex division and abs() do not).  The backward pivots
+    D-_r are returned as well, head_margins' third array.
     """
     u, w, own = sweep.u, sweep.weights, sweep.own
-    Y = u[-1] or np.complex128(_stand_in(own[-1]))
+    scalar = u.dtype.type
+    Y = u[-1] or scalar(_stand_in(own[-1]))
     backward = [Y]
     for ur, wr in zip(list(u[-2::-1]), list(w[::-1])):
         y = wr / Y
         Y = ur - y
         if not Y:  # on row N - 1 - len(backward)
-            Y = np.complex128(_stand_in(own[-1 - len(backward)] + np.abs(y)))
+            Y = scalar(_stand_in(own[-1 - len(backward)] + np.abs(y)))
         backward.append(Y)
     backward = np.array(backward[::-1])
     gamma, y = _joined(sweep, backward)
@@ -480,6 +497,8 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     the full head(N-1), bit for bit, so that its twisted pass needs no loop
     of its own (_Point.keep): row N-1-s at step s, and at the join step
     every row left, which each longer head reads as the shorter ones have.
+    Every step runs in the sweep's dtype: at a real z, float divides and
+    fabs rather than complex divides and hypot.
     """
     N = len(sweep.pivots)
     u, w, own, terms = sweep.u, sweep.weights, sweep.own, sweep.terms
@@ -488,10 +507,10 @@ def head_margins(sweep: PivotSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Y = u.copy()  # Y[t]: backward pivot of head(t) at the current row
     if not Y.all():
         Y = np.where(Y == 0, _stand_in(own), Y)
-    back = np.empty(N, dtype=complex)  # D-_r of head(N-1)
+    back = np.empty(N, dtype=u.dtype)  # D-_r of head(N-1)
     back[-1] = Y[-1]
     best = sweep.margins.copy()
-    held = np.zeros((min(_STEPS_HELD, N - 1), N), dtype=complex)  # row i: the y of step first + i, rows 0..N-1-first-i
+    held = np.zeros((min(_STEPS_HELD, N - 1), N), dtype=u.dtype)  # row i: the y of step first + i, rows 0..N-1-first-i
     first = 1  # the first step held
     for s in range(1, N):
         rows = N - s  # heads s..N-1 have a row s above their last one, rows 0..N-1-s
@@ -596,7 +615,8 @@ class _Point:
         if unit is None:
             right, left = _unit_steps(self.diagonals, self.sweep)
             right = _prefix_products(right)
-            left = _prefix_products(left) if self.sweep.z.imag else right._replace(mantissas=right.mantissas.conj())
+            left = (_prefix_products(left) if np.iscomplexobj(self.sweep.u)
+                    else right._replace(mantissas=right.mantissas.conj()))
             _read_only((left.mantissas,))
             self._unit = unit = right, left
         return unit

@@ -189,8 +189,9 @@ def reference_left_steps(pencil, sweep):
 
 def _reference_difference(table, t, pl_t, pr_t):
     g = table.diffs[t]
-    if abs(g * pl_t * pr_t) <= DIFFERENCE_RTOL * (abs(table.values[t]) + abs(table.values[t + 1])):
-        raise tp.DegenerateDifferenceError(t)
+    e, scale = abs(g * pl_t * pr_t), abs(table.values[t]) + abs(table.values[t + 1])
+    if e <= DIFFERENCE_RTOL * scale:
+        raise tp.DegenerateDifferenceError(t, e, scale, DIFFERENCE_RTOL)
     return g
 
 
@@ -354,7 +355,8 @@ def mpmath_reference(pencil, z, dps=60):
     """Every value of the direct problem at z in dps-digit arithmetic, on the coefficients as given.
 
     P_0..P_{n+1} and Q_0..Q_{n+1} of the three-term recurrence, the pivots D_t = P_{t+1}/P_t (t = 0..n), the
-    m-values m(z, j) = Q_j/P_j (j = 0..n+1, m(z, 0) = 0), and the right and left component sequences p_0..p_n
+    m-values m(z, j) = Q_j/P_j (j = 0..n+1, m(z, 0) = 0), the diagonal R[t, t] = P_t B_{t+1}/P_{n+1} of the
+    resolvent, B_t the minor of rows t..n (B_{n+1} = 1), and the right and left component sequences p_0..p_n
     with their z-derivatives, the left ones from the recurrence with b conjugated.  Each is a list of mpc, to
     be compared inside mpmath.workdps(dps): the exponent range of mpmath is unbounded, so nothing overflows.
     """
@@ -363,15 +365,20 @@ def mpmath_reference(pencil, z, dps=60):
         c, d, a = pencil.J.c, pencil.J.d, pencil.H.a
         b = [mpmath.mpc(x.real, x.imag) for x in pencil.H.b]
         u = [z * cm - am for cm, am in zip(c, a)]
+        w = [(z * dm - bm) * (z * dm - mpmath.conj(bm)) for dm, bm in zip(d, b)]
         P, Q = [mpmath.mpc(1), u[0]], [mpmath.mpc(0), mpmath.mpc(1)]
         for m in range(1, pencil.n + 1):
-            w = (z * d[m - 1] - b[m - 1]) * (z * d[m - 1] - mpmath.conj(b[m - 1]))
-            P.append(u[m] * P[m] - w * P[m - 1])
-            Q.append(u[m] * Q[m] - w * Q[m - 1])
+            P.append(u[m] * P[m] - w[m - 1] * P[m - 1])
+            Q.append(u[m] * Q[m] - w[m - 1] * Q[m - 1])
+        B = [mpmath.mpc(1), u[-1]]  # B_{n+1}, B_n, ..., B_0, reversed after the loop
+        for m in range(pencil.n - 1, -1, -1):
+            B.append(u[m] * B[-1] - w[m] * B[-2])
+        B.reverse()
         right = _mpmath_components(z, c, d, u, b)
         left = _mpmath_components(z, c, d, u, [mpmath.conj(x) for x in b])
         return SimpleNamespace(P=P, Q=Q, pivots=[P[t + 1] / P[t] for t in range(pencil.n + 1)],
                                m=[mpmath.mpc(0)] + [Q[j] / P[j] for j in range(1, pencil.n + 2)],
+                               resolvent_diagonal=[P[t] * B[t + 1] / P[-1] for t in range(pencil.n + 1)],
                                right=right[0], right_derivative=right[1], left=left[0], left_derivative=left[1])
 
 

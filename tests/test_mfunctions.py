@@ -181,6 +181,18 @@ class TestFactorization:
             tp.ldu_factors(pencil, omega)
         assert exc.value.index == 1
 
+    def test_degenerate_difference_error_carries_the_weight_and_its_terms(self):
+        # 2^-30 off the real pole b_0/d_0 = 0.5: |w_0| = (0.8 w - 0.4)^2 against (|0.8 w| + 0.4)^2
+        pencil = tp.Pencil(tp.SymmetricTridiagonal((1.2, 0.9, 1.1), (0.8, 0.7)),
+                           tp.HermitianTridiagonal((0.1, -0.2, 0.3), (0.4 + 0j, 0.2 + 0.6j)))
+        omega = 0.5 + 2.0 ** -30
+        weight, scale = (0.8 * omega - 0.4) ** 2, (0.8 * omega + 0.4) ** 2
+        with pytest.raises(tp.DegenerateDifferenceError) as exc:
+            tp.ldu_factors(pencil, omega)
+        assert (exc.value.index, exc.value.value, exc.value.scale, exc.value.tol) == (1, weight, scale,
+                                                                                      DIFFERENCE_RTOL)
+        assert f"{weight:.3e} is within tol {DIFFERENCE_RTOL:.1e} x scale {scale:.3e}" in str(exc.value)
+
 
 class TestTrailingInverse:
     def test_1x1_reciprocal(self, rng):
@@ -230,6 +242,17 @@ class TestTrailingInverse:
         with pytest.raises(tp.DegenerateDifferenceError) as exc:
             _trailing_diagonals(table, ones, ones, 0)
         assert exc.value.index == 1
+
+    def test_degenerate_difference_error_carries_e_and_the_m_values(self):
+        # e_1 = g_1 p^L_1 p^R_1 = 2^-50 against |m_1| + |m_2| = 0.5 + 0.75
+        values = (0j, 0.5 + 0j, 0.75 + 0j, 0.9 + 0j, 1.1 + 0j)
+        table = tp.MFunctionTable(1.0, values, (0.5 + 0j, 2.0 ** -50 + 0j, 0.15 + 0j, 0.2 + 0j))
+        ones = np.ones(4, dtype=complex)
+        with pytest.raises(tp.DegenerateDifferenceError) as exc:
+            _trailing_diagonals(table, ones, ones, 0)
+        assert (exc.value.index, exc.value.value, exc.value.scale, exc.value.tol) == (1, 2.0 ** -50, 1.25,
+                                                                                      DIFFERENCE_RTOL)
+        assert f"{2.0 ** -50:.3e} is within tol {DIFFERENCE_RTOL:.1e} x scale {1.25:.3e}" in str(exc.value)
 
 
 def test_array_guards_raise_at_the_first_failing_index():
@@ -401,12 +424,15 @@ def test_full_pencil_eigenvalues_raise_with_the_full_order(seed):
             assert info.value.order == n
 
 
-@pytest.mark.parametrize("n", [40, 160, 640])
-def test_resolvent_is_exactly_hermitian_at_real_points(n):
-    pencil = seeded_pencil(n, n)
+@pytest.mark.parametrize("family, n", [(seeded_pencil, 40), (seeded_pencil, 160), (seeded_pencil, 640),
+                                       (delocalised_pencil, 160)])
+def test_resolvent_is_exactly_hermitian_at_real_points(family, n):
+    """R == conj(R)^T entry for entry, so its diagonal is exactly real."""
+    pencil = family(n, n)
     for omega in far_points(pencil)[:2]:
         R = tp.resolvent_matrix(pencil, omega)
         assert np.array_equal(R, R.conj().T)
+        assert not R.diagonal().imag.any()
 
 
 @pytest.mark.parametrize("n", [40, 640])

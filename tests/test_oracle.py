@@ -8,7 +8,7 @@ import pytest
 
 import tripencil as tp
 from tripencil import giep, oracle, recurrence
-from tripencil.tolerances import ADMIT_SPECTRUM_MARGIN, SPECTRUM_RTOL
+from tripencil.tolerances import ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, SPECTRUM_RTOL
 from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
                      max_normalized, seeded_pencil)
 
@@ -97,6 +97,16 @@ class TestPencilEigenvalues:
         with pytest.raises(tp.DegreeDropError) as info:
             tp.pencil_eigenvalues(pencil)
         assert info.value.index == 2
+
+    def test_degree_drop_error_carries_the_margin_and_tolerance(self):
+        # c_1 = 1/4 + 2^-50: the order-2 pivot of J is 2^-50 exactly, against its terms 1/2 + 2^-50
+        pencil = tp.Pencil(tp.SymmetricTridiagonal((1.0, 0.25 + 2.0 ** -50, 1.0), (0.5, 0.5)),
+                           tp.HermitianTridiagonal((0.0, 0.0, 0.0), (1j, 1j)))
+        margin = 2.0 ** -50 / (0.5 + 2.0 ** -50)
+        with pytest.raises(tp.DegreeDropError) as info:
+            tp.pencil_eigenvalues(pencil)
+        assert (info.value.index, info.value.value, info.value.tol) == (2, margin, DEGREE_DROP_RTOL)
+        assert f"pivot margin {margin:.3e} <= tol {DEGREE_DROP_RTOL:.1e}" in str(info.value)
 
 
 class TestDenseResolvent:

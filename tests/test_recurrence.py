@@ -243,7 +243,8 @@ def test_rows_at_and_after_an_exactly_zero_pivot_use_the_true_zero():
     a = (0.0, 0.0, 0.25, 0.3, 0.5)
     pencil = tp.Pencil(J, tp.HermitianTridiagonal(a, (0.5 + 1j, 0.5 + 2j, 0.5 + 1j, 0.5 + 0j)))
     sweep = recurrence.pivot_sweep(pencil, 5, z)
-    u3 = sweep.z * J.c[3] - a[3]  # as pivot_sweep forms it, at complex z
+    u3 = z * J.c[3] - a[3]  # as pivot_sweep forms it at a real z, in real arithmetic
+    assert sweep.pivots.dtype == np.float64
     assert np.array_equal(sweep.weights[:2], [1, 4]) and sweep.pivots[0] == 1
     assert sweep.margins[1] == 0.0 and sweep.pivots[1] == 2.0 ** -52 * (1.0 + 0.0 + 1.0)
     assert sweep.pivots[2] == -sweep.weights[1] / sweep.pivots[1] and sweep.margins[2] == 1.0
@@ -333,10 +334,11 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
 def _all_steps_margins(pencil, sweep, first):
     """head_margins as a plain N-step loop, with no early stop: the backward pivots of all heads, row by row.
 
-    Returns the margins of heads first..N-1 and the backward pivots of head(N-1), rows 0..N-1.
+    Returns the margins of heads first..N-1 and the backward pivots of head(N-1), rows 0..N-1.  It steps
+    in the sweep's dtype: at a real point, on z.real in real arithmetic, as pivot_sweep does.
     """
     N = len(sweep.pivots)
-    z = sweep.z
+    z = sweep.z if np.iscomplexobj(sweep.u) else sweep.z.real
     zc, av = z * np.asarray(pencil.J.c[:N]), np.asarray(pencil.H.a[:N])
     u = zc - av
     w, x = sweep.weights, sweep.x
@@ -347,6 +349,7 @@ def _all_steps_margins(pencil, sweep, first):
         return np.where(Y == 0, 2.0 ** -52 * np.where(terms > 0, terms, 1.0), Y)
 
     Y = stand_in(u[first:], np.abs(zc[first:]) + np.abs(av[first:]))
+    assert Y.dtype == sweep.u.dtype
     back = [Y[-1]]
     for s in range(1, N):
         h = max(s - first, 0)
@@ -365,8 +368,10 @@ def _assert_twisted_pivots_match_head_margins(sweep):
     heads = [sweep.prefix(t + 1) for t in range(len(sweep.pivots))]
     alone = [recurrence.twisted_pivots(head) for head in heads]
     margins, corners, back = recurrence.head_margins(sweep)
+    dtype = sweep.u.dtype  # the sweep's: float64 at a real point
+    assert corners.dtype == back.dtype == alone[-1][2].dtype == dtype, sweep.z
     assert np.array_equal(margins, [margin for _, margin, _ in alone]), sweep.z
-    assert np.array_equal(bits(corners), bits([gamma[0] for gamma, _, _ in alone])), sweep.z
+    assert np.array_equal(bits(corners), bits(np.array([gamma[0] for gamma, _, _ in alone], dtype))), sweep.z
     assert np.array_equal(bits(back), bits(alone[-1][2])), sweep.z
 
 

@@ -48,8 +48,8 @@ def test_roundtrip_sweep_records_library_errors_and_exits_1(monkeypatch, capsys,
         (1, "VanishingComponentError"), (4, "GenerationFailedError"), (10, "VanishingComponentError")]
 
 
-def _result_line(ops_per_s, setup_s):
-    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+def _result_line(ops_per_s, setup_s, attempted=10, failed=0):
+    return json.dumps({"correct": True, "attempted": attempted, "failed": failed, "metrics": {
         "good_ops_per_s": {"value": ops_per_s, "unit": "1/s"},
         "setup_s": {"value": setup_s, "unit": "s"}}})
 
@@ -74,6 +74,22 @@ def test_bench_pairs_merges_result_lines():
     lines["change"]["roundtrip"].pop()
     with pytest.raises(ValueError):
         bench.merge("demo", "", "", "", lines)
+
+
+def test_bench_pairs_counts_failed_operations_per_side():
+    """failed/attempted summed over each side's runs; a workload is flagged where the change's share is larger."""
+    bench = load_script("bench_pairs")
+    lines = {"parent": {"direct": [_result_line(1.0, 0.1, 100, 1), _result_line(1.0, 0.1, 100, 1)],
+                        "sweep": [_result_line(1.0, 0.1, 100, 0), _result_line(1.0, 0.1, 300, 0)]},
+             "change": {"direct": [_result_line(1.0, 0.1, 200, 1), _result_line(1.0, 0.1, 200, 2)],
+                        "sweep": [_result_line(1.0, 0.1, 50, 0), _result_line(1.0, 0.1, 50, 1)]}}
+    rows = {row["workload"]: row for row in bench.failures(bench.merge("demo", "", "", "", lines))}
+    # 3/400 against 2/200: a smaller share fails, though more operations do
+    assert (rows["direct"]["parent"], rows["direct"]["change"], rows["direct"]["fails_more"]) == (
+        (2, 200), (3, 400), False)
+    # 1/100 against 0/400: any failure where the parent has none is a larger share
+    assert (rows["sweep"]["parent"], rows["sweep"]["change"], rows["sweep"]["fails_more"]) == (
+        (0, 400), (1, 100), True)
 
 
 def test_bench_pairs_reads_a_seed_per_workload():
