@@ -8,6 +8,7 @@ them to exit code 2.  ``SchemaError`` covers malformed serialized input
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 
@@ -29,17 +30,28 @@ class _IndexedError(MathPreconditionError):
         super().__init__(message)
 
 
-class PoleCollisionError(_IndexedError):
+class _MeasuredError(_IndexedError):
+    """An indexed error with the numbers of the test that failed: value against tol times scale, in its message.
+
+    The numbers are NaN where only the index is given.
+    """
+
+    message = ""
+
+    def __init__(self, index: int, value: float = math.nan, scale: float = math.nan, tol: float = math.nan):
+        self.value, self.scale, self.tol = value, scale, tol
+        super().__init__(index, self.message.format(index=index, value=value, scale=scale, tol=tol))
+
+
+class PoleCollisionError(_MeasuredError):
     """Evaluation point hits a component pole b_j/d_j (or its conjugate).
 
     value is |b_j - z d_j| (or the smaller of it and |conj(b_j) - z d_j|),
     scale is |b_j| + |z d_j| and tol the relative tolerance: value <= tol * scale.
     """
 
-    def __init__(self, index: int, value: float, scale: float, tol: float):
-        self.value, self.scale, self.tol = value, scale, tol
-        super().__init__(index, f"evaluation point collides with pole at off-diagonal index {index}: "
-                                f"|b_j - z d_j| = {value:.3e} <= tol {tol:.1e} x scale {scale:.3e}")
+    message = ("evaluation point collides with pole at off-diagonal index {index}: "
+               "|b_j - z d_j| = {value:.3e} <= tol {tol:.1e} x scale {scale:.3e}")
 
 
 class SpectrumCollisionError(MathPreconditionError):
@@ -55,30 +67,38 @@ class SpectrumCollisionError(MathPreconditionError):
                          f"margin {value:.3e} < tol {tol:.1e}")
 
 
-class SingularDeltaError(_IndexedError):
+class SingularDeltaError(_MeasuredError):
     """The 2x2 reconstruction system is singular: Delta_j vanishes.
 
-    Signals a real pole ratio b_j/d_j or corrupted spectral data.
+    Signals a real pole ratio b_j/d_j or corrupted spectral data.  value is
+    |Delta_j|, scale the magnitude of its monomials and tol the relative
+    tolerance: value <= tol * scale.
     """
 
-    def __init__(self, index: int):
-        super().__init__(index, f"singular reconstruction system: Delta at index {index} vanishes "
-                                f"(pole ratio at {index} is real or data violates the spectrum hypotheses)")
+    message = ("singular reconstruction system: Delta at index {index} vanishes, |Delta| = {value:.3e} <= tol "
+               "{tol:.1e} x scale {scale:.3e} (pole ratio at {index} is real or data violates the spectrum hypotheses)")
 
 
-class HermitianInconsistentError(_IndexedError):
-    """The conjugate unknown of the 2x2 solve is not the conjugate of b_j."""
+class HermitianInconsistentError(_MeasuredError):
+    """The conjugate unknown of the 2x2 solve is not the conjugate of b_j.
 
-    def __init__(self, index: int):
-        super().__init__(index, f"inconsistent spectral data: recovered pair at index {index} "
-                                f"is not conjugate-symmetric")
+    value is |v - conj(u)|, scale is 1 + |u| and tol the relative tolerance: value > tol * scale.
+    """
+
+    message = ("inconsistent spectral data: recovered pair at index {index} is not conjugate-symmetric: "
+               "|v - conj(u)| = {value:.3e} > tol {tol:.1e} x scale {scale:.3e}")
 
 
-class VanishingComponentError(_IndexedError):
-    """An eigenvector component appearing in a denominator is (near) zero."""
+class VanishingComponentError(_MeasuredError):
+    """An eigenvector component appearing in a denominator is (near) zero.
 
-    def __init__(self, index: int):
-        super().__init__(index, f"eigenvector component at index {index} vanishes")
+    value is its modulus and scale what it vanishes against, at the relative
+    tolerance tol: in the inverse routes its larger neighbour, in the
+    twisted eigenvector the largest entry, against which a smaller v_0 than
+    tol (the reciprocal of the largest double) overflows the normalization.
+    """
+
+    message = "eigenvector component at index {index} vanishes: |p| = {value:.3e} <= tol {tol:.1e} x scale {scale:.3e}"
 
 
 class NonRealDiagonalError(_IndexedError):
@@ -90,7 +110,7 @@ class NonRealDiagonalError(_IndexedError):
                                 f"spectral data is inconsistent")
 
 
-class DegenerateDifferenceError(_IndexedError):
+class DegenerateDifferenceError(_MeasuredError):
     """Two m-function values that must differ coincide.
 
     value is what vanishes against scale at the relative tolerance tol: in
@@ -98,10 +118,8 @@ class DegenerateDifferenceError(_IndexedError):
     m-route |e_index| against |m_index| + |m_{index+1}|.
     """
 
-    def __init__(self, index: int, value: float, scale: float, tol: float):
-        self.value, self.scale, self.tol = value, scale, tol
-        super().__init__(index, f"degenerate m-function difference at index {index}: "
-                                f"{value:.3e} is within tol {tol:.1e} x scale {scale:.3e}")
+    message = ("degenerate m-function difference at index {index}: "
+               "{value:.3e} is within tol {tol:.1e} x scale {scale:.3e}")
 
 
 class DegreeDropError(_IndexedError):

@@ -168,7 +168,7 @@ class PairSystem:
     def _check_regular(self) -> None:
         # against scale alone: rescaling either tail scales det and scale alike
         if abs(self.det) <= DELTA_RTOL * self.scale:
-            raise SingularDeltaError(self.j)
+            raise SingularDeltaError(self.j, abs(self.det), self.scale, DELTA_RTOL)
 
     def solve(self) -> tuple[complex, complex]:
         """Solve for (u, v): u is the recovered b_j, v the independently solved conjugate.
@@ -183,7 +183,7 @@ class PairSystem:
         u = (r2 * alpha.conjugate() - r1 * beta.conjugate()) / det
         v = (alpha * r2 - beta * r1) / det
         if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
-            raise HermitianInconsistentError(self.j)
+            raise HermitianInconsistentError(self.j, abs(v - u.conjugate()), 1.0 + abs(u), HERMITIAN_RTOL)
         return u, v
 
     def closed_form(self) -> tuple[complex, complex]:
@@ -237,8 +237,8 @@ def _check_split(k: int, n: int) -> None:
 
 def _check_component(index: int, magnitudes: Sequence[float], t: int) -> None:
     """VanishingComponentError(index) where magnitudes[t] <= COMPONENT_RTOL times its larger neighbour; both routes."""
-    if magnitudes[t] <= COMPONENT_RTOL * max(magnitudes[t - 1], magnitudes[t + 1]):
-        raise VanishingComponentError(index)
+    if magnitudes[t] <= COMPONENT_RTOL * (scale := max(magnitudes[t - 1], magnitudes[t + 1])):
+        raise VanishingComponentError(index, float(magnitudes[t]), float(scale), COMPONENT_RTOL)
 
 
 def _real_part(index: int, value: complex, scale: float) -> float:

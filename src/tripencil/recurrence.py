@@ -18,10 +18,14 @@ The component sequences p^R / p^L solve the same recurrence, normalized to 1
 at index 0: the right/left eigenvectors at an eigenvalue in exact arithmetic,
 which the forward recurrence loses in floating point as n grows, so
 eigenvector_components takes the eigenvector from a twisted factorization.
-pq_sweep and the component sweeps step on plain Python complex numbers, as
-numpy scalar arithmetic costs about twice as much per step, on coefficients
-formed in one array pass, so that each loop does the step alone.  Their
-values leave the double range by n ~ 300.
+The component sweeps read the pivots of the point (_components): p_{t+1} =
+p_t D_t/(b_t - z d_t), and p' = p times the running sum of D'_s/D_s -
+d_s/(z d_s - b_s), from one loop on the pivots' derivatives, in float
+arithmetic at a real z (right_components_with_derivative).  pq_sweep steps
+on plain Python complex numbers, as numpy scalar arithmetic costs about
+twice as much per step, on coefficients formed in one array pass, so that
+its loop does the step alone.  P, Q and the components are not rescaled
+and leave the double range by n ~ 300.
 
 Every other operation reads the pivot pass (pivot_sweep): z*J - H at z with
 its LDL^T pivots D_t = P_{t+1}/P_t, ratios that need no rescaling (Parlett &
@@ -85,6 +89,7 @@ from .tolerances import POLE_RTOL, SPECTRUM_RTOL
 
 _EPS = 2.0 ** -52  # an exactly zero forward or backward pivot takes this much of its terms as a stand-in
 _LIFT = 2.0 ** 64  # _unit_upper's row factor 2^64/M_i, M_i in [2^-64, 2^63), lies in (2, 2^128]
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range of a double
 _STEPS_HELD = 64  # head_margins lowers the margins every this many steps: O(n) memory where heads do not join
 
 
@@ -229,7 +234,16 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     is exactly zero (margin 0) the pivot is a stand-in of 2^-52 times its
     terms, or 2^-52 where they vanish, as LAPACK's pivmin does; the recurrence and the margins use the true zero
     P_{t+1} = 0 (_pivot_row), whose pivots and margins replace those of the
-    array passes after the loop.
+    array passes after the loop.  The loop first runs as one comprehension
+    with no test for such a pivot: the step after it divides by zero, or it
+    is the last, and only then is the loop run again row by row.  Where w
+    leaves the normal range (one reduction over w: its largest part is
+    infinite, NaN or subnormal), the
+    loop steps on u, w and the terms of 2^-k (J, H), 2^k about the largest
+    entry of z*J - H, and x is scaled back by 2^k: exact, so x, the pivots
+    and the margins are those of (J, H) times 2^k, 2^k and 1 wherever these
+    are normal, and the components of 2^s (J, H) those of (J, H).  The
+    weights field keeps w as formed.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
@@ -239,26 +253,44 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     at = z.real if real else z
     zc, zd, a, b = at * c[:upto], at * d[:cut], a[:upto], b[:cut]
     u, upper, lower = zc - a, zd - b, zd - b.conj()
-    weights = upper.real ** 2 + upper.imag ** 2 if real else upper * lower
-    own = np.abs(zc) + np.abs(a)
-    D, after, xs, rows = 1.0, 0, [], {}
-    for ut, wt in zip(u.tolist(), [0.0, *weights.tolist()]):
-        x = wt / D
-        D = ut - x
-        if after or not D:
-            t = len(xs)
-            D, margin, after = rows[t] = _pivot_row(after, D, ut, x, own[t])
-        xs.append(x)
+    weights, own = _weights(upper, lower, real), np.abs(zc) + np.abs(a)
+    lift, steps = 1.0, (u, weights, own)
+    # w leaves the normal range where its largest part does (w >= 0 at a real z): step on 2^-k (J, H), exactly
+    if not _TINY <= (weights if real else np.abs(weights.view(float))).max(initial=0.0) <= _HUGE and cut:
+        lift = math.ldexp(1.0, math.frexp(max(np.abs(v).max() for v in (u, upper, lower)))[1] - 1)
+        steps = u / lift, _weights(upper / lift, lower / lift, real), own / lift
+    ul, wl, D, rows = steps[0].tolist(), [0.0, *steps[1].tolist()], 1.0, {}
+    try:  # no test for an exactly zero pivot: the step after it divides by zero, or it is the last
+        xs = [(D := ut - (x := wt / D)) and x for ut, wt in zip(ul, wl)]
+    except ZeroDivisionError:
+        D = 0.0
+    if not D:  # again, row by row, each row on or past a zero pivot patched
+        D, after, xs = 1.0, 0, []
+        for ut, wt in zip(ul, wl):
+            x = wt / D
+            D = ut - x
+            if after or not D:
+                t = len(xs)
+                D, margin, after = rows[t] = _pivot_row(after, D, ut, x, steps[2][t])
+            xs.append(x)
     x = np.fromiter(xs, u.dtype, upto)
+    if lift != 1.0:
+        x *= lift
     pivots, terms = u - x, own + np.abs(x)
     if rows:  # the terms vanish only where the pivot is exactly zero, on a patched row
         index, (D, margin, _) = list(rows), zip(*rows.values())
-        pivots[index] = D
+        pivots[index] = np.multiply(D, lift)
         margins = np.abs(pivots) / np.where(terms > 0, terms, 1.0)
         margins[index] = margin
     else:
         margins = np.abs(pivots) / terms
     return PivotSweep(z, u, upper, lower, weights, own, x, terms, pivots, margins)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half of a with block
+def _weights(upper: np.ndarray, lower: np.ndarray, real: bool) -> np.ndarray:
+    """w = upper * lower, as |upper|^2 in real arithmetic at a real z (pivot_sweep); infinite or NaN past the range."""
+    return upper.real ** 2 + upper.imag ** 2 if real else upper * lower
 
 
 def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tuple[complex, float, int]:
@@ -271,14 +303,7 @@ def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tu
     every later one zero (after = 3): margin 0 from there on.  An exactly
     zero pivot reads margin 0, and its stand-in is 2^-52 times its terms.
     """
-    if after == 1:
-        D, terms = -x, abs(x)
-    elif after == 2:
-        D, terms = u, own
-    elif after == 3:
-        D, terms = 0.0, 0.0
-    else:
-        terms = own + abs(x)
+    D, terms = {1: (-x, abs(x)), 2: (u, own), 3: (0.0, 0.0)}.get(after, (D, own + abs(x)))
     if D:
         return D, abs(D) / terms, 2 if after == 1 else 0
     return type(u)(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
@@ -592,10 +617,8 @@ class _Point:
         twisted = self._twisted
         if twisted is None:
             kept = self.kept
-            if kept is None:
-                twisted = twisted_pivots(self.sweep)
-            else:
-                twisted = _joined(self.sweep, kept[1])[0], float(kept[0][-1]), kept[1]
+            twisted = (twisted_pivots(self.sweep) if kept is None
+                       else (_joined(self.sweep, kept[1])[0], float(kept[0][-1]), kept[1]))
             _read_only(twisted[::2])
             self._twisted = twisted
         return twisted
@@ -698,38 +721,6 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _component_sweep(pencil: Pencil, z: complex,
-                     with_derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    z = _finite_point(z)
-    c, d, a, b = pencil._diagonals
-    zd = z * d
-    den = b - zd
-    _check_poles(np.abs(den), b, zd)
-    # step m is p_{m+1} = (u_m p_m + f_m p_{m-1})/den_m with u_m = z c_m - a_m, den_m = b_m - z d_m
-    # and f_m = z d_{m-1} - conj(b_{m-1}), f_0 = 0; zip stops after the n steps of den
-    u, f, den = (z * c - a).tolist(), [0j] + (zd - b.conj()).tolist(), den.tolist()
-    p = [1 + 0j]
-    p0, p1 = 0j, 1 + 0j  # p_{m-1}, p_m; p_{-1} = 0
-    for um, fm, dn in zip(u, f, den):
-        p0, p1 = p1, (um * p1 + fm * p0) / dn
-        p.append(p1)
-    _check_finite(components=p)
-    p = np.array(p, dtype=complex)
-    if not with_derivative:
-        return p, None
-    # step m is dp_{m+1} = (c_m p_m + u_m dp_m + (d_{m-1} p_{m-1} + f_m dp_{m-1}) + d_m p_{m+1})/den_m, d_{-1} = 0;
-    # each forcing term has one real factor, so numpy's product rounds as Python's does
-    with np.errstate(over="ignore", invalid="ignore"):
-        here, before, after = (c[:-1] * p[:-1]).tolist(), [0j] + (d[:-1] * p[:-2]).tolist(), (d * p[1:]).tolist()
-    dp = [0j]
-    dp0, dp1 = 0j, 0j  # dp_{m-1}, dp_m
-    for hm, bm, am, um, fm, dn in zip(here, before, after, u, f, den):
-        dp0, dp1 = dp1, (hm + um * dp1 + (bm + fm * dp0) + am) / dn
-        dp.append(dp1)
-    _check_finite(derivatives=dp)
-    return p, np.array(dp, dtype=complex)
-
-
 def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     """Right component sequence p^R_0..p^R_n at z, normalized to p^R_0 = 1.
 
@@ -738,14 +729,39 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     vanishes at an eigenvalue of the pencil.  In floating point the forward
     recurrence amplifies the error of a computed eigenvalue geometrically
     (up to 1e-7 off the eigenvector at n = 20, wrong from n ~ 80 on); the
-    eigenvector itself comes from eigenvector_components.  One array pass
-    tests every index for a pole, raising PoleCollisionError at the first,
-    and forms the coefficients of each step; the loop then steps
-    p_{m+1} = (u_m p_m + f_m p_{m-1})/(b_m - z d_m), f_m = z d_{m-1} -
-    conj(b_{m-1}).  Raises ValueError where an entry leaves the double
-    range, as pq_sweep does.
+    eigenvector itself comes from eigenvector_components.  The components
+    are read off the pivots of the point's sweep (_components): p_{t+1} =
+    p_t D_t/(b_t - z d_t), one array pass and a product, stepping nothing of
+    their own.  Raises PoleCollisionError at the first index where b_t - z d_t
+    vanishes against its terms, and ValueError where an entry leaves the
+    double range, naming the first.
     """
-    return _component_sweep(pencil, z, with_derivative=False)[0]
+    return _components(pencil, z)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _components(pencil: Pencil, z: complex, left: bool = False) -> tuple[np.ndarray, int, PivotSweep]:
+    """p_0..p_n, p_0 = 1, of the right (or left) component recurrence from the pivots of the point z of pencil,
+    the first row t < n whose pivot is exactly zero (n where there is none), and the point's sweep.
+
+    (z*J - H) p = 0 on rows 0..n-1 with superdiagonal off = z d - b and
+    subdiagonal other = z d - conj(b), the two swapped for the left
+    sequence, gives p_{t+1}/p_t = D_t/(-off_t) (Parlett & Dhillon, LAA 267,
+    1997): the ratios take one array pass and p their product.  The pole
+    test reads |off_t| against |b_t| + |z d_t| first.  An exactly zero pivot
+    D_t (margin 0) gives p_{t+1} = 0, and from there on each p_{m+1} takes
+    the three-term step of row m, -(u_m p_m + other_{m-1} p_{m-1})/off_m.
+    """
+    sweep = _at_point(pencil, z).sweep
+    off, other = (sweep.lower, sweep.upper) if left else (sweep.upper, sweep.lower)
+    _, d, _, b = pencil._diagonals
+    _check_poles(np.abs(off), b, sweep.z * d)
+    first = len(off) if (margins := sweep.margins[:-1]).all() else int(np.argmax(margins == 0))
+    p = np.concatenate(([1.0 + 0j], np.cumprod(sweep.pivots[:-1] / -off)))
+    for m in range(first, len(off)):
+        p[m + 1] = -(sweep.u[m] * p[m] + other[m - 1] * p[m - 1]) / off[m] if m > first else 0.0
+    _check_finite(components=p)
+    return p, first, sweep
 
 
 def eigenvector_components(pencil: Pencil, z: complex) -> np.ndarray:
@@ -771,15 +787,13 @@ def _twisted_eigenvector(point: _Point) -> tuple[np.ndarray, float]:
     r = int(np.argmin(np.abs(gamma)))
     down = -sweep.lower[r:] / backward[r + 1:]  # v_i/v_{i-1} below the twist
     v = np.concatenate((_rows_above(sweep.upper[:r], sweep.pivots[:r]), [1.0 + 0j], np.cumprod(down)))
-    if v[0] == 0:
-        raise VanishingComponentError(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v /= v[0]
-    # a v_0 that is subnormal, or far below the largest entry, overflows the others
-    if not np.isfinite(v).all():
-        raise VanishingComponentError(0)
-    v[0] = 1.0
-    return v, margin
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        normalized = v / v[0]
+    # a v_0 that is zero, subnormal, or far below the largest entry overflows the others
+    if not np.isfinite(normalized).all():
+        raise VanishingComponentError(0, float(abs(v[0])), float(np.abs(v).max()), 1.0 / _HUGE)
+    normalized[0] = 1.0
+    return normalized, margin
 
 
 def _rows_above(upper: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -788,27 +802,42 @@ def _rows_above(upper: np.ndarray, pivots: np.ndarray) -> np.ndarray:
 
 
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:
-    """Left component sequence p^L: the recurrence with b conjugated.
+    """Left component sequence p^L: the recurrence with b conjugated, which swaps the two off-diagonals.
 
-    That recurrence at z is the conjugate of the right one at conj(z), so
-    p^L(z) = conj(p^R(conj(z))); for real z it is the entrywise conjugate of
-    right_components, and at an eigenvalue the row vector annihilates
-    (z*J - H) from the left.
+    At an eigenvalue the row vector annihilates (z*J - H) from the left; for
+    real z it is the entrywise conjugate of right_components up to rounding.
+    Read off the same pivots at the same point, p^L_{t+1} = p^L_t
+    D_t/(conj(b_t) - z d_t) (_components), with its own pole test on
+    conj(b_t) - z d_t.
     """
-    pl = np.conj(right_components(pencil, complex(z).conjugate()))
-    pl[0] = 1.0  # the normalization, without the -0.0 imaginary part conj gives it
-    return pl
+    return _components(pencil, z, left=True)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def right_components_with_derivative(pencil: Pencil, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Right components together with their z-derivatives.
+    """Right components together with their z-derivatives, from the pivots and one loop on their derivatives.
 
-    The derivative sequence is propagated through the differentiated
-    recurrence, avoiding finite-difference step tuning.  The values come
-    from right_components' loop and are tested first, so an entry that
-    leaves the double range is named among the components; the forcing
-    terms c_m p_m, d_{m-1} p_{m-1} and d_m p_{m+1} are then formed in one
-    array pass, and a second loop steps p'_{m+1} = (c_m p_m + u_m p'_m +
-    (d_{m-1} p_{m-1} + f_m p'_{m-1}) + d_m p_{m+1})/(b_m - z d_m) alone.
+    With p_{t+1} = p_t D_t/(b_t - z d_t) (_components), the derivative is
+    p'_t = p_t sum_{s<t} (D'_s/D_s - d_s/(z d_s - b_s)), and differentiating
+    D_t = u_t - w_{t-1}/D_{t-1}, w = upper lower, gives the pivots'
+    derivatives D'_0 = c_0 and
+    D'_t = c_t - d_{t-1} (upper_{t-1} + lower_{t-1})/D_{t-1} + (x_t/D_{t-1}) D'_{t-1}.
+    The coefficients take array passes, so that the loop steps one
+    multiply-add alone: on floats at a real z.  Each is a ratio of two terms
+    of z*J - H times an entry, so nothing here overflows where the
+    components do not.  From an exactly zero pivot D_t on, p'_{m+1} takes
+    the differentiated three-term step of row m, m = t..n-1, as the sum
+    holds no ratio past p_{t+1} = 0.  The components are tested first, so
+    an entry that leaves the double range is named among them.
     """
-    return _component_sweep(pencil, z, with_derivative=True)
+    p, first, sweep = _components(pencil, z)
+    upper, lower, inv = sweep.upper, sweep.lower, 1.0 / sweep.pivots[:-1]
+    c, d, _, _ = pencil._diagonals
+    here = c[1:-1] - (d * ((upper + lower if np.iscomplexobj(inv) else 2.0 * upper.real) * inv))[:-1]  # t = 1..n-1
+    dD = [v := float(c[0])] + [v := h + k * v for h, k in zip(here.tolist(), (sweep.x[1:-1] * inv[:-1]).tolist())]
+    dp = p * np.concatenate(([0.0], np.cumsum(np.fromiter(dD, inv.dtype, len(d)) * inv - d / upper)))
+    for m in range(first, len(d)):  # from an exactly zero pivot on, row by row
+        before = d[m - 1] * p[m - 1] + lower[m - 1] * dp[m - 1] if m else 0
+        dp[m + 1] = -(c[m] * p[m] + sweep.u[m] * dp[m] + before + d[m] * p[m + 1]) / upper[m]
+    _check_finite(derivatives=dp)
+    return p, dp

@@ -199,8 +199,9 @@ def _reference_component(values, i):
     """values[i], or VanishingComponentError(i) where it is at most COMPONENT_RTOL times its larger neighbour."""
     v = values[i]
     after = abs(values[i + 1]) if i + 1 < len(values) else 0.0
-    if abs(v) <= COMPONENT_RTOL * max(abs(values[i - 1]), after):
-        raise tp.VanishingComponentError(i)
+    scale = max(abs(values[i - 1]), after)
+    if abs(v) <= COMPONENT_RTOL * scale:
+        raise tp.VanishingComponentError(i, abs(v), scale, COMPONENT_RTOL)
     return v
 
 
@@ -260,7 +261,7 @@ def reference_pair_system(j, d_j, lam, mu, p_pair, s_pair):
     scale = max(abs(pl_j1 * pr_j * sl_j * sr_j1), abs(pl_j1 * pr_j * sl_j1 * sr_j),
                 abs(sl_j1 * sr_j * pl_j * pr_j1), abs(sl_j1 * sr_j * pl_j1 * pr_j))
     if abs(det) <= DELTA_RTOL * scale:
-        raise tp.SingularDeltaError(j)
+        raise tp.SingularDeltaError(j, abs(det), scale, DELTA_RTOL)
     a11, a12, a21, a22 = pl_j * pr_j1, -pl_j1 * pr_j, sl_j * sr_j1, -sl_j1 * sr_j
     wp, ws = pl_j * pr_j1 - pl_j1 * pr_j, sl_j * sr_j1 - sl_j1 * sr_j
     vp, vs = pl_j * pr_j1 + pl_j1 * pr_j, sl_j * sr_j1 + sl_j1 * sr_j
@@ -268,7 +269,7 @@ def reference_pair_system(j, d_j, lam, mu, p_pair, s_pair):
     u = (r1 * a22 - r2 * a12) / det
     v = (a11 * r2 - a21 * r1) / det
     if abs(v - u.conjugate()) > HERMITIAN_RTOL * (1.0 + abs(u)):
-        raise tp.HermitianInconsistentError(j)
+        raise tp.HermitianInconsistentError(j, abs(v - u.conjugate()), 1.0 + abs(u), HERMITIAN_RTOL)
     closed = ((lam + mu) * d_j + (d_j / det) * (mu * sl_j1 * sr_j * wp - lam * pl_j1 * pr_j * ws),
               (lam + mu) * d_j + (d_j / det) * (mu * sl_j * sr_j1 * wp - lam * pl_j * pr_j1 * ws))
     x = d_j * (mu * vp * ws - lam * vs * wp) / (2.0 * det)
@@ -351,11 +352,17 @@ def reference_components(pencil, z):
     return np.array(p), np.array(dp)
 
 
+def worst_relative(values, reference):
+    """The largest |v - r|/|r| of values against mpmath_reference's entries r, over those that are not zero."""
+    with mpmath.workdps(60):
+        return max(float(abs(mpmath.mpc(complex(v)) - r) / abs(r)) for v, r in zip(values, reference) if r)
+
+
 def mpmath_reference(pencil, z, dps=60):
     """Every value of the direct problem at z in dps-digit arithmetic, on the coefficients as given.
 
     P_0..P_{n+1} and Q_0..Q_{n+1} of the three-term recurrence, the pivots D_t = P_{t+1}/P_t (t = 0..n), the
-    m-values m(z, j) = Q_j/P_j (j = 0..n+1, m(z, 0) = 0), the diagonal R[t, t] = P_t B_{t+1}/P_{n+1} of the
+    m-values m(z, j) = Q_j/P_j (j = 0..n+1, m(z, 0) = 0; both infinite where P_t or P_j is zero), the diagonal R[t, t] = P_t B_{t+1}/P_{n+1} of the
     resolvent, B_t the minor of rows t..n (B_{n+1} = 1), and the right and left component sequences p_0..p_n
     with their z-derivatives, the left ones from the recurrence with b conjugated.  Each is a list of mpc, to
     be compared inside mpmath.workdps(dps): the exponent range of mpmath is unbounded, so nothing overflows.
@@ -376,8 +383,8 @@ def mpmath_reference(pencil, z, dps=60):
         B.reverse()
         right = _mpmath_components(z, c, d, u, b)
         left = _mpmath_components(z, c, d, u, [mpmath.conj(x) for x in b])
-        return SimpleNamespace(P=P, Q=Q, pivots=[P[t + 1] / P[t] for t in range(pencil.n + 1)],
-                               m=[mpmath.mpc(0)] + [Q[j] / P[j] for j in range(1, pencil.n + 2)],
+        return SimpleNamespace(P=P, Q=Q, pivots=[P[t + 1] / P[t] if P[t] else mpmath.inf for t in range(pencil.n + 1)],
+                               m=[mpmath.mpc(0)] + [Q[j] / P[j] if P[j] else mpmath.inf for j in range(1, pencil.n + 2)],
                                resolvent_diagonal=[P[t] * B[t + 1] / P[-1] for t in range(pencil.n + 1)],
                                right=right[0], right_derivative=right[1], left=left[0], left_derivative=left[1])
 

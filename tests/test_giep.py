@@ -9,7 +9,7 @@ import pytest
 
 import tripencil as tp
 from tripencil import serialize
-from tripencil.tolerances import SPECTRUM_RTOL
+from tripencil.tolerances import COMPONENT_RTOL, DELTA_RTOL, HERMITIAN_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
                      extreme_pair, reference_pair_system, reference_positivity_witness, rel_err, seeded_pencil,
                      toeplitz_pencil)
@@ -64,6 +64,11 @@ def solve_b(inst):
     return tuple(system.solve()[0] for system in tp.pair_systems(inst, inst.tail_p, inst.tail_s))
 
 
+def _numbers_in_message(err):
+    """Whether the error's message prints its value, tol and scale as the library formats them."""
+    return all(number in str(err) for number in (f"{err.value:.3e}", f"{err.tol:.1e}", f"{err.scale:.3e}"))
+
+
 class TestReconstructB:
     def test_round_trip_order4(self, rng):
         truth, inst = make_case(rng, 3, 1)
@@ -72,10 +77,13 @@ class TestReconstructB:
             assert abs(b - truth.H.b[j]) <= 1e-9 * abs(truth.H.b[j])
 
     def test_real_pole_ratio_raises(self, rng):
+        """|Delta_j| against the magnitude of its monomials, at DELTA_RTOL, in the attributes and the message."""
         _, inst = make_case(rng, 4, 1, real_b_at=(2,))
         with pytest.raises(tp.SingularDeltaError) as exc:
             solve_b(inst)
-        assert exc.value.index == 2
+        system, err = tp.pair_systems(inst, inst.tail_p, inst.tail_s)[1], exc.value
+        assert (err.index, err.value, err.scale, err.tol) == (2, abs(system.det), system.scale, DELTA_RTOL)
+        assert err.value <= err.tol * err.scale and _numbers_in_message(err)
 
     def test_swap_symmetry(self, rng):
         truth, inst = make_case(rng, 3, 1)
@@ -147,7 +155,10 @@ class TestReconstructA:
         tail[2] *= 1e-2
         with pytest.raises(tp.VanishingComponentError) as info:
             tp.reconstruct_a(inst, truth.H.b[1:], tail)
-        assert info.value.index == 3
+        err = info.value  # |p_3| against its larger neighbour, at COMPONENT_RTOL
+        assert (err.index, err.value, err.tol) == (3, abs(tail[2]), COMPONENT_RTOL)
+        assert err.scale == max(abs(tail[1]), abs(tail[3])) and err.value <= err.tol * err.scale
+        assert _numbers_in_message(err)
 
 
 class TestHeadComponents:
@@ -550,3 +561,18 @@ def test_an_instance_with_a_non_finite_eigenvalue_raises(field, value):
     doc["lambda" if field == "lam" else field] = value
     with pytest.raises(tp.SchemaError, match="is not finite"):
         serialize.decode_instance(json.loads(json.dumps(doc)))
+
+
+def test_hermitian_inconsistency_carries_its_numbers():
+    """A non-real lam breaks the conjugate symmetry of the solve: |v - conj(u)| against 1 + |u|, at HERMITIAN_RTOL,
+    the numbers of the eight-term reference to roundoff."""
+    alpha, beta, lam = 1 + 2j, 0.5 - 1j, 1.0 + 0.5j
+    with pytest.raises(tp.HermitianInconsistentError) as exc:
+        tp.PairSystem(1, 1.0, lam, -1.0, alpha, beta).solve()
+    with pytest.raises(tp.HermitianInconsistentError) as reference:
+        reference_pair_system(1, 1.0, lam, -1.0, (1, alpha), (1, beta))
+    err, want = exc.value, reference.value
+    assert err.index == 1 and err.tol == HERMITIAN_RTOL and err.value > err.tol * err.scale
+    assert rel_err(err.value, want.value) <= 1e-12 and rel_err(err.scale, want.scale) <= 1e-12
+    assert _numbers_in_message(err)
+

@@ -132,3 +132,20 @@ def test_src_loc_counts_lines_and_code_lines(capsys, tmp_path):
     assert rows == [["module", "lines", "code"], ["pkg/a.py", "12", "4"], ["pkg/b.py", "5", "3"],
                     ["total", "17", "7"]]
 
+
+def test_op_times_names_the_calls_each_percentile_interpolates_between():
+    op_times = load_script("op_times")
+    times = [5.0, 1.0, 4.0, 2.0, 3.0]  # np.percentile: p50 = 3.0 exactly, p90 = 4.6 between 4.0 and 5.0
+    assert op_times.neighbours(times, 50) == (4, 4)
+    assert op_times.neighbours(times, 90) == (2, 0)
+    medians, at = op_times.summarize(["a", "b", "c", "d", "e"], [times, [t + 1 for t in times]])
+    assert medians == {"a": 5.5, "b": 1.5, "c": 4.5, "d": 2.5, "e": 3.5}
+    assert at[50] == {"e": 2} and at[90] == {"c": 2, "a": 2}
+
+
+def test_op_times_runs_a_rotation_of_the_sweep_workload(capsys):
+    assert load_script("op_times").main(["--workload", "sweep", "--seed", "1", "--rotations", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ops per rotation 128" in out
+    assert "right_components_with_derivative/n640/complex" in out
+    assert "p50: " in out and "p90: " in out
