@@ -33,10 +33,8 @@ class _IndexedError(MathPreconditionError):
 class _MeasuredError(_IndexedError):
     """An indexed error with the numbers of the test that failed: value against tol times scale, in its message.
 
-    The numbers are NaN where only the index is given.
+    Each subclass sets the message template.  The numbers are NaN where only the index is given.
     """
-
-    message = ""
 
     def __init__(self, index: int, value: float = math.nan, scale: float = math.nan, tol: float = math.nan):
         self.value, self.scale, self.tol = value, scale, tol

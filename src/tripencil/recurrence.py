@@ -215,6 +215,7 @@ class PivotSweep(NamedTuple):
                           self.own[:rows], self.x[:rows], self.terms[:rows], self.pivots[:rows], self.margins[:rows])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # w may leave the double range; as a decorator it costs half a with block
 def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     """z*J - H at z over rows 0..upto-1, and the pivots and margins of P_1..P_upto, in one O(upto) pass.
 
@@ -234,16 +235,14 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     is exactly zero (margin 0) the pivot is a stand-in of 2^-52 times its
     terms, or 2^-52 where they vanish, as LAPACK's pivmin does; the recurrence and the margins use the true zero
     P_{t+1} = 0 (_pivot_row), whose pivots and margins replace those of the
-    array passes after the loop.  The loop first runs as one comprehension
-    with no test for such a pivot: the step after it divides by zero, or it
-    is the last, and only then is the loop run again row by row.  Where w
-    leaves the normal range (one reduction over w: its largest part is
-    infinite, NaN or subnormal), the
-    loop steps on u, w and the terms of 2^-k (J, H), 2^k about the largest
-    entry of z*J - H, and x is scaled back by 2^k: exact, so x, the pivots
-    and the margins are those of (J, H) times 2^k, 2^k and 1 wherever these
-    are normal, and the components of 2^s (J, H) those of (J, H).  The
-    weights field keeps w as formed.
+    array passes after the loop.  Where w leaves the normal range (its
+    largest part is infinite, NaN or subnormal, which a sum of |w|^2 in the
+    normal range rules out at the cost of a dot product), the loop steps on
+    u, w and the terms of 2^-k (J, H), 2^k about the largest entry of
+    z*J - H, and x is scaled back by 2^k: exact, so x, the pivots and the
+    margins are those of (J, H) times 2^k, 2^k and 1 wherever these are
+    normal, and the components of 2^s (J, H) those of (J, H).  The weights
+    field keeps w as formed.
     """
     _check_index(pencil, upto)
     z = _finite_point(z)
@@ -253,26 +252,19 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
     at = z.real if real else z
     zc, zd, a, b = at * c[:upto], at * d[:cut], a[:upto], b[:cut]
     u, upper, lower = zc - a, zd - b, zd - b.conj()
-    weights, own = _weights(upper, lower, real), np.abs(zc) + np.abs(a)
-    lift, steps = 1.0, (u, weights, own)
-    # w leaves the normal range where its largest part does (w >= 0 at a real z): step on 2^-k (J, H), exactly
-    if not _TINY <= (weights if real else np.abs(weights.view(float))).max(initial=0.0) <= _HUGE and cut:
+    w, own, lift = _weights(upper, lower, real), np.abs(zc) + np.abs(a), 1.0
+    # sum |w|^2 in [tiny, max] bounds the largest |w| to [sqrt(tiny / n), 2^512]: else the largest part decides
+    if cut and not _TINY <= np.vdot(w, w).real <= _HUGE and not _TINY <= np.abs(w.view(float)).max() <= _HUGE:
         lift = math.ldexp(1.0, math.frexp(max(np.abs(v).max() for v in (u, upper, lower)))[1] - 1)
-        steps = u / lift, _weights(upper / lift, lower / lift, real), own / lift
-    ul, wl, D, rows = steps[0].tolist(), [0.0, *steps[1].tolist()], 1.0, {}
-    try:  # no test for an exactly zero pivot: the step after it divides by zero, or it is the last
-        xs = [(D := ut - (x := wt / D)) and x for ut, wt in zip(ul, wl)]
-    except ZeroDivisionError:
-        D = 0.0
-    if not D:  # again, row by row, each row on or past a zero pivot patched
-        D, after, xs = 1.0, 0, []
-        for ut, wt in zip(ul, wl):
-            x = wt / D
-            D = ut - x
-            if after or not D:
-                t = len(xs)
-                D, margin, after = rows[t] = _pivot_row(after, D, ut, x, steps[2][t])
-            xs.append(x)
+    steps = (u, w, own) if lift == 1.0 else (u / lift, _weights(upper / lift, lower / lift, real), own / lift)
+    D, after, xs, rows = 1.0, 0, [], {}
+    for ut, wt in zip(steps[0].tolist(), [0.0, *steps[1].tolist()]):
+        x = wt / D
+        D = ut - x
+        if after or not D:
+            t = len(xs)
+            D, margin, after = rows[t] = _pivot_row(after, D, ut, x, steps[2][t])
+        xs.append(x)
     x = np.fromiter(xs, u.dtype, upto)
     if lift != 1.0:
         x *= lift
@@ -284,10 +276,9 @@ def pivot_sweep(pencil: Pencil, upto: int, z: complex) -> PivotSweep:
         margins[index] = margin
     else:
         margins = np.abs(pivots) / terms
-    return PivotSweep(z, u, upper, lower, weights, own, x, terms, pivots, margins)
+    return PivotSweep(z, u, upper, lower, w, own, x, terms, pivots, margins)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs half of a with block
 def _weights(upper: np.ndarray, lower: np.ndarray, real: bool) -> np.ndarray:
     """w = upper * lower, as |upper|^2 in real arithmetic at a real z (pivot_sweep); infinite or NaN past the range."""
     return upper.real ** 2 + upper.imag ** 2 if real else upper * lower
@@ -303,7 +294,14 @@ def _pivot_row(after: int, D: complex, u: complex, x: complex, own: float) -> tu
     every later one zero (after = 3): margin 0 from there on.  An exactly
     zero pivot reads margin 0, and its stand-in is 2^-52 times its terms.
     """
-    D, terms = {1: (-x, abs(x)), 2: (u, own), 3: (0.0, 0.0)}.get(after, (D, own + abs(x)))
+    if after == 1:
+        D, terms = -x, abs(x)
+    elif after == 2:
+        D, terms = u, own
+    elif after == 3:
+        D, terms = 0.0, 0.0
+    else:
+        terms = own + abs(x)
     if D:
         return D, abs(D) / terms, 2 if after == 1 else 0
     return type(u)(_EPS * (terms or 1.0)), 0.0, 3 if after in (1, 3) else 1
@@ -617,8 +615,10 @@ class _Point:
         twisted = self._twisted
         if twisted is None:
             kept = self.kept
-            twisted = (twisted_pivots(self.sweep) if kept is None
-                       else (_joined(self.sweep, kept[1])[0], float(kept[0][-1]), kept[1]))
+            if kept is None:
+                twisted = twisted_pivots(self.sweep)
+            else:
+                twisted = _joined(self.sweep, kept[1])[0], float(kept[0][-1]), kept[1]
             _read_only(twisted[::2])
             self._twisted = twisted
         return twisted
@@ -721,6 +721,7 @@ def liouville_ostrogradsky_residual(pencil: Pencil, m: int, z: complex) -> float
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # p may leave the double range: _check_finite names where
 def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     """Right component sequence p^R_0..p^R_n at z, normalized to p^R_0 = 1.
 
@@ -739,7 +740,6 @@ def right_components(pencil: Pencil, z: complex) -> np.ndarray:
     return _components(pencil, z)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _components(pencil: Pencil, z: complex, left: bool = False) -> tuple[np.ndarray, int, PivotSweep]:
     """p_0..p_n, p_0 = 1, of the right (or left) component recurrence from the pivots of the point z of pencil,
     the first row t < n whose pivot is exactly zero (n where there is none), and the point's sweep.
@@ -756,7 +756,7 @@ def _components(pencil: Pencil, z: complex, left: bool = False) -> tuple[np.ndar
     off, other = (sweep.lower, sweep.upper) if left else (sweep.upper, sweep.lower)
     _, d, _, b = pencil._diagonals
     _check_poles(np.abs(off), b, sweep.z * d)
-    first = len(off) if (margins := sweep.margins[:-1]).all() else int(np.argmax(margins == 0))
+    first = len(off) if np.count_nonzero(margins := sweep.margins[:-1]) == len(off) else int(np.argmax(margins == 0))
     p = np.concatenate(([1.0 + 0j], np.cumprod(sweep.pivots[:-1] / -off)))
     for m in range(first, len(off)):
         p[m + 1] = -(sweep.u[m] * p[m] + other[m - 1] * p[m - 1]) / off[m] if m > first else 0.0
@@ -801,6 +801,7 @@ def _rows_above(upper: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     return np.cumprod((upper / -pivots)[::-1])[::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def left_components(pencil: Pencil, z: complex) -> np.ndarray:
     """Left component sequence p^L: the recurrence with b conjugated, which swaps the two off-diagonals.
 
@@ -833,7 +834,7 @@ def right_components_with_derivative(pencil: Pencil, z: complex) -> tuple[np.nda
     p, first, sweep = _components(pencil, z)
     upper, lower, inv = sweep.upper, sweep.lower, 1.0 / sweep.pivots[:-1]
     c, d, _, _ = pencil._diagonals
-    here = c[1:-1] - (d * ((upper + lower if np.iscomplexobj(inv) else 2.0 * upper.real) * inv))[:-1]  # t = 1..n-1
+    here = c[1:-1] - (d * ((upper + lower if sweep.z.imag else 2.0 * upper.real) * inv))[:-1]  # t = 1..n-1
     dD = [v := float(c[0])] + [v := h + k * v for h, k in zip(here.tolist(), (sweep.x[1:-1] * inv[:-1]).tolist())]
     dp = p * np.concatenate(([0.0], np.cumsum(np.fromiter(dD, inv.dtype, len(d)) * inv - d / upper)))
     for m in range(first, len(d)):  # from an exactly zero pivot on, row by row

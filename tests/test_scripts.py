@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,9 +145,10 @@ def test_op_times_names_the_calls_each_percentile_interpolates_between():
     assert at[50] == {"e": 2} and at[90] == {"c": 2, "a": 2}
 
 
-def test_op_times_runs_a_rotation_of_the_sweep_workload(capsys):
-    assert load_script("op_times").main(["--workload", "sweep", "--seed", "1", "--rotations", "1"]) == 0
-    out = capsys.readouterr().out
+def test_op_times_runs_a_rotation_of_the_sweep_workload():
+    """In a process of its own: main puts src/ and perfbench/ on sys.path and pins the BLAS threads."""
+    out = subprocess.run([sys.executable, str(SCRIPTS / "op_times.py"), "--workload", "sweep", "--seed", "1",
+                          "--rotations", "1"], capture_output=True, text=True, check=True).stdout
     assert "ops per rotation 128" in out
     assert "right_components_with_derivative/n640/complex" in out
     assert "p50: " in out and "p90: " in out
