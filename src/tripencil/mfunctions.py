@@ -58,8 +58,8 @@ import numpy as np
 from .errors import DegenerateDifferenceError
 from .giep import _check_component, _check_split, _real_part
 from .pencil import Pencil, SymmetricTridiagonal
-from .recurrence import (_at_point, _check_margins, _finite_point, _Point, _unit_upper, head_margins, pivot_sweep,
-                         unit_factors)
+from .recurrence import (_at_point, _check_margins, _finite_point, _head_margin, _unit_upper, head_margins,
+                         pivot_sweep, unit_factors)
 from .tolerances import DIFFERENCE_RTOL, FACTOR_RTOL, SPECTRUM_RTOL
 
 
@@ -93,7 +93,7 @@ class MFunctionTable:
 
 
 def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
-    """m(w, j) = R_head(j-1)[0, 0] = 1/gamma_0 of the head test's pass, m_table's values[j]; 0 for j = 0.
+    """m(w, j) = R_head(j-1)[0, 0] = 1/gamma_0 of the head test's margin pass, m_table's values[j]; 0 for j = 0.
 
     Raises SpectrumCollisionError(j-1) on the spectrum of rows 0..j-1 only.
     """
@@ -101,7 +101,10 @@ def m_function(pencil: Pencil, j: int, omega: complex) -> complex:
         raise ValueError(f"m-function index {j} out of range 0..{pencil.n + 1}")
     if j == 0:
         return 0j
-    return complex(1.0 / _Point(pivot_sweep(pencil, j, omega)).check((j - 1,)).twisted[0][0])
+    sweep = pivot_sweep(pencil, j, omega)
+    margin, corner = _head_margin(sweep, j - 1)
+    _check_margins(sweep.z, margin, SPECTRUM_RTOL, first=j - 1)
+    return complex(1.0 / corner)
 
 
 def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
@@ -126,9 +129,9 @@ def m_table(pencil: Pencil, omega: complex) -> MFunctionTable:
 def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     """Dense inverse of (w*J - H) from the forward and the twisted pivots.
 
-    The diagonal is R[t, t] = 1/gamma_t from the twisted pass of the head
-    test, which raises SpectrumCollisionError(n) on the spectrum of the
-    full pencil.  Off the diagonal
+    The diagonal is R[t, t] = 1/gamma_t from the full-order twisted pass,
+    formed before the head test, which reads its margin and raises
+    SpectrumCollisionError(n) on the spectrum of the full pencil.  Off the diagonal
     R[i, j] = F[i, j] R[j, j] above it and G[i, j] R[i, i] below it, with F,
     G the unit factors of ldu_factors: the diagonal is folded into the pass
     that forms each factor, and G is formed straight into the lower
@@ -137,10 +140,11 @@ def resolvent_matrix(pencil: Pencil, omega: complex) -> np.ndarray:
     small pivots on the way cost no accuracy beyond the conditioning of
     w*J - H.
     """
-    point = _at_point(pencil, omega).check((pencil.n,))
-    diag = 1.0 / point.twisted[0]
+    point = _at_point(pencil, omega)
+    gamma = point.twisted[0]
+    point.check((pencil.n,))
     right, left = point.unit
-    return _unit_upper(right, diag, left)
+    return _unit_upper(right, 1.0 / gamma, left)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def trailing_inverse(pencil: Pencil, k: int, omega: complex) -> np.ndarray:
     block of w*J - H with its corner replaced by the pivot D_{k+1}.  Raises
     SpectrumCollisionError on the spectrum of that leading block (index k),
     where the pivot does not exist, and of the full pencil (index n): two
-    twisted passes on one pivot sweep, which holds the block's entries too;
+    margin passes on one pivot sweep, which holds the block's entries too;
     after m_table at w, the head margins it kept instead.
     """
     if not 0 <= k <= pencil.n - 1:

@@ -27,7 +27,7 @@ from .errors import (DegreeDropError, GenerationFailedError, NearSingularError, 
 from .giep import GiepInstance, ReconstructionResult, _check_split, pair_systems
 from .mfunctions import MRouteEntries
 from .pencil import HermitianTridiagonal, Pencil, SymmetricTridiagonal
-from .recurrence import _at_point, _Point, _twisted_eigenvector, eigenvector_components, pivot_sweep
+from .recurrence import _Point, _twisted_eigenvector, eigenvector_components, pivot_sweep
 from .tolerances import (ADMIT_DELTA_RTOL, ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, DENSE_RESIDUAL_RTOL,
                          EIGENVALUE_GAP_TOL, ENTRY_TOL, NEAR_SINGULAR_RTOL, RESIDUAL_TOL)
 
@@ -75,19 +75,17 @@ def pencil_eigenvalues(pencil: Pencil) -> np.ndarray:
 
     For a positive-definite J = L L^T they are the eigenvalues of the
     Hermitian L^-1 H L^-H, hence real; otherwise those of J^-1 H.  Raises
-    DegreeDropError(t+1) where the order-(t+1) leading minor of J cancels:
-    the minors of J are the P_m of the pencil z*J - 0 at z = 1, so the check
-    is the pivot margin of that pencil (pivot_sweep), O(n), scale-invariant
-    and free of overflow.  J keeps that pencil, and the pencil its sweep at
-    z = 1 (recurrence._at_point), so a second call on the same J sweeps
-    nothing.  The pencil keeps its eigenvalues, read-only and no part of its
-    value, and each call returns a fresh copy of them: a second call on the
-    same pencil does no dense work.  The error is not kept; it is raised again.
+    DegreeDropError(t+1) where the order-(t+1) leading minor of J cancels,
+    read from the margin of its LDL^T pivot D_t (SymmetricTridiagonal._pivots):
+    O(n), scale-invariant and free of overflow.  J keeps its pivots, so a
+    second call on the same J runs no loop.  The pencil keeps its
+    eigenvalues, read-only and no part of its value, and each call returns a
+    fresh copy of them: a second call on the same pencil does no dense work.
+    The error is not kept; it is raised again.
     """
-    margins = _at_point(pencil.J._minors, 1.0).sweep.margins
-    low = (margins <= DEGREE_DROP_RTOL).nonzero()[0]
-    if low.size:
-        raise DegreeDropError(int(low[0]) + 1, float(margins[low[0]]), DEGREE_DROP_RTOL)
+    pivots, drop = pencil.J._pivots
+    if drop is not None:
+        raise DegreeDropError(len(pivots), drop, DEGREE_DROP_RTOL)
     kept = pencil.__dict__.get("_eigenvalues")
     if kept is None:
         kept = _dense_eigenvalues(pencil)
@@ -150,9 +148,13 @@ def _instance(truth: Pencil, k: int, lam: float, mu: float, p: np.ndarray, s: np
     )
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _draw_truth(config: GeneratorConfig, rng: np.random.Generator) -> Pencil:
+    """One draw of the generator; the signs index _SIGNS by rng.integers, the stream rng.choice draws them from."""
     n = config.n
-    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    d = rng.uniform(0.5, 2.0, n) * _SIGNS[rng.integers(0, 2, n)]
     pads = np.concatenate([[0.0], np.abs(d)]) + np.concatenate([np.abs(d), [0.0]])
     c = pads + rng.uniform(0.3, 1.3, n + 1)
     a = rng.uniform(-1.0, 1.0, n + 1)
@@ -161,10 +163,9 @@ def _draw_truth(config: GeneratorConfig, rng: np.random.Generator) -> Pencil:
     # head poles off the real axis, where the eigenvalues live
     mags = 0.05 + rng.uniform(0.0, 0.95, n)
     mags[config.k:] = config.min_im_ratio * 1.001 + rng.uniform(0.0, 0.9, n - config.k)
-    b_im = rng.choice([-1.0, 1.0], n) * mags * d
+    b_im = _SIGNS[rng.integers(0, 2, n)] * mags * d
     b = b_re + 1j * b_im
-    return Pencil(SymmetricTridiagonal(tuple(c), tuple(d)),
-                  HermitianTridiagonal(tuple(a), tuple(b)))
+    return Pencil(SymmetricTridiagonal(c.tolist(), d.tolist()), HermitianTridiagonal(a.tolist(), b.tolist()))
 
 
 def generate_instance(config: GeneratorConfig) -> tuple[Pencil, GiepInstance]:

@@ -10,8 +10,9 @@ four diagonals as read-only arrays for the array passes to slice, one slot
 for the point object of the last point it was evaluated at
 (recurrence._at_point, which says what the point holds), so that the
 operations at one point share it, and its eigenvalues
-(oracle.pencil_eigenvalues); J keeps the pencil z*J - 0 whose sweep at
-z = 1 gives its minors.  Every type here is safe to share across threads:
+(oracle.pencil_eigenvalues); J keeps its LDL^T pivots up to the first
+leading minor that cancels (SymmetricTridiagonal._pivots), which is the
+degree-drop test.  Every type here is safe to share across threads:
 what is kept is read-only, the same bits as a fresh computation, and set in
 one assignment, so a reader sees one point or another, each whole.
 """
@@ -24,6 +25,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .tolerances import DEGREE_DROP_RTOL
 
 
 def _finite_floats(xs: Sequence[float], name: str) -> tuple[float, ...]:
@@ -70,12 +73,35 @@ class SymmetricTridiagonal:
         return self.dense()[lo:hi + 1, lo:hi + 1]
 
     @cached_property
-    def _minors(self) -> "Pencil":
-        """The pencil z*J - 0, whose pivots at z = 1 are the minor ratios of J; built on first use and kept."""
-        return Pencil(self, HermitianTridiagonal((0.0,) * len(self.c), (0j,) * len(self.d)))
+    def _pivots(self) -> tuple[tuple[float, ...], float | None]:
+        """The LDL^T pivots of 2^-e J, up to the first whose margin is at most DEGREE_DROP_RTOL, and that margin.
+
+        D_t = c_t - x_t, x_t = d_{t-1}^2/D_{t-1} (x_0 = 0), is the ratio of
+        the leading minors of orders t + 1 and t, and its margin
+        |D_t|/(|c_t| + |x_t|) says how far that minor is from cancelling:
+        0 at an exactly zero pivot, where the loop stops before dividing by
+        it.  The margin is None where no pivot cancels; then the pivots are
+        all n + 1, and their signs are the inertia of J (of each leading
+        block J_[0,t] too).  2^e sits within a factor 2 of the largest
+        entry, so every step stays in the double range, and the pivots and
+        margins are those of J times 2^-e and 1 wherever these are normal:
+        the margins of the pencil z*J - 0 at z = 1 (recurrence.pivot_sweep),
+        bit for bit.  Formed on first use and kept.
+        """
+        lift = math.ldexp(1.0, math.frexp(max(map(abs, self.c + self.d)))[1] - 1)
+        pivots, D = [], 1.0
+        for t, c in enumerate(self.c):
+            c /= lift
+            x = (e := self.d[t - 1] / lift) * e / D if t else 0.0
+            D = c - x
+            pivots.append(D)
+            margin = abs(D) / (abs(c) + abs(x)) if D else 0.0
+            if margin <= DEGREE_DROP_RTOL:
+                return tuple(pivots), margin
+        return tuple(pivots), None
 
     def __getstate__(self) -> dict:
-        """Pickle and copy the value alone: a copy builds its own minors pencil."""
+        """Pickle and copy the value alone: a copy takes its own pivots."""
         return {"c": self.c, "d": self.d}
 
 

@@ -57,14 +57,17 @@ conjugates of the right ones, as L^-1 = conj(U^-1)^T, and unit_factors
 takes G as conj(F)^T, which is cheaper than forming it.
 
 A head's margin is read in one place, _Point.margin: the kept one, else
-the full pass for the last row, else a pass on a prefix of the sweep.
-head_margins gives every head at once, for m_table, and stops once the
-bottom-up passes of neighbouring heads have joined, bit for bit, which off
-the spectrum they do within a few dozen rows: O(n) work per row reached,
-not O(n^2) per point.  twisted_pivots runs one head's pass on numpy
-scalars, which round as head_margins' array steps do, so a margin has the
-same bits whichever computes it.  The corner gamma_0 of head(j-1) is
-1/m(z, j), so the same passes give the m-values.
+that of the full pass where the point has formed it, else one margin pass
+(_head_margin), a scalar loop over rows t..0 of the sweep that keeps the
+least margin and the corner and builds no array.  head_margins gives every
+head at once, for m_table, and stops once the bottom-up passes of
+neighbouring heads have joined, bit for bit, which off the spectrum they
+do within a few dozen rows: O(n) work per row reached, not O(n^2) per
+point.  twisted_pivots, the one producer of gamma and the backward pivots,
+and the margin pass step one head on scalars that round as head_margins'
+array steps do, so a margin has the same bits whichever computes it.  The
+corner gamma_0 of head(j-1) is 1/m(z, j), so the same passes give the
+m-values.
 
 The operations raise ValueError where z is not finite, an index is out of
 range or an unscaled sweep leaves the double range; SpectrumCollisionError(t)
@@ -188,7 +191,7 @@ class PivotSweep(NamedTuple):
     An exactly zero pivot reads margin 0 and holds a stand-in, and the two
     rows after it read the true zero minor (pivot_sweep).  m(z, t+1) =
     R_head(t)[0, 0] is 1/gamma_0 of the twisted pass of head(t)
-    (_Point.check, head_margins), which also decides whether z is in the
+    (_head_margin, head_margins), which also decides whether z is in the
     spectrum of a leading sub-pencil: the pivot misses an eigenvalue whose
     eigenvector nearly vanishes at the last row.  Every field but z is a
     numpy array; a named tuple builds in a fraction of a frozen dataclass's time.
@@ -205,14 +208,6 @@ class PivotSweep(NamedTuple):
     terms: np.ndarray
     pivots: np.ndarray
     margins: np.ndarray
-
-    def prefix(self, rows: int) -> "PivotSweep":
-        """The sweep of the leading sub-pencil over rows 0..rows-1, in views; the sweep itself if that is all of it."""
-        if rows >= len(self.pivots):
-            return self
-        cut = max(rows - 1, 0)
-        return PivotSweep(self.z, self.u[:rows], self.upper[:cut], self.lower[:cut], self.weights[:cut],
-                          self.own[:rows], self.x[:rows], self.terms[:rows], self.pivots[:rows], self.margins[:rows])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # w may leave the double range; as a decorator it costs half a with block
@@ -450,11 +445,13 @@ def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     N-1, which sees a true zero minor, and min_r |gamma_r| / (|z c_r| +
     |a_r| + |x_r| + |y_r|) above it (_twisted_margins): 0 at an eigenvalue
     of the order-(N-1) leading sub-pencil, whichever row its eigenvector
-    lives on.  It is head_margins' margin of head(N-1), bit for bit: the
-    pass is its vector step on numpy scalars of the sweep's dtype, float64 at
-    a real z and complex128 elsewhere, which round as its array operations
-    do (Python's complex division and abs() do not).  The backward pivots
-    D-_r are returned as well, head_margins' third array.
+    lives on.  It is head_margins' margin of head(N-1), and _head_margin's,
+    bit for bit: the pass is its vector step on numpy scalars of the sweep's
+    dtype, float64 at a real z and complex128 elsewhere, which round as its
+    array operations do (Python's complex division and abs() do not).  The
+    backward pivots D-_r are returned as well, head_margins' third array.
+    Only the readers of gamma and D-_r run it (_Point.twisted): a head test
+    takes the margin pass.
     """
     u, w, own = sweep.u, sweep.weights, sweep.own
     scalar = u.dtype.type
@@ -470,6 +467,39 @@ def twisted_pivots(sweep: PivotSweep) -> tuple[np.ndarray, float, np.ndarray]:
     gamma, y = _joined(sweep, backward)
     above = _twisted_margins(gamma[:-1], sweep.terms[:-1], y)
     return gamma, float(above.min(initial=sweep.margins[-1])), backward
+
+
+def _head_margin(sweep: PivotSweep, t: int) -> tuple[float, np.generic]:
+    """twisted_pivots' margin and gamma_0 of head(t), rows 0..t of the sweep, bit for bit, from one pass and no array.
+
+    The pass steps the backward pivots D-_r of head(t) from row t up and
+    folds _twisted_margins into its loop: |gamma_r|/(terms_r + |y_r|),
+    gamma_r = (u_r - x_r) - y_r, 0 rather than 0/0 where the terms vanish,
+    the least of these and the pivot margin of row t, NaN where any is NaN
+    (as np.min(initial=...) reads them), with the same stand-ins.  It steps
+    Python floats at a real z, which round as numpy's float64 does, and
+    numpy complex128 scalars elsewhere, as twisted_pivots does, with np.abs
+    for their moduli (abs() of a complex rounds otherwise); a stand-in
+    is a numpy scalar either way, so a stand-in that underflows to zero
+    divides as twisted_pivots' does.  gamma_0 is a numpy scalar of the
+    sweep's dtype.
+    """
+    scalar = sweep.u.dtype.type
+    read, modulus = (list, np.abs) if scalar is np.complex128 else (np.ndarray.tolist, abs)
+    u, x, w, terms = read(sweep.u[:t + 1]), read(sweep.x[:t + 1]), read(sweep.weights[:t]), read(sweep.terms[:t])
+    Y = u[t] or scalar(_stand_in(sweep.own[t]))
+    best, gamma = float(sweep.margins[t]), u[0] - x[0]  # gamma_0 of a head of one row
+    for r in range(t - 1, -1, -1):
+        y = w[r] / Y
+        gamma = u[r] - x[r] - y
+        size = modulus(y)
+        margin = modulus(gamma) / (terms[r] + size or 1.0)
+        if margin < best or margin != margin:
+            best = margin
+        Y = u[r] - y
+        if not Y:
+            Y = scalar(_stand_in(sweep.own[r] + size))
+    return float(best), scalar(gamma)
 
 
 def _joined(sweep: PivotSweep, backward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -592,7 +622,8 @@ class _Point:
     The pencil keeps one (_at_point).  twisted and unit are formed on first
     read; m_table hands over its head margins and the backward pivots of
     the full head in one assignment (keep), which margin and twisted then
-    read rather than a loop of their own.  Each part is set in one
+    read rather than a loop of their own.  A margin pass keeps nothing: a
+    head is tested once per operation.  Each part is set in one
     assignment, to the same bits whichever thread or order sets it, so a
     point shared across threads reads as a fresh one.  Every array is
     read-only.
@@ -648,19 +679,21 @@ class _Point:
         """The twisted margin of head(t), the one place a head's margin is read.
 
         It is the margin m_table kept, else that of the full pass (twisted)
-        for the sweep's last row, else that of twisted_pivots on
-        sweep.prefix(t + 1): the same bits each way.
+        for the sweep's last row where the point has formed it, else that of
+        one margin pass over rows t..0 (_head_margin), which forms nothing
+        the point keeps: the same bits each way, and never both passes for
+        one head.
         """
         if self.kept is not None:
             return float(self.kept[0][t])
-        if t == len(self.sweep.pivots) - 1:
-            return self.twisted[1]
-        return twisted_pivots(self.sweep.prefix(t + 1))[1]
+        if self._twisted is not None and t == len(self.sweep.pivots) - 1:
+            return self._twisted[1]
+        return _head_margin(self.sweep, t)[0]
 
     def check(self, heads: tuple[int, ...], tol: float = SPECTRUM_RTOL) -> "_Point":
         """The head test: SpectrumCollisionError(t, z, margin(t), tol) at the first t in heads below tol; the point."""
         for t in heads:
-            _check_margins(self.sweep.z, np.array((self.margin(t),)), tol, first=t)
+            _check_margins(self.sweep.z, self.margin(t), tol, first=t)
         return self
 
 
@@ -691,8 +724,16 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> None:
         x.setflags(write=False)
 
 
-def _check_margins(z: complex, margins: np.ndarray, tol: float, first: int = 0) -> None:
-    """SpectrumCollisionError(first + t, z, margins[t], tol) at the first t with margins[t] < tol."""
+def _check_margins(z: complex, margins: np.ndarray | float, tol: float, first: int = 0) -> None:
+    """SpectrumCollisionError(first + t, z, margins[t], tol) at the first t with margins[t] < tol.
+
+    A float is the margin of head(first) alone, tested as it is, so that the
+    head test builds no array.  A NaN margin is not below tol.
+    """
+    if isinstance(margins, float):
+        if margins < tol:
+            raise SpectrumCollisionError(first, z, margins, tol)
+        return
     low = (margins < tol).nonzero()[0]
     if low.size:
         raise SpectrumCollisionError(first + int(low[0]), z, float(margins[low[0]]), tol)

@@ -2,7 +2,8 @@
 
 Complex numbers are two-element arrays [re, im].  Plain ``json`` emits the
 shortest float representation that parses back exactly, so save/load
-round-trips are bitwise.
+round-trips are bitwise.  save_json writes one line and refuses NaN and
+the infinities, which JSON does not hold.
 """
 
 from __future__ import annotations
@@ -191,7 +192,11 @@ def encode_report(report: VerificationReport) -> dict:
 
 
 def save_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write doc as one line of JSON; ValueError, and no file written, where it holds NaN or an infinity.
+
+    Without indent, json.dumps takes its C encoder, about twice as fast.
+    """
+    Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def load_json(path: str | Path) -> Any:

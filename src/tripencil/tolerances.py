@@ -20,8 +20,8 @@ RATIO_RTOL = 1e-8           # lam/mu matches the determinant ratio that forces R
 DIFFERENCE_RTOL = 1e-12     # m-values (or w_t against its terms) this close are taken as coincident
 FACTOR_RTOL = 1e-5          # pivot margin below this: the unit LDU product loses > ~5e-10 (~25 eps/margin)
 
-# Dense oracle and verification (oracle.py)
-DEGREE_DROP_RTOL = 1e-13    # pivot margin of J (the pencil z*J - 0 at z = 1) this small: a leading minor cancels
+# Dense oracle and verification (oracle.py; DEGREE_DROP_RTOL in pencil.py, where J tests its minors)
+DEGREE_DROP_RTOL = 1e-13    # margin of an LDL^T pivot of J this small: a leading minor cancels
 NEAR_SINGULAR_RTOL = 1e-12  # det(wJ - H) against the Hadamard bound: numerically singular
 DENSE_RESIDUAL_RTOL = 1e-10 # |A X - I| of the dense inverse, relative to |A| |X|
 ENTRY_TOL = 1e-7            # worst relative error of a recovered entry that verify accepts

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 
 import tripencil as tp
+from tripencil import recurrence
 from tripencil.tolerances import (COMPONENT_RTOL, DELTA_RTOL, DIFFERENCE_RTOL, HERMITIAN_RTOL, IMAG_RTOL,
                                   POLE_RTOL, RATIO_RTOL)
 
@@ -402,3 +403,35 @@ def _mpmath_components(z, c, d, u, b):
         p.append(num / den)
         dp.append((dnum + d[m] * p[m + 1]) / den)
     return p, dp
+
+
+def reference_draw_truth(config, rng):
+    """oracle._draw_truth as it was, its signs drawn by rng.choice: the stream and the pencil the generator keeps."""
+    n = config.n
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    pads = np.concatenate([[0.0], np.abs(d)]) + np.concatenate([np.abs(d), [0.0]])
+    c = pads + rng.uniform(0.3, 1.3, n + 1)
+    a = rng.uniform(-1.0, 1.0, n + 1)
+    b_re = rng.uniform(-1.0, 1.0, n)
+    mags = 0.05 + rng.uniform(0.0, 0.95, n)
+    mags[config.k:] = config.min_im_ratio * 1.001 + rng.uniform(0.0, 0.9, n - config.k)
+    b_im = rng.choice([-1.0, 1.0], n) * mags * d
+    b = b_re + 1j * b_im
+    return tp.Pencil(tp.SymmetricTridiagonal(tuple(c), tuple(d)), tp.HermitianTridiagonal(tuple(a), tuple(b)))
+
+
+def reference_minor_sweep(J):
+    """The pivot sweep of the pencil z*J - 0 at z = 1, whose pivots are J's and whose margins the degree-drop
+    test read before J took its own (SymmetricTridiagonal._pivots)."""
+    zero = tp.HermitianTridiagonal((0.0,) * len(J.c), (0j,) * len(J.d))
+    return recurrence.pivot_sweep(tp.Pencil(J, zero), J.n + 1, 1.0)
+
+
+def sweep_prefix(sweep, rows):
+    """The pivot sweep of the leading sub-pencil over rows 0..rows-1, in views of sweep; sweep itself at full length."""
+    if rows >= len(sweep.pivots):
+        return sweep
+    cut = max(rows - 1, 0)
+    return recurrence.PivotSweep(sweep.z, sweep.u[:rows], sweep.upper[:cut], sweep.lower[:cut], sweep.weights[:cut],
+                                 sweep.own[:rows], sweep.x[:rows], sweep.terms[:rows], sweep.pivots[:rows],
+                                 sweep.margins[:rows])

@@ -1,18 +1,20 @@
 """CLI subcommands, exit codes, and serialization round-trips."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tripencil as tp
 from tripencil import serialize
 from tripencil.cli import main
-from support import build_pencil, dense_spectrum, extreme_pair, seeded_pencil
+from support import bits, build_pencil, dense_spectrum, extreme_pair, seeded_pencil
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -194,6 +196,33 @@ class TestSerializationRoundTrip:
         again = serialize.decode_pencil(serialize.load_json(workdir / "p.json"))
         assert again == pencil
 
+    def test_saved_files_are_one_line_and_round_trip_bitwise(self, workdir):
+        """save_json writes one line of JSON, and load_json reads back every float bit for bit: signed zeros,
+        subnormals and the largest double included."""
+        truth, inst = tp.generate_instance(tp.GeneratorConfig(n=6, k=2, seed=5))
+        edge = tp.Pencil(tp.SymmetricTridiagonal((5e-324, -0.0, 1.7976931348623157e308), (-2.0 ** -1022, 0.1)),
+                         tp.HermitianTridiagonal((-0.0, 1 / 3, 0.0), (complex(-0.0, 5e-324), complex(1e300, -0.0))))
+        for name, pencil in (("truth", truth), ("edge", edge)):
+            serialize.save_json(workdir / f"{name}.json", serialize.encode_pencil(pencil))
+            text = (workdir / f"{name}.json").read_text()
+            assert text.count("\n") == 1 and text.endswith("}\n")
+            again = serialize.decode_pencil(serialize.load_json(workdir / f"{name}.json"))
+            assert again == pencil
+            for mine, theirs in ((again.J.c, pencil.J.c), (again.J.d, pencil.J.d), (again.H.a, pencil.H.a),
+                                 ([x.real for x in again.H.b], [x.real for x in pencil.H.b]),
+                                 ([x.imag for x in again.H.b], [x.imag for x in pencil.H.b])):
+                assert np.array_equal(bits(mine), bits(theirs))
+        serialize.save_json(workdir / "instance.json", serialize.encode_instance(inst))
+        assert serialize.decode_instance(serialize.load_json(workdir / "instance.json")) == inst
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_json_refuses_nan_and_infinity_and_writes_no_file(self, workdir, bad):
+        doc = serialize.encode_pencil(seeded_pencil(0, 3))
+        doc["b"][1][1] = bad
+        with pytest.raises(ValueError):
+            serialize.save_json(workdir / "p.json", doc)
+        assert not (workdir / "p.json").exists()
+
 
 CODECS = {"pencil": (serialize.encode_pencil, serialize.decode_pencil),
           "instance": (serialize.encode_instance, serialize.decode_instance),
@@ -240,6 +269,22 @@ def test_a_field_of_the_wrong_json_type_is_a_schema_error(workdir, capsys, kind,
     capsys.readouterr()
     assert main(command[kind]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_a_document_holding_nan_is_not_written_and_the_cli_exits_1(workdir, capsys, monkeypatch):
+    """No subcommand writes NaN or Infinity: generate, handed an instance document that holds NaN, writes the
+    truth and no instance file, and exits 1 with json's error."""
+    encode = serialize.encode_instance
+
+    def with_nan(inst):
+        doc = encode(inst)
+        doc["lambda"] = math.nan
+        return doc
+
+    monkeypatch.setattr(serialize, "encode_instance", with_nan)
+    assert main(["generate", "--n", "4", "--k", "2", "--seed", "7", "--out", str(workdir)]) == 1
+    assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert (workdir / "truth.json").exists() and not (workdir / "instance.json").exists()
 
 
 def test_result_with_no_entry_to_check_exits_1(workdir, capsys):

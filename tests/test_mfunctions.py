@@ -692,10 +692,12 @@ def test_real_part_guards_are_scale_free(s):
 
 
 def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
-    """trailing_inverse tests heads k and n on one pivot sweep; resolvent_matrix forms the exponent runs
-    of its two triangles once at a real point (the lower ones are their conjugates) and twice at a complex one."""
+    """trailing_inverse tests heads k and n by one margin pass each on one pivot sweep; resolvent_matrix forms
+    the full-order twisted pass, whose margin its head test reads, and the exponent runs of its two triangles
+    once at a real point (the lower ones are their conjugates) and twice at a complex one."""
     calls = []
     pivot_sweep, twisted_pivots, runs = recurrence.pivot_sweep, recurrence.twisted_pivots, recurrence._prefix_products
+    head_margin = recurrence._head_margin
 
     def count(name, function):
         def counted(*args):
@@ -706,12 +708,13 @@ def test_trailing_inverse_and_resolvent_run_each_pass_once(monkeypatch):
     monkeypatch.setattr(recurrence, "pivot_sweep", count("sweep", pivot_sweep))
     monkeypatch.setattr(recurrence, "twisted_pivots", count("pass", twisted_pivots))
     monkeypatch.setattr(recurrence, "_prefix_products", count("runs", runs))
+    monkeypatch.setattr(recurrence, "_head_margin", count("margin", head_margin))
     pencil = seeded_pencil(2, 40)
     top, _, middle = far_points(pencil)
     for omega in (top, middle):
         calls.clear()
         tp.trailing_inverse(pencil, 20, omega)
-        assert calls == ["sweep", "pass", "pass"]
+        assert calls == ["sweep", "margin", "margin"]
     for omega, passes in ((top, 1), (middle, 2)):
         calls.clear()
         tp.resolvent_matrix(pencil, omega)
@@ -738,13 +741,11 @@ def _outcome(op):
     return [bits(x).tobytes() for x in (out if isinstance(out, tuple) else (out,))]
 
 
-def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeypatch):
-    """At one (pencil, z) the direct operations, eigenvalue_margin and eigenvector_components run the pivot
-    loop once and, after m_table, whose head test hands over the full-order twisted pass and the margin of
-    every head, no twisted pass at all: trailing_inverse tests its head k from the kept margins.  A new z,
-    the other signed zero of a part of z, or an equal but distinct pencil runs the loop again."""
-    calls = []
+def _record_passes(monkeypatch, calls):
+    """Record ("sweep", rows) per pivot sweep, ("margin", rows) per margin pass of the head over rows 0..rows-1
+    and ("pass", rows) per full twisted pass, in calls, in recurrence and in mfunctions, which imports two."""
     pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
+    head_margin = recurrence._head_margin
 
     def sweep(pencil, upto, z):
         calls.append(("sweep", upto))
@@ -754,8 +755,23 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
         calls.append(("pass", len(sweep.pivots)))
         return twisted_pivots(sweep)
 
-    monkeypatch.setattr(recurrence, "pivot_sweep", sweep)
+    def margin(sweep, t):
+        calls.append(("margin", t + 1))
+        return head_margin(sweep, t)
+
+    for module in (recurrence, tp.mfunctions):
+        monkeypatch.setattr(module, "pivot_sweep", sweep)
+        monkeypatch.setattr(module, "_head_margin", margin)
     monkeypatch.setattr(recurrence, "twisted_pivots", twisted)
+
+
+def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeypatch):
+    """At one (pencil, z) the direct operations, eigenvalue_margin and eigenvector_components run the pivot
+    loop once and, after m_table, whose head test hands over the full-order twisted pass and the margin of
+    every head, no twisted or margin pass at all: trailing_inverse tests its head k from the kept margins.
+    A new z, the other signed zero of a part of z, or an equal but distinct pencil runs the loop again."""
+    calls = []
+    _record_passes(monkeypatch, calls)
     pencil = seeded_pencil(2, 40)
     top, bottom, middle = far_points(pencil)
     once = [("sweep", 41)]
@@ -769,6 +785,27 @@ def test_operations_at_one_point_share_its_sweep_and_its_full_order_pass(monkeyp
     for op in _at_one_point(pencil, complex(bottom, -0.0)):
         op()
     assert calls == []
+
+
+def test_no_operation_runs_both_passes_for_one_head(monkeypatch):
+    """On a fresh pencil an operation tests a head by its margin pass, or reads the margin of the full-order
+    twisted pass that it forms anyway (resolvent_matrix, eigenvector_components), never both; m_function
+    runs the margin pass of its head alone, whose corner is 1/m."""
+    calls = []
+    _record_passes(monkeypatch, calls)
+    pencil = seeded_pencil(2, 40)
+    top, _, middle = far_points(pencil)
+    expected = [[], [("pass", 41)], [("margin", 41)], [("margin", 21), ("margin", 41)], [("margin", 41)],
+                [("pass", 41)]]
+    for z in (top, middle):
+        for i, passes in enumerate(expected):
+            calls.clear()
+            _at_one_point(tp.Pencil(pencil.J, pencil.H), z)[i]()
+            assert calls == [("sweep", 41)] + passes, (z, i)
+        for j in (1, 20, 41):
+            calls.clear()
+            tp.m_function(pencil, j, z)
+            assert calls == [("sweep", j), ("margin", j)]
 
 
 def _memo_points(pencil, eigs):

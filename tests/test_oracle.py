@@ -1,6 +1,7 @@
 """Ground-truth machinery: eigenvalues, dense inversion, instance generation."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import tripencil as tp
 from tripencil import giep, oracle, recurrence
 from tripencil.tolerances import ADMIT_SPECTRUM_MARGIN, DEGREE_DROP_RTOL, SPECTRUM_RTOL
-from support import (build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
-                     max_normalized, seeded_pencil)
+from support import (bits, build_pencil, corpus_shape, dense_eigenpairs, dense_eigenvectors, dense_spectrum,
+                     max_normalized, reference_draw_truth, reference_minor_sweep, seeded_pencil, sweep_prefix)
 
 
 def sweep_bits(sweep):
@@ -109,6 +110,81 @@ class TestPencilEigenvalues:
         assert f"pivot margin {margin:.3e} <= tol {DEGREE_DROP_RTOL:.1e}" in str(info.value)
 
 
+def _minor_cases():
+    """J of seeded pencils, of indefinite ones, and with exactly zero leading minors, and each J times 2^s."""
+    exact = [((1.0, 0.25, 1.0), (0.5, 0.5)), ((1.0, 1.0, 3.0), (1.0, 1.0)), ((0.0,), ()), ((0.0, 1.0), (1.0,)),
+             ((1.0,) * 13, (1.0,) * 12), ((2.5,) * 13, (1.0,) * 12), ((1.0, 0.25 + 2.0 ** -50, 1.0), (0.5, 0.5))]
+    cases = [seeded_pencil(seed, n).J for seed, n in ((0, 1), (1, 6), (4, 8), (2, 40), (5, 160), (800, 800))]
+    cases += [seeded_pencil(seed, 12, pd_J=False).J for seed in range(6)]
+    cases += [tp.SymmetricTridiagonal(c, d) for c, d in exact]
+    return cases + [tp.SymmetricTridiagonal(tuple(math.ldexp(x, s) for x in J.c), tuple(math.ldexp(x, s) for x in J.d))
+                    for J in cases for s in (-1000, -520, 520, 1000)]
+
+
+class TestMinorsOfJ:
+    def test_the_pivot_loop_of_J_is_the_sweep_of_its_minors_pencil(self):
+        """J's pivots times 2^e (e from its largest entry) are those of the pivot sweep of z*J - 0 at z = 1, bit for
+        bit, up to the first margin at most DEGREE_DROP_RTOL, where both stop with the same margin; an exactly zero
+        minor stops the loop with margin 0 and no division by it."""
+        drops = 0
+        for J in _minor_cases():
+            pivots, drop = J._pivots
+            sweep = reference_minor_sweep(J)
+            low = np.flatnonzero(sweep.margins <= DEGREE_DROP_RTOL)
+            if low.size:
+                drops += 1
+                assert (len(pivots), bits(drop).tobytes()) == (low[0] + 1, bits(sweep.margins[low[0]]).tobytes())
+            else:
+                assert drop is None and len(pivots) == J.n + 1
+            e = math.frexp(max(map(abs, J.c + J.d)))[1] - 1
+            rows = len(pivots) - (drop is not None)  # a zero pivot is a stand-in in the sweep
+            assert np.array_equal(bits(np.ldexp(pivots[:rows], e)), bits(sweep.pivots[:rows]))
+        assert drops == 6 * 5  # the six exact cases with a zero or near-zero minor, at each scale
+
+    def test_positive_pivots_are_cholesky_and_give_a_positive_witness(self):
+        """On pencils with an indefinite J: J's pivots on rows 0..k are all positive exactly where the Cholesky
+        factorization of J_[0,k] exists, and there the positivity witness at each real eigenvalue mu is positive,
+        the condition on the leading blocks of J that the paper isolates."""
+        rng = np.random.default_rng(35)
+        definite = witnessed = 0
+        for draw in range(80):
+            n = 2 + draw % 9
+            pencil = build_pencil(rng, n, pd_J=False)
+            pivots, drop = pencil.J._pivots
+            assert drop is None
+            eigs = tp.pencil_eigenvalues(pencil)
+            real = [float(x.real) for x in eigs if abs(x.imag) <= 1e-12 * (1 + abs(x))]
+            for k in range(n + 1):
+                positive = all(D > 0 for D in pivots[:k + 1])
+                try:
+                    np.linalg.cholesky(pencil.J.block(0, k))
+                except np.linalg.LinAlgError:
+                    assert not positive, (draw, k)
+                    continue
+                assert positive, (draw, k)
+                definite += 1
+                if 1 <= k <= n - 1:
+                    for mu in real:
+                        assert tp.positivity_witness(pencil, k, mu) > 0, (draw, k, mu)
+                        witnessed += 1
+        assert definite >= 40 and witnessed >= 20
+
+
+def test_the_generator_draws_the_stream_rng_choice_drew():
+    """_draw_truth's signs, indexed by rng.integers, are those rng.choice drew: the same pencil, bit for bit, for
+    the first attempts of every acceptance-corpus seed."""
+    for seed in range(200):
+        n, k = corpus_shape(seed)
+        config = tp.GeneratorConfig(n=n, k=k, seed=seed)
+        for attempt in range(3):
+            mine = oracle._draw_truth(config, np.random.default_rng([seed, attempt]))
+            theirs = reference_draw_truth(config, np.random.default_rng([seed, attempt]))
+            assert mine == theirs
+            assert all(type(x) is float for x in mine.J.c + mine.J.d + mine.H.a)
+            assert np.array_equal(bits(mine.H.b + mine.J.c + mine.J.d + mine.H.a),
+                                  bits(theirs.H.b + theirs.J.c + theirs.J.d + theirs.H.a))
+
+
 class TestDenseResolvent:
     def test_scalar_reciprocal(self):
         pencil = tp.Pencil(tp.SymmetricTridiagonal((2.0,), ()),
@@ -172,16 +248,18 @@ class TestGenerateInstance:
             assert np.abs(max_normalized(tail) - max_normalized(x[20:])).max() <= 1e-12
 
     def test_degree_drop_margins_are_taken_once_per_J(self, monkeypatch):
-        """pencil_eigenvalues sweeps the minors of J once per J: again on the same J, also under another H,
-        it reads the kept sweep, with the same DegreeDropError index; a copy of J sweeps its own."""
+        """pencil_eigenvalues runs J's pivot loop once per J: again on the same J, also under another H,
+        it reads the kept pivots, with the same DegreeDropError index; a copy of J runs its own."""
         rows = []
-        pivot_sweep = recurrence.pivot_sweep
+        loop = tp.SymmetricTridiagonal.__dict__["_pivots"].func
 
-        def record(pencil, upto, z):
-            rows.append(upto)
-            return pivot_sweep(pencil, upto, z)
+        def record(J):
+            rows.append(len(J.c))
+            return loop(J)
 
-        monkeypatch.setattr(recurrence, "pivot_sweep", record)
+        counted = functools.cached_property(record)
+        counted.__set_name__(tp.SymmetricTridiagonal, "_pivots")
+        monkeypatch.setattr(tp.SymmetricTridiagonal, "_pivots", counted)
         pencil = seeded_pencil(4, 8)
         first = tp.pencil_eigenvalues(pencil)
         other = tp.Pencil(pencil.J, tp.HermitianTridiagonal(pencil.H.a, pencil.H.b[::-1]))
@@ -251,29 +329,34 @@ class TestGenerateInstance:
             for (heads, tol, ours), theirs in zip(admitted[-2:], tested):
                 assert (heads, tol) == ((k - 1, k), ADMIT_SPECTRUM_MARGIN) and theirs[:2] == ((k - 1, k), SPECTRUM_RTOL)
                 # the generator's point holds the full-order sweep, solve's the head pencil's rows 0..k
-                assert sweep_bits(ours.prefix(k + 1)) == sweep_bits(theirs[2])
-                assert min(recurrence.twisted_pivots(ours.prefix(rows))[1]
+                assert sweep_bits(sweep_prefix(ours, k + 1)) == sweep_bits(theirs[2])
+                assert min(recurrence.twisted_pivots(sweep_prefix(ours, rows))[1]
                            for rows in (k, k + 1)) >= ADMIT_SPECTRUM_MARGIN
 
     def test_solve_and_admission_take_two_scalar_passes_per_point(self, monkeypatch):
-        """Heads k - 1 and k are tested by one twisted pass each at lam and mu, both on one pivot sweep.
+        """Heads k - 1 and k are tested by one margin pass each at lam and mu, both on one pivot sweep.
 
         The all-heads loop never runs.  The generator sweeps the full order once per point and tests the
-        heads on its rows 0..k; its only other passes are the full-order ones of the eigenvectors it takes
-        the tails from, on the same sweeps.  The sweep of the minors of J (H = 0) in pencil_eigenvalues
-        is not counted.
+        heads on its rows 0..k; its only other passes are the full-order twisted ones of the eigenvectors
+        it takes the tails from, on the same sweeps.  pencil_eigenvalues sweeps nothing: J tests its own
+        minors.
         """
-        calls = []  # ("sweep", z, rows) for each pivot sweep, ("pass", z, rows) for each twisted pass
-        pivot_sweep, twisted_pivots = recurrence.pivot_sweep, recurrence.twisted_pivots
+        calls = []  # ("sweep", z, rows) per pivot sweep, ("margin", z, rows) per margin pass of the head over rows
+        # 0..rows-1, ("pass", z, rows) per full twisted pass
+        pivot_sweep, twisted_pivots, head_margin = (recurrence.pivot_sweep, recurrence.twisted_pivots,
+                                                    recurrence._head_margin)
 
         def record_sweep(pencil, upto, z):
-            if any(pencil.H.a) or any(pencil.H.b):
-                calls.append(("sweep", complex(z), upto))
+            calls.append(("sweep", complex(z), upto))
             return pivot_sweep(pencil, upto, z)
 
         def record_pass(sweep):
             calls.append(("pass", sweep.z, len(sweep.pivots)))
             return twisted_pivots(sweep)
+
+        def record_margin(sweep, t):
+            calls.append(("margin", sweep.z, t + 1))
+            return head_margin(sweep, t)
 
         def all_heads(*args):
             raise AssertionError("head_margins runs")
@@ -281,6 +364,7 @@ class TestGenerateInstance:
         for module in (recurrence, giep, oracle):
             monkeypatch.setattr(module, "pivot_sweep", record_sweep)
         monkeypatch.setattr(recurrence, "twisted_pivots", record_pass)
+        monkeypatch.setattr(recurrence, "_head_margin", record_margin)
         for module in (recurrence, giep, oracle, tp.mfunctions):
             if hasattr(module, "head_margins"):
                 monkeypatch.setattr(module, "head_margins", all_heads)
@@ -290,7 +374,7 @@ class TestGenerateInstance:
             k = inst.k
 
             def point(z, heads=(k, k + 1), rows=k + 1):
-                return [("sweep", z, rows)] + [("pass", z, rows) for rows in heads]
+                return [("sweep", z, rows)] + [("margin", z, rows) for rows in heads]
 
             def eigenvector(z, n=inst.J.n):
                 return [("pass", z, n + 1)]

@@ -15,7 +15,8 @@ import tripencil as tp
 from tripencil import recurrence
 from tripencil.tolerances import DEGREE_DROP_RTOL, SPECTRUM_RTOL
 from support import (bits, build_pencil, dense_spectrum, far_points, hand_pencil, mpmath_reference,
-                     reference_liouville, reference_pq, scaled_pencil, seeded_pencil, toeplitz_pencil, worst_relative)
+                     reference_liouville, reference_pq, scaled_pencil, seeded_pencil, sweep_prefix, toeplitz_pencil,
+                     worst_relative)
 
 
 def test_eval_p_initial_condition(rng):
@@ -231,7 +232,7 @@ def test_pivot_sweep_prefix_is_the_shorter_sweep(n):
         if complex(z).imag == 0:
             assert not any(np.imag(getattr(full, field)).any() for field in ("weights", "x", "pivots")), z
         for upto in sorted({0, 1, n // 2, n + 1}):
-            short, cut = recurrence.pivot_sweep(pencil, upto, z), full.prefix(upto)
+            short, cut = recurrence.pivot_sweep(pencil, upto, z), sweep_prefix(full, upto)
             assert short.z == cut.z and len(short.pivots) == len(short.margins) == upto
             for field in fields:
                 assert np.array_equal(bits(getattr(short, field)), bits(getattr(cut, field))), field
@@ -328,7 +329,7 @@ def test_head_margins_of_all_orders_match_one_order_at_a_time():
         alone = [tp.eigenvalue_margin(pencil.head(m - 1), z) for m in range(1, pencil.n + 2)]
         assert np.array_equal(together, alone)
         # fewer heads stop the loop elsewhere: the same bits
-        assert np.array_equal(recurrence.head_margins(sweep.prefix(28))[0], together[:28])
+        assert np.array_equal(recurrence.head_margins(sweep_prefix(sweep, 28))[0], together[:28])
         # the last head alone takes the scalar pass of the head test, all heads the vector loop: the same bits
         assert recurrence._Point(sweep).check((pencil.n,)).twisted[1] == together[-1]
 
@@ -367,7 +368,7 @@ def _all_steps_margins(pencil, sweep, first):
 def _assert_twisted_pivots_match_head_margins(sweep):
     """twisted_pivots' margin and gamma_0 of each head, on its prefix of the sweep, equal head_margins' bit for bit,
     and so do the backward pivots of the full head."""
-    heads = [sweep.prefix(t + 1) for t in range(len(sweep.pivots))]
+    heads = [sweep_prefix(sweep, t + 1) for t in range(len(sweep.pivots))]
     alone = [recurrence.twisted_pivots(head) for head in heads]
     margins, corners, back = recurrence.head_margins(sweep)
     dtype = sweep.u.dtype  # the sweep's: float64 at a real point
@@ -459,6 +460,51 @@ def test_several_heads_through_an_exactly_zero_bottom_pivot():
     assert "margin 0.000e+00 < tol 1.0e-10" in str(info.value)
 
 
+def _same(mine, theirs):
+    """Equal bit for bit, or both NaN: the sign of a NaN is no part of a margin."""
+    return (math.isnan(mine) and math.isnan(theirs)) or bits(mine).tobytes() == bits(theirs).tobytes()
+
+
+def _assert_margin_pass_is_twisted_pivots(sweep):
+    """The margin pass of each head t equals twisted_pivots on the sweep's rows 0..t in its margin and gamma_0, bit
+    for bit (NaN where it gives NaN), the margin as a float and gamma_0 in the sweep's dtype."""
+    for t in range(len(sweep.pivots)):
+        with np.errstate(all="ignore"):  # both pass through infinities where w leaves the double range
+            gamma, margin, _ = recurrence.twisted_pivots(sweep_prefix(sweep, t + 1))
+            mine, corner = recurrence._head_margin(sweep, t)
+        assert type(mine) is float and corner.dtype == gamma.dtype, (sweep.z, t)
+        assert _same(mine, margin), (sweep.z, t, mine, margin)
+        assert _same(corner.real, gamma[0].real) and _same(corner.imag, gamma[0].imag), (sweep.z, t)
+
+
+def test_the_margin_pass_of_each_head_is_twisted_pivots_bit_for_bit():
+    """At real and complex points, on the spectrum of the pencil and of a head, through the exactly zero pivots of
+    the Toeplitz pencils and the row whose terms all vanish, and on 2^s times a pencil, s = -600, 520 and 600."""
+    pencil = seeded_pencil(3, 40)
+    eigs, sub = dense_spectrum(pencil), dense_spectrum(pencil.head(20))
+    points = [*far_points(pencil), 0.5 * (eigs[20] + eigs[21]), 0.3 + 0.5j, eigs[0], eigs[-1], sub[10]]
+    for z in points:
+        _assert_margin_pass_is_twisted_pivots(recurrence.pivot_sweep(pencil, pencil.n + 1, z))
+    for exact in (toeplitz_pencil(12, 1.0, 1.0, -1.0, 1j), toeplitz_pencil(12, 1.0, 1.0, -2.0, 2j),
+                  toeplitz_pencil(11, 2.5, 1.0, 0.0, 1j), toeplitz_pencil(12, 2.5, 1.0, 0.0, 1j)):
+        for z in (0.0, 1e-17, 0.25j):
+            _assert_margin_pass_is_twisted_pivots(recurrence.pivot_sweep(exact, exact.n + 1, z))
+    vanishing = tp.Pencil(tp.SymmetricTridiagonal((1.0,) * 4, (1.0,) * 3),
+                          tp.HermitianTridiagonal((1.0, 0.0, 1.0, 1.0), (0j, 0j, 0.5j)))
+    _assert_margin_pass_is_twisted_pivots(recurrence.pivot_sweep(vanishing, 4, 0.0))
+    base = seeded_pencil(0, 10)
+    eigs = dense_spectrum(base)
+    nan = 0
+    for s in (-600, 520, 600):
+        scaled = scaled_pencil(base, s)
+        for z in (*far_points(base), eigs[4], 0.3 + 0.5j):
+            sweep = recurrence.pivot_sweep(scaled, 11, z)
+            _assert_margin_pass_is_twisted_pivots(sweep)
+            with np.errstate(all="ignore"):
+                nan += sum(math.isnan(recurrence._head_margin(sweep, t)[0]) for t in range(11))
+    assert nan  # w leaves the double range at 2^600: the NaN of the margins is kept
+
+
 def test_a_row_whose_terms_all_vanish_reads_margin_0():
     # at z = 0 row 1 has z c_1 = a_1 = 0 and poles on both sides (b_0 = b_1 = 0, so w_0 = w_1 = 0):
     # every head through it is singular, and its twisted margin must read 0, not 0/0
@@ -467,7 +513,7 @@ def test_a_row_whose_terms_all_vanish_reads_margin_0():
     sweep = recurrence.pivot_sweep(pencil, pencil.n + 1, 0.0)
     margins = recurrence.head_margins(sweep)[0]
     assert margins.tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert [recurrence.twisted_pivots(sweep.prefix(t + 1))[1] for t in range(4)] == margins.tolist()
+    assert [recurrence.twisted_pivots(sweep_prefix(sweep, t + 1))[1] for t in range(4)] == margins.tolist()
     assert tp.eigenvalue_margin(pencil, 0.0) == 0.0
     with pytest.raises(tp.SpectrumCollisionError) as info:
         tp.resolvent_matrix(pencil, 0.0)
@@ -586,7 +632,7 @@ def test_a_non_finite_point_raises(name, z):
 def test_the_point_slot_is_read_only_and_no_part_of_the_value():
     """The sweep, twisted pass, head margins and unit prefix products a pencil keeps for its last point are
     read-only, whichever operation filled the pass; copy, pickle, == and hash neither carry nor read them, nor
-    the minors pencil and the eigenvalues that J and the pencil keep for pencil_eigenvalues."""
+    the pivots and the eigenvalues that J and the pencil keep for pencil_eigenvalues."""
     pencil = seeded_pencil(1, 10)
     z = 0.3 + 0.5j
     for first in (tp.m_table, tp.resolvent_matrix):  # the pass handed over by the head test, or its own
@@ -609,5 +655,7 @@ def test_the_point_slot_is_read_only_and_no_part_of_the_value():
         twin = duplicate(pencil)
         assert twin == pencil and hash(twin) == hash(pencil)
         assert "_point" not in vars(twin) and "_eigenvalues" not in vars(twin)
-        assert twin.J is pencil.J or "_minors" not in vars(twin.J)
-        assert {"_point", "_eigenvalues"} <= set(vars(pencil)) and "_minors" in vars(pencil.J)
+        assert twin.J is pencil.J or "_pivots" not in vars(twin.J)
+        assert {"_point", "_eigenvalues"} <= set(vars(pencil)) and "_pivots" in vars(pencil.J)
+    pivots, drop = pencil.J._pivots
+    assert type(pivots) is tuple and drop is None  # immutable as kept

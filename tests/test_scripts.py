@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import tripencil as tp
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -152,3 +156,23 @@ def test_op_times_runs_a_rotation_of_the_sweep_workload():
     assert "ops per rotation 128" in out
     assert "right_components_with_derivative/n640/complex" in out
     assert "p50: " in out and "p90: " in out
+
+
+def test_outcome_digest_prints_one_digest():
+    """In a process of its own, as on a second checkout: one sha256 over the outcomes, the same on a second run."""
+    runs = [subprocess.run([sys.executable, str(SCRIPTS / "outcome_digest.py"), "--count", "3"], capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)]
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}  outcomes \d+\n", runs[0]) and runs[0] == runs[1]
+
+
+def test_outcome_digest_encodes_every_bit_and_each_error():
+    digest = load_script("outcome_digest")
+    assert digest.encode(0.0) != digest.encode(-0.0) and digest.encode(1.0) != digest.encode(1)
+    assert digest.encode(np.array([1.0])) != digest.encode(np.array([1.0 + 0j]))
+    assert digest.encode((1.0, 2.0)) != digest.encode([(1.0,), 2.0])
+
+    def fails(value):
+        raise tp.SpectrumCollisionError(3, 0.5, value, 1e-10)
+
+    assert digest.outcome(tp, lambda: fails(1e-11)) != digest.outcome(tp, lambda: fails(2e-11))
+    assert digest.outcome(tp, lambda: 1.0) == digest.encode(1.0)
